@@ -15,6 +15,7 @@ Ascending m is therefore lexicographic order with + before -.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional, Sequence
@@ -37,6 +38,21 @@ _PRIMES26 = (
     67108693, 67108669, 67108667, 67108661, 67108649, 67108633,
     67108597, 67108579, 67108529, 67108511, 67108507, 67108493,
 )
+
+
+# --------------------------------------------------------------------------
+# worker processes
+
+
+def worker_count(threads: int, jobs: int) -> int:
+    """Worker processes for `jobs` independent jobs under a cap of
+    `threads`: never more than the CPUs this process may run on or than
+    the jobs, and at least 1, so no input can start an unbounded pool."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads, cpus, jobs))
 
 
 # --------------------------------------------------------------------------

@@ -35,6 +35,7 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 
 DEFAULT_WORK_CEILING = 1 << 24
+WORK_CEILING_CAP_BITS = 1 << 16
 
 
 def _rational(text: str) -> Fraction:
@@ -52,10 +53,19 @@ def _seed(text: str) -> int:
 
 
 def _ceiling(text: str) -> int:
+    """Work ceiling from an integer or 'b^e' (b, e >= 0).  A power of at
+    least 2^WORK_CEILING_CAP_BITS, told by bit length, is never evaluated
+    but clamped to that value; a set of rank r is refused when 2^(r-1)
+    exceeds the ceiling, so the clamp changes no refusal up to rank
+    WORK_CEILING_CAP_BITS + 1."""
     try:
         if "^" in text:
-            base, exp = text.split("^", 1)
-            return int(base) ** int(exp)
+            base, exp = (int(part) for part in text.split("^", 1))
+            if base < 0 or exp < 0:
+                raise ValueError("negative base or exponent")
+            if base > 1 and exp * (base.bit_length() - 1) >= WORK_CEILING_CAP_BITS:
+                return 1 << WORK_CEILING_CAP_BITS
+            return base ** exp
         return int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(

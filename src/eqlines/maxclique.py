@@ -2,8 +2,12 @@
 
 Vertices are 0-based; adjacency rows are Python int bitsets, which keeps
 the inner loops allocation-free (set intersection is a single AND).
-Deterministic by construction: vertex ties always break toward the
-lowest index, so identical inputs return identical witnesses.
+The solver relabels the vertices once in degree-descending order and
+colors every branch's pool in that fixed order (MCQ, Tomita & Seki
+2003; Tomita et al. 2010).  Deterministic by construction: degree ties
+break toward the lower index, and a caller-supplied starting clique is
+kept unless a strictly larger one exists, so identical inputs return
+identical witnesses.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -50,6 +56,15 @@ class SimpleGraph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
+    def is_clique(self, vertices: Sequence[int]) -> bool:
+        """Whether vertices are distinct, in range and pairwise adjacent."""
+        vs = list(vertices)
+        if len(set(vs)) != len(vs) or any(not 0 <= v < self.n for v in vs):
+            return False
+        return all(
+            self.adj[u] >> v & 1 for i, u in enumerate(vs) for v in vs[i + 1:]
+        )
+
 
 @dataclass(frozen=True)
 class CliqueResult:
@@ -79,33 +94,6 @@ def _color_order(adj: Sequence[int], pool: int) -> list[tuple[int, int]]:
     return order
 
 
-def greedy_coloring_bound(g: SimpleGraph, candidates: Optional[int] = None) -> int:
-    """Number of greedy colors of the induced subgraph; an upper bound on
-    its clique number.  candidates is a vertex bitset (default: all)."""
-    pool = (1 << g.n) - 1 if candidates is None else candidates
-    order = _color_order(g.adj, pool)
-    return order[-1][1] if order else 0
-
-
-def degeneracy_order(g: SimpleGraph) -> list[int]:
-    """Repeatedly remove a minimum-degree vertex (lowest index on ties)."""
-    remaining = (1 << g.n) - 1
-    order = []
-    for _ in range(g.n):
-        best_v = -1
-        best_deg = g.n + 1
-        pool = remaining
-        while pool:
-            v = (pool & -pool).bit_length() - 1
-            pool &= pool - 1
-            deg = (g.adj[v] & remaining).bit_count()
-            if deg < best_deg:
-                best_v, best_deg = v, deg
-        order.append(best_v)
-        remaining &= ~(1 << best_v)
-    return order
-
-
 class _Budget:
     __slots__ = ("deadline", "ticks")
 
@@ -126,60 +114,74 @@ class _TimeUp(Exception):
     pass
 
 
+def _relabel(g: SimpleGraph, order: Sequence[int]) -> list[int]:
+    """Adjacency bitsets of g with vertex order[k] renamed to k.
+
+    Permutes a 0/1 matrix in numpy: a Python loop over the set bits
+    takes about 1 s at K = 1806 and 517k edges, this about 0.03 s."""
+    n = g.n
+    width = (n + 7) // 8
+    raw = b"".join(row.to_bytes(width, "little") for row in g.adj)
+    bits = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(n, width),
+        axis=1, count=n, bitorder="little",
+    )
+    packed = np.packbits(bits[np.ix_(order, order)], axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def max_clique(
-    g: SimpleGraph, time_budget: Optional[float] = None
+    g: SimpleGraph,
+    time_budget: Optional[float] = None,
+    initial: Sequence[int] = (),
 ) -> CliqueResult:
     """Maximum clique size and one witness.
 
-    Branch and bound: root vertices in degeneracy order, children pruned
-    by greedy-coloring bounds.  With a time budget (seconds), the best
-    clique found so far is returned with optimal=False once time is up.
+    Branch and bound after MCQ (Tomita & Seki 2003): the vertices are
+    relabelled once in degree-descending order (lower index first on
+    ties), and every candidate pool is greedily colored in that fixed
+    order; a vertex whose color cannot lift the current clique above
+    the best one is pruned.  initial, if given, must be a clique of g
+    (ValueError otherwise) and is the starting best: it stays the
+    witness unless a strictly larger clique exists.  Otherwise the
+    witness is the first maximum clique the search meets, in the order
+    the degree-descending labels fix.  The witness is returned sorted,
+    in g's own labels.  With a time budget (seconds), the best clique
+    found so far is returned with optimal=False once time is up.
     """
+    if not g.is_clique(initial):
+        raise ValueError(f"initial vertices {list(initial)} are not a clique")
     if g.n == 0:
         return CliqueResult(0, (), True)
-    adj = g.adj
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    label = {v: k for k, v in enumerate(order)}
+    adj = _relabel(g, order)
     budget = _Budget(time_budget)
-    best_size = 0
-    best_witness: list[int] = []
+    best = [label[v] for v in initial]
     stack: list[int] = []
 
     def expand(pool: int) -> None:
-        nonlocal best_size, best_witness
+        nonlocal best
         if budget.expired():
             raise _TimeUp
-        order = _color_order(adj, pool)
-        for v, color in reversed(order):
-            if len(stack) + color <= best_size:
+        for v, color in reversed(_color_order(adj, pool)):
+            if len(stack) + color <= len(best):
                 return
             pool &= ~(1 << v)
             stack.append(v)
             child = pool & adj[v]
             if child:
                 expand(child)
-            elif len(stack) > best_size:
-                best_size = len(stack)
-                best_witness = stack.copy()
+            elif len(stack) > len(best):
+                best = stack.copy()
             stack.pop()
 
-    order = degeneracy_order(g)
-    later = (1 << g.n) - 1
     optimal = True
     try:
-        for v in order:
-            later &= ~(1 << v)
-            pool = adj[v] & later
-            if 1 + pool.bit_count() <= best_size:
-                continue
-            stack.append(v)
-            if pool:
-                expand(pool)
-            elif len(stack) > best_size:
-                best_size = len(stack)
-                best_witness = stack.copy()
-            stack.pop()
+        expand((1 << g.n) - 1)
     except _TimeUp:
         optimal = False
-    return CliqueResult(best_size, tuple(sorted(best_witness)), optimal)
+    return CliqueResult(len(best), tuple(sorted(order[v] for v in best)), optimal)
 
 
 def to_dimacs(g: SimpleGraph, comment: str = "") -> str:

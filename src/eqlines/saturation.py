@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _intops, linalg
 from .errors import HypothesisViolated, NotABasis
-from .lineset import LineSet
+from .lineset import LineSet, relative_bound_floor
 from .maxclique import CliqueResult, SimpleGraph, max_clique
 
 ProgressSink = Callable[[int, int], None]
@@ -138,7 +138,8 @@ def enumerate_candidates(
     incremental scan; both are exact and return identical results.
     progress (if given) receives (patterns_done, patterns_total) about
     every 2^16 patterns.  threads > 1 splits the pattern range across
-    processes; the output does not depend on the split.
+    up to that many processes (never more than the usable CPUs); the
+    output does not depend on the split.
     """
     if engine not in ("batch", "gray"):
         raise ValueError(f"unknown enumeration engine: {engine!r}")
@@ -148,16 +149,16 @@ def enumerate_candidates(
     )
     total = 1 << (d - 1)
 
-    if threads > 1 and total >= (1 << 16):
-        bounds = [total * k // threads for k in range(threads + 1)]
+    workers = _intops.worker_count(threads, total)
+    if workers > 1 and total >= (1 << 16):
+        bounds = [total * k // workers for k in range(workers + 1)]
         jobs = [
             (w, t_target, bounds[k], bounds[k + 1], engine)
-            for k in range(threads)
-            if bounds[k] < bounds[k + 1]
+            for k in range(workers)
         ]
         kept: list[int] = []
         done = 0
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for job, part in zip(jobs, pool.map(_enumerate_worker, jobs)):
                 kept.extend(part)
                 done += job[3] - job[2]
@@ -282,9 +283,11 @@ def verify_nonbasis_cover(
     basis: Sequence[int],
     cands: Sequence[Candidate],
     graph: SimpleGraph,
-) -> None:
+) -> list[int]:
     """The non-basis lines must appear among the candidates (up to global
-    sign) and be pairwise compatible, which forces N >= n."""
+    sign) and be pairwise compatible, which forces N >= n.  Returns the
+    candidate of each non-basis line, in line order: a clique of size
+    n - d in the compatibility graph."""
     where = {c.pattern_index: v for v, c in enumerate(cands)}
     vertices = []
     for j, m in line_pattern_indices(ls, basis).items():
@@ -301,6 +304,7 @@ def verify_nonbasis_cover(
                 raise HypothesisViolated(
                     f"non-basis lines map to incompatible candidates {i},{j}"
                 )
+    return vertices
 
 
 def check_saturated(
@@ -317,10 +321,17 @@ def check_saturated(
 
     verify_cover re-checks that the input's own non-basis lines appear
     among the candidates and are pairwise compatible (hence the bound
-    can never fall below ls.n).  graph_sink (if given) receives the
-    compatibility graph, e.g. for export.  If a time budget cut the
-    clique search short, clique_optimal is False and the bound is only
-    a lower bound.
+    can never fall below ls.n); that clique is then the clique search's
+    starting best, and the witness whenever omega = n - d.  graph_sink
+    (if given) receives the compatibility graph, e.g. for export.  If a
+    time budget cut the clique search short, clique_optimal is False
+    and the bound is only a lower bound.
+
+    The certificate checks itself: the witness must be a clique of
+    exactly omega vertices, and when d < 1/alpha^2 the bound N must not
+    exceed the relative bound floor(R(d, alpha)), since the basis and the
+    witness form an equiangular set of N lines at rank d.  Either
+    failure raises HypothesisViolated.
     """
     basis = select_basis(ls, basis_override)
     cands = enumerate_candidates(
@@ -329,10 +340,18 @@ def check_saturated(
     graph = build_compatibility_graph(cands, ls, basis)
     if graph_sink is not None:
         graph_sink(graph)
-    if verify_cover:
-        verify_nonbasis_cover(ls, basis, cands, graph)
-    clique: CliqueResult = max_clique(graph, time_budget)
-    n_bound = len(basis) + clique.size
+    cover = verify_nonbasis_cover(ls, basis, cands, graph) if verify_cover else ()
+    clique: CliqueResult = max_clique(graph, time_budget, initial=cover)
+    d = len(basis)
+    n_bound = d + clique.size
+    if len(clique.witness) != clique.size or not graph.is_clique(clique.witness):
+        raise HypothesisViolated(
+            f"clique witness is not a clique of size {clique.size}"
+        )
+    if d * ls.angle ** 2 < 1 and n_bound > relative_bound_floor(d, ls.angle):
+        raise HypothesisViolated(
+            f"N = {n_bound} exceeds the relative bound at rank {d}"
+        )
     return SaturationReport(
         basis_indices=tuple(basis),
         candidate_count=len(cands),
@@ -341,5 +360,5 @@ def check_saturated(
         saturated=n_bound == ls.n,
         clique_witness=clique.witness,
         clique_optimal=clique.optimal,
-        total_patterns=1 << (len(basis) - 1),
+        total_patterns=1 << (d - 1),
     )

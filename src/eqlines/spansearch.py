@@ -189,14 +189,14 @@ def random_search(
     seed &= MASK64
     m_rows, _ = _intops.integer_gram(ls.gram)
     log: list[SearchRun] = []
-    if threads > 1 and runs >= 64:
-        bounds = [runs * k // threads for k in range(threads + 1)]
+    workers = _intops.worker_count(threads, runs)
+    if workers > 1 and runs >= 64:
+        bounds = [runs * k // workers for k in range(workers + 1)]
         jobs = [
             (m_rows, ls.n, target_rank, seed, bounds[k], bounds[k + 1])
-            for k in range(threads)
-            if bounds[k] < bounds[k + 1]
+            for k in range(workers)
         ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_search_worker, jobs):
                 log.extend(part)
                 if progress is not None:

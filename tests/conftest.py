@@ -1,6 +1,6 @@
 import pytest
 
-from eqlines import constructions
+from eqlines import constructions, saturation, spansearch
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +21,27 @@ def taylor():
 @pytest.fixture(scope="session")
 def asche():
     return constructions.asche_72()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swaps the process pools of enumeration and search for an
+    in-process stand-in; the list records each pool's max_workers."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(saturation, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(spansearch, "ProcessPoolExecutor", InProcessPool)
+    return sizes

@@ -1,12 +1,13 @@
 """End-to-end command-line interface tests driven through main(argv)."""
 
+import argparse
 import csv
 import json
 
 import pytest
 
 from eqlines import lineset
-from eqlines.cli import main
+from eqlines.cli import WORK_CEILING_CAP_BITS, _ceiling, main
 from eqlines.graph6 import encode_graph6
 
 
@@ -380,3 +381,16 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["saturate", tremain_file, "--work-ceiling", "many"])
         assert exc.value.code == 2
+
+    def test_ceiling_powers_by_bit_length(self):
+        assert _ceiling("2^24") == 1 << 24
+        assert _ceiling("10^3") == 1000
+        assert _ceiling("1^1000000000000") == 1
+        assert _ceiling("0^0") == 1
+        # never evaluated: 2^(10^12) would need 125 GB
+        assert _ceiling("2^1000000000000") == 1 << WORK_CEILING_CAP_BITS
+
+    @pytest.mark.parametrize("text", ["2^-1", "-2^3", "2^x", "^3"])
+    def test_bad_ceiling_power(self, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _ceiling(text)

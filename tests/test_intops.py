@@ -1,5 +1,6 @@
 """Integer computation engines: enumeration, pairwise forms, span tiers."""
 
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,19 @@ def random_symmetric(rng: SplitMix64, d: int, scale: int = 1) -> list[list[int]]
             v = (rng.below(19) - 9) * scale
             w[i][j] = w[j][i] = v
     return w
+
+
+class TestWorkerCount:
+    def test_clamped_to_cpus_and_jobs(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert _intops.worker_count(10**12, 10**12) == cpus
+        assert _intops.worker_count(10**12, 3) == min(3, cpus)
+        assert _intops.worker_count(2, 10**9) == min(2, cpus)
+
+    def test_at_least_one(self):
+        assert _intops.worker_count(0, 10) == 1
+        assert _intops.worker_count(-5, 10) == 1
+        assert _intops.worker_count(8, 0) == 1
 
 
 class TestScaledCandidateMatrix:

@@ -1,16 +1,25 @@
 """Exact clique solver: examples, witness soundness, oracle agreement."""
 
+from typing import Optional
+
 import pytest
 
 from eqlines.maxclique import (
     CliqueResult,
     SimpleGraph,
-    degeneracy_order,
-    greedy_coloring_bound,
+    _color_order,
     max_clique,
     to_dimacs,
 )
 from eqlines.spansearch import SplitMix64
+
+
+def greedy_coloring_bound(g: SimpleGraph, candidates: Optional[int] = None) -> int:
+    """Number of greedy colors of the induced subgraph; an upper bound on
+    its clique number.  candidates is a vertex bitset (default: all)."""
+    pool = (1 << g.n) - 1 if candidates is None else candidates
+    order = _color_order(g.adj, pool)
+    return order[-1][1] if order else 0
 
 
 def brute_force_omega(g: SimpleGraph) -> int:
@@ -38,6 +47,15 @@ def random_graph(rng: SplitMix64, n: int, density_pct: int) -> SimpleGraph:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return SimpleGraph(n, tuple(adj))
+
+
+def random_clique(rng: SplitMix64, g: SimpleGraph) -> list[int]:
+    """A maximal clique grown greedily from a random vertex order."""
+    clique: list[int] = []
+    for v in sorted(range(g.n), key=lambda _: rng.next64()):
+        if all(g.adj[v] >> u & 1 for u in clique):
+            clique.append(v)
+    return clique
 
 
 def assert_witness_ok(g: SimpleGraph, result: CliqueResult) -> None:
@@ -145,11 +163,44 @@ class TestSolver:
         assert full.optimal
         assert result.size <= full.size
 
-    def test_degeneracy_order_is_permutation(self):
+    def test_seeded_search_matches_brute_force(self):
         rng = SplitMix64(15)
-        g = random_graph(rng, 15, 40)
-        order = degeneracy_order(g)
-        assert sorted(order) == list(range(15))
+        for _ in range(60):
+            g = random_graph(rng, 1 + rng.below(16), 10 + rng.below(85))
+            seed = random_clique(rng, g)
+            result = max_clique(g, initial=seed)
+            assert result.optimal
+            assert result.size == brute_force_omega(g) >= len(seed)
+            assert_witness_ok(g, result)
+            if result.size == len(seed):
+                assert result.witness == tuple(sorted(seed))
+
+    def test_zero_budget_keeps_seed(self):
+        rng = SplitMix64(16)
+        for _ in range(20):
+            g = random_graph(rng, 24, 70)
+            seed = random_clique(rng, g)
+            result = max_clique(g, time_budget=0.0, initial=seed)
+            assert result.size >= len(seed)
+            assert_witness_ok(g, result)
+
+    @pytest.mark.parametrize("seed", [[0, 2], [0, 0], [1, 7], [-1]])
+    def test_rejects_non_clique_seed(self, seed):
+        # 0-2 is not an edge of the Petersen graph; 7 is no neighbour
+        # of 1; repeated and out-of-range vertices are not cliques
+        with pytest.raises(ValueError):
+            max_clique(petersen(), initial=seed)
+
+    def test_witness_rule(self):
+        # two disjoint triangles, the second with a pendant edge at 4:
+        # unseeded, the degree-descending labels pick the second one;
+        # a seed of maximum size is kept, a smaller one is not
+        g = SimpleGraph.from_edges(
+            7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (4, 6)]
+        )
+        assert max_clique(g).witness == (3, 4, 5)
+        assert max_clique(g, initial=[0, 1, 2]).witness == (0, 1, 2)
+        assert max_clique(g, initial=[0, 1]).witness == (3, 4, 5)
 
 
 class TestDimacs:

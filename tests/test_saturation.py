@@ -1,12 +1,15 @@
 """Basis selection, candidate enumeration, and saturation checking."""
 
+import os
 from fractions import Fraction
 
 import pytest
 
+from eqlines import saturation
 from eqlines.errors import HypothesisViolated, NotABasis
 from eqlines.lineset import LineSet
 from eqlines.linalg import RatMatrix
+from eqlines.maxclique import CliqueResult, SimpleGraph
 from eqlines.saturation import (
     Candidate,
     SaturationReport,
@@ -283,6 +286,14 @@ class TestProgressAndThreads:
         assert serial == parallel
         assert len(serial) == 70
 
+    def test_huge_thread_count_is_clamped(self, taylor, pool_sizes):
+        serial = enumerate_candidates(taylor, list(TAYLOR_BASIS))
+        clamped = enumerate_candidates(
+            taylor, list(TAYLOR_BASIS), threads=10**9
+        )
+        assert clamped == serial
+        assert all(n <= len(os.sched_getaffinity(0)) for n in pool_sizes)
+
 
 class TestTaylorSaturation:
     def test_named_basis_covers_every_line(self, taylor):
@@ -294,3 +305,36 @@ class TestTaylorSaturation:
         g = build_compatibility_graph(cands, taylor, TAYLOR_BASIS)
         assert g.n == 70 and g.edge_count() == 70 * 69 // 2
         verify_nonbasis_cover(taylor, TAYLOR_BASIS, cands, g)
+
+    def test_default_basis_witness_is_the_cover(self, taylor):
+        basis = select_basis(taylor)
+        report = check_saturated(taylor)
+        assert report.candidate_count == 1806
+        assert report.clique_number == 70
+        assert report.n_bound == 90
+        assert report.clique_optimal is True
+        assert report.saturated is True
+        cands = enumerate_candidates(taylor, basis)
+        where = {c.pattern_index: v for v, c in enumerate(cands)}
+        cover = sorted(where[m] for m in line_pattern_indices(taylor, basis).values())
+        assert report.clique_witness == tuple(cover)
+
+
+class TestCertificateSelfCheck:
+    def test_witness_must_be_a_clique(self, monkeypatch):
+        def bogus(graph, time_budget=None, initial=()):
+            return CliqueResult(2, (0,), True)
+
+        monkeypatch.setattr(saturation, "max_clique", bogus)
+        with pytest.raises(HypothesisViolated, match="not a clique"):
+            check_saturated(hexagon())
+
+    def test_bound_must_respect_relative_bound(self, monkeypatch):
+        # d = 2 at alpha = 1/2 allows at most R = 3 lines; a complete
+        # graph on 3 candidates would claim N = 5
+        def complete(cands, ls, basis):
+            return SimpleGraph(3, (0b110, 0b101, 0b011))
+
+        monkeypatch.setattr(saturation, "build_compatibility_graph", complete)
+        with pytest.raises(HypothesisViolated, match="relative bound"):
+            check_saturated(hexagon())

@@ -1,5 +1,6 @@
 """Pinned PRNG stream, span closures, and randomized subset search."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,14 @@ class TestRandomSearch:
         serial = random_search(taylor, target_rank=18, runs=64, seed=0)
         parallel = random_search(taylor, target_rank=18, runs=64, seed=0, threads=3)
         assert serial == parallel
+
+    def test_huge_thread_count_is_clamped(self, taylor, pool_sizes):
+        serial = random_search(taylor, target_rank=18, runs=64, seed=0)
+        clamped = random_search(
+            taylor, target_rank=18, runs=64, seed=0, threads=10**9
+        )
+        assert clamped == serial
+        assert all(n <= len(os.sched_getaffinity(0)) for n in pool_sizes)
 
     def test_target_rank_bounds(self, taylor):
         with pytest.raises(OutOfRange):
