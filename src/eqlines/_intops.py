@@ -10,7 +10,9 @@ no tolerance ever decides an answer.
 Sign-pattern conventions (shared with the saturation module): pattern
 index m in [0, 2^(d-1)) maps to epsilon with eps[0] = +1 and, for
 position t >= 1, eps[t] = +1 when bit (d-1-t) of m is 0, else -1.
-Ascending m is therefore lexicographic order with + before -.
+Ascending m is therefore lexicographic order with + before -.  One
+serial engine, `enumerate_unit_patterns`, scans all patterns; the tests
+keep a block scan and a direct Python-int scan as its oracles.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ from .linalg import RatMatrix
 # limb base for exact multi-word int64 arithmetic on +-1 quadratic forms
 _LIMB_BASE = 1 << 40
 _LIMB_HALF = _LIMB_BASE >> 1
+
+# patterns per block of the sign-pattern scan, and the progress interval
+_SCAN_BLOCK = 1 << 14
+_PROGRESS_STEP = 1 << 16
 
 # 26-bit primes: residues stay below 2^26, so int64 dot products of
 # length up to ~2^11 of 29-bit products cannot overflow
@@ -113,113 +119,82 @@ def _pattern_block(ms: np.ndarray, d: int) -> np.ndarray:
     return e
 
 
-def _exact_quadratic(
-    e: np.ndarray, limbs: list[np.ndarray], target: int
-) -> np.ndarray:
-    """Positions in the block where eps^T W eps == target, exactly.
-
-    Single limb: the int64 form is exact (|entry| < 2^39, d <= 2^11).
-    Several limbs: an exact mod-2^40 prefilter on the low limb, then a
-    full Python-int recombination for the few survivors.
-    """
-    forms = [(e * (e @ wk.T)).sum(axis=1) for wk in limbs]
-    if len(limbs) == 1:
-        return np.nonzero(forms[0] == target)[0]
-    cand = np.nonzero((forms[0] - target) % _LIMB_BASE == 0)[0]
-    keep = []
-    for pos in cand:
-        total = sum(
-            int(forms[k][pos]) * _LIMB_BASE**k for k in range(len(limbs))
-        )
-        if total == target:
-            keep.append(pos)
-    return np.array(keep, dtype=np.int64)
-
-
-def enumerate_range_batch(
+def enumerate_unit_patterns(
     w: list[list[int]],
     t_target: int,
-    start: int,
-    stop: int,
-    block: int = 1 << 14,
-    progress: Optional[Callable[[int], None]] = None,
+    progress: Optional[Callable[[int, int], None]] = None,
 ) -> list[int]:
-    """Pattern indices m in [start, stop) whose pattern has unit norm."""
+    """Ascending pattern indices m in [0, 2^(d-1)) with eps^T W eps == t_target.
+
+    Meet in the middle: with b = (d-1)//2 and a = d - b, write
+    m = h*2^b + l, where h fixes the first a signs (the first is +1) and
+    l the last b.  Then eps^T W eps = q_H[h] + q_L[l] + e_H[h]^T C e_L[l]
+    with C = W_HL + W_LH^T, so a block of high halves costs one int64
+    matmul per limb against P = C E_L^T, which is built once.  Row-major
+    order of the (h, l) block is ascending m, so the result needs no sort.
+
+    Single limb: the int64 forms are exact (|entry| < 2^39, so |form| <=
+    d^2 * 2^39).  Several limbs: an exact mod-2^40 prefilter on the low
+    limb, then Python-int recombination of the survivors.  progress (if
+    given) receives (done, total) about every 2^16 patterns and once at
+    the end.
+    """
     d = len(w)
+    b = (d - 1) // 2
+    a = d - b
+    total = 1 << (d - 1)
     limbs = _balanced_limbs(w)
+    e_l = _pattern_block(np.arange(1 << b, dtype=np.int64), b + 1)[:, 1:]
+    halves = []
+    for wk in limbs:
+        q_l = ((e_l @ wk[a:, a:]) * e_l).sum(axis=1)
+        p = (wk[:a, a:] + wk[a:, :a].T) @ e_l.T
+        halves.append((wk[:a, :a], q_l, p))
+    t_low = t_target % _LIMB_BASE
+    highs = total >> b
+    rows = max(1, _SCAN_BLOCK >> b)
     kept: list[int] = []
-    for off in range(start, stop, block):
-        ms = np.arange(off, min(off + block, stop), dtype=np.int64)
-        e = _pattern_block(ms, d)
-        for pos in _exact_quadratic(e, limbs, t_target):
-            kept.append(int(ms[pos]))
-        if progress is not None:
-            progress(int(ms[-1]) + 1 - start)
+    last = 0
+    for h0 in range(0, highs, rows):
+        hs = np.arange(h0, min(h0 + rows, highs), dtype=np.int64)
+        e_h = _pattern_block(hs, a)
+        forms = [
+            (((e_h @ w_hh) * e_h).sum(axis=1)[:, None] + q_l + e_h @ p).ravel()
+            for w_hh, q_l, p in halves
+        ]
+        base = h0 << b
+        if len(limbs) == 1:
+            kept.extend((base + np.nonzero(forms[0] == t_target)[0]).tolist())
+        else:
+            for pos in np.nonzero(forms[0] % _LIMB_BASE == t_low)[0].tolist():
+                value = sum(
+                    int(f[pos]) * _LIMB_BASE**k for k, f in enumerate(forms)
+                )
+                if value == t_target:
+                    kept.append(base + pos)
+        done = base + len(forms[0])
+        if (progress is not None and done < total
+                and done - last >= _PROGRESS_STEP):
+            last = done
+            progress(done, total)
+    if progress is not None:
+        progress(total, total)
     return kept
-
-
-def enumerate_range_gray(
-    w: list[list[int]],
-    t_target: int,
-    start: int,
-    stop: int,
-    progress: Optional[Callable[[int], None]] = None,
-) -> list[int]:
-    """Same result as the batch engine via single-flip Gray-code updates.
-
-    Requires symmetric W.  Visits patterns in Gray-code order, so the
-    running form updates in O(d) per step; the returned indices are
-    sorted to restore lexicographic order.
-    """
-    d = len(w)
-    if start >= stop:
-        return []
-    g = start ^ (start >> 1)
-    eps = [1] * d
-    for t in range(1, d):
-        if (g >> (d - 1 - t)) & 1:
-            eps[t] = -1
-    wv = [sum(w[i][j] * eps[j] for j in range(d)) for i in range(d)]
-    s = sum(eps[i] * wv[i] for i in range(d))
-    kept = []
-    if s == t_target:
-        kept.append(g)
-    for k in range(start + 1, stop):
-        bit = (k & -k).bit_length() - 1
-        t = d - 1 - bit
-        et = eps[t]
-        s += 4 * (w[t][t] - et * wv[t])
-        row = w[t]
-        for i in range(d):
-            wv[i] -= 2 * et * row[i]
-        eps[t] = -et
-        g ^= 1 << bit
-        if s == t_target:
-            kept.append(g)
-        if progress is not None and not k % 65536:
-            progress(k - start)
-    kept.sort()
-    return kept
-
-
-def patterns_from_indices(ms: Sequence[int], d: int) -> np.ndarray:
-    if not len(ms):
-        return np.zeros((0, d), dtype=np.int64)
-    return _pattern_block(np.asarray(ms, dtype=np.int64), d)
 
 
 def pairwise_forms(
-    e: np.ndarray, w: list[list[int]]
+    e: np.ndarray, m: list[list[int]]
 ) -> tuple[np.ndarray, Callable[[int, int], int], bool]:
-    """All pairwise forms eps_i^T W eps_j.
+    """All pairwise forms eps_i^T m_j for +-1 rows e and integer rows m.
 
     Returns (matrix, exact lookup, is_exact).  With a single limb the
-    int64 matrix is exact and is_exact is True; otherwise the matrix
-    holds the forms reduced mod 2^40 (a prefilter) and the lookup
-    recombines limbs for exact values.  Memory is O(K^2) for K patterns.
+    int64 matrix is exact (|entry| < 2^39, so |form| <= d * 2^39) and
+    is_exact is True; otherwise the matrix holds the forms reduced mod
+    2^40 (a prefilter) and the lookup recombines limbs for exact values.
+    Memory is O(K^2) for K rows.
     """
-    limbs = _balanced_limbs(w)
-    mats = [e @ (e @ wk.T).T for wk in limbs]
+    limbs = _balanced_limbs(m)
+    mats = [e @ mk.T for mk in limbs]
     if len(limbs) == 1:
         return mats[0], lambda i, j: int(mats[0][i, j]), True
 
@@ -411,9 +386,3 @@ class SpanEngine:
                 members.append(j)
         return members
 
-
-def span_members(
-    m_rows: list[list[int]], subset: Sequence[int]
-) -> Optional[list[int]]:
-    """One-shot convenience wrapper around SpanEngine."""
-    return SpanEngine(m_rows).members(subset)

@@ -208,8 +208,6 @@ def _cmd_saturate(args: argparse.Namespace) -> int:
         ls,
         basis_override=basis,
         progress=progress,
-        threads=args.threads,
-        engine=args.engine,
         graph_sink=sink,
     )
     if args.json:
@@ -342,12 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--json", action="store_true", help="machine-readable JSON on stdout"
         )
 
-    def add_threads(p: argparse.ArgumentParser) -> None:
+    def add_threads(p: argparse.ArgumentParser, text: str) -> None:
         p.add_argument(
-            "--threads",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="worker process cap (output is independent of this)",
+            "--threads", type=int, default=os.cpu_count() or 1, help=text
         )
 
     p = sub.add_parser("construct", help="build a named line set or design")
@@ -376,9 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="refuse when 2^(rank-1) exceeds this (default 2^24)")
     p.add_argument("--force", action="store_true",
                    help="run even above the work ceiling")
-    p.add_argument("--engine", choices=["batch", "gray"], default="batch",
-                   help="sign-pattern enumeration engine")
-    add_threads(p)
+    add_threads(p, "accepted and ignored: saturation runs in one process")
     add_json(p)
     p.set_defaults(func=_cmd_saturate)
 
@@ -389,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, required=True, help="master seed")
     p.add_argument("--emit-best", help="write the best closure as a line-set JSON")
     p.add_argument("--csv", help="write the per-run log as CSV")
-    add_threads(p)
+    add_threads(p, "worker process cap (output is independent of this)")
     add_json(p)
     p.set_defaults(func=_cmd_search)
 

@@ -56,9 +56,6 @@ class OctadDesign:
         m = self.masks[i]
         return tuple(k + 1 for k in range(24) if m >> k & 1)
 
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.points(i) for i in range(len(self.masks)))
-
     def count_containing(self, *points: int) -> int:
         """Number of blocks containing all the given points."""
         want = 0

@@ -77,29 +77,9 @@ class RatMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols,
-            self.rows,
-            [self[i, j] for j in range(self.cols) for i in range(self.rows)],
-        )
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMatrix":
         ents = [self[i, j] for i in row_idx for j in col_idx]
         return RatMatrix(len(row_idx), len(col_idx), ents)
-
-    def matmul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other[k, j] for k in range(self.cols)))
-        return RatMatrix(self.rows, other.cols, out)
 
     def matvec(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(vec) != self.cols:
@@ -171,42 +151,6 @@ def rank(m: RatMatrix) -> int:
     return r
 
 
-def det(m: RatMatrix) -> Fraction:
-    """Exact determinant of a square matrix."""
-    if m.rows != m.cols:
-        raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    a = []
-    for i in range(n):
-        row = m.row(i)
-        den = 1
-        for x in row:
-            den = lcm(den, x.denominator)
-        scale *= den
-        a.append([int(x * den) for x in row])
-    sign = 1
-    prev = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        pivot = a[c][c]
-        for i in range(c + 1, n):
-            fac = a[i][c]
-            arow, crow = a[i], a[c]
-            for j in range(c + 1, n):
-                arow[j] = (arow[j] * pivot - fac * crow[j]) // prev
-            arow[c] = 0
-        prev = pivot
-    return Fraction(sign * a[n - 1][n - 1]) / scale
-
-
 def _gauss_jordan(aug: list[list[Fraction]], n: int) -> None:
     # in-place reduction of an n-row augmented system; raises on singular
     for c in range(n):
@@ -221,18 +165,6 @@ def _gauss_jordan(aug: list[list[Fraction]], n: int) -> None:
             if r != c and aug[r][c] != 0:
                 fac = aug[r][c]
                 aug[r] = [x - fac * y for x, y in zip(aug[r], crow)]
-
-
-def solve(a: RatMatrix, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Exact solution x of a·x = b for nonsingular square a."""
-    if a.rows != a.cols:
-        raise ValueError("solve requires a square matrix")
-    if len(b) != a.rows:
-        raise ValueError("right-hand side has wrong length")
-    n = a.rows
-    aug = [list(a.row(i)) + [Fraction(b[i])] for i in range(n)]
-    _gauss_jordan(aug, n)
-    return tuple(row[n] for row in aug)
 
 
 def inverse(a: RatMatrix) -> RatMatrix:

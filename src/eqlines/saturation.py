@@ -1,7 +1,7 @@
 """Saturation analysis for an equiangular line set.
 
 Pipeline: pick a basis among the lines, enumerate every unit vector that
-meets each basis line at +-alpha (sign-pattern search over 2^(d-1)
+meets each basis line at +-alpha (one serial scan over the 2^(d-1) sign
 patterns), connect two candidates when their inner product is +-alpha,
 and bound any equiangular extension of the basis by d + omega of that
 compatibility graph.  The set is saturated when the bound equals its
@@ -15,9 +15,9 @@ line sets are 0-based throughout the API.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,8 +28,6 @@ from .lineset import LineSet, relative_bound_floor
 from .maxclique import CliqueResult, SimpleGraph, max_clique
 
 ProgressSink = Callable[[int, int], None]
-
-_PROGRESS_STEP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -114,78 +112,27 @@ def _pattern_signs(m: int, d: int) -> tuple[int, ...]:
     )
 
 
-def _enumerate_worker(
-    args: tuple[list[list[int]], int, int, int, str]
-) -> list[int]:
-    w, t_target, start, stop, engine = args
-    if engine == "gray":
-        return _intops.enumerate_range_gray(w, t_target, start, stop)
-    return _intops.enumerate_range_batch(w, t_target, start, stop)
-
-
 def enumerate_candidates(
     ls: LineSet,
     basis: Sequence[int],
     progress: Optional[ProgressSink] = None,
     threads: int = 1,
-    engine: str = "batch",
 ) -> list[Candidate]:
     """All candidates over the basis, in sign-pattern lexicographic order.
 
     Each of the 2^(d-1) patterns eps (first sign +1) is kept iff the
     solution c of <v, b_k> = eps_k * alpha for all k has exact unit norm.
-    engine chooses between the vectorized batch scan and the single-flip
-    incremental scan; both are exact and return identical results.
-    progress (if given) receives (patterns_done, patterns_total) about
-    every 2^16 patterns.  threads > 1 splits the pattern range across
-    up to that many processes (never more than the usable CPUs); the
-    output does not depend on the split.
+    One serial scan decides every pattern exactly.  progress (if given)
+    receives (patterns_done, patterns_total) about every 2^16 patterns
+    and once at the end.  threads is accepted and ignored: the scan is
+    faster serial than split across processes.
     """
-    if engine not in ("batch", "gray"):
-        raise ValueError(f"unknown enumeration engine: {engine!r}")
     d = len(basis)
     w, scale, t_target = _intops.scaled_candidate_matrix(
         ls.gram, basis, ls.angle
     )
-    total = 1 << (d - 1)
-
-    workers = _intops.worker_count(threads, total)
-    if workers > 1 and total >= (1 << 16):
-        bounds = [total * k // workers for k in range(workers + 1)]
-        jobs = [
-            (w, t_target, bounds[k], bounds[k + 1], engine)
-            for k in range(workers)
-        ]
-        kept: list[int] = []
-        done = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for job, part in zip(jobs, pool.map(_enumerate_worker, jobs)):
-                kept.extend(part)
-                done += job[3] - job[2]
-                if progress is not None:
-                    progress(done, total)
-    else:
-        if progress is None:
-            gate = None
-        else:
-            last = [0]
-
-            def gate(done_in_range: int) -> None:
-                if done_in_range - last[0] >= _PROGRESS_STEP:
-                    last[0] = done_in_range
-                    progress(done_in_range, total)
-
-        if engine == "gray":
-            kept = _intops.enumerate_range_gray(w, t_target, 0, total, gate)
-        else:
-            kept = _intops.enumerate_range_batch(
-                w, t_target, 0, total, progress=gate
-            )
-        if progress is not None:
-            progress(total, total)
-
     cands = []
-    for m in kept:
+    for m in _intops.enumerate_unit_patterns(w, t_target, progress):
         signs = _pattern_signs(m, d)
         coeffs = tuple(
             Fraction(sum(w[i][j] * signs[j] for j in range(d)), scale)
@@ -200,46 +147,53 @@ def build_compatibility_graph(
 ) -> SimpleGraph:
     """Graph on the candidates; i ~ j iff their inner product is +-alpha.
 
-    With c = alpha * G_B^(-1) * eps, the product c_i^T G_B c_j equals
-    alpha * (eps_i^T W eps_j) / L, so edges are decided by the integer
-    form against +-L.  A form of +-T would mean two patterns giving one
-    line, which distinct unit-norm patterns cannot; this is asserted.
+    The candidates carry their exact coordinates, so no second inverse
+    of the basis Gram block is needed (basis is accepted for the
+    signature).  With c = alpha * G_B^(-1) * eps, <v_i, v_j> equals
+    alpha * eps_i^T c_j; with D the lcm of the coefficient denominators
+    and M = D * coeffs, the integer form eps_i^T M_j is D * <v_i, v_j> /
+    alpha.  Edges are forms of +-D.  A form of +-D/alpha (possible only
+    when D/alpha is an integer) would mean two patterns giving one line,
+    which distinct unit-norm patterns cannot; this is checked.
     """
     k = len(cands)
-    d = len(basis)
-    w, scale, t_target = _intops.scaled_candidate_matrix(
-        ls.gram, basis, ls.angle
-    )
     adj = [0] * k
     if k >= 2:
-        e = _intops.patterns_from_indices(
-            [c.pattern_index for c in cands], d
-        )
-        mat, exact, is_exact = _intops.pairwise_forms(e, w)
+        den = lcm(*(x.denominator for c in cands for x in c.coeffs))
+        m = [[x.numerator * (den // x.denominator) for x in c.coeffs]
+             for c in cands]
+        dup = Fraction(den) / ls.angle
+        dup_form = dup.numerator if dup.denominator == 1 else None
+        e = np.array([c.signs for c in cands], dtype=np.int64)
+        mat, exact, is_exact = _intops.pairwise_forms(e, m)
         if is_exact:
-            dup = np.abs(mat) == t_target
-            np.fill_diagonal(dup, False)
-            if np.any(dup):
-                i, j = map(int, np.argwhere(dup)[0])
-                raise HypothesisViolated(
-                    f"candidates {i} and {j} describe the same line"
-                )
-            ii, jj = np.nonzero(np.triu(np.abs(mat) == scale, 1))
+            absmat = np.abs(mat)
+            if dup_form is not None:
+                dups = absmat == dup_form
+                np.fill_diagonal(dups, False)
+                if np.any(dups):
+                    i, j = map(int, np.argwhere(dups)[0])
+                    raise HypothesisViolated(
+                        f"candidates {i} and {j} describe the same line"
+                    )
+            ii, jj = np.nonzero(np.triu(absmat == den, 1))
             pairs = zip(ii.tolist(), jj.tolist())
         else:
             base = 1 << 40
+            targets = [den] if dup_form is None else [den, dup_form]
             maybe = np.zeros(mat.shape, dtype=bool)
-            for tgt in (scale, -scale, t_target, -t_target):
-                maybe |= (mat - tgt) % base == 0
+            for tgt in targets:
+                maybe |= mat == tgt % base
+                maybe |= mat == -tgt % base
             ii, jj = np.nonzero(np.triu(maybe, 1))
             pairs = []
             for i, j in zip(ii.tolist(), jj.tolist()):
                 value = abs(exact(i, j))
-                if value == t_target:
+                if value == dup_form:
                     raise HypothesisViolated(
                         f"candidates {i} and {j} describe the same line"
                     )
-                if value == scale:
+                if value == den:
                     pairs.append((i, j))
         for i, j in pairs:
             adj[i] |= 1 << j
@@ -311,8 +265,6 @@ def check_saturated(
     ls: LineSet,
     basis_override: Optional[Sequence[int]] = None,
     progress: Optional[ProgressSink] = None,
-    threads: int = 1,
-    engine: str = "batch",
     time_budget: Optional[float] = None,
     verify_cover: bool = True,
     graph_sink: Optional[Callable[[SimpleGraph], None]] = None,
@@ -334,9 +286,7 @@ def check_saturated(
     failure raises HypothesisViolated.
     """
     basis = select_basis(ls, basis_override)
-    cands = enumerate_candidates(
-        ls, basis, progress=progress, threads=threads, engine=engine
-    )
+    cands = enumerate_candidates(ls, basis, progress=progress)
     graph = build_compatibility_graph(cands, ls, basis)
     if graph_sink is not None:
         graph_sink(graph)

@@ -186,6 +186,8 @@ def random_search(
         raise OutOfRange(
             f"target rank must lie in 1..{ls.rank}, got {target_rank}"
         )
+    if runs < 0:
+        raise OutOfRange(f"runs must be at least 0, got {runs}")
     seed &= MASK64
     m_rows, _ = _intops.integer_gram(ls.gram)
     log: list[SearchRun] = []
@@ -248,15 +250,3 @@ def orthogonal_complement(
     kernel = linalg.kernel(linalg.RatMatrix.from_rows(rows))
     return [tuple(int(x) for x in vec) for vec in kernel]
 
-
-def is_orthogonal_to_all(
-    ls: LineSet, indices: Sequence[int], vector: Sequence[int]
-) -> bool:
-    """Whether the integer vector is orthogonal to every indexed line's
-    coordinate vector (i.e. lies in the orthogonal complement)."""
-    if ls.coords is None:
-        raise ValueError("line set carries no coordinate vectors")
-    vec = [int(x) for x in vector]
-    return all(
-        sum(a * b for a, b in zip(ls.coords[i], vec)) == 0 for i in indices
-    )

@@ -1,6 +1,6 @@
 import pytest
 
-from eqlines import constructions, saturation, spansearch
+from eqlines import constructions, spansearch
 
 
 @pytest.fixture(scope="session")
@@ -25,8 +25,8 @@ def asche():
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Swaps the process pools of enumeration and search for an
-    in-process stand-in; the list records each pool's max_workers."""
+    """Swaps the process pool of search for an in-process stand-in; the
+    list records each pool's max_workers."""
     sizes = []
 
     class InProcessPool:
@@ -42,6 +42,5 @@ def pool_sizes(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(saturation, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(spansearch, "ProcessPoolExecutor", InProcessPool)
     return sizes

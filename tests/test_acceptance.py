@@ -51,6 +51,7 @@ from eqlines.spansearch import (
     random_search,
     span_closure,
 )
+from oracles import solve
 
 F = Fraction
 
@@ -160,7 +161,7 @@ def test_criterion_5_saturation_rank_20():
     basis = [i - 1 for i in BASIS_J_1B]
     start = time.perf_counter()
     cands = enumerate_candidates(taylor, basis, threads=1)
-    report = check_saturated(taylor, basis_override=basis, threads=1)
+    report = check_saturated(taylor, basis_override=basis)
     elapsed = time.perf_counter() - start
 
     assert report.total_patterns == 1 << 19
@@ -339,7 +340,7 @@ def test_criterion_9b_candidates_vs_sign_system_oracle():
                 -1 if m >> (d - 1 - t) & 1 else 1 for t in range(1, d)
             ]
             rhs = [ls.angle * e for e in eps]
-            coeffs = tuple(linalg.solve(ls.gram, rhs))
+            coeffs = tuple(solve(ls.gram, rhs))
             norm = sum(
                 coeffs[i] * coeffs[j] * ls.gram[i, j]
                 for i in range(d)

@@ -248,12 +248,11 @@ class TestSaturate:
         assert first.out == second.out
         assert first.err == second.err == ""
 
-    def test_engines_agree_bytewise(self, tremain_file, capsys):
-        assert main(["saturate", tremain_file, "--json", "--engine", "batch"]) == 0
-        batch = capsys.readouterr().out
-        assert main(["saturate", tremain_file, "--json", "--engine", "gray"]) == 0
-        gray = capsys.readouterr().out
-        assert batch == gray
+    def test_engine_flag_is_usage_error(self, tremain_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["saturate", tremain_file, "--json", "--engine", "gray"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_work_ceiling_refusal(self, tremain_file, capsys):
         code = main(["saturate", tremain_file, "--work-ceiling", "100"])
@@ -312,6 +311,14 @@ class TestSearch:
         assert min(best["closure"]) >= 1
         assert len(doc["complement"]) == 6
         assert all(len(v) == 24 for v in doc["complement"])
+
+    def test_negative_runs_rejected(self, asche_file, capsys):
+        argv = ["search", asche_file, "--rank", "18", "--runs", "-3",
+                "--seed", "0", "--json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "runs" in captured.err
 
     def test_human_output(self, asche_file, capsys):
         assert main(["search", asche_file, *self.ARGS]) == 0

@@ -9,22 +9,9 @@ import pytest
 from eqlines import _intops, linalg
 from eqlines.linalg import RatMatrix
 from eqlines.spansearch import SplitMix64
+from oracles import det, direct_unit_patterns, enumerate_range_batch
 
 F = Fraction
-
-
-def direct_unit_patterns(w, t_target):
-    """All pattern indices with eps^T W eps == t_target, by Python ints."""
-    d = len(w)
-    out = []
-    for m in range(1 << (d - 1)):
-        eps = [1] + [
-            -1 if m >> (d - 1 - t) & 1 else 1 for t in range(1, d)
-        ]
-        s = sum(w[i][j] * eps[i] * eps[j] for i in range(d) for j in range(d))
-        if s == t_target:
-            out.append(m)
-    return out
 
 
 def random_symmetric(rng: SplitMix64, d: int, scale: int = 1) -> list[list[int]]:
@@ -106,37 +93,55 @@ class TestBalancedLimbs:
                 assert np.all(np.abs(limb) <= base // 2)
 
 
+def realized_target(rng: SplitMix64, w: list[list[int]]) -> int:
+    """The form of a random pattern, so the target is always hit."""
+    d = len(w)
+    m = rng.below(1 << (d - 1))
+    eps = [1] + [-1 if m >> (d - 1 - t) & 1 else 1 for t in range(1, d)]
+    return sum(w[i][j] * eps[i] * eps[j] for i in range(d) for j in range(d))
+
+
 class TestEnumeration:
     def test_engines_match_direct(self):
         rng = SplitMix64(22)
-        for trial in range(12):
-            d = 2 + rng.below(8)
+        for d in range(1, 21):
             w = random_symmetric(rng, d)
-            # target drawn from realized values half the time
-            direct_all = direct_unit_patterns(w, 0)
-            t_target = 0
-            if trial % 2 and direct_all:
-                t_target = 0
-            else:
-                t_target = int(rng.below(40)) - 20
-            want = direct_unit_patterns(w, t_target)
-            total = 1 << (d - 1)
-            got_batch = _intops.enumerate_range_batch(w, t_target, 0, total)
-            got_gray = _intops.enumerate_range_gray(w, t_target, 0, total)
-            assert got_batch == want
-            assert got_gray == want
+            for t_target in (realized_target(rng, w), rng.below(40) - 20):
+                got = _intops.enumerate_unit_patterns(w, t_target)
+                total = 1 << (d - 1)
+                assert got == enumerate_range_batch(w, t_target, 0, total)
+                if d <= 12:
+                    assert got == direct_unit_patterns(w, t_target)
 
     def test_engines_match_on_multi_limb_entries(self):
         rng = SplitMix64(23)
         big = (1 << 45) + 12345
         for _ in range(6):
-            d = 2 + rng.below(5)
+            d = 1 + rng.below(6)
             w = random_symmetric(rng, d, scale=big)
-            t_target = w[0][0] and sum(w[i][j] for i in range(d) for j in range(d))
+            t_target = realized_target(rng, w)
             want = direct_unit_patterns(w, t_target)
-            total = 1 << (d - 1)
-            assert _intops.enumerate_range_batch(w, t_target, 0, total) == want
-            assert _intops.enumerate_range_gray(w, t_target, 0, total) == want
+            assert _intops.enumerate_unit_patterns(w, t_target) == want
+        # two limbs at d = 16, where the scan takes several row blocks
+        w = random_symmetric(rng, 16, scale=big)
+        assert len(_intops._balanced_limbs(w)) == 2
+        t_target = realized_target(rng, w)
+        got = _intops.enumerate_unit_patterns(w, t_target)
+        assert got and got == enumerate_range_batch(w, t_target, 0, 1 << 15)
+
+    def test_recombination_decides_when_low_limb_agrees(self):
+        # W = 3I + 2^39 J: eps^T W eps = 3d + 2^39 s^2 with s the sign
+        # sum, odd at d = 5, so every pattern agrees with the target mod
+        # 2^40 and only the recombined value tells s^2 = 25 from 9 or 1
+        d = 5
+        w = [[3 * (i == j) + (1 << 39) for j in range(d)] for i in range(d)]
+        assert len(_intops._balanced_limbs(w)) == 2
+        for s in (5, 3, 1):
+            t_target = 3 * d + (1 << 39) * s * s
+            want = direct_unit_patterns(w, t_target)
+            assert want
+            assert _intops.enumerate_unit_patterns(w, t_target) == want
+        assert _intops.enumerate_unit_patterns(w, 3 * d) == []
 
     def test_range_partition_equals_whole(self):
         rng = SplitMix64(24)
@@ -144,55 +149,57 @@ class TestEnumeration:
         w = random_symmetric(rng, d)
         t_target = w[0][0]
         total = 1 << (d - 1)
-        whole = _intops.enumerate_range_batch(w, t_target, 0, total)
+        whole = _intops.enumerate_unit_patterns(w, t_target)
         parts = []
         cuts = [0, 17, 100, 256, total]
         for a, b in zip(cuts, cuts[1:]):
-            parts.extend(_intops.enumerate_range_gray(w, t_target, a, b))
+            parts.extend(enumerate_range_batch(w, t_target, a, b))
         assert parts == whole
 
     def test_progress_called(self):
-        w = [[1, 0], [0, 1]]
         seen = []
-        _intops.enumerate_range_batch(w, 2, 0, 2, progress=seen.append)
-        assert seen and seen[-1] == 2
+        _intops.enumerate_unit_patterns(
+            [[1, 0], [0, 1]], 2, lambda a, b: seen.append((a, b))
+        )
+        assert seen == [(2, 2)]
+        d = 20
+        total = 1 << (d - 1)
+        w = [[int(i == j) for j in range(d)] for i in range(d)]
+        seen = []
+        _intops.enumerate_unit_patterns(w, d, lambda a, b: seen.append((a, b)))
+        step = _intops._PROGRESS_STEP
+        assert step == 1 << 16
+        assert seen == [(k * step, total) for k in range(1, total // step)] + [
+            (total, total)
+        ]
 
 
 class TestPairwiseForms:
     def test_exact_small(self):
         rng = SplitMix64(25)
         d = 5
-        w = random_symmetric(rng, d)
-        ms = list(range(1 << (d - 1)))
-        e = _intops.patterns_from_indices(ms, d)
-        mat, exact, is_exact = _intops.pairwise_forms(e, w)
+        e = _intops._pattern_block(np.arange(1 << (d - 1)), d)
+        m = [[rng.below(19) - 9 for _ in range(d)] for _ in range(len(e))]
+        mat, exact, is_exact = _intops.pairwise_forms(e, m)
         assert is_exact
         eps = e.tolist()
-        for i in range(0, len(ms), 3):
-            for j in range(0, len(ms), 5):
-                direct = sum(
-                    w[a][b] * eps[i][a] * eps[j][b]
-                    for a in range(d)
-                    for b in range(d)
-                )
+        for i in range(len(e)):
+            for j in range(len(e)):
+                direct = sum(eps[i][a] * m[j][a] for a in range(d))
                 assert int(mat[i, j]) == direct == exact(i, j)
 
     def test_multi_limb_lookup(self):
         rng = SplitMix64(26)
         d = 4
-        w = random_symmetric(rng, d, scale=(1 << 44) + 7)
-        ms = list(range(1 << (d - 1)))
-        e = _intops.patterns_from_indices(ms, d)
-        mat, exact, is_exact = _intops.pairwise_forms(e, w)
+        big = (1 << 44) + 7
+        e = _intops._pattern_block(np.arange(1 << (d - 1)), d)
+        m = [[(rng.below(19) - 9) * big for _ in range(d)] for _ in range(len(e))]
+        mat, exact, is_exact = _intops.pairwise_forms(e, m)
         assert not is_exact
         eps = e.tolist()
-        for i in range(len(ms)):
-            for j in range(len(ms)):
-                direct = sum(
-                    w[a][b] * eps[i][a] * eps[j][b]
-                    for a in range(d)
-                    for b in range(d)
-                )
+        for i in range(len(e)):
+            for j in range(len(e)):
+                direct = sum(eps[i][a] * m[j][a] for a in range(d))
                 assert exact(i, j) == direct
                 assert (int(mat[i, j]) - direct) % (1 << 40) == 0
 
@@ -204,11 +211,11 @@ class TestDetInverseMod:
         for _ in range(15):
             d = 1 + rng.below(5)
             a = [[rng.below(50) - 25 for _ in range(d)] for _ in range(d)]
-            det = linalg.det(RatMatrix.from_rows(a))
+            det_a = det(RatMatrix.from_rows(a))
             det_p, inv_p = _intops._det_inverse_mod(
                 np.array(a, dtype=np.int64), p
             )
-            assert det_p == int(det) % p
+            assert det_p == int(det_a) % p
             if inv_p is not None:
                 prod = (np.array(a) % p) @ inv_p % p
                 assert np.array_equal(prod, np.eye(d, dtype=np.int64))
@@ -295,8 +302,3 @@ class TestSpanEngine:
         got = engine.members([1, 3])
         if got is not None:
             assert {1, 3} <= set(got)
-
-    def test_one_shot_wrapper(self):
-        vectors = [[1, 0], [0, 1], [1, 1]]
-        m_rows = gram_from_vectors(vectors)
-        assert _intops.span_members(m_rows, [0, 1]) == [0, 1, 2]

@@ -1,11 +1,11 @@
 """Basis selection, candidate enumeration, and saturation checking."""
 
-import os
+from concurrent import futures
 from fractions import Fraction
 
 import pytest
 
-from eqlines import saturation
+from eqlines import _intops, saturation
 from eqlines.errors import HypothesisViolated, NotABasis
 from eqlines.lineset import LineSet
 from eqlines.linalg import RatMatrix
@@ -21,6 +21,7 @@ from eqlines.saturation import (
     select_basis,
     verify_nonbasis_cover,
 )
+from oracles import enumerate_range_batch
 
 F = Fraction
 HALF = F(1, 2)
@@ -189,15 +190,18 @@ class TestEnumerateTremain:
                 assert dot == c.signs[k] * alpha
             assert inner(tremain, odd, c.coeffs, c.coeffs) == 1
 
-    def test_engines_agree(self, tremain):
-        odd = list(range(1, 28, 2))
-        batch = enumerate_candidates(tremain, odd, engine="batch")
-        gray = enumerate_candidates(tremain, odd, engine="gray")
-        assert batch == gray
-
-    def test_unknown_engine(self, tremain):
-        with pytest.raises(ValueError):
-            enumerate_candidates(tremain, list(range(1, 28, 2)), engine="x")
+    def test_engines_agree(self, tremain, taylor):
+        # the serial scan against the block-scan oracle
+        for ls, basis in (
+            (tremain, list(range(1, 28, 2))),
+            (taylor, list(TAYLOR_BASIS)),
+        ):
+            w, _, t_target = _intops.scaled_candidate_matrix(
+                ls.gram, basis, ls.angle
+            )
+            want = enumerate_range_batch(w, t_target, 0, 1 << (len(basis) - 1))
+            got = enumerate_candidates(ls, basis)
+            assert [c.pattern_index for c in got] == want
 
     def test_every_nonbasis_line_is_a_candidate(self, tremain):
         odd = list(range(1, 28, 2))
@@ -286,13 +290,19 @@ class TestProgressAndThreads:
         assert serial == parallel
         assert len(serial) == 70
 
-    def test_huge_thread_count_is_clamped(self, taylor, pool_sizes):
+    def test_huge_thread_count_is_clamped(self, taylor, monkeypatch):
+        # threads is ignored: no pool is ever started, however large
+        def no_pool(*args, **kwargs):
+            raise AssertionError("enumeration must not start a process pool")
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(saturation, "ProcessPoolExecutor", no_pool,
+                            raising=False)
         serial = enumerate_candidates(taylor, list(TAYLOR_BASIS))
         clamped = enumerate_candidates(
             taylor, list(TAYLOR_BASIS), threads=10**9
         )
         assert clamped == serial
-        assert all(n <= len(os.sched_getaffinity(0)) for n in pool_sizes)
 
 
 class TestTaylorSaturation:

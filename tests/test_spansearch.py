@@ -15,7 +15,6 @@ from eqlines.spansearch import (
     MASK64,
     SplitMix64,
     extract_sublineset,
-    is_orthogonal_to_all,
     mix64,
     orthogonal_complement,
     random_search,
@@ -196,6 +195,12 @@ class TestRandomSearch:
         with pytest.raises(OutOfRange):
             random_search(taylor, target_rank=21, runs=1, seed=0)
 
+    def test_negative_runs_rejected(self, taylor):
+        with pytest.raises(OutOfRange, match="runs"):
+            random_search(taylor, target_rank=18, runs=-3, seed=0)
+        summary = random_search(taylor, target_rank=18, runs=0, seed=0)
+        assert summary.runs == 0 and summary.best is None
+
     def test_to_dict_one_based(self, taylor):
         summary = random_search(taylor, target_rank=18, runs=12, seed=0)
         doc = summary.to_dict()
@@ -236,6 +241,12 @@ class TestExtract:
             extract_sublineset(bad, [0, 1])
 
 
+def is_orthogonal_to_all(ls, indices, vector) -> bool:
+    return all(
+        sum(a * b for a, b in zip(ls.coords[i], vector)) == 0 for i in indices
+    )
+
+
 class TestOrthogonalComplement:
     def test_full_set_complement_is_construction_kernel(self, taylor):
         comp = orthogonal_complement(taylor, range(90))
@@ -268,9 +279,15 @@ class TestOrthogonalComplement:
         ls = hexagon()
         with pytest.raises(ValueError):
             orthogonal_complement(ls, [0])
-        with pytest.raises(ValueError):
-            is_orthogonal_to_all(ls, [0], (1, 0))
 
     def test_is_orthogonal_simple(self, taylor):
-        assert is_orthogonal_to_all(taylor, range(90), VEC_C)
-        assert not is_orthogonal_to_all(taylor, [0], taylor.coords[0])
+        # VEC_C lies in the complement of all 90 lines; a line's own
+        # coordinate vector does not lie in its complement
+        def in_span(vectors, v):
+            rows = [list(u) for u in vectors]
+            return linalg.rank(RatMatrix.from_rows(rows + [list(v)])) == len(rows)
+
+        assert in_span(orthogonal_complement(taylor, range(90)), VEC_C)
+        assert not in_span(
+            orthogonal_complement(taylor, [0]), taylor.coords[0]
+        )
