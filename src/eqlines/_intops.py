@@ -13,6 +13,11 @@ position t >= 1, eps[t] = +1 when bit (d-1-t) of m is 0, else -1.
 Ascending m is therefore lexicographic order with + before -.  One
 serial engine, `enumerate_unit_patterns`, scans all patterns; the tests
 keep a block scan and a direct Python-int scan as its oracles.
+
+Wide integers are split into balanced base-2^40 limbs, a scheme known
+only to this module: `_exact_equal` alone decides whether limb forms
+equal a target, for the pattern scan and for `pairwise_hits` (the
+compatibility graph) alike.
 """
 
 from __future__ import annotations
@@ -119,6 +124,25 @@ def _pattern_block(ms: np.ndarray, d: int) -> np.ndarray:
     return e
 
 
+def _exact_equal(forms: list[np.ndarray], target: int) -> np.ndarray:
+    """Mask of the entries whose limb forms sum_k forms[k] * 2^(40k) equal
+    target exactly.
+
+    One limb: the int64 forms are the values.  Several limbs: an exact
+    mod-2^40 prefilter on limb 0, then Python-int recombination of the
+    survivors.  Balanced limbs have |entry| <= 2^39, so a form of fewer
+    than 2^24 such products stays inside int64.
+    """
+    if len(forms) == 1:
+        return forms[0] == target
+    hit = forms[0] % _LIMB_BASE == target % _LIMB_BASE
+    for pos in np.flatnonzero(hit).tolist():
+        value = sum(int(f.flat[pos]) * _LIMB_BASE**k for k, f in enumerate(forms))
+        if value != target:
+            hit.flat[pos] = False
+    return hit
+
+
 def enumerate_unit_patterns(
     w: list[list[int]],
     t_target: int,
@@ -133,11 +157,9 @@ def enumerate_unit_patterns(
     matmul per limb against P = C E_L^T, which is built once.  Row-major
     order of the (h, l) block is ascending m, so the result needs no sort.
 
-    Single limb: the int64 forms are exact (|entry| < 2^39, so |form| <=
-    d^2 * 2^39).  Several limbs: an exact mod-2^40 prefilter on the low
-    limb, then Python-int recombination of the survivors.  progress (if
-    given) receives (done, total) about every 2^16 patterns and once at
-    the end.
+    _exact_equal decides each block (|form| <= d^2 * 2^39 per limb).
+    progress (if given) receives (done, total) about every 2^16 patterns
+    and once at the end.
     """
     d = len(w)
     b = (d - 1) // 2
@@ -150,7 +172,6 @@ def enumerate_unit_patterns(
         q_l = ((e_l @ wk[a:, a:]) * e_l).sum(axis=1)
         p = (wk[:a, a:] + wk[a:, :a].T) @ e_l.T
         halves.append((wk[:a, :a], q_l, p))
-    t_low = t_target % _LIMB_BASE
     highs = total >> b
     rows = max(1, _SCAN_BLOCK >> b)
     kept: list[int] = []
@@ -163,15 +184,7 @@ def enumerate_unit_patterns(
             for w_hh, q_l, p in halves
         ]
         base = h0 << b
-        if len(limbs) == 1:
-            kept.extend((base + np.nonzero(forms[0] == t_target)[0]).tolist())
-        else:
-            for pos in np.nonzero(forms[0] % _LIMB_BASE == t_low)[0].tolist():
-                value = sum(
-                    int(f[pos]) * _LIMB_BASE**k for k, f in enumerate(forms)
-                )
-                if value == t_target:
-                    kept.append(base + pos)
+        kept.extend((base + np.flatnonzero(_exact_equal(forms, t_target))).tolist())
         done = base + len(forms[0])
         if (progress is not None and done < total
                 and done - last >= _PROGRESS_STEP):
@@ -182,26 +195,23 @@ def enumerate_unit_patterns(
     return kept
 
 
-def pairwise_forms(
-    e: np.ndarray, m: list[list[int]]
-) -> tuple[np.ndarray, Callable[[int, int], int], bool]:
-    """All pairwise forms eps_i^T m_j for +-1 rows e and integer rows m.
+def pairwise_hits(
+    e: np.ndarray, m: list[list[int]], targets: Sequence[int]
+) -> list[np.ndarray]:
+    """Exact masks |eps_i^T m_j| == t, one per target t, for +-1 rows e
+    and integer rows m.
 
-    Returns (matrix, exact lookup, is_exact).  With a single limb the
-    int64 matrix is exact (|entry| < 2^39, so |form| <= d * 2^39) and
-    is_exact is True; otherwise the matrix holds the forms reduced mod
-    2^40 (a prefilter) and the lookup recombines limbs for exact values.
-    Memory is O(K^2) for K rows.
+    The forms are computed in row blocks of about _SCAN_BLOCK entries,
+    so apart from the boolean masks the memory is O(block) per limb.
     """
     limbs = _balanced_limbs(m)
-    mats = [e @ mk.T for mk in limbs]
-    if len(limbs) == 1:
-        return mats[0], lambda i, j: int(mats[0][i, j]), True
-
-    def exact(i: int, j: int) -> int:
-        return sum(int(mats[k][i, j]) * _LIMB_BASE**k for k in range(len(mats)))
-
-    return mats[0] % _LIMB_BASE, exact, False
+    hits = [np.zeros((len(e), len(m)), dtype=bool) for _ in targets]
+    rows = max(1, _SCAN_BLOCK // max(len(m), 1))
+    for r0 in range(0, len(e), rows):
+        forms = [e[r0:r0 + rows] @ mk.T for mk in limbs]
+        for hit, t in zip(hits, targets):
+            hit[r0:r0 + rows] = _exact_equal(forms, t) | _exact_equal(forms, -t)
+    return hits
 
 
 # --------------------------------------------------------------------------

@@ -120,14 +120,19 @@ class LineSet:
         return LineSet.from_gram(sub, self.angle, coords, self.coords_norm_sq)
 
 
-def from_sign_matrix(s: SignMatrix, angle: Fraction) -> LineSet:
-    """LineSet with gram = I + angle*S; rank computed, not yet validated."""
-    angle = Fraction(angle)
+def _sign_gram(s: SignMatrix, angle: Fraction) -> RatMatrix:
+    """The Gram matrix I + angle*S."""
     ents = []
     for i in range(s.n):
         for j in range(s.n):
             ents.append(Fraction(1) if i == j else angle * s.signs[i][j])
-    return LineSet.from_gram(RatMatrix(s.n, s.n, ents), angle)
+    return RatMatrix(s.n, s.n, ents)
+
+
+def from_sign_matrix(s: SignMatrix, angle: Fraction) -> LineSet:
+    """LineSet with gram = I + angle*S; rank computed, not yet validated."""
+    angle = Fraction(angle)
+    return LineSet.from_gram(_sign_gram(s, angle), angle)
 
 
 @dataclass(frozen=True)
@@ -268,11 +273,8 @@ def from_json_dict(data: dict) -> LineSet:
     coords = data.get("coords")
     norm_sq = data.get("coords_norm_sq")
     if "signs" in data:
-        s = SignMatrix.from_rows(data["signs"])
-        ls = from_sign_matrix(s, angle)
-        if coords is not None:
-            ls = LineSet.from_gram(ls.gram, angle, coords, norm_sq)
-        return ls
+        gram = _sign_gram(SignMatrix.from_rows(data["signs"]), angle)
+        return LineSet.from_gram(gram, angle, coords, norm_sq)
     if "gram" in data:
         rows = [[parse_rational(str(x)) for x in row] for row in data["gram"]]
         return LineSet.from_gram(RatMatrix.from_rows(rows), angle, coords, norm_sq)

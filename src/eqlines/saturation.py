@@ -156,49 +156,23 @@ def build_compatibility_graph(
     when D/alpha is an integer) would mean two patterns giving one line,
     which distinct unit-norm patterns cannot; this is checked.
     """
-    k = len(cands)
-    adj = [0] * k
-    if k >= 2:
-        den = lcm(*(x.denominator for c in cands for x in c.coeffs))
-        m = [[x.numerator * (den // x.denominator) for x in c.coeffs]
-             for c in cands]
-        dup = Fraction(den) / ls.angle
-        dup_form = dup.numerator if dup.denominator == 1 else None
-        e = np.array([c.signs for c in cands], dtype=np.int64)
-        mat, exact, is_exact = _intops.pairwise_forms(e, m)
-        if is_exact:
-            absmat = np.abs(mat)
-            if dup_form is not None:
-                dups = absmat == dup_form
-                np.fill_diagonal(dups, False)
-                if np.any(dups):
-                    i, j = map(int, np.argwhere(dups)[0])
-                    raise HypothesisViolated(
-                        f"candidates {i} and {j} describe the same line"
-                    )
-            ii, jj = np.nonzero(np.triu(absmat == den, 1))
-            pairs = zip(ii.tolist(), jj.tolist())
-        else:
-            base = 1 << 40
-            targets = [den] if dup_form is None else [den, dup_form]
-            maybe = np.zeros(mat.shape, dtype=bool)
-            for tgt in targets:
-                maybe |= mat == tgt % base
-                maybe |= mat == -tgt % base
-            ii, jj = np.nonzero(np.triu(maybe, 1))
-            pairs = []
-            for i, j in zip(ii.tolist(), jj.tolist()):
-                value = abs(exact(i, j))
-                if value == dup_form:
-                    raise HypothesisViolated(
-                        f"candidates {i} and {j} describe the same line"
-                    )
-                if value == den:
-                    pairs.append((i, j))
-        for i, j in pairs:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return SimpleGraph(k, tuple(adj))
+    den = lcm(*(x.denominator for c in cands for x in c.coeffs))
+    m = [[x.numerator * (den // x.denominator) for x in c.coeffs]
+         for c in cands]
+    e = np.array([c.signs for c in cands], dtype=np.int64)
+    dup = Fraction(den) / ls.angle
+    targets = [den] if dup.denominator != 1 else [den, dup.numerator]
+    edge, *dups = _intops.pairwise_hits(e, m, targets)
+    for same in dups:
+        np.fill_diagonal(same, False)
+        if same.any():
+            i, j = np.argwhere(same)[0].tolist()
+            raise HypothesisViolated(
+                f"candidates {i} and {j} describe the same line"
+            )
+    edge = np.triu(edge, 1)
+    edge |= edge.T  # numpy buffers the overlapping transpose
+    return SimpleGraph.from_matrix(edge)
 
 
 def line_pattern_indices(ls: LineSet, basis: Sequence[int]) -> dict[int, int]:

@@ -1,4 +1,4 @@
-"""Integer computation engines: enumeration, pairwise forms, span tiers."""
+"""Integer computation engines: enumeration, pairwise hits, span tiers."""
 
 import os
 from fractions import Fraction
@@ -174,34 +174,56 @@ class TestEnumeration:
         ]
 
 
-class TestPairwiseForms:
-    def test_exact_small(self):
-        rng = SplitMix64(25)
-        d = 5
-        e = _intops._pattern_block(np.arange(1 << (d - 1)), d)
-        m = [[rng.below(19) - 9 for _ in range(d)] for _ in range(len(e))]
-        mat, exact, is_exact = _intops.pairwise_forms(e, m)
-        assert is_exact
-        eps = e.tolist()
-        for i in range(len(e)):
-            for j in range(len(e)):
-                direct = sum(eps[i][a] * m[j][a] for a in range(d))
-                assert int(mat[i, j]) == direct == exact(i, j)
+def random_signs(rng: SplitMix64, k: int, d: int) -> np.ndarray:
+    return np.array(
+        [[1 - 2 * rng.below(2) for _ in range(d)] for _ in range(k)],
+        dtype=np.int64,
+    )
 
-    def test_multi_limb_lookup(self):
+
+def assert_hits_match_direct(e: np.ndarray, m: list[list[int]], targets) -> None:
+    """pairwise_hits against |eps_i^T m_j| == t in Python ints."""
+    hits = _intops.pairwise_hits(e, m, targets)
+    direct = [[abs(sum(a * b for a, b in zip(ei, mj))) for mj in m]
+              for ei in e.tolist()]
+    assert len(hits) == len(targets)
+    for hit, t in zip(hits, targets):
+        assert hit.shape == (len(e), len(m))
+        assert hit.tolist() == [[v == t for v in row] for row in direct]
+
+
+class TestPairwiseHits:
+    # more rows than one block, so the row-block seams are crossed
+    K = 150
+
+    def test_single_limb(self):
+        rng = SplitMix64(25)
+        d = 6
+        e = random_signs(rng, self.K, d)
+        m = [[rng.below(19) - 9 for _ in range(d)] for _ in range(self.K - 7)]
+        assert _intops._SCAN_BLOCK // len(m) < self.K
+        eps = e.tolist()
+        forms = [sum(a * b for a, b in zip(eps[i], m[j]))
+                 for i, j in ((0, 1), (40, 3), (149, 100))]
+        targets = [abs(f) for f in forms] + [0, 10**6]
+        assert_hits_match_direct(e, m, targets)
+        assert len(_intops._balanced_limbs(m)) == 1
+
+    def test_two_limbs(self):
         rng = SplitMix64(26)
         d = 4
         big = (1 << 44) + 7
-        e = _intops._pattern_block(np.arange(1 << (d - 1)), d)
-        m = [[(rng.below(19) - 9) * big for _ in range(d)] for _ in range(len(e))]
-        mat, exact, is_exact = _intops.pairwise_forms(e, m)
-        assert not is_exact
+        e = random_signs(rng, self.K, d)
+        m = [[(rng.below(19) - 9) * big + rng.below(3) - 1 for _ in range(d)]
+             for _ in range(self.K)]
+        assert _intops._SCAN_BLOCK // len(m) < self.K
         eps = e.tolist()
-        for i in range(len(e)):
-            for j in range(len(e)):
-                direct = sum(eps[i][a] * m[j][a] for a in range(d))
-                assert exact(i, j) == direct
-                assert (int(mat[i, j]) - direct) % (1 << 40) == 0
+        forms = [sum(a * b for a, b in zip(eps[i], m[j]))
+                 for i, j in ((0, 1), (75, 2), (149, 149))]
+        # the last target agrees with a form mod 2^40 but differs from it
+        targets = [abs(f) for f in forms] + [abs(forms[0]) + (1 << 40)]
+        assert_hits_match_direct(e, m, targets)
+        assert len(_intops._balanced_limbs(m)) == 2
 
 
 class TestDetInverseMod:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqlines import lineset
+from eqlines import linalg, lineset
 from eqlines.errors import HypothesisViolated, OutOfRange
 from eqlines.lineset import (
     LineSet,
@@ -182,6 +182,22 @@ class TestJson:
         back = lineset.loads(lineset.dumps(ls))
         assert back.coords == ((2, 1), (1, 2))
         assert back.coords_norm_sq == 5
+
+    def test_load_with_coords_computes_rank_once(self, monkeypatch):
+        calls = []
+        rank = linalg.rank
+
+        def counting_rank(m):
+            calls.append(m.rows)
+            return rank(m)
+
+        monkeypatch.setattr(linalg, "rank", counting_rank)
+        g = RatMatrix.from_rows([[1, F(1, 5)], [F(1, 5), 1]])
+        ls = LineSet.from_gram(g, F(1, 5), coords=[(2, 1), (1, 2)], coords_norm_sq=5)
+        calls.clear()
+        back = lineset.loads(lineset.dumps(ls))
+        assert calls == [2]
+        assert back.rank == 2 and back.coords == ((2, 1), (1, 2))
 
     def test_sorted_keys_deterministic(self):
         a = lineset.dumps(hexagon())

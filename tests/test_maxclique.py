@@ -2,6 +2,7 @@
 
 from typing import Optional
 
+import numpy as np
 import pytest
 
 from eqlines.maxclique import (
@@ -93,6 +94,27 @@ class TestSimpleGraph:
     def test_rejects_stray_bits(self):
         with pytest.raises(ValueError):
             SimpleGraph(2, (4, 0))
+
+    def test_from_matrix_round_trip(self):
+        g = petersen()
+        a = np.array([[g.adj[i] >> j & 1 for j in range(g.n)] for i in range(g.n)])
+        assert SimpleGraph.from_matrix(a) == g
+        assert SimpleGraph.from_matrix(a.astype(bool)) == g
+        assert SimpleGraph.from_matrix(np.zeros((0, 0))) == SimpleGraph(0, ())
+
+    def test_from_matrix_rejects_asymmetric(self):
+        a = np.zeros((4, 4), dtype=np.int64)
+        a[1, 3] = a[2, 0] = 1
+        with pytest.raises(ValueError, match=r"not symmetric at \(0,2\)"):
+            SimpleGraph.from_matrix(a)
+
+    def test_from_matrix_rejects_self_loop_and_bad_shape(self):
+        a = np.zeros((3, 3), dtype=np.int64)
+        a[1, 1] = 1
+        with pytest.raises(ValueError, match="self-loop at vertex 1"):
+            SimpleGraph.from_matrix(a)
+        with pytest.raises(ValueError, match="square"):
+            SimpleGraph.from_matrix(np.zeros((2, 3)))
 
 
 class TestExamples:

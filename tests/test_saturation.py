@@ -2,6 +2,7 @@
 
 from concurrent import futures
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -21,6 +22,7 @@ from eqlines.saturation import (
     select_basis,
     verify_nonbasis_cover,
 )
+from eqlines.spansearch import SplitMix64
 from oracles import enumerate_range_batch
 
 F = Fraction
@@ -48,6 +50,26 @@ def inner(ls: LineSet, basis, ca, cb) -> Fraction:
         for i in range(len(basis))
         for j in range(len(basis))
     )
+
+
+def limb_candidates(
+    rng: SplitMix64, d: int, k: int, first_form: int = 1
+) -> list[Candidate]:
+    """Synthetic candidates whose coefficients have denominators near
+    2^45, so the graph's integer forms span two limbs.  Candidate j > 0
+    fixes its last coefficient so that eps_i^T c_j = +-1 for a random
+    i < j; candidate 0 has eps_0^T c_0 = first_form."""
+    q = (1 << 45) + 3
+    cands = []
+    for j in range(k):
+        signs = (1,) + tuple(1 - 2 * rng.below(2) for _ in range(d - 1))
+        coeffs = [F(rng.below(2 * q) - q, q) for _ in range(d - 1)]
+        eps, form = signs, first_form
+        if j:
+            eps, form = cands[rng.below(j)].signs, 1 - 2 * rng.below(2)
+        coeffs.append(eps[-1] * (form - sum(a * x for a, x in zip(eps, coeffs))))
+        cands.append(Candidate(j, signs, tuple(coeffs)))
+    return cands
 
 
 class TestPatternSigns:
@@ -239,6 +261,25 @@ class TestCompatibilityGraph:
                 want_edge = abs(dot) == alpha
                 assert bool(g.adj[i] >> j & 1) == want_edge
                 assert abs(dot) != 1  # no duplicated lines
+
+    def test_multi_limb_edges_match_fraction_oracle(self):
+        rng = SplitMix64(45)
+        cands = limb_candidates(rng, d=5, k=60)
+        den = lcm(*(x.denominator for c in cands for x in c.coeffs))
+        assert max(abs(x) * den for c in cands for x in c.coeffs) >= 1 << 40
+        g = build_compatibility_graph(cands, single_line(), [0])
+        assert g.n == 60 and g.edge_count() >= 59
+        for j, cj in enumerate(cands):
+            for i in range(j):
+                dot = sum(a * x for a, x in zip(cands[i].signs, cj.coeffs))
+                assert bool(g.adj[i] >> j & 1) == (abs(dot) == 1), (i, j)
+
+    def test_multi_limb_duplicate_rejected(self):
+        # eps^T c = 1/alpha = 3 is a unit vector meeting itself
+        rng = SplitMix64(46)
+        c = limb_candidates(rng, d=5, k=1, first_form=3)[0]
+        with pytest.raises(HypothesisViolated, match="candidates 0 and 1"):
+            build_compatibility_graph([c, c], single_line(), [0])
 
     def test_clique_gives_saturation(self, tremain):
         odd = list(range(1, 28, 2))
