@@ -22,7 +22,6 @@ compatibility graph) alike.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional, Sequence
@@ -41,6 +40,10 @@ _LIMB_HALF = _LIMB_BASE >> 1
 _SCAN_BLOCK = 1 << 14
 _PROGRESS_STEP = 1 << 16
 
+# int64 entries of the (draws, n, d) row gather that decides one stacked
+# block of span-membership draws; this sizes the block
+_DRAW_GATHER = 1 << 16
+
 # 26-bit primes: residues stay below 2^26, so int64 dot products of
 # length up to ~2^11 of 29-bit products cannot overflow
 _PRIMES26 = (
@@ -49,21 +52,7 @@ _PRIMES26 = (
     67108693, 67108669, 67108667, 67108661, 67108649, 67108633,
     67108597, 67108579, 67108529, 67108511, 67108507, 67108493,
 )
-
-
-# --------------------------------------------------------------------------
-# worker processes
-
-
-def worker_count(threads: int, jobs: int) -> int:
-    """Worker processes for `jobs` independent jobs under a cap of
-    `threads`: never more than the CPUs this process may run on or than
-    the jobs, and at least 1, so no input can start an unbounded pool."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(threads, cpus, jobs))
+_PRIME_BITS = sum(p.bit_length() - 1 for p in _PRIMES26)
 
 
 # --------------------------------------------------------------------------
@@ -260,13 +249,67 @@ def _det_inverse_mod(a: np.ndarray, p: int) -> tuple[int, Optional[np.ndarray]]:
     return det, aug[:, d:]
 
 
+def _det_mod_many(a: np.ndarray, p: int) -> np.ndarray:
+    """det mod p of every matrix of a (k, d, d) integer stack.
+
+    Fraction-free elimination mod p over the whole stack at once: the
+    pivot of column c is its first nonzero entry at or below row c, and
+    each lower row r becomes pivot*row_r - a_rc*row_c (only the columns
+    right of c are kept up to date).  That scales the determinant by
+    pivot^(d-1-c), so det * scale == sign * prod(pivots) with scale the
+    product of the pivot prefix products; one inverse per nonsingular
+    matrix at the end undoes it.  Entries stay below p, so every product
+    stays below 2^52.
+    """
+    a = a % p
+    k, d = a.shape[:2]
+    sign = np.ones(k, dtype=np.int64)
+    prod = np.ones(k, dtype=np.int64)
+    scale = np.ones(k, dtype=np.int64)
+    for c in range(d):
+        piv = c + np.argmax(a[:, c:, c] != 0, axis=1)
+        swap = np.flatnonzero(piv != c)
+        if len(swap):
+            top = a[swap, c].copy()
+            a[swap, c] = a[swap, piv[swap]]
+            a[swap, piv[swap]] = top
+            sign[swap] = -sign[swap]
+        pv = a[:, c, c]
+        prod = prod * pv % p
+        if c + 1 < d:
+            # only the trailing block is read again
+            rest = a[:, c + 1:, c + 1:]
+            t = pv[:, None, None] * rest
+            t -= a[:, c + 1:, c:c + 1] * a[:, c:c + 1, c + 1:]
+            np.remainder(t, p, out=rest)
+            scale = scale * prod % p
+    det = np.zeros(k, dtype=np.int64)
+    for u in np.flatnonzero(prod).tolist():
+        det[u] = int(sign[u]) * int(prod[u]) * pow(int(scale[u]), -1, p) % p
+    return det
+
+
 class SpanEngine:
     """Reusable exact span-membership tester over one integer Gram matrix.
 
-    Row j belongs to span(subset) iff M_jS (M_SS)^-1 M_Sj == M_jj; the
-    engine decides this exactly via, in order of preference: a float-
-    proposed, integer-verified adjugate; residues modulo enough 26-bit
-    primes to cover the value bounds; exact rational elimination.
+    Row j belongs to span(subset) iff M_jS (M_SS)^-1 M_Sj == M_jj.
+    `members_many` decides a list of subsets of one size in stacked
+    blocks of `block(d)` draws, sized so that the (draws, n, d) row
+    gather holds about _DRAW_GATHER int64 entries:
+
+    1. float proposal: batched det and inverse of the Gram blocks
+       propose the adjugate B = det * A^-1, accepted only when
+       A @ B == det * I holds exactly in int64 within per-draw overflow
+       budgets; the membership forms are then exact;
+    2. modular singularity: for the draws left open, a stacked
+       elimination mod one 26-bit prime at a time certifies a draw
+       singular once det == 0 modulo primes whose bits exceed its
+       Hadamard bound by 2, and no prime gave a nonzero det;
+    3. any other draw goes on its own through residues modulo enough
+       primes to cover the value bounds (`_members_modular`), and from
+       there to exact rational elimination (`_members_exact`).
+
+    `members(subset)` is `members_many([subset])[0]`.
     """
 
     def __init__(self, m_rows: list[list[int]]):
@@ -292,48 +335,121 @@ class SpanEngine:
             self._mod_cache[p] = got
         return got
 
+    def block(self, d: int) -> int:
+        """Draws of d lines that one stacked block decides."""
+        return max(1, _DRAW_GATHER // max(self.n * d, 1))
+
     def members(self, subset: Sequence[int]) -> Optional[list[int]]:
         """Sorted member indices, or None when the subset block is singular."""
-        subset = sorted(subset)
-        if self.small:
-            got = self._members_float(subset)
-            if got is not None:
-                return got
-        return self._members_modular(subset)
+        return self.members_many([subset])[0]
+
+    def members_many(
+        self, subsets: Sequence[Sequence[int]]
+    ) -> list[Optional[list[int]]]:
+        """`members` of each subset, in order; the subsets share one size."""
+        subs = [sorted(s) for s in subsets]
+        if not subs:
+            return []
+        d = len(subs[0])
+        step = self.block(d)
+        got: list[Optional[list[int]]] = []
+        for k in range(0, len(subs), step):
+            got.extend(self._members_block(subs[k:k + step], d))
+        return got
+
+    def _members_block(
+        self, subs: list[list[int]], d: int
+    ) -> list[Optional[list[int]]]:
+        sub = np.array(subs, dtype=np.intp).reshape(len(subs), d)
+        got = self._members_float(sub) if self.small else [None] * len(subs)
+        open_ = [k for k, g in enumerate(got) if g is None]
+        if open_:
+            singular = self._singular_mod(sub[open_])
+            for k, certified in zip(open_, singular.tolist()):
+                if not certified:
+                    got[k] = self._members_modular(subs[k])
+        return got
 
     # -- tier 1: float proposal, exact integer verification ---------------
 
-    def _members_float(self, subset: list[int]) -> Optional[list[int]]:
-        d = len(subset)
-        a = self.m_np[np.ix_(subset, subset)]
+    def _members_float(self, sub: np.ndarray) -> list[Optional[list[int]]]:
+        """Members of each draw whose float-proposed adjugate verifies
+        exactly; None for every other draw."""
+        count, d = sub.shape
+        got: list[Optional[list[int]]] = [None] * count
+        a = self.m_np[sub[:, :, None], sub[:, None, :]]
+        detf = np.linalg.det(a.astype(np.float64))
+        size = np.abs(detf)
+        take = np.flatnonzero(np.isfinite(detf) & (size >= 0.5) & (size < 2.0**62))
         try:
-            detf = np.linalg.det(a.astype(np.float64))
-            if not np.isfinite(detf) or not 0.5 <= abs(detf) < 2**62:
-                return None
-            inv = np.linalg.inv(a.astype(np.float64))
+            inv = np.linalg.inv(a[take].astype(np.float64))
         except np.linalg.LinAlgError:
-            return None
-        dr = int(round(detf))
-        bf = np.round(inv * dr)
-        if not np.all(np.isfinite(bf)):
-            return None
-        max_b = int(np.max(np.abs(bf))) if bf.size else 0
+            return got
+        dr = np.round(detf[take])
+        bf = np.round(inv * dr[:, None, None])
+        bf[~np.isfinite(bf)] = 2.0**62
         # budgets: entries of A@B and M_S@B are sums of d terms of
         # max_m*max_b; the quadratic form adds another factor d*max_m;
         # the comparison target is max_m*|det|
-        inner = d * self.max_m * max(max_b, 1)
-        if max_b >= 2**62 or inner >= 2**62 or d * self.max_m * inner >= 2**62:
-            return None
-        if self.max_m * abs(dr) >= 2**62:
-            return None
-        b = bf.astype(np.int64)
-        if not np.array_equal(a @ b, dr * np.eye(d, dtype=np.int64)):
-            return None
-        ms = self.m_np[:, subset]
-        forms = ((ms @ b) * ms).sum(axis=1)
-        return np.nonzero(forms == self.diag_np * dr)[0].tolist()
+        max_b = np.minimum(
+            np.abs(bf).max(axis=(1, 2), initial=1.0), 2.0**62
+        ).astype(np.int64)
+        dr = dr.astype(np.int64)
+        fits = (max_b <= (2**62 - 1) // max((d * self.max_m) ** 2, 1)) & (
+            np.abs(dr) <= (2**62 - 1) // max(self.max_m, 1)
+        )
+        b = bf[fits].astype(np.int64)
+        take, dr = take[fits], dr[fits]
+        exact = (a[take] @ b == dr[:, None, None] * np.eye(d, dtype=np.int64)).all(
+            axis=(1, 2)
+        )
+        b, take, dr = b[exact], take[exact], dr[exact]
+        ms = np.moveaxis(self.m_np[:, sub[take]], 1, 0)
+        forms = ((ms @ b) * ms).sum(axis=2)
+        hits = forms == self.diag_np * dr[:, None]
+        for k, hit in zip(take.tolist(), hits):
+            got[k] = np.flatnonzero(hit).tolist()
+        return got
 
     # -- tier 2: multi-modular residues ------------------------------------
+
+    def _hadamard_bits_many(self, sub: np.ndarray) -> np.ndarray:
+        """`_hadamard_bits` of each draw's Gram block."""
+        d = sub.shape[1]
+        if self.small and d * self.max_m**2 < 2**53:
+            # row norms below 2^53 are exact floats, so frexp's exponent
+            # is their exact bit length
+            a = self.m_np[sub[:, :, None], sub[:, None, :]]
+            norm_sq = (a * a).sum(axis=2)
+            row_bits = (np.frexp(norm_sq.astype(np.float64))[1] + 1) // 2 + 1
+            return np.where((norm_sq == 0).any(axis=1), 0, row_bits.sum(axis=1))
+        return np.array(
+            [
+                _hadamard_bits([[self.m_rows[i][j] for j in s] for i in s])
+                for s in sub.tolist()
+            ],
+            dtype=np.int64,
+        )
+
+    def _singular_mod(self, sub: np.ndarray) -> np.ndarray:
+        """Mask of the draws certified singular by residues: det == 0
+        modulo primes whose bits reach the Hadamard bits + 2, with no
+        prime giving a nonzero det.  Every other draw is left False."""
+        need = self._hadamard_bits_many(sub) + 2
+        singular = np.zeros(len(sub), dtype=bool)
+        live = np.flatnonzero(need <= _PRIME_BITS)
+        zero_bits = 0  # every live draw has had det == 0 modulo each prime
+        for p in _PRIMES26:
+            if not len(live):
+                break
+            s = sub[live]
+            dets = _det_mod_many(self._mod(p)[s[:, :, None], s[:, None, :]], p)
+            live = live[dets == 0]
+            zero_bits += p.bit_length() - 1
+            done = need[live] <= zero_bits
+            singular[live[done]] = True
+            live = live[~done]
+        return singular
 
     def _members_modular(self, subset: list[int]) -> Optional[list[int]]:
         d = len(subset)
@@ -348,7 +464,7 @@ class SpanEngine:
         )
         need_det = det_bits + 2
         need_val = value_bits + 2
-        if need_val > sum(p.bit_length() - 1 for p in _PRIMES26):
+        if need_val > _PRIME_BITS:
             return self._members_exact(subset)
 
         sub = np.array(subset, dtype=np.intp)

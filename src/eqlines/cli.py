@@ -234,7 +234,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         args.rank,
         args.runs,
         args.seed,
-        threads=args.threads,
         progress=progress,
     )
     best = summary.best
@@ -382,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, required=True, help="master seed")
     p.add_argument("--emit-best", help="write the best closure as a line-set JSON")
     p.add_argument("--csv", help="write the per-run log as CSV")
-    add_threads(p, "worker process cap (output is independent of this)")
+    add_threads(p, "accepted and ignored: the search runs in one process")
     add_json(p)
     p.set_defaults(func=_cmd_search)
 

@@ -8,13 +8,18 @@ rank exactly d, so large closures are large lower-rank line sets.
 The generator is SplitMix64, pinned here so that results reproduce
 bit-for-bit: state advances by the golden-ratio increment and is
 finalized by two xor-multiply rounds.  Run i of a search derives its
-own seed as mix64(master + i*GOLDEN), so runs are independent of both
-execution order and thread count.
+own seed as mix64(master + i*GOLDEN), so runs are independent of
+execution order.
+
+The search runs in one process.  It samples the draws in run order, a
+block at a time, and hands each block to `SpanEngine.members_many`,
+which decides it in stacked numpy; `SpanEngine.block` sizes the block
+so that its (draws, n, d) row gather holds about 2^16 int64 entries
+(50 draws at n = 72, d = 18).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -142,37 +147,11 @@ def span_closure(ls: LineSet, subset: Sequence[int]) -> list[int]:
     return got
 
 
-def _run_one(
-    engine: "_intops.SpanEngine",
-    n: int,
-    target_rank: int,
-    master: int,
-    index: int,
-) -> SearchRun:
-    seed = run_seed(master, index)
-    subset = sample_subset(SplitMix64(seed), n, target_rank)
-    members = engine.members(subset)
-    if members is None:
-        return SearchRun(index, seed, tuple(subset), (), 0, 0)
-    return SearchRun(
-        index, seed, tuple(subset), tuple(members), len(members), target_rank
-    )
-
-
-def _search_worker(
-    args: tuple[list[list[int]], int, int, int, int, int]
-) -> list[SearchRun]:
-    m_rows, n, target_rank, master, lo, hi = args
-    engine = _intops.SpanEngine(m_rows)
-    return [_run_one(engine, n, target_rank, master, i) for i in range(lo, hi)]
-
-
 def random_search(
     ls: LineSet,
     target_rank: int,
     runs: int,
     seed: int,
-    threads: int = 1,
     progress: Optional[ProgressSink] = None,
 ) -> SearchSummary:
     """runs independent draws of target_rank lines; summary of closures.
@@ -181,6 +160,8 @@ def random_search(
     comes from its own derived seed, results merge in run order, and the
     best run is the smallest-index run of maximal closure size.  Draws
     with singular Gram blocks are recorded at histogram size 0.
+    progress (if given) receives (done, runs) once after each block of
+    draws, ending at (runs, runs); runs = 0 reports nothing.
     """
     if not 1 <= target_rank <= ls.rank:
         raise OutOfRange(
@@ -190,27 +171,22 @@ def random_search(
         raise OutOfRange(f"runs must be at least 0, got {runs}")
     seed &= MASK64
     m_rows, _ = _intops.integer_gram(ls.gram)
+    engine = _intops.SpanEngine(m_rows)
+    block = engine.block(target_rank)
     log: list[SearchRun] = []
-    workers = _intops.worker_count(threads, runs)
-    if workers > 1 and runs >= 64:
-        bounds = [runs * k // workers for k in range(workers + 1)]
-        jobs = [
-            (m_rows, ls.n, target_rank, seed, bounds[k], bounds[k + 1])
-            for k in range(workers)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_search_worker, jobs):
-                log.extend(part)
-                if progress is not None:
-                    progress(len(log), runs)
-    else:
-        engine = _intops.SpanEngine(m_rows)
-        for i in range(runs):
-            log.append(_run_one(engine, ls.n, target_rank, seed, i))
-            if progress is not None and (
-                len(log) % 256 == 0 or len(log) == runs
-            ):
-                progress(len(log), runs)
+    for lo in range(0, runs, block):
+        seeds = [run_seed(seed, i) for i in range(lo, min(lo + block, runs))]
+        subsets = [sample_subset(SplitMix64(s), ls.n, target_rank) for s in seeds]
+        for s, subset, members in zip(
+            seeds, subsets, engine.members_many(subsets)
+        ):
+            closure = () if members is None else tuple(members)
+            log.append(SearchRun(
+                len(log), s, tuple(subset), closure, len(closure),
+                0 if members is None else target_rank,
+            ))
+        if progress is not None:
+            progress(len(log), runs)
 
     histogram: dict[int, int] = {}
     best: Optional[SearchRun] = None

@@ -1,6 +1,6 @@
 import pytest
 
-from eqlines import constructions, spansearch
+from eqlines import constructions
 
 
 @pytest.fixture(scope="session")
@@ -21,26 +21,3 @@ def taylor():
 @pytest.fixture(scope="session")
 def asche():
     return constructions.asche_72()
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Swaps the process pool of search for an in-process stand-in; the
-    list records each pool's max_workers."""
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(spansearch, "ProcessPoolExecutor", InProcessPool)
-    return sizes

@@ -1,9 +1,11 @@
 """Reference implementations the tests compare the library against.
 
 They are deliberately plain: the exact rational determinant and solver
-(fraction-free and Gauss-Jordan), dense rational products, and the
+(fraction-free and Gauss-Jordan), dense rational products, the
 vectorized block scan over sign patterns that the meet-in-the-middle
-engine replaced.  None of them is used by the library.
+engine replaced, and the per-draw span membership that the stacked
+blocks of `SpanEngine.members_many` replaced.  None of them is used by
+the library.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from eqlines._intops import _LIMB_BASE, _balanced_limbs, _pattern_block
+from eqlines._intops import (
+    _LIMB_BASE,
+    _PRIMES26,
+    SpanEngine,
+    _balanced_limbs,
+    _det_inverse_mod,
+    _hadamard_bits,
+    _pattern_block,
+)
 from eqlines.linalg import RatMatrix, _gauss_jordan
 
 
@@ -143,3 +153,98 @@ def direct_unit_patterns(w, t_target):
         if s == t_target:
             out.append(m)
     return out
+
+
+class PerDrawSpanEngine(SpanEngine):
+    """The per-draw span membership that `SpanEngine.members_many`
+    replaced, verbatim: a float-proposed, integer-verified adjugate for
+    one draw, then residues modulo the 26-bit primes, then exact rational
+    elimination.  `members_many` loops over the draws one at a time."""
+
+    def members_many(self, subsets):
+        return [self.members(s) for s in subsets]
+
+    def members(self, subset: Sequence[int]) -> Optional[list[int]]:
+        """Sorted member indices, or None when the subset block is singular."""
+        subset = sorted(subset)
+        if self.small:
+            got = self._members_float(subset)
+            if got is not None:
+                return got
+        return self._members_modular(subset)
+
+    # -- tier 1: float proposal, exact integer verification ---------------
+
+    def _members_float(self, subset: list[int]) -> Optional[list[int]]:
+        d = len(subset)
+        a = self.m_np[np.ix_(subset, subset)]
+        try:
+            detf = np.linalg.det(a.astype(np.float64))
+            if not np.isfinite(detf) or not 0.5 <= abs(detf) < 2**62:
+                return None
+            inv = np.linalg.inv(a.astype(np.float64))
+        except np.linalg.LinAlgError:
+            return None
+        dr = int(round(detf))
+        bf = np.round(inv * dr)
+        if not np.all(np.isfinite(bf)):
+            return None
+        max_b = int(np.max(np.abs(bf))) if bf.size else 0
+        # budgets: entries of A@B and M_S@B are sums of d terms of
+        # max_m*max_b; the quadratic form adds another factor d*max_m;
+        # the comparison target is max_m*|det|
+        inner = d * self.max_m * max(max_b, 1)
+        if max_b >= 2**62 or inner >= 2**62 or d * self.max_m * inner >= 2**62:
+            return None
+        if self.max_m * abs(dr) >= 2**62:
+            return None
+        b = bf.astype(np.int64)
+        if not np.array_equal(a @ b, dr * np.eye(d, dtype=np.int64)):
+            return None
+        ms = self.m_np[:, subset]
+        forms = ((ms @ b) * ms).sum(axis=1)
+        return np.nonzero(forms == self.diag_np * dr)[0].tolist()
+
+    # -- tier 2: multi-modular residues ------------------------------------
+
+    def _members_modular(self, subset: list[int]) -> Optional[list[int]]:
+        d = len(subset)
+        if d > 1024:
+            # int64 dot-product budget of the residue engine
+            return self._members_exact(subset)
+        a_rows = [[self.m_rows[i][j] for j in subset] for i in subset]
+        det_bits = _hadamard_bits(a_rows)
+        value_bits = (
+            det_bits + 2 * max(self.max_m.bit_length(), 1)
+            + 2 * max(d, 1).bit_length() + 4
+        )
+        need_det = det_bits + 2
+        need_val = value_bits + 2
+        if need_val > sum(p.bit_length() - 1 for p in _PRIMES26):
+            return self._members_exact(subset)
+
+        sub = np.array(subset, dtype=np.intp)
+        det_zero_bits = 0
+        used_bits = 0
+        alive: Optional[np.ndarray] = None
+        saw_nonzero_det = False
+        for p in _PRIMES26:
+            mp = self._mod(p)
+            det_p, inv_p = _det_inverse_mod(mp[np.ix_(sub, sub)], p)
+            if inv_p is None:
+                det_zero_bits += p.bit_length() - 1
+                if det_zero_bits >= need_det and not saw_nonzero_det:
+                    return None  # certified singular
+                continue
+            saw_nonzero_det = True
+            b_p = inv_p * det_p % p
+            msp = mp[:, sub]
+            forms = ((msp @ b_p % p) * msp).sum(axis=1) % p
+            target = mp[np.arange(self.n), np.arange(self.n)] * det_p % p
+            ok = forms == target
+            alive = ok if alive is None else (alive & ok)
+            used_bits += p.bit_length() - 1
+            if used_bits >= need_val:
+                return np.nonzero(alive)[0].tolist()
+        # prime pool exhausted without certification either way
+        return self._members_exact(subset)

@@ -196,8 +196,7 @@ def test_criterion_7_randomized_span_search(capsys):
     set validates and is reported saturated."""
     asche = asche_72()
     summary = random_search(
-        asche, target_rank=18, runs=SEARCH_RUNS, seed=SEARCH_MASTER_SEED,
-        threads=os.cpu_count() or 1,
+        asche, target_rank=18, runs=SEARCH_RUNS, seed=SEARCH_MASTER_SEED
     )
     hits = [r for r in summary.run_log if r.closure_size == 56]
     assert hits, (
@@ -251,8 +250,7 @@ def test_criterion_8_srg_344_lines():
     assert validate(ls).passed
 
     summary = random_search(
-        ls, target_rank=42, runs=2000, seed=SEARCH_MASTER_SEED,
-        threads=os.cpu_count() or 1,
+        ls, target_rank=42, runs=2000, seed=SEARCH_MASTER_SEED
     )
     assert summary.best is not None
     assert summary.best.closure_size >= 200, (

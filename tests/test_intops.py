@@ -1,6 +1,5 @@
 """Integer computation engines: enumeration, pairwise hits, span tiers."""
 
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +7,18 @@ import pytest
 
 from eqlines import _intops, linalg
 from eqlines.linalg import RatMatrix
-from eqlines.spansearch import SplitMix64
-from oracles import det, direct_unit_patterns, enumerate_range_batch
+from eqlines.spansearch import SplitMix64, sample_subset
+from oracles import (
+    PerDrawSpanEngine,
+    det,
+    direct_unit_patterns,
+    enumerate_range_batch,
+)
 
 F = Fraction
+P0 = _intops._PRIMES26[0]
+# 8191^2 + 113^2 + 60^2 + 3^2 == P0: a vector whose squared norm is P0
+P0_VECTOR = (8191, 113, 60, 3)
 
 
 def random_symmetric(rng: SplitMix64, d: int, scale: int = 1) -> list[list[int]]:
@@ -21,19 +28,6 @@ def random_symmetric(rng: SplitMix64, d: int, scale: int = 1) -> list[list[int]]
             v = (rng.below(19) - 9) * scale
             w[i][j] = w[j][i] = v
     return w
-
-
-class TestWorkerCount:
-    def test_clamped_to_cpus_and_jobs(self):
-        cpus = len(os.sched_getaffinity(0))
-        assert _intops.worker_count(10**12, 10**12) == cpus
-        assert _intops.worker_count(10**12, 3) == min(3, cpus)
-        assert _intops.worker_count(2, 10**9) == min(2, cpus)
-
-    def test_at_least_one(self):
-        assert _intops.worker_count(0, 10) == 1
-        assert _intops.worker_count(-5, 10) == 1
-        assert _intops.worker_count(8, 0) == 1
 
 
 class TestScaledCandidateMatrix:
@@ -249,6 +243,58 @@ class TestDetInverseMod:
         assert det_p == 0 and inv_p is None
 
 
+class TestDetModMany:
+    """The stacked elimination against the per-matrix `_det_inverse_mod`."""
+
+    @staticmethod
+    def assert_matches(stack):
+        for p in _intops._PRIMES26:
+            got = _intops._det_mod_many(stack, p)
+            want = [_intops._det_inverse_mod(a, p)[0] for a in stack]
+            assert got.tolist() == want
+
+    def test_random_stacks_with_row_swaps(self):
+        rng = SplitMix64(31)
+        for d in (1, 2, 3, 5, 8, 18):
+            stack = np.array(
+                [[[rng.below(2**31) - 2**30 for _ in range(d)]
+                  for _ in range(d)] for _ in range(6)],
+                dtype=np.int64,
+            )
+            # leading entries divisible by every prime force pivot swaps
+            stack[:, 0, 0] = 0
+            stack[1, : d - 1, min(1, d - 1)] = 0
+            stack[2, :, 0] = [0] * (d - 1) + [7]
+            self.assert_matches(stack)
+
+    def test_d1_zero_row_and_duplicate_rows(self):
+        rng = SplitMix64(32)
+        ones = np.array([[[5]], [[0]], [[P0]], [[-3 * P0 + 1]]], dtype=np.int64)
+        self.assert_matches(ones)
+        stack = np.array(
+            [[[rng.below(99) - 49 for _ in range(4)] for _ in range(4)]
+             for _ in range(3)],
+            dtype=np.int64,
+        )
+        stack[0, 2] = 0  # a zero row
+        stack[1, 3] = stack[1, 0]  # duplicate rows
+        stack[2, 1] = stack[2, 3] + P0  # duplicate rows mod P0 only
+        self.assert_matches(stack)
+        assert _intops._det_mod_many(stack[:2], P0).tolist() == [0, 0]
+
+    def test_det_equal_to_first_prime(self):
+        vectors = [(1, 0, 0, 0, 0), (0, *P0_VECTOR)]
+        block = np.array(gram_from_vectors(vectors), dtype=np.int64)
+        assert int(det(RatMatrix.from_rows(block.tolist()))) == P0
+        self.assert_matches(block[None])
+        assert _intops._det_mod_many(block[None], P0).tolist() == [0]
+        assert _intops._det_mod_many(block[None], _intops._PRIMES26[1])[0] != 0
+
+    def test_empty_stack_and_empty_matrices(self):
+        assert _intops._det_mod_many(np.zeros((0, 3, 3), np.int64), P0).size == 0
+        assert _intops._det_mod_many(np.zeros((2, 0, 0), np.int64), P0).tolist() == [1, 1]
+
+
 def gram_from_vectors(vectors) -> list[list[int]]:
     n = len(vectors)
     return [
@@ -324,3 +370,97 @@ class TestSpanEngine:
         got = engine.members([1, 3])
         if got is not None:
             assert {1, 3} <= set(got)
+
+
+def draws(ls, d, count, seed):
+    rng = SplitMix64(seed)
+    return [sample_subset(rng, ls.n, d) for _ in range(count)]
+
+
+class TestStackedSpan:
+    """`members_many` against the per-draw path it replaced."""
+
+    @staticmethod
+    def engines(m_rows):
+        return _intops.SpanEngine(m_rows), PerDrawSpanEngine(m_rows)
+
+    @pytest.mark.parametrize("name", ["tremain", "taylor", "asche"])
+    def test_random_draws_match_per_draw(self, name, request):
+        ls = request.getfixturevalue(name)
+        engine, oracle = self.engines(_intops.integer_gram(ls.gram)[0])
+        kinds = set()
+        for d in (17, 18, 19):
+            # more draws than one block, so a block seam is crossed
+            subsets = draws(ls, d, engine.block(d) + 7, seed=33 + d)
+            want = oracle.members_many(subsets)
+            assert engine.members_many(subsets) == want
+            kinds |= {w is None for w in want}
+        # tremain has rank 14, so all of its draws are singular
+        assert kinds == ({True} if ls.rank < 17 else {True, False})
+
+    def test_members_is_one_draw_block(self, asche):
+        engine, oracle = self.engines(_intops.integer_gram(asche.gram)[0])
+        for subset in draws(asche, 18, 12, seed=34):
+            assert engine.members(subset) == oracle.members(subset)
+        assert engine.members_many([]) == []
+
+    def test_wide_entries_match_per_draw(self, asche):
+        # entries of 5 * 2^29 >= 2^31 leave the float tier out
+        m_rows = [[x << 29 for x in row] for row in _intops.integer_gram(asche.gram)[0]]
+        engine, oracle = self.engines(m_rows)
+        assert not engine.small
+        for d, count in ((6, 12), (18, 3)):
+            subsets = draws(asche, d, count, seed=35)
+            assert engine.members_many(subsets) == oracle.members_many(subsets)
+        rng = SplitMix64(36)
+        for _ in range(8):
+            vectors = [[rng.below(11) - 5 for _ in range(4)] for _ in range(10)]
+            m_rows = [[x << 31 for x in row] for row in gram_from_vectors(vectors)]
+            engine, oracle = self.engines(m_rows)
+            # five lines in R^4 are always dependent
+            for k in (3, 5):
+                subsets = [sample_subset(rng, 10, k) for _ in range(4)]
+                want = oracle.members_many(subsets)
+                assert engine.members_many(subsets) == want
+                assert k == 3 or want == [None] * 4
+
+    def test_failed_float_proposal_answered_by_modular_tier(self, asche, monkeypatch):
+        engine, oracle = self.engines(_intops.integer_gram(asche.gram)[0])
+        subsets = draws(asche, 18, 30, seed=37)
+        want = oracle.members_many(subsets)
+        nonsingular = [s for s, w in zip(subsets, want) if w is not None]
+        assert nonsingular and len(nonsingular) < len(subsets)
+        inv = np.linalg.inv
+        # each proposed adjugate entry comes out one too large
+        monkeypatch.setattr(
+            np.linalg, "inv",
+            lambda a: inv(a) + 0.75 / np.linalg.det(a)[..., None, None],
+        )
+        asked = []
+        modular = engine._members_modular
+        monkeypatch.setattr(
+            engine, "_members_modular", lambda s: asked.append(s) or modular(s)
+        )
+        assert engine.members_many(subsets) == want
+        assert asked == nonsingular
+
+    def test_det_equal_to_first_prime_is_not_singular(self):
+        # lines 0 and 1 have a Gram block of det P0; line 2 is their sum
+        vectors = [
+            (1, 0, 0, 0, 0, 0),
+            (0, *P0_VECTOR, 0),
+            (1, *P0_VECTOR, 0),
+            (0, 0, 0, 0, 0, 1),
+        ]
+        m_rows = gram_from_vectors(vectors)
+        engine = _intops.SpanEngine(m_rows)
+        assert engine._singular_mod(np.array([[0, 1], [0, 2]])).tolist() == [False, False]
+        assert engine._singular_mod(np.array([[1, 2, 0]])).tolist() == [True]
+        # scaled past 2^31 the draw skips the float tier (det P0 * 2^62)
+        wide = [[x << 31 for x in row] for row in m_rows]
+        engine, oracle = self.engines(wide)
+        assert not engine.small
+        for subset in ([0, 1], [1, 2], [0, 1, 2], [3]):
+            assert engine.members(subset) == oracle.members(subset)
+        assert engine.members([0, 1]) == [0, 1, 2]
+        assert engine.members([0, 1, 2]) is None

@@ -1,11 +1,12 @@
 """Pinned PRNG stream, span closures, and randomized subset search."""
 
-import os
+import concurrent.futures
 from fractions import Fraction
 
 import pytest
 
-from eqlines import linalg
+from eqlines import _intops, linalg, lineset
+from eqlines.cli import main
 from eqlines._tables import E1_MINUS_E2, E1_MINUS_E3, VEC_C, VEC_C1, VEC_C2
 from eqlines.errors import OutOfRange, RankDeficient
 from eqlines.lineset import LineSet
@@ -22,6 +23,7 @@ from eqlines.spansearch import (
     sample_subset,
     span_closure,
 )
+from oracles import PerDrawSpanEngine
 
 F = Fraction
 HALF = F(1, 2)
@@ -176,18 +178,43 @@ class TestRandomSearch:
         assert best.closure_size == max(sizes)
         assert best.index == sizes.index(max(sizes))
 
-    def test_threads_match_serial(self, taylor):
-        serial = random_search(taylor, target_rank=18, runs=64, seed=0)
-        parallel = random_search(taylor, target_rank=18, runs=64, seed=0, threads=3)
-        assert serial == parallel
+    def _search_json(self, taylor, tmp_path, monkeypatch, capsys, threads):
+        # --threads is accepted and ignored: the search never starts a pool
+        def no_pool(*args, **kwargs):
+            raise AssertionError("search must not start a process pool")
 
-    def test_huge_thread_count_is_clamped(self, taylor, pool_sizes):
-        serial = random_search(taylor, target_rank=18, runs=64, seed=0)
-        clamped = random_search(
-            taylor, target_rank=18, runs=64, seed=0, threads=10**9
-        )
-        assert clamped == serial
-        assert all(n <= len(os.sched_getaffinity(0)) for n in pool_sizes)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        path = tmp_path / "taylor90.json"
+        lineset.save(taylor, str(path))
+        argv = ["search", str(path), "--rank", "18", "--runs", "64",
+                "--seed", "0", "--json", "--threads", str(threads)]
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_threads_match_serial(self, taylor, tmp_path, monkeypatch, capsys):
+        args = (taylor, tmp_path, monkeypatch, capsys)
+        assert self._search_json(*args, 3) == self._search_json(*args, 1)
+
+    def test_huge_thread_count_is_clamped(
+        self, taylor, tmp_path, monkeypatch, capsys
+    ):
+        args = (taylor, tmp_path, monkeypatch, capsys)
+        assert self._search_json(*args, 10**9) == self._search_json(*args, 1)
+
+    @pytest.mark.parametrize("runs", [0, 7, 97])
+    def test_block_seams_match_per_draw(self, taylor, runs):
+        m_rows, _ = _intops.integer_gram(taylor.gram)
+        # taylor90 at rank 18 is decided in blocks of 40 draws
+        assert _intops.SpanEngine(m_rows).block(18) == 40
+        oracle = PerDrawSpanEngine(m_rows)
+        summary = random_search(taylor, target_rank=18, runs=runs, seed=5)
+        assert len(summary.run_log) == runs
+        for i, run in enumerate(summary.run_log):
+            subset = sample_subset(SplitMix64(run_seed(5, i)), taylor.n, 18)
+            want = oracle.members(subset)
+            assert run.index == i and run.subset == tuple(subset)
+            assert run.closure == (() if want is None else tuple(want))
+            assert run.rank == (0 if want is None else 18)
 
     def test_target_rank_bounds(self, taylor):
         with pytest.raises(OutOfRange):
@@ -217,12 +244,19 @@ class TestRandomSearch:
         assert zero["subset"] == list(summary.best.subset)
 
     def test_progress_called(self, taylor):
-        calls = []
-        random_search(
-            taylor, 18, runs=10, seed=0,
-            progress=lambda a, b: calls.append((a, b)),
-        )
-        assert calls[-1] == (10, 10)
+        def calls(runs):
+            got = []
+            random_search(
+                taylor, 18, runs=runs, seed=0,
+                progress=lambda a, b: got.append((a, b)),
+            )
+            return got
+
+        # once after each block of 40 draws, never twice at the end
+        assert calls(100) == [(40, 100), (80, 100), (100, 100)]
+        assert calls(80) == [(40, 80), (80, 80)]
+        assert calls(10) == [(10, 10)]
+        assert calls(0) == []
 
 
 class TestExtract:
