@@ -60,28 +60,65 @@ class OctadDesign:
         """Number of blocks containing all the given points."""
         want = 0
         for p in points:
+            if not 1 <= p <= 24:
+                raise ValueError("points must lie in 1..24")
             want |= 1 << (p - 1)
         return sum(1 for m in self.masks if m & want == want)
 
 
 @functools.cache
 def generate_octads() -> OctadDesign:
-    """Greedy lexicographic scan of all 8-subsets of {1,...,24}.
+    """The lexicographic greedy over the 8-subsets of {1,...,24}.
 
-    A subset is kept iff it differs from every kept subset in at least 4
-    points (intersection at most 4).  The scan keeps exactly 759 blocks,
-    starting with {1,...,8}, and any two blocks meet in 0, 2, or 4 points.
+    The greedy visits the 8-subsets in lexicographic order and keeps one
+    iff it meets every kept subset in at most 4 points.  It keeps exactly
+    759 blocks, starting with {1,...,8}, and any two blocks meet in 0, 2,
+    or 4 points: the Steiner system S(5,8,24) as a constant-weight
+    lexicode (Conway & Sloane, "Lexicographic codes", 1986).
+
+    Two 8-subsets meet in 5 or more points iff they share a 5-subset, so
+    the greedy keeps a subset iff none of its 5-subsets lies in
+    ``covered``, the 5-subsets of the blocks kept so far.  Rather than
+    scan all 735,471 subsets, a depth-first search extends sorted
+    prefixes a_1 < ... < a_k in lexicographic order, so its leaves come
+    in the greedy's order:
+
+    - Pruning: appending point x adds only the 5-subsets that contain x,
+      the prefix's 4-subsets with x.  If one is covered, every leaf
+      under the prefix is rejected, since ``covered`` only grows.  The
+      bound x <= 16 + k leaves room for the remaining points.
+    - Unwinding: ``covered`` grows only when a leaf L is kept.  Every
+      live prefix of 5 or more points is then a subset of L, so dead;
+      the search resumes at the fifth point.
+
+    So it returns the greedy's 759 blocks in the greedy's order, after
+    32,477 nodes.
     """
     kept: list[int] = []
-    for combo in itertools.combinations(range(24), 8):
-        m = 0
-        for c in combo:
-            m |= 1 << c
-        for k in kept:
-            if (m & k).bit_count() > 4:
-                break
-        else:
-            kept.append(m)
+    covered: set[int] = set()
+
+    def extend(prefix: int, size: int, start: int, subsets: list[list[int]]) -> bool:
+        """Try every next point from ``start``; ``subsets[j]`` holds the
+        masks of the j-subsets of ``prefix`` (j = 0..4).  True when a
+        leaf was kept, which kills this prefix once it has 5 points."""
+        for x in range(start, 17 + size):
+            bit = 1 << x
+            if size >= 4 and not covered.isdisjoint(map(bit.__or__, subsets[4])):
+                continue
+            if size == 7:
+                leaf = prefix | bit
+                kept.append(leaf)
+                points = [1 << p for p in range(24) if leaf >> p & 1]
+                covered.update(sum(five) for five in itertools.combinations(points, 5))
+                return True
+            grown = [subsets[0]] + [
+                subsets[j] + list(map(bit.__or__, subsets[j - 1])) for j in range(1, 5)
+            ]
+            if extend(prefix | bit, size + 1, x + 1, grown) and size >= 5:
+                return True
+        return False
+
+    extend(0, 0, 0, [[0], [], [], [], []])
     return OctadDesign(tuple(kept))
 
 

@@ -3,13 +3,15 @@
 They are deliberately plain: the exact rational determinant and solver
 (fraction-free and Gauss-Jordan), dense rational products, the
 vectorized block scan over sign patterns that the meet-in-the-middle
-engine replaced, and the per-draw span membership that the stacked
-blocks of `SpanEngine.members_many` replaced.  None of them is used by
-the library.
+engine replaced, the per-draw span membership that the stacked blocks
+of `SpanEngine.members_many` replaced, and the greedy scan over all
+8-subsets that the pruned search of `generate_octads` replaced.  None
+of them is used by the library.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional, Sequence
@@ -248,3 +250,20 @@ class PerDrawSpanEngine(SpanEngine):
                 return np.nonzero(alive)[0].tolist()
         # prime pool exhausted without certification either way
         return self._members_exact(subset)
+
+
+def greedy_octads() -> tuple[int, ...]:
+    """The greedy lexicographic scan of all 8-subsets of {1,...,24} that
+    `generate_octads` replaced, verbatim: a subset is kept iff it meets
+    every kept subset in at most 4 points."""
+    kept: list[int] = []
+    for combo in itertools.combinations(range(24), 8):
+        m = 0
+        for c in combo:
+            m |= 1 << c
+        for k in kept:
+            if (m & k).bit_count() > 4:
+                break
+        else:
+            kept.append(m)
+    return tuple(kept)

@@ -1,5 +1,6 @@
 """Named line-set constructions and design/graph ingestion."""
 
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -20,11 +21,14 @@ from eqlines.constructions import (
     filter_orthogonal,
     from_graph6,
     g_vector,
+    generate_octads,
     srg_check,
     tremain_columns,
 )
 from eqlines.errors import EmptyResult, MalformedGraph6, NotPSD
 from eqlines.graph6 import encode_graph6
+
+from oracles import greedy_octads
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -70,11 +74,30 @@ class TestOctads:
 
     def test_five_points_determine_block(self, octads):
         # any 5 points of a block lie in no other block
-        import itertools
-
         first = octads.points(0)
         for five in itertools.combinations(first, 5):
             assert octads.count_containing(*five) == 1
+
+    def test_every_five_points_in_exactly_one_block(self, octads):
+        # S(5,8,24): the 759 * 56 five-subsets of the blocks are distinct,
+        # so they are all C(24,5) five-subsets of {1,...,24}, once each
+        fives = [
+            sum(1 << (p - 1) for p in five)
+            for i in range(len(octads))
+            for five in itertools.combinations(octads.points(i), 5)
+        ]
+        assert len(fives) == 759 * 56 == math.comb(24, 5)
+        assert len(set(fives)) == len(fives)
+
+    def test_search_matches_greedy_scan_in_order(self):
+        assert generate_octads.__wrapped__().masks == greedy_octads()
+
+    @pytest.mark.parametrize("bad", [0, 25, -1])
+    def test_count_containing_rejects_points_outside_range(self, octads, bad):
+        with pytest.raises(ValueError, match=r"points must lie in 1\.\.24"):
+            octads.count_containing(bad)
+        with pytest.raises(ValueError, match=r"points must lie in 1\.\.24"):
+            octads.count_containing(1, bad)
 
     def test_pairwise_intersections_even_and_small(self, octads):
         masks = octads.masks
