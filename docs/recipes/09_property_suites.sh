@@ -4,6 +4,8 @@
 #   9b  candidate enumeration vs exact sign-system solving (rank <= 4)
 #   9c  span closures  vs the rank criterion (100 random subsets)
 #   9d  exact PSD      vs numpy eigenvalues at 1e-9
+#   9e  fraction-free rank, inverse, kernel and candidate system
+#       vs the Fraction Gauss-Jordan oracles
 set -euo pipefail
 here="$(cd "$(dirname "$0")" && pwd)"
 cd "$here/../.."

@@ -18,12 +18,17 @@ Wide integers are split into balanced base-2^40 limbs, a scheme known
 only to this module: `_exact_equal` alone decides whether limb forms
 equal a target, for the pattern scan and for `pairwise_hits` (the
 compatibility graph) alike.
+
+Every exact solve here (the candidate system of `scaled_candidate_matrix`
+and the last span tier) goes through the fraction-free integer
+elimination of `linalg.integer_inverse`; no `Fraction` is built per
+matrix entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -66,19 +71,18 @@ def scaled_candidate_matrix(
 
     Returns (W, L, T) with W = L*V integral and T = L/alpha integral, so
     that a sign pattern eps has unit norm iff eps^T W eps == T, and two
-    unit patterns meet at +-alpha iff eps_i^T W eps_j == +-L.
+    unit patterns meet at +-alpha iff eps_i^T W eps_j == +-L.  L is the
+    lcm of V's reduced denominators and alpha's numerator.  With
+    G_B = M/s, R = D * M^-1 and alpha = a/b, V = N/Q with N = a*s*R and
+    Q = b*D, so that lcm is lcm(|Q|/gcd(Q, all N_ij), a).
     """
-    gb = gram.submatrix(list(basis), list(basis))
-    inv = linalg.inverse(gb)
-    d = len(basis)
-    v = [[alpha * inv[i, j] for j in range(d)] for i in range(d)]
-    scale = 1
-    for row in v:
-        for x in row:
-            scale = lcm(scale, x.denominator)
-    scale = lcm(scale, alpha.numerator)
-    w = [[int(x * scale) for x in row] for row in v]
-    t = int(Fraction(scale) / alpha)
+    m, s = linalg.integer_scaled(gram.submatrix(list(basis), list(basis)))
+    r, det = linalg.integer_inverse(m)
+    q = alpha.denominator * det
+    nums = [[alpha.numerator * s * x for x in row] for row in r]
+    scale = lcm(abs(q) // gcd(q, *(x for row in nums for x in row)), alpha.numerator)
+    w = [[x * scale // q for x in row] for row in nums]
+    t = scale * alpha.denominator // alpha.numerator
     return w, scale, t
 
 
@@ -207,15 +211,6 @@ def pairwise_hits(
 # span membership (exact, three tiers)
 
 
-def integer_gram(gram: RatMatrix) -> tuple[list[list[int]], int]:
-    """Scale a rational matrix to integers: returns (M, scale), M = scale*G."""
-    scale = 1
-    for x in gram.entries:
-        scale = lcm(scale, x.denominator)
-    rows = [[int(x * scale) for x in gram.row(i)] for i in range(gram.rows)]
-    return rows, scale
-
-
 def _hadamard_bits(a: list[list[int]]) -> int:
     """Upper bound on bits of |det| via the Hadamard row-norm product."""
     total = 0
@@ -307,7 +302,8 @@ class SpanEngine:
        Hadamard bound by 2, and no prime gave a nonzero det;
     3. any other draw goes on its own through residues modulo enough
        primes to cover the value bounds (`_members_modular`), and from
-       there to exact rational elimination (`_members_exact`).
+       there to exact fraction-free integer elimination
+       (`_members_exact`, through `linalg.integer_inverse`).
 
     `members(subset)` is `members_many([subset])[0]`.
     """
@@ -462,25 +458,18 @@ class SpanEngine:
             det_bits + 2 * max(self.max_m.bit_length(), 1)
             + 2 * max(d, 1).bit_length() + 4
         )
-        need_det = det_bits + 2
         need_val = value_bits + 2
         if need_val > _PRIME_BITS:
             return self._members_exact(subset)
 
         sub = np.array(subset, dtype=np.intp)
-        det_zero_bits = 0
         used_bits = 0
         alive: Optional[np.ndarray] = None
-        saw_nonzero_det = False
         for p in _PRIMES26:
             mp = self._mod(p)
             det_p, inv_p = _det_inverse_mod(mp[np.ix_(sub, sub)], p)
             if inv_p is None:
-                det_zero_bits += p.bit_length() - 1
-                if det_zero_bits >= need_det and not saw_nonzero_det:
-                    return None  # certified singular
-                continue
-            saw_nonzero_det = True
+                continue  # p divides det
             b_p = inv_p * det_p % p
             msp = mp[:, sub]
             forms = ((msp @ b_p % p) * msp).sum(axis=1) % p
@@ -490,25 +479,26 @@ class SpanEngine:
             used_bits += p.bit_length() - 1
             if used_bits >= need_val:
                 return np.nonzero(alive)[0].tolist()
-        # prime pool exhausted without certification either way
+        # prime pool exhausted: det is zero, or too few primes kept it
+        # nonzero to cover the value bounds
         return self._members_exact(subset)
 
-    # -- tier 3: exact rational elimination --------------------------------
+    # -- tier 3: exact fraction-free elimination ---------------------------
 
     def _members_exact(self, subset: list[int]) -> Optional[list[int]]:
-        a = RatMatrix.from_rows(
-            [[Fraction(self.m_rows[i][j]) for j in subset] for i in subset]
-        )
         try:
-            inv = linalg.inverse(a)
+            r, den = linalg.integer_inverse(
+                [[self.m_rows[i][j] for j in subset] for i in subset]
+            )
         except SingularMatrix:
             return None
+        # with R = den * A^-1 the criterion m A^-1 m == diag reads
+        # m R m == den * diag, in integers
         members = []
         for j in range(self.n):
-            vec = [Fraction(self.m_rows[j][k]) for k in subset]
-            inner = inv.matvec(vec)
-            value = sum(v * x for v, x in zip(vec, inner))
-            if value == self.diag[j]:
+            vec = [self.m_rows[j][k] for k in subset]
+            value = sum(v * sum(x * y for x, y in zip(row, vec))
+                        for v, row in zip(vec, r))
+            if value == self.diag[j] * den:
                 members.append(j)
         return members
-

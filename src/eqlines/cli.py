@@ -41,7 +41,7 @@ WORK_CEILING_CAP_BITS = 1 << 16
 def _rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a rational 'p/q': {text!r}") from exc
 
 

@@ -1,10 +1,11 @@
 """Exact rational linear algebra.
 
-All arithmetic uses arbitrary-precision rationals (`fractions.Fraction`);
-no operation in this module ever touches floating point.  Rank and the
-positive-semidefiniteness test run fraction-free (Bareiss-style) on
-integer-scaled copies to keep intermediate values as single big integers
-instead of fraction pairs.
+Matrices hold arbitrary-precision rationals (`fractions.Fraction`); no
+operation here touches floating point.  Every elimination runs
+fraction-free on an `integer_scaled` copy: one Gauss-Jordan routine
+gives `rank`, `integer_inverse`, `inverse` and `kernel`, and `is_psd`
+keeps its own symmetric elimination, as the PSD test needs diagonal
+pivots.
 """
 
 from __future__ import annotations
@@ -23,11 +24,15 @@ _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational; no other forms."""
+    """Parse "p/q" or "p" into an exact rational; no other forms, and
+    no zero denominator."""
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational 'p/q' or 'p': {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -81,13 +86,6 @@ class RatMatrix:
         ents = [self[i, j] for i in row_idx for j in col_idx]
         return RatMatrix(len(row_idx), len(col_idx), ents)
 
-    def matvec(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(
-            sum(a * b for a, b in zip(self.row(i), vec)) for i in range(self.rows)
-        )
-
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
             return False
@@ -112,71 +110,72 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols})"
 
 
-def _integer_rows(m: RatMatrix) -> list[list[int]]:
-    # scale each row by the lcm of its denominators; preserves rank
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        den = 1
-        for x in row:
-            den = lcm(den, x.denominator)
-        out.append([int(x * den) for x in row])
-    return out
+def integer_scaled(m: RatMatrix) -> tuple[list[list[int]], int]:
+    """Scale a rational matrix to integers: (rows, s) with rows = s*m and
+    s the lcm of every entry's denominator."""
+    scale = lcm(*(x.denominator for x in m.entries))
+    rows = [[x.numerator * (scale // x.denominator) for x in m.row(i)]
+            for i in range(m.rows)]
+    return rows, scale
+
+
+def _fraction_free_rref(a: list[list[int]]) -> tuple[list[int], int]:
+    """Reduce integer rows in place to D times their reduced row echelon
+    form; returns the pivot columns and D.
+
+    Fraction-free Gauss-Jordan (Nakos, Turner & Williams, SIGSAM Bull.
+    1997): with p the new pivot and q the previous one, every other row,
+    above the pivot too, becomes (p*row - row[c]*pivot_row) / q.  Each
+    division is exact: every entry is then a minor of the pivot rows and
+    columns.  At the end every pivot entry equals the last pivot D, +-det
+    of the pivot minor (1 when there is no pivot).
+    """
+    pivots: list[int] = []
+    prev = 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        prow = a[r]
+        p = prow[c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        pivots.append(c)
+        prev = p
+    return pivots, prev
 
 
 def rank(m: RatMatrix) -> int:
     """Exact rank over the rationals (fraction-free elimination)."""
-    a = _integer_rows(m)
-    nr, nc = m.rows, m.cols
-    r = 0
-    prev = 1
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pivot = a[r][c]
-        # every row below must be updated, even with a zero multiplier:
-        # exact divisibility of later steps needs the pivot/prev scaling
-        for i in range(r + 1, nr):
-            fac = a[i][c]
-            arow, rrow = a[i], a[r]
-            for j in range(c + 1, nc):
-                arow[j] = (arow[j] * pivot - fac * rrow[j]) // prev
-            arow[c] = 0
-        prev = pivot
-        r += 1
-        if r == nr:
-            break
-    return r
+    return len(_fraction_free_rref(integer_scaled(m)[0])[0])
 
 
-def _gauss_jordan(aug: list[list[Fraction]], n: int) -> None:
-    # in-place reduction of an n-row augmented system; raises on singular
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if piv is None:
-            raise SingularMatrix(f"no pivot in column {c}")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        crow = aug[c]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                fac = aug[r][c]
-                aug[r] = [x - fac * y for x, y in zip(aug[r], crow)]
+def integer_inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(R, D) with D != 0 and R = D * m^-1 for a nonsingular square
+    integer matrix m; D is +-det(m), so R is +-adj(m).  Raises
+    SingularMatrix otherwise."""
+    n = len(m)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    pivots, d = _fraction_free_rref(aug)
+    if pivots != list(range(n)):
+        raise SingularMatrix("matrix is singular")
+    return [row[n:] for row in aug], d
 
 
 def inverse(a: RatMatrix) -> RatMatrix:
     """Exact inverse of a nonsingular square matrix."""
     if a.rows != a.cols:
         raise ValueError("inverse requires a square matrix")
-    n = a.rows
-    aug = [
-        list(a.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)
-    ]
-    _gauss_jordan(aug, n)
-    return RatMatrix(n, n, [x for row in aug for x in row[n:]])
+    m, scale = integer_scaled(a)
+    # a = m/scale, so a^-1 = scale * m^-1 = scale * R/D
+    r, d = integer_inverse(m)
+    return RatMatrix(a.rows, a.cols, [Fraction(scale * x, d) for y in r for x in y])
 
 
 def is_psd(m: RatMatrix) -> bool:
@@ -189,10 +188,7 @@ def is_psd(m: RatMatrix) -> bool:
     if m.rows != m.cols or not m.is_symmetric():
         raise NotSymmetric("PSD test requires a symmetric matrix")
     n = m.rows
-    den = 1
-    for x in m.entries:
-        den = lcm(den, x.denominator)
-    a = [[int(x * den) for x in m.row(i)] for i in range(n)]
+    a, _ = integer_scaled(m)
     prev = 1
     for step in range(n):
         piv = None
@@ -231,41 +227,18 @@ def kernel(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space, one vector per free column.
 
     Each basis vector is scaled to primitive integer form (integer
-    entries with gcd 1) for readability; entries are still Fractions.
+    entries with gcd 1, positive on its free column) for readability;
+    entries are still Fractions.
     """
-    nr, nc = m.rows, m.cols
-    a = [list(m.row(i)) for i in range(nr)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        rrow = a[r]
-        for i in range(nr):
-            if i != r and a[i][c] != 0:
-                fac = a[i][c]
-                a[i] = [x - fac * y for x, y in zip(a[i], rrow)]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
+    a, _ = integer_scaled(m)
+    pivots, d = _fraction_free_rref(a)
     basis = []
-    free = [c for c in range(nc) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * nc
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -a[i][fc]
-        den = 1
-        for x in vec:
-            den = lcm(den, x.denominator)
-        ints = [int(x * den) for x in vec]
-        g = gcd(*ints)
-        if g > 1:
-            ints = [x // g for x in ints]
-        basis.append(tuple(Fraction(x) for x in ints))
+    for fc in [c for c in range(m.cols) if c not in pivots]:
+        # a = D * RREF: D times e_fc minus column fc of the RREF
+        vec = [0] * m.cols
+        vec[fc] = d
+        for row, pc in zip(a, pivots):
+            vec[pc] = -row[fc]
+        g = gcd(*vec) if d > 0 else -gcd(*vec)
+        basis.append(tuple(Fraction(x // g) for x in vec))
     return basis

@@ -45,7 +45,13 @@ class SignMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "SignMatrix":
-        return cls(len(rows), tuple(tuple(int(x) for x in r) for r in rows))
+        """Sign matrix from integer rows; other entry types (float,
+        string, bool) are rejected, never converted."""
+        for row in rows:
+            for x in row:
+                if type(x) is not int:
+                    raise ValueError(f"sign entries must be integers, got {x!r}")
+        return cls(len(rows), tuple(tuple(r) for r in rows))
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,8 @@ class LineSet:
     ) -> "LineSet":
         if gram.rows != gram.cols:
             raise ValueError("Gram matrix must be square")
+        if not 0 < angle < 1:
+            raise ValueError(f"angle must lie in (0, 1), got {angle}")
         fixed = None
         if coords is not None:
             fixed = tuple(tuple(int(x) for x in row) for row in coords)
@@ -268,17 +276,36 @@ def to_json_dict(ls: LineSet) -> dict:
 
 def from_json_dict(data: dict) -> LineSet:
     """Parse the canonical form; a "gram" field of "p/q" strings is also
-    accepted (debugging aid for matrices that are not sign-constrained)."""
-    angle = parse_rational(data["angle"])
-    coords = data.get("coords")
-    norm_sq = data.get("coords_norm_sq")
-    if "signs" in data:
-        gram = _sign_gram(SignMatrix.from_rows(data["signs"]), angle)
-        return LineSet.from_gram(gram, angle, coords, norm_sq)
-    if "gram" in data:
-        rows = [[parse_rational(str(x)) for x in row] for row in data["gram"]]
-        return LineSet.from_gram(RatMatrix.from_rows(rows), angle, coords, norm_sq)
-    raise ValueError('expected a "signs" or "gram" field')
+    accepted (debugging aid for matrices that are not sign-constrained).
+    Malformed input raises ValueError naming the offending field."""
+    if not isinstance(data, dict):
+        raise ValueError("a line-set file must hold a JSON object")
+    if not isinstance(data.get("angle"), str):
+        raise ValueError('"angle" must be a rational string "p/q"')
+    key = "signs" if "signs" in data else "gram"
+    if key not in data:
+        raise ValueError('expected a "signs" or "gram" field')
+    for name in (key, "coords"):
+        rows = data.get(name, [])
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError(f'"{name}" must be a list of rows')
+    try:
+        angle = parse_rational(data["angle"])
+    except ValueError as exc:
+        raise ValueError(f'"angle": {exc}') from None
+    try:
+        if key == "signs":
+            gram = _sign_gram(SignMatrix.from_rows(data[key]), angle)
+        else:
+            rows = [[parse_rational(str(x)) for x in row] for row in data[key]]
+            gram = RatMatrix.from_rows(rows)
+    except ValueError as exc:
+        raise ValueError(f'"{key}": {exc}') from None
+    n = data.get("n", gram.rows)
+    if type(n) is not int or n != gram.rows:
+        raise ValueError(f'"n" is {n!r} but the matrix has {gram.rows} rows')
+    coords, norm_sq = data.get("coords"), data.get("coords_norm_sq")
+    return LineSet.from_gram(gram, angle, coords, norm_sq)
 
 
 def dumps(ls: LineSet) -> str:

@@ -90,7 +90,7 @@ def select_basis(
             raise NotABasis("override indices have rank-deficient Gram block")
         return idx
 
-    m_rows, _ = _intops.integer_gram(ls.gram)
+    m_rows, _ = linalg.integer_scaled(ls.gram)
     engine = _intops.SpanEngine(m_rows)
     chosen: list[int] = []
     in_span: frozenset[int] = frozenset()
@@ -131,15 +131,15 @@ def enumerate_candidates(
     w, scale, t_target = _intops.scaled_candidate_matrix(
         ls.gram, basis, ls.angle
     )
-    cands = []
-    for m in _intops.enumerate_unit_patterns(w, t_target, progress):
-        signs = _pattern_signs(m, d)
-        coeffs = tuple(
-            Fraction(sum(w[i][j] * signs[j] for j in range(d)), scale)
-            for i in range(d)
-        )
-        cands.append(Candidate(m, signs, coeffs))
-    return cands
+    ms = _intops.enumerate_unit_patterns(w, t_target, progress)
+    e = _intops._pattern_block(np.array(ms, dtype=np.int64), d)
+    # object dtype keeps the numerators exact at any width of W
+    nums = e.astype(object) @ np.array(w, dtype=object).T
+    return [
+        Candidate(m, _pattern_signs(m, d),
+                  tuple(Fraction(x, scale) for x in row))
+        for m, row in zip(ms, nums.tolist())
+    ]
 
 
 def build_compatibility_graph(

@@ -138,7 +138,7 @@ def span_closure(ls: LineSet, subset: Sequence[int]) -> list[int]:
     idx = [int(i) for i in subset]
     if any(not 0 <= i < ls.n for i in idx):
         raise IndexError("line index out of range")
-    m_rows, _ = _intops.integer_gram(ls.gram)
+    m_rows, _ = linalg.integer_scaled(ls.gram)
     got = _intops.SpanEngine(m_rows).members(sorted(idx))
     if got is None:
         raise RankDeficient(
@@ -170,7 +170,7 @@ def random_search(
     if runs < 0:
         raise OutOfRange(f"runs must be at least 0, got {runs}")
     seed &= MASK64
-    m_rows, _ = _intops.integer_gram(ls.gram)
+    m_rows, _ = linalg.integer_scaled(ls.gram)
     engine = _intops.SpanEngine(m_rows)
     block = engine.block(target_rank)
     log: list[SearchRun] = []

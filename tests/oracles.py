@@ -1,19 +1,20 @@
 """Reference implementations the tests compare the library against.
 
-They are deliberately plain: the exact rational determinant and solver
-(fraction-free and Gauss-Jordan), dense rational products, the
-vectorized block scan over sign patterns that the meet-in-the-middle
-engine replaced, the per-draw span membership that the stacked blocks
-of `SpanEngine.members_many` replaced, and the greedy scan over all
-8-subsets that the pruned search of `generate_octads` replaced.  None
-of them is used by the library.
+They are deliberately plain: the exact fraction-free determinant, the
+`Fraction` Gauss-Jordan solver, inverse, kernel and candidate system
+that the one fraction-free routine of `linalg` replaced, dense rational
+products, the vectorized block scan over sign patterns that the
+meet-in-the-middle engine replaced, the per-draw span membership that
+the stacked blocks of `SpanEngine.members_many` replaced, and the
+greedy scan over all 8-subsets that the pruned search of
+`generate_octads` replaced.  None of them is used by the library.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,7 +28,8 @@ from eqlines._intops import (
     _hadamard_bits,
     _pattern_block,
 )
-from eqlines.linalg import RatMatrix, _gauss_jordan
+from eqlines.errors import SingularMatrix
+from eqlines.linalg import RatMatrix
 
 
 def transpose(m: RatMatrix) -> RatMatrix:
@@ -86,6 +88,65 @@ def det(m: RatMatrix) -> Fraction:
     return Fraction(sign * a[n - 1][n - 1]) / scale
 
 
+def _gauss_jordan(aug: list[list[Fraction]], n: int) -> None:
+    # in-place reduction of an n-row augmented system; raises on singular
+    for c in range(n):
+        piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
+        if piv is None:
+            raise SingularMatrix(f"no pivot in column {c}")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [x * inv for x in aug[c]]
+        crow = aug[c]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                fac = aug[r][c]
+                aug[r] = [x - fac * y for x, y in zip(aug[r], crow)]
+
+
+def fraction_inverse(a: RatMatrix) -> RatMatrix:
+    """Exact inverse of a nonsingular square matrix."""
+    if a.rows != a.cols:
+        raise ValueError("inverse requires a square matrix")
+    n = a.rows
+    aug = [
+        list(a.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)
+    ]
+    _gauss_jordan(aug, n)
+    return RatMatrix(n, n, [x for row in aug for x in row[n:]])
+
+
+def fraction_scaled_candidate_matrix(
+    gram: RatMatrix, basis: Sequence[int], alpha: Fraction
+) -> tuple[list[list[int]], int, int]:
+    """Integerize V = alpha * inverse(G_B).
+
+    Returns (W, L, T) with W = L*V integral and T = L/alpha integral, so
+    that a sign pattern eps has unit norm iff eps^T W eps == T, and two
+    unit patterns meet at +-alpha iff eps_i^T W eps_j == +-L.
+    """
+    gb = gram.submatrix(list(basis), list(basis))
+    inv = fraction_inverse(gb)
+    d = len(basis)
+    v = [[alpha * inv[i, j] for j in range(d)] for i in range(d)]
+    scale = 1
+    for row in v:
+        for x in row:
+            scale = lcm(scale, x.denominator)
+    scale = lcm(scale, alpha.numerator)
+    w = [[int(x * scale) for x in row] for row in v]
+    t = int(Fraction(scale) / alpha)
+    return w, scale, t
+
+
+def matvec(m: RatMatrix, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    if len(vec) != m.cols:
+        raise ValueError("dimension mismatch")
+    return tuple(
+        sum(a * b for a, b in zip(m.row(i), vec)) for i in range(m.rows)
+    )
+
+
 def solve(a: RatMatrix, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Exact solution x of a·x = b for nonsingular square a."""
     if a.rows != a.cols:
@@ -96,6 +157,50 @@ def solve(a: RatMatrix, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     aug = [list(a.row(i)) + [Fraction(b[i])] for i in range(n)]
     _gauss_jordan(aug, n)
     return tuple(row[n] for row in aug)
+
+
+def fraction_kernel(m: RatMatrix) -> list[tuple[Fraction, ...]]:
+    """Basis of the right null space, one vector per free column.
+
+    Each basis vector is scaled to primitive integer form (integer
+    entries with gcd 1) for readability; entries are still Fractions.
+    """
+    nr, nc = m.rows, m.cols
+    a = [list(m.row(i)) for i in range(nr)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        rrow = a[r]
+        for i in range(nr):
+            if i != r and a[i][c] != 0:
+                fac = a[i][c]
+                a[i] = [x - fac * y for x, y in zip(a[i], rrow)]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    basis = []
+    free = [c for c in range(nc) if c not in pivots]
+    for fc in free:
+        vec = [Fraction(0)] * nc
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -a[i][fc]
+        den = 1
+        for x in vec:
+            den = lcm(den, x.denominator)
+        ints = [int(x * den) for x in vec]
+        g = gcd(*ints)
+        if g > 1:
+            ints = [x // g for x in ints]
+        basis.append(tuple(Fraction(x) for x in ints))
+    return basis
 
 
 def _exact_quadratic(

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eqlines import linalg
+from eqlines import _intops, linalg
 from eqlines._tables import TAYLOR_OCTADS
 from eqlines.cli import main
 from eqlines.constructions import (
@@ -35,6 +35,7 @@ from eqlines.constructions import (
     tremain_28,
     tremain_columns,
 )
+from eqlines.errors import SingularMatrix
 from eqlines.graph6 import parse_graph6
 from eqlines.lineset import relative_bound, validate
 from eqlines.linalg import RatMatrix
@@ -51,7 +52,12 @@ from eqlines.spansearch import (
     random_search,
     span_closure,
 )
-from oracles import solve
+from oracles import (
+    fraction_inverse,
+    fraction_kernel,
+    fraction_scaled_candidate_matrix,
+    solve,
+)
 
 F = Fraction
 
@@ -404,3 +410,74 @@ def test_criterion_9d_psd_vs_eigenvalue_oracle():
         checked += 1
         assert exact == (lo > -1e-9)
     assert checked >= 30
+
+
+def _random_rational_matrix(rng: SplitMix64) -> RatMatrix:
+    """Seeded rows x cols rational matrix (0..6 each, so 0x0 and empty
+    shapes occur) of rank at most k: a product of random rational factors
+    with an inner dimension k, sometimes with a row or column zeroed."""
+    rows, cols = rng.below(7), rng.below(7)
+    if rng.below(2):
+        cols = rows  # square: inverse is compared too
+    k = rng.below(max(rows, cols) + 1)
+    u = [[F(rng.below(13) - 6, 1 + rng.below(4)) for _ in range(k)]
+         for _ in range(rows)]
+    v = [[F(rng.below(13) - 6, 1 + rng.below(3)) for _ in range(cols)]
+         for _ in range(k)]
+    m = [[sum((u[i][t] * v[t][j] for t in range(k)), F(0)) for j in range(cols)]
+         for i in range(rows)]
+    if rows and cols and rng.below(3) == 0:
+        zero = rng.below(rows)
+        m[zero] = [F(0)] * cols
+        zero = rng.below(cols)
+        for row in m:
+            row[zero] = F(0)
+    return RatMatrix(rows, cols, [x for row in m for x in row])
+
+
+def test_criterion_9e_fraction_free_vs_fraction_oracle():
+    """rank, inverse and kernel from the one fraction-free Gauss-Jordan
+    routine equal the Fraction Gauss-Jordan oracles on 400 seeded random
+    rational matrices (non-square, rank-deficient, singular, with zero
+    rows and columns, with negative last pivots, and 0x0), and the
+    integer candidate system (W, L, T) equals the Fraction path on the
+    shipped sets and bases."""
+    rng = SplitMix64(9005)
+    negative_pivot_kernels = singular = inverted = 0
+    for trial in range(400):
+        m = _random_rational_matrix(rng)
+        want = fraction_kernel(m)
+        assert linalg.kernel(m) == want
+        assert linalg.rank(m) == m.cols - len(want)
+        rows, _ = linalg.integer_scaled(m)
+        if want and linalg._fraction_free_rref(rows)[1] < 0:
+            negative_pivot_kernels += 1
+        if m.rows == m.cols:
+            try:
+                inv = fraction_inverse(m)
+            except SingularMatrix:
+                singular += 1
+                with pytest.raises(SingularMatrix):
+                    linalg.inverse(m)
+            else:
+                inverted += 1
+                assert linalg.inverse(m) == inv
+    assert linalg.inverse(RatMatrix(0, 0, [])) == RatMatrix(0, 0, [])
+    assert min(negative_pivot_kernels, singular, inverted) >= 20
+
+    tremain, taylor, asche = tremain_28(), taylor_90(), asche_72()
+    best = random_search(asche, 18, 12, SEARCH_MASTER_SEED).best
+    best56 = extract_sublineset(asche, best.closure)
+    assert best56.n == 56
+    cases = [
+        (tremain, None),
+        (tremain, EVEN_BASIS_0B),
+        (taylor, [i - 1 for i in BASIS_J_1B]),
+        (taylor, None),
+        (asche, None),
+        (best56, None),
+    ]
+    for ls, basis in cases:
+        basis = select_basis(ls, basis)
+        want = fraction_scaled_candidate_matrix(ls.gram, basis, ls.angle)
+        assert _intops.scaled_candidate_matrix(ls.gram, basis, ls.angle) == want

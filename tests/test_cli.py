@@ -156,6 +156,13 @@ class TestFromGraph6:
             main(["construct", "from-graph6", str(g6)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("angle", ["0", "1", "-1/3"])
+    def test_angle_outside_unit_interval(self, tmp_path, capsys, angle):
+        g6 = tmp_path / "petersen.g6"
+        g6.write_bytes(petersen_bytes())
+        assert main(["construct", "from-graph6", str(g6), f"--angle={angle}"]) == 2
+        assert "angle must lie in (0, 1)" in capsys.readouterr().err
+
     def test_file_required(self, capsys):
         assert main(["construct", "from-graph6", "--angle", "1/3"]) == 2
 
@@ -212,6 +219,41 @@ class TestValidate:
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         assert main(["validate", str(path)]) == 2
+
+
+PAIR = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("command", ["validate", "saturate"])
+@pytest.mark.parametrize(
+    "doc,field",
+    [
+        ({"n": 2, "signs": PAIR}, '"angle"'),
+        ({"angle": "1/0", "signs": PAIR}, '"angle"'),
+        ({"angle": 0.2, "signs": PAIR}, '"angle"'),
+        ({"angle": "1/3", "signs": 5}, '"signs"'),
+        ({"angle": "1/3", "signs": [5]}, '"signs"'),
+        ([{"angle": "1/3", "signs": PAIR}], "JSON object"),
+        ({"n": 3, "angle": "1/3", "signs": PAIR}, '"n"'),
+        ({"angle": "1/3", "signs": [[0, 1.5], [1.5, 0]]}, '"signs"'),
+        ({"angle": "1/3", "signs": [[0, "1"], ["1", 0]]}, '"signs"'),
+        ({"angle": "1/3", "signs": [[0, True], [True, 0]]}, '"signs"'),
+        ({"angle": "1/3", "gram": [["1", "x"], ["x", "1"]]}, '"gram"'),
+        ({"angle": "0", "signs": PAIR}, "angle"),
+        ({"angle": "-1/3", "signs": PAIR}, "angle"),
+        ({"angle": "1", "signs": PAIR}, "angle"),
+    ],
+    ids=["no-angle", "angle-1/0", "angle-float", "signs-int", "signs-row-int",
+         "top-level-array", "n-mismatch", "sign-1.5", "sign-string",
+         "sign-bool", "gram-junk", "angle-0", "angle-neg", "angle-1"],
+)
+def test_malformed_lineset_file_is_usage_error(tmp_path, capsys, command, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
 
 
 class TestSaturate:

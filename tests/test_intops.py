@@ -387,7 +387,7 @@ class TestStackedSpan:
     @pytest.mark.parametrize("name", ["tremain", "taylor", "asche"])
     def test_random_draws_match_per_draw(self, name, request):
         ls = request.getfixturevalue(name)
-        engine, oracle = self.engines(_intops.integer_gram(ls.gram)[0])
+        engine, oracle = self.engines(linalg.integer_scaled(ls.gram)[0])
         kinds = set()
         for d in (17, 18, 19):
             # more draws than one block, so a block seam is crossed
@@ -399,14 +399,14 @@ class TestStackedSpan:
         assert kinds == ({True} if ls.rank < 17 else {True, False})
 
     def test_members_is_one_draw_block(self, asche):
-        engine, oracle = self.engines(_intops.integer_gram(asche.gram)[0])
+        engine, oracle = self.engines(linalg.integer_scaled(asche.gram)[0])
         for subset in draws(asche, 18, 12, seed=34):
             assert engine.members(subset) == oracle.members(subset)
         assert engine.members_many([]) == []
 
     def test_wide_entries_match_per_draw(self, asche):
         # entries of 5 * 2^29 >= 2^31 leave the float tier out
-        m_rows = [[x << 29 for x in row] for row in _intops.integer_gram(asche.gram)[0]]
+        m_rows = [[x << 29 for x in row] for row in linalg.integer_scaled(asche.gram)[0]]
         engine, oracle = self.engines(m_rows)
         assert not engine.small
         for d, count in ((6, 12), (18, 3)):
@@ -425,7 +425,7 @@ class TestStackedSpan:
                 assert k == 3 or want == [None] * 4
 
     def test_failed_float_proposal_answered_by_modular_tier(self, asche, monkeypatch):
-        engine, oracle = self.engines(_intops.integer_gram(asche.gram)[0])
+        engine, oracle = self.engines(linalg.integer_scaled(asche.gram)[0])
         subsets = draws(asche, 18, 30, seed=37)
         want = oracle.members_many(subsets)
         nonsingular = [s for s, w in zip(subsets, want) if w is not None]

@@ -9,7 +9,7 @@ from eqlines import linalg
 from eqlines.errors import NotSymmetric, SingularMatrix
 from eqlines.linalg import RatMatrix, format_rational, parse_rational
 from eqlines.spansearch import SplitMix64
-from oracles import det, matmul, solve, transpose
+from oracles import det, matmul, matvec, solve, transpose
 
 F = Fraction
 
@@ -48,8 +48,8 @@ class TestRational:
         assert format_rational(F(-2, 6)) == "-1/3"
 
     def test_parse_rejects_junk(self):
-        for bad in ("", "1/0", "a/b", "1.5"):
-            with pytest.raises((ValueError, ZeroDivisionError)):
+        for bad in ("", "1/0", "-3/00", "a/b", "1.5"):
+            with pytest.raises(ValueError):
                 parse_rational(bad)
 
 
@@ -71,7 +71,7 @@ class TestRatMatrix:
         assert m.submatrix([1], [0]) == RatMatrix.from_rows([[3]])
         prod = matmul(m, RatMatrix.identity(2))
         assert prod == m
-        assert m.matvec([1, 1]) == (3, 7)
+        assert matvec(m, [1, 1]) == (3, 7)
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -149,7 +149,7 @@ class TestSolveInverse:
     def test_solve(self):
         a = RatMatrix.from_rows([[2, 1], [1, 3]])
         x = solve(a, [F(5), F(10)])
-        assert a.matvec(x) == (F(5), F(10))
+        assert matvec(a, x) == (F(5), F(10))
 
     def test_singular_raises(self):
         singular = RatMatrix.from_rows([[1, 2], [2, 4]])
@@ -214,7 +214,7 @@ class TestKernel:
             basis = linalg.kernel(m)
             assert len(basis) == cols - linalg.rank(m)
             for vec in basis:
-                assert m.matvec(vec) == (F(0),) * rows
+                assert matvec(m, vec) == (F(0),) * rows
 
     def test_primitive_integer_vectors(self):
         from math import gcd

@@ -39,6 +39,9 @@ class TestSignMatrix:
             [[0, 1], [-1, 0]],  # asymmetric
             [[0, 2], [2, 0]],  # entry not +-1
             [[0, 1, -1], [1, 0, 1]],  # not square
+            [[0, 1.5], [1.5, 0]],  # float, not silently truncated
+            [[0, "1"], ["1", 0]],  # string
+            [[0, True], [True, 0]],  # bool
         ],
     )
     def test_invalid(self, rows):
@@ -67,6 +70,12 @@ class TestLineSet:
     def test_restrict_bad_index(self):
         with pytest.raises(IndexError):
             hexagon().restrict([0, 5])
+
+    @pytest.mark.parametrize("angle", [F(0), F(-1, 3), F(1)])
+    def test_angle_outside_unit_interval_rejected(self, angle):
+        g = RatMatrix.from_rows([[1, angle], [angle, 1]])
+        with pytest.raises(ValueError, match="angle"):
+            LineSet.from_gram(g, angle)
 
     def test_sign_matrix_rejects_foreign_entries(self):
         g = RatMatrix.from_rows([[1, F(1, 3)], [F(1, 3), 1]])

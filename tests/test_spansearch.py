@@ -203,7 +203,7 @@ class TestRandomSearch:
 
     @pytest.mark.parametrize("runs", [0, 7, 97])
     def test_block_seams_match_per_draw(self, taylor, runs):
-        m_rows, _ = _intops.integer_gram(taylor.gram)
+        m_rows, _ = linalg.integer_scaled(taylor.gram)
         # taylor90 at rank 18 is decided in blocks of 40 draws
         assert _intops.SpanEngine(m_rows).block(18) == 40
         oracle = PerDrawSpanEngine(m_rows)
