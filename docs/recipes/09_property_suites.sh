@@ -6,6 +6,8 @@
 #   9d  exact PSD      vs numpy eigenvalues at 1e-9
 #   9e  fraction-free rank, inverse, kernel and candidate system
 #       vs the Fraction Gauss-Jordan oracles
+#   9f  stacked float64 singularity certificate vs the one-prime
+#       elimination oracle and the exact rank
 set -euo pipefail
 here="$(cd "$(dirname "$0")" && pwd)"
 cd "$here/../.."

@@ -3,9 +3,10 @@
 Everything here produces exact results; the fast paths use numpy int64
 with explicit overflow budgets, and every shortcut is either certified
 by an exact integer identity before use or replaced by a slower exact
-fallback.  Floating point appears only to *propose* an integer adjugate
-that is then verified exactly; a failed verification falls through, so
-no tolerance ever decides an answer.
+fallback.  Floating point either *proposes* an integer adjugate that
+is then verified exactly (a failed verification falls through), or
+carries integers below 2^52, where float64 arithmetic is exact (the
+residues of `_det_zero_mod`); no tolerance ever decides an answer.
 
 Sign-pattern conventions (shared with the saturation module): pattern
 index m in [0, 2^(d-1)) maps to epsilon with eps[0] = +1 and, for
@@ -27,8 +28,9 @@ matrix entry.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -58,6 +60,8 @@ _PRIMES26 = (
     67108597, 67108579, 67108529, 67108511, 67108507, 67108493,
 )
 _PRIME_BITS = sum(p.bit_length() - 1 for p in _PRIMES26)
+# _PRIME_SQ[t] = (p_1 * ... * p_t)^2, the square of the first t primes' product
+_PRIME_SQ = [prod(_PRIMES26[:t]) ** 2 for t in range(len(_PRIMES26) + 1)]
 
 
 # --------------------------------------------------------------------------
@@ -211,17 +215,6 @@ def pairwise_hits(
 # span membership (exact, three tiers)
 
 
-def _hadamard_bits(a: list[list[int]]) -> int:
-    """Upper bound on bits of |det| via the Hadamard row-norm product."""
-    total = 0
-    for row in a:
-        norm_sq = sum(x * x for x in row)
-        if norm_sq == 0:
-            return 0
-        total += (norm_sq.bit_length() + 1) // 2 + 1
-    return total
-
-
 def _det_inverse_mod(a: np.ndarray, p: int) -> tuple[int, Optional[np.ndarray]]:
     """(det mod p, inverse mod p or None if singular mod p)."""
     d = len(a)
@@ -244,44 +237,34 @@ def _det_inverse_mod(a: np.ndarray, p: int) -> tuple[int, Optional[np.ndarray]]:
     return det, aug[:, d:]
 
 
-def _det_mod_many(a: np.ndarray, p: int) -> np.ndarray:
-    """det mod p of every matrix of a (k, d, d) integer stack.
+def _det_zero_mod(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Mask of the matrices of a (k, d, d) float64 stack of integers
+    (|entry| < 2^52) whose determinant is 0 modulo their own prime p[k]
+    (one 26-bit prime per matrix).
 
-    Fraction-free elimination mod p over the whole stack at once: the
-    pivot of column c is its first nonzero entry at or below row c, and
-    each lower row r becomes pivot*row_r - a_rc*row_c (only the columns
-    right of c are kept up to date).  That scales the determinant by
-    pivot^(d-1-c), so det * scale == sign * prod(pivots) with scale the
-    product of the pivot prefix products; one inverse per nonsingular
-    matrix at the end undoes it.  Entries stay below p, so every product
-    stays below 2^52.
+    Fraction-free elimination over the whole stack at once: the pivot of
+    a column is its first nonzero entry, swapped to the top, and each
+    lower row r becomes pivot*row_r - a_r0*row_0, which scales the
+    determinant by a power of the pivot, a unit mod p.  So det == 0 mod p
+    iff some column has no nonzero pivot.  Every entry is kept centred,
+    r = t - p*rint(t/p) with the quotient estimated through 1/p, so that
+    |r| <= p/2 + 2: every product and difference is then an integer below
+    2^52, exact in float64, and an entry is zero iff it is 0 mod p.
     """
-    a = a % p
-    k, d = a.shape[:2]
-    sign = np.ones(k, dtype=np.int64)
-    prod = np.ones(k, dtype=np.int64)
-    scale = np.ones(k, dtype=np.int64)
-    for c in range(d):
-        piv = c + np.argmax(a[:, c:, c] != 0, axis=1)
-        swap = np.flatnonzero(piv != c)
+    p = p.astype(np.float64)[:, None, None]
+    p_inv = 1.0 / p
+    a = a - p * np.rint(a * p_inv)
+    zero = np.zeros(len(a), dtype=bool)
+    for _ in range(a.shape[1]):
+        piv = np.argmax(a[:, :, 0] != 0, axis=1)
+        swap = np.flatnonzero(piv)
         if len(swap):
-            top = a[swap, c].copy()
-            a[swap, c] = a[swap, piv[swap]]
-            a[swap, piv[swap]] = top
-            sign[swap] = -sign[swap]
-        pv = a[:, c, c]
-        prod = prod * pv % p
-        if c + 1 < d:
-            # only the trailing block is read again
-            rest = a[:, c + 1:, c + 1:]
-            t = pv[:, None, None] * rest
-            t -= a[:, c + 1:, c:c + 1] * a[:, c:c + 1, c + 1:]
-            np.remainder(t, p, out=rest)
-            scale = scale * prod % p
-    det = np.zeros(k, dtype=np.int64)
-    for u in np.flatnonzero(prod).tolist():
-        det[u] = int(sign[u]) * int(prod[u]) * pow(int(scale[u]), -1, p) % p
-    return det
+            a[swap, 0], a[swap, piv[swap]] = a[swap, piv[swap]], a[swap, 0]
+        zero |= a[:, 0, 0] == 0
+        t = a[:, :1, :1] * a[:, 1:, 1:]
+        t -= a[:, 1:, :1] * a[:, :1, 1:]
+        a = t - p * np.rint(t * p_inv)
+    return zero
 
 
 class SpanEngine:
@@ -296,10 +279,11 @@ class SpanEngine:
        propose the adjugate B = det * A^-1, accepted only when
        A @ B == det * I holds exactly in int64 within per-draw overflow
        budgets; the membership forms are then exact;
-    2. modular singularity: for the draws left open, a stacked
-       elimination mod one 26-bit prime at a time certifies a draw
-       singular once det == 0 modulo primes whose bits exceed its
-       Hadamard bound by 2, and no prime gave a nonzero det;
+    2. modular singularity: for the draws left open, one stacked
+       float64 elimination (`_det_zero_mod`) over every (draw, prime)
+       pair certifies a draw singular when det == 0 modulo each of the
+       fewest 26-bit primes whose squared product exceeds its exact
+       Hadamard product (2 primes for asche72 at rank 18);
     3. any other draw goes on its own through residues modulo enough
        primes to cover the value bounds (`_members_modular`), and from
        there to exact fraction-free integer elimination
@@ -409,51 +393,56 @@ class SpanEngine:
 
     # -- tier 2: multi-modular residues ------------------------------------
 
-    def _hadamard_bits_many(self, sub: np.ndarray) -> np.ndarray:
-        """`_hadamard_bits` of each draw's Gram block."""
-        d = sub.shape[1]
-        if self.small and d * self.max_m**2 < 2**53:
-            # row norms below 2^53 are exact floats, so frexp's exponent
-            # is their exact bit length
+    def _hadamard(self, sub: np.ndarray) -> list[int]:
+        """Hadamard's bound prod_i ||a_i||^2 >= det(A)^2 on the Gram block
+        A of each draw, as an exact integer."""
+        if self.small and sub.shape[1] * self.max_m**2 < 2**63:
             a = self.m_np[sub[:, :, None], sub[:, None, :]]
-            norm_sq = (a * a).sum(axis=2)
-            row_bits = (np.frexp(norm_sq.astype(np.float64))[1] + 1) // 2 + 1
-            return np.where((norm_sq == 0).any(axis=1), 0, row_bits.sum(axis=1))
-        return np.array(
-            [
-                _hadamard_bits([[self.m_rows[i][j] for j in s] for i in s])
+            norm_sq = (a * a).sum(axis=2).tolist()
+        else:
+            norm_sq = [
+                [sum(self.m_rows[i][j] ** 2 for j in s) for i in s]
                 for s in sub.tolist()
-            ],
-            dtype=np.int64,
-        )
+            ]
+        return [prod(row) for row in norm_sq]
 
     def _singular_mod(self, sub: np.ndarray) -> np.ndarray:
-        """Mask of the draws certified singular by residues: det == 0
-        modulo primes whose bits reach the Hadamard bits + 2, with no
-        prime giving a nonzero det.  Every other draw is left False."""
-        need = self._hadamard_bits_many(sub) + 2
-        singular = np.zeros(len(sub), dtype=bool)
-        live = np.flatnonzero(need <= _PRIME_BITS)
-        zero_bits = 0  # every live draw has had det == 0 modulo each prime
-        for p in _PRIMES26:
-            if not len(live):
-                break
-            s = sub[live]
-            dets = _det_mod_many(self._mod(p)[s[:, :, None], s[:, None, :]], p)
-            live = live[dets == 0]
-            zero_bits += p.bit_length() - 1
-            done = need[live] <= zero_bits
-            singular[live[done]] = True
-            live = live[~done]
-        return singular
+        """Mask of the draws certified singular by residues.
+
+        A draw with Hadamard bound H needs the first t primes, t the least
+        count with (p_1...p_t)^2 > H: a nonzero det divisible by each of
+        them would have det^2 >= (p_1...p_t)^2 > H.  Every (draw, prime)
+        pair goes into one stacked `_det_zero_mod`, and a draw is certified
+        when det == 0 modulo all of its primes.  Every other draw, and any
+        draw whose bound outruns the prime pool, is left False.
+        """
+        need = np.array(
+            [bisect_right(_PRIME_SQ, h) for h in self._hadamard(sub)], dtype=np.intp
+        )
+        live = need < len(_PRIME_SQ)
+        # rows[t]: the live draws that need prime t
+        rows = [
+            np.flatnonzero(live & (need > t))
+            for t in range(max(need[live].tolist(), default=0))
+        ]
+        if not rows:
+            return live & (need == 0)  # a zero row: det == 0 outright
+        pairs = np.concatenate(rows)
+        primes = np.repeat(_PRIMES26[:len(rows)], [len(r) for r in rows])
+        stack = np.concatenate([
+            self._mod(p)[sub[r, :, None], sub[r, None, :]]
+            for p, r in zip(_PRIMES26, rows)
+        ])
+        zero = _det_zero_mod(stack.astype(np.float64), primes)
+        return live & (np.bincount(pairs[zero], minlength=len(sub)) == need)
 
     def _members_modular(self, subset: list[int]) -> Optional[list[int]]:
         d = len(subset)
         if d > 1024:
             # int64 dot-product budget of the residue engine
             return self._members_exact(subset)
-        a_rows = [[self.m_rows[i][j] for j in subset] for i in subset]
-        det_bits = _hadamard_bits(a_rows)
+        det_bits = (self._hadamard(np.array([subset], dtype=np.intp))[0]
+                    .bit_length() + 1) // 2
         value_bits = (
             det_bits + 2 * max(self.max_m.bit_length(), 1)
             + 2 * max(d, 1).bit_length() + 4

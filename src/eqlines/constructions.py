@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import graph6 as _g6
 from ._tables import (
     E1_MINUS_E2,
@@ -205,7 +207,8 @@ def g_vector(points: Sequence[int]) -> IntVector24:
 
 
 def _lineset_from_g_vectors(vectors: Sequence[IntVector24]) -> LineSet:
-    rows = [[Fraction(_dot(u, v), 80) for v in vectors] for u in vectors]
+    g = np.array(vectors, dtype=np.int64)
+    rows = [[Fraction(x, 80) for x in row] for row in (g @ g.T).tolist()]
     return LineSet.from_gram(
         RatMatrix.from_rows(rows),
         Fraction(1, 5),

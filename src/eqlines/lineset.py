@@ -79,9 +79,21 @@ class LineSet:
             raise ValueError(f"angle must lie in (0, 1), got {angle}")
         fixed = None
         if coords is not None:
-            fixed = tuple(tuple(int(x) for x in row) for row in coords)
+            fixed = tuple(tuple(row) for row in coords)
             if len(fixed) != gram.rows:
                 raise ValueError("one coordinate row per line required")
+            for row in fixed:
+                if len(row) != len(fixed[0]):
+                    raise ValueError('"coords": rows differ in length')
+                for x in row:
+                    if type(x) is not int:
+                        raise ValueError(
+                            f'"coords": entries must be integers, got {x!r}'
+                        )
+        if coords_norm_sq is not None and type(coords_norm_sq) is not int:
+            raise ValueError(
+                f'"coords_norm_sq" must be an integer, got {coords_norm_sq!r}'
+            )
         return cls(
             n=gram.rows,
             angle=Fraction(angle),

@@ -11,11 +11,14 @@ finalized by two xor-multiply rounds.  Run i of a search derives its
 own seed as mix64(master + i*GOLDEN), so runs are independent of
 execution order.
 
-The search runs in one process.  It samples the draws in run order, a
-block at a time, and hands each block to `SpanEngine.members_many`,
-which decides it in stacked numpy; `SpanEngine.block` sizes the block
-so that its (draws, n, d) row gather holds about 2^16 int64 entries
-(50 draws at n = 72, d = 18).
+The search runs in one process, a block of runs at a time;
+`SpanEngine.block` sizes the block so that its (draws, n, d) row gather
+holds about 2^16 int64 entries (50 draws at n = 72, d = 18).  The
+subsets of a block are drawn together, one numpy uint64 SplitMix64
+lane per run (`_draw_block`), bit-identical to drawing each run on its
+own; `SplitMix64`, `mix64` and `run_seed` remain the definition of the
+stream.  `SpanEngine.members_many` then decides the block in stacked
+numpy.
 """
 
 from __future__ import annotations
@@ -23,12 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from . import _intops, linalg
 from .errors import OutOfRange, RankDeficient
 from .lineset import LineSet, validate
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
+# the two multipliers of the SplitMix64 finalizer
+MIX1, MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 ProgressSink = Callable[[int, int], None]
 
@@ -36,8 +43,8 @@ ProgressSink = Callable[[int, int], None]
 def mix64(z: int) -> int:
     """SplitMix64 finalizer: two xor-shift-multiply rounds plus a shift."""
     z &= MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    z = ((z ^ (z >> 30)) * MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & MASK64
     return z ^ (z >> 31)
 
 
@@ -69,13 +76,45 @@ def run_seed(master: int, index: int) -> int:
     return mix64((master + index * GOLDEN) & MASK64)
 
 
-def sample_subset(rng: SplitMix64, n: int, k: int) -> list[int]:
-    """Sorted uniform k-subset of range(n) (partial Fisher-Yates)."""
-    idx = list(range(n))
+def _mix64_many(z: np.ndarray) -> np.ndarray:
+    """`mix64` of every entry of a uint64 array (products wrap mod 2^64)."""
+    z = z ^ (z >> 30)
+    z *= MIX1
+    z ^= z >> 27
+    z *= MIX2
+    return z ^ (z >> 31)
+
+
+def _draw_block(
+    master: int, lo: int, hi: int, n: int, k: int
+) -> tuple[list[int], np.ndarray]:
+    """Seeds and sorted k-subsets of range(n) of runs lo..hi-1.
+
+    Bit-identical to drawing each run on its own with
+    SplitMix64(run_seed(master, i)): every lane takes the same partial
+    Fisher-Yates steps, j = i + below(n - i), with below's rejection
+    rule.  A rejected lane advances its own state and redraws until it
+    is accepted; a bound dividing 2^64 rejects nothing.
+    """
+    runs = np.arange(lo, hi, dtype=np.uint64)
+    seeds = _mix64_many(runs * GOLDEN + master)
+    state = seeds.copy()
+    lanes = np.arange(hi - lo)
+    perm = np.tile(np.arange(n), (hi - lo, 1))
     for i in range(k):
-        j = i + rng.below(n - i)
-        idx[i], idx[j] = idx[j], idx[i]
-    return sorted(idx[:k])
+        bound = n - i
+        lim = (1 << 64) - (1 << 64) % bound
+        state += GOLDEN
+        r = _mix64_many(state)
+        if lim < 1 << 64:
+            redo = np.flatnonzero(r >= lim)
+            while len(redo):
+                state[redo] += GOLDEN
+                r[redo] = _mix64_many(state[redo])
+                redo = redo[r[redo] >= lim]
+        j = i + (r % bound).astype(np.intp)
+        perm[lanes, i], perm[lanes, j] = perm[lanes, j], perm[lanes, i]
+    return seeds.tolist(), np.sort(perm[:, :k], axis=1)
 
 
 @dataclass(frozen=True)
@@ -175,8 +214,10 @@ def random_search(
     block = engine.block(target_rank)
     log: list[SearchRun] = []
     for lo in range(0, runs, block):
-        seeds = [run_seed(seed, i) for i in range(lo, min(lo + block, runs))]
-        subsets = [sample_subset(SplitMix64(s), ls.n, target_rank) for s in seeds]
+        seeds, drawn = _draw_block(
+            seed, lo, min(lo + block, runs), ls.n, target_rank
+        )
+        subsets = drawn.tolist()
         for s, subset, members in zip(
             seeds, subsets, engine.members_many(subsets)
         ):

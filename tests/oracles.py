@@ -5,9 +5,13 @@ They are deliberately plain: the exact fraction-free determinant, the
 that the one fraction-free routine of `linalg` replaced, dense rational
 products, the vectorized block scan over sign patterns that the
 meet-in-the-middle engine replaced, the per-draw span membership that
-the stacked blocks of `SpanEngine.members_many` replaced, and the
-greedy scan over all 8-subsets that the pruned search of
-`generate_octads` replaced.  None of them is used by the library.
+the stacked blocks of `SpanEngine.members_many` replaced, the
+one-prime-at-a-time stacked determinant and Hadamard bit count that
+`_det_zero_mod` and the exact Hadamard bound replaced, the scalar
+subset sampler that the vectorised draws of `random_search` replaced,
+an inverse of the SplitMix64 finalizer, and the greedy scan over all
+8-subsets that the pruned search of `generate_octads` replaced.  None
+of them is used by the library.
 """
 
 from __future__ import annotations
@@ -25,11 +29,11 @@ from eqlines._intops import (
     SpanEngine,
     _balanced_limbs,
     _det_inverse_mod,
-    _hadamard_bits,
     _pattern_block,
 )
 from eqlines.errors import SingularMatrix
 from eqlines.linalg import RatMatrix
+from eqlines.spansearch import MASK64, MIX1, MIX2, SplitMix64
 
 
 def transpose(m: RatMatrix) -> RatMatrix:
@@ -260,6 +264,84 @@ def direct_unit_patterns(w, t_target):
         if s == t_target:
             out.append(m)
     return out
+
+
+def _hadamard_bits(a: list[list[int]]) -> int:
+    """Upper bound on bits of |det| via the Hadamard row-norm product."""
+    total = 0
+    for row in a:
+        norm_sq = sum(x * x for x in row)
+        if norm_sq == 0:
+            return 0
+        total += (norm_sq.bit_length() + 1) // 2 + 1
+    return total
+
+
+def _det_mod_many(a: np.ndarray, p: int) -> np.ndarray:
+    """det mod p of every matrix of a (k, d, d) integer stack.
+
+    Fraction-free elimination mod p over the whole stack at once: the
+    pivot of column c is its first nonzero entry at or below row c, and
+    each lower row r becomes pivot*row_r - a_rc*row_c (only the columns
+    right of c are kept up to date).  That scales the determinant by
+    pivot^(d-1-c), so det * scale == sign * prod(pivots) with scale the
+    product of the pivot prefix products; one inverse per nonsingular
+    matrix at the end undoes it.  Entries stay below p, so every product
+    stays below 2^52.
+    """
+    a = a % p
+    k, d = a.shape[:2]
+    sign = np.ones(k, dtype=np.int64)
+    prod = np.ones(k, dtype=np.int64)
+    scale = np.ones(k, dtype=np.int64)
+    for c in range(d):
+        piv = c + np.argmax(a[:, c:, c] != 0, axis=1)
+        swap = np.flatnonzero(piv != c)
+        if len(swap):
+            top = a[swap, c].copy()
+            a[swap, c] = a[swap, piv[swap]]
+            a[swap, piv[swap]] = top
+            sign[swap] = -sign[swap]
+        pv = a[:, c, c]
+        prod = prod * pv % p
+        if c + 1 < d:
+            # only the trailing block is read again
+            rest = a[:, c + 1:, c + 1:]
+            t = pv[:, None, None] * rest
+            t -= a[:, c + 1:, c:c + 1] * a[:, c:c + 1, c + 1:]
+            np.remainder(t, p, out=rest)
+            scale = scale * prod % p
+    det = np.zeros(k, dtype=np.int64)
+    for u in np.flatnonzero(prod).tolist():
+        det[u] = int(sign[u]) * int(prod[u]) * pow(int(scale[u]), -1, p) % p
+    return det
+
+
+def sample_subset(rng: SplitMix64, n: int, k: int) -> list[int]:
+    """Sorted uniform k-subset of range(n) (partial Fisher-Yates)."""
+    idx = list(range(n))
+    for i in range(k):
+        j = i + rng.below(n - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    return sorted(idx[:k])
+
+
+def _unshift_xor(y: int, s: int) -> int:
+    # inverse of x -> x ^ (x >> s) on 64-bit words
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def mix64_inverse(z: int) -> int:
+    """The x with mix64(x) == z: undo the xor-shifts and multiply by the
+    inverses of both constants modulo 2^64."""
+    z = _unshift_xor(z & MASK64, 31)
+    z = z * pow(MIX2, -1, 1 << 64) & MASK64
+    z = _unshift_xor(z, 27)
+    z = z * pow(MIX1, -1, 1 << 64) & MASK64
+    return _unshift_xor(z, 30)
 
 
 class PerDrawSpanEngine(SpanEngine):

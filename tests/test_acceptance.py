@@ -53,6 +53,7 @@ from eqlines.spansearch import (
     span_closure,
 )
 from oracles import (
+    _det_mod_many,
     fraction_inverse,
     fraction_kernel,
     fraction_scaled_candidate_matrix,
@@ -481,3 +482,92 @@ def test_criterion_9e_fraction_free_vs_fraction_oracle():
         basis = select_basis(ls, basis)
         want = fraction_scaled_candidate_matrix(ls.gram, basis, ls.angle)
         assert _intops.scaled_candidate_matrix(ls.gram, basis, ls.angle) == want
+
+
+def _dependent_group(rng: SplitMix64, d: int, nullity: int, ambient: int,
+                     coord: int) -> list[list[int]]:
+    """d integer vectors spanning exactly d - nullity dimensions (almost
+    surely): random ones, then integer combinations of them, shuffled."""
+    free = [[rng.below(2 * coord + 1) - coord for _ in range(ambient)]
+            for _ in range(d - nullity)]
+    vecs = list(free)
+    for _ in range(nullity):
+        c = [rng.below(5) - 2 for _ in free]
+        vecs.append([sum(ci * v[j] for ci, v in zip(c, free))
+                     for j in range(ambient)])
+    for i in range(d - 1, 0, -1):
+        j = rng.below(i + 1)
+        vecs[i], vecs[j] = vecs[j], vecs[i]
+    return vecs
+
+
+def _near_half_stack(rng: SplitMix64, k: int, d: int):
+    """k integer d x d matrices with one 26-bit prime each: entries are
+    +-(p-1)/2 or +-(p+1)/2 plus multiples of p, some leading column
+    entries are 0 mod p (pivot swaps), and some rows repeat another row
+    mod p (singular mod p only)."""
+    primes = [_intops._PRIMES26[rng.below(len(_intops._PRIMES26))]
+              for _ in range(k)]
+    stack = []
+    for p in primes:
+        a = [[(1 - 2 * rng.below(2)) * ((p - 1) // 2 + rng.below(2))
+              + p * (rng.below(5) - 2) for _ in range(d)] for _ in range(d)]
+        for r in range(rng.below(d + 1)):
+            a[r][0] = p * (rng.below(5) - 2)
+        if d > 1 and rng.below(2):
+            r, s = rng.below(d), rng.below(d)
+            if r != s:
+                c = 1 + rng.below(p - 1)
+                a[r] = [c * x % p + p * (rng.below(3) - 1) for x in a[s]]
+        stack.append(a)
+    return np.array(stack, dtype=np.int64), primes
+
+
+def test_criterion_9f_stacked_singular_vs_exact_rank():
+    """The stacked float64 elimination `_det_zero_mod` agrees with the
+    one-prime `_det_mod_many` oracle on 300 seeded matrices with residues
+    near +-p/2, pivot swaps and rows dependent mod p only; and
+    `SpanEngine._singular_mod` certifies exactly the draws that
+    `linalg.rank` finds singular (nullities 0-3), for Gram entries that
+    are small, about 2^30 (above every prime) and about 2^32 (an engine
+    that is not `small`), and leaves the det = P0 boundary uncertified."""
+    rng = SplitMix64(9006)
+    swaps = zero_mod_p = 0
+    for _ in range(50):
+        d = 1 + rng.below(7)
+        stack, primes = _near_half_stack(rng, 6, d)
+        want = [_det_mod_many(a[None], p)[0] == 0 for a, p in zip(stack, primes)]
+        got = _intops._det_zero_mod(stack.astype(np.float64), np.array(primes))
+        assert got.tolist() == want
+        zero_mod_p += sum(want)
+        swaps += sum(a[0, 0] % p == 0 for a, p in zip(stack, primes))
+    assert min(zero_mod_p, swaps) >= 20
+
+    nullities = set()
+    # the largest entry scaled up to about 2^30 and 2^32 by an odd
+    # factor, so that every bit of the entries stays significant
+    for top in (0, 2**30, 2**32):
+        for _ in range(4):
+            d = 2 + rng.below(5)
+            groups = [_dependent_group(rng, d, g % 4 if g % 4 < d else 0, 6, 3)
+                      for g in range(8)]
+            vecs = [v for grp in groups for v in grp]
+            gram = [[sum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
+            scale = top // max(map(max, gram)) | 1
+            m_rows = [[scale * x for x in row] for row in gram]
+            engine = _intops.SpanEngine(m_rows)
+            assert engine.small == (top < 2**31)
+            assert engine.max_m > top // 2
+            sub = np.arange(len(vecs)).reshape(8, d)
+            want = []
+            for draw in sub.tolist():
+                nullity = d - linalg.rank(RatMatrix.from_rows(
+                    [[m_rows[i][j] for j in draw] for i in draw]))
+                nullities.add(nullity)
+                want.append(nullity > 0)
+            assert engine._singular_mod(sub).tolist() == want
+    assert nullities == {0, 1, 2, 3}
+
+    p0 = _intops._PRIMES26[0]
+    boundary = _intops.SpanEngine([[1, 0], [0, p0]])
+    assert boundary._singular_mod(np.array([[0, 1]])).tolist() == [False]

@@ -242,10 +242,18 @@ PAIR = [[0, 1], [1, 0]]
         ({"angle": "0", "signs": PAIR}, "angle"),
         ({"angle": "-1/3", "signs": PAIR}, "angle"),
         ({"angle": "1", "signs": PAIR}, "angle"),
+        ({"angle": "1/3", "signs": PAIR, "coords": [[1.5, 2], [2, 1]]}, '"coords"'),
+        ({"angle": "1/3", "signs": PAIR, "coords": [[1, "2"], [2, 1]]}, '"coords"'),
+        ({"angle": "1/3", "signs": PAIR, "coords": [[1, 2], [True, 1]]}, '"coords"'),
+        ({"angle": "1/3", "signs": PAIR, "coords": [[1, 2], [2]]}, '"coords"'),
+        ({"angle": "1/3", "signs": PAIR, "coords": [[1, 2], [2, 1]],
+          "coords_norm_sq": "x"}, '"coords_norm_sq"'),
     ],
     ids=["no-angle", "angle-1/0", "angle-float", "signs-int", "signs-row-int",
          "top-level-array", "n-mismatch", "sign-1.5", "sign-string",
-         "sign-bool", "gram-junk", "angle-0", "angle-neg", "angle-1"],
+         "sign-bool", "gram-junk", "angle-0", "angle-neg", "angle-1",
+         "coord-1.5", "coord-string", "coord-bool", "coords-ragged",
+         "norm-string"],
 )
 def test_malformed_lineset_file_is_usage_error(tmp_path, capsys, command, doc, field):
     path = tmp_path / "bad.json"

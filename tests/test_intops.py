@@ -7,12 +7,14 @@ import pytest
 
 from eqlines import _intops, linalg
 from eqlines.linalg import RatMatrix
-from eqlines.spansearch import SplitMix64, sample_subset
+from eqlines.spansearch import SplitMix64
 from oracles import (
     PerDrawSpanEngine,
+    _det_mod_many,
     det,
     direct_unit_patterns,
     enumerate_range_batch,
+    sample_subset,
 )
 
 F = Fraction
@@ -244,14 +246,19 @@ class TestDetInverseMod:
 
 
 class TestDetModMany:
-    """The stacked elimination against the per-matrix `_det_inverse_mod`."""
+    """The stacked eliminations, the one-prime `_det_mod_many` oracle and
+    the float64 `_det_zero_mod`, against the per-matrix `_det_inverse_mod`."""
 
     @staticmethod
     def assert_matches(stack):
         for p in _intops._PRIMES26:
-            got = _intops._det_mod_many(stack, p)
+            got = _det_mod_many(stack, p)
             want = [_intops._det_inverse_mod(a, p)[0] for a in stack]
             assert got.tolist() == want
+            zero = _intops._det_zero_mod(
+                stack.astype(np.float64), np.full(len(stack), p)
+            )
+            assert zero.tolist() == [w == 0 for w in want]
 
     def test_random_stacks_with_row_swaps(self):
         rng = SplitMix64(31)
@@ -280,19 +287,19 @@ class TestDetModMany:
         stack[1, 3] = stack[1, 0]  # duplicate rows
         stack[2, 1] = stack[2, 3] + P0  # duplicate rows mod P0 only
         self.assert_matches(stack)
-        assert _intops._det_mod_many(stack[:2], P0).tolist() == [0, 0]
+        assert _det_mod_many(stack[:2], P0).tolist() == [0, 0]
 
     def test_det_equal_to_first_prime(self):
         vectors = [(1, 0, 0, 0, 0), (0, *P0_VECTOR)]
         block = np.array(gram_from_vectors(vectors), dtype=np.int64)
         assert int(det(RatMatrix.from_rows(block.tolist()))) == P0
         self.assert_matches(block[None])
-        assert _intops._det_mod_many(block[None], P0).tolist() == [0]
-        assert _intops._det_mod_many(block[None], _intops._PRIMES26[1])[0] != 0
+        assert _det_mod_many(block[None], P0).tolist() == [0]
+        assert _det_mod_many(block[None], _intops._PRIMES26[1])[0] != 0
 
     def test_empty_stack_and_empty_matrices(self):
-        assert _intops._det_mod_many(np.zeros((0, 3, 3), np.int64), P0).size == 0
-        assert _intops._det_mod_many(np.zeros((2, 0, 0), np.int64), P0).tolist() == [1, 1]
+        assert _det_mod_many(np.zeros((0, 3, 3), np.int64), P0).size == 0
+        assert _det_mod_many(np.zeros((2, 0, 0), np.int64), P0).tolist() == [1, 1]
 
 
 def gram_from_vectors(vectors) -> list[list[int]]:
@@ -443,6 +450,24 @@ class TestStackedSpan:
         )
         assert engine.members_many(subsets) == want
         assert asked == nonsingular
+
+    def test_asche72_singular_draws_need_two_primes(self, asche, monkeypatch):
+        # every Gram row of an asche72 draw of 18 has squared norm 42, and
+        # (p1 p2)^2 > 42^18 > p1^2
+        engine = _intops.SpanEngine(linalg.integer_scaled(asche.gram)[0])
+        sub = np.array(draws(asche, 18, 60, seed=38))
+        assert engine._hadamard(sub) == [42**18] * 60
+        assert _intops._PRIME_SQ[1] < 42**18 < _intops._PRIME_SQ[2]
+        moduli = []
+        kernel = _intops._det_zero_mod
+        monkeypatch.setattr(
+            _intops, "_det_zero_mod",
+            lambda a, p: moduli.append(p.tolist()) or kernel(a, p),
+        )
+        singular = engine._singular_mod(sub)
+        assert 0 < singular.sum() < 60
+        primes = _intops._PRIMES26
+        assert moduli == [[primes[0]] * 60 + [primes[1]] * 60]
 
     def test_det_equal_to_first_prime_is_not_singular(self):
         # lines 0 and 1 have a Gram block of det P0; line 2 is their sum

@@ -208,6 +208,27 @@ class TestJson:
         assert calls == [2]
         assert back.rank == 2 and back.coords == ((2, 1), (1, 2))
 
+    @pytest.mark.parametrize(
+        "coords,norm_sq,field",
+        [
+            ([[1.5, 2], [2, 1]], 5, '"coords"'),
+            ([[1, "2"], [2, 1]], 5, '"coords"'),
+            ([[1, 2], [True, 1]], 5, '"coords"'),
+            ([[1, 2], [2]], 5, '"coords"'),
+            ([[1, 2], [2, 1]], "x", '"coords_norm_sq"'),
+            ([[1, 2], [2, 1]], 5.0, '"coords_norm_sq"'),
+        ],
+        ids=["float", "string", "bool", "ragged", "norm-string", "norm-float"],
+    )
+    def test_coords_are_integers_never_converted(self, coords, norm_sq, field):
+        g = RatMatrix.from_rows([[1, F(1, 5)], [F(1, 5), 1]])
+        with pytest.raises(ValueError, match=field):
+            LineSet.from_gram(g, F(1, 5), coords=coords, coords_norm_sq=norm_sq)
+        doc = {"angle": "1/5", "signs": [[0, 1], [1, 0]], "coords": coords,
+               "coords_norm_sq": norm_sq}
+        with pytest.raises(ValueError, match=field):
+            lineset.from_json_dict(doc)
+
     def test_sorted_keys_deterministic(self):
         a = lineset.dumps(hexagon())
         b = lineset.dumps(hexagon())

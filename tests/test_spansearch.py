@@ -15,15 +15,15 @@ from eqlines.spansearch import (
     GOLDEN,
     MASK64,
     SplitMix64,
+    _draw_block,
     extract_sublineset,
     mix64,
     orthogonal_complement,
     random_search,
     run_seed,
-    sample_subset,
     span_closure,
 )
-from oracles import PerDrawSpanEngine
+from oracles import PerDrawSpanEngine, mix64_inverse, sample_subset
 
 F = Fraction
 HALF = F(1, 2)
@@ -102,6 +102,59 @@ class TestSampleSubset:
         a = sample_subset(SplitMix64(42), 30, 10)
         b = sample_subset(SplitMix64(42), 30, 10)
         assert a == b
+
+
+def rejecting_master(run: int, step: int) -> int:
+    """A master seed whose run `run` draws 2^64 - 1 at Fisher-Yates step
+    `step`, which every bound not dividing 2^64 rejects."""
+    state = mix64_inverse(MASK64)
+    seed = (state - (step + 1) * GOLDEN) & MASK64
+    return (mix64_inverse(seed) - run * GOLDEN) & MASK64
+
+
+class TestDrawBlock:
+    """The vectorised draws of a block against the scalar sampler."""
+
+    @staticmethod
+    def assert_matches_scalar(master, lo, hi, n, k):
+        seeds, subsets = _draw_block(master, lo, hi, n, k)
+        want_seeds = [run_seed(master, i) for i in range(lo, hi)]
+        assert seeds == want_seeds
+        assert subsets.tolist() == [
+            sample_subset(SplitMix64(s), n, k) for s in want_seeds
+        ]
+
+    @pytest.mark.parametrize("n,k", [(5, 5), (30, 10), (72, 18), (90, 18)])
+    def test_matches_scalar_sampler(self, n, k):
+        # (72, 18) passes through the bound 64, which divides 2^64
+        for master in (0, 3, 0x1234, MASK64):
+            self.assert_matches_scalar(master, 0, 40, n, k)
+            self.assert_matches_scalar(master, 4990, 5000, n, k)
+
+    @pytest.mark.parametrize("step", [0, 5, 8, 17])
+    def test_rejected_lane_redraws_alone(self, step):
+        master = rejecting_master(run=7, step=step)
+        rng = SplitMix64(run_seed(master, 7))
+        assert [rng.next64() for _ in range(step + 1)][-1] == MASK64
+        # at step 8 of 72 lines the bound is 64: nothing is rejected
+        self.assert_matches_scalar(master, 3, 12, 72, 18)
+        self.assert_matches_scalar(master, 7, 8, 30, 18)
+
+    @pytest.mark.parametrize(
+        "name,rank,runs,seed", [("asche", 18, 500, 0), ("taylor", 16, 200, 3)]
+    )
+    def test_run_log_matches_scalar_per_draw(self, name, rank, runs, seed, request):
+        ls = request.getfixturevalue(name)
+        oracle = PerDrawSpanEngine(linalg.integer_scaled(ls.gram)[0])
+        summary = random_search(ls, target_rank=rank, runs=runs, seed=seed)
+        assert len(summary.run_log) == runs
+        for i, run in enumerate(summary.run_log):
+            s = run_seed(seed, i)
+            subset = sample_subset(SplitMix64(s), ls.n, rank)
+            want = oracle.members(subset)
+            assert (run.index, run.seed, run.subset) == (i, s, tuple(subset))
+            assert run.closure == (() if want is None else tuple(want))
+            assert run.rank == (0 if want is None else rank)
 
 
 class TestSpanClosure:
