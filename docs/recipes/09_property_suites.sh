@@ -8,6 +8,8 @@
 #       vs the Fraction Gauss-Jordan oracles
 #   9f  stacked float64 singularity certificate vs the one-prime
 #       elimination oracle and the exact rank
+#   9g  RatMatrix (numerators over one denominator) vs the
+#       Fraction-tuple matrix oracle
 set -euo pipefail
 here="$(cd "$(dirname "$0")" && pwd)"
 cd "$here/../.."

@@ -7,6 +7,8 @@ saturation (candidate enumeration and the d + omega bound), spansearch
 graph6 (codec), cli (command-line front end).
 """
 
+import importlib
+
 from .errors import (
     ConstructionMismatch,
     EmptyResult,
@@ -45,24 +47,38 @@ from .constructions import (
     taylor_90,
     tremain_28,
 )
-from .maxclique import CliqueResult, SimpleGraph, max_clique
-from .saturation import (
-    Candidate,
-    SaturationReport,
-    build_compatibility_graph,
-    check_saturated,
-    enumerate_candidates,
-    select_basis,
-)
-from .spansearch import (
-    SearchRun,
-    SearchSummary,
-    SplitMix64,
-    extract_sublineset,
-    orthogonal_complement,
-    random_search,
-    span_closure,
-)
+
+# The numpy-backed modules load on first use of one of their names
+# (PEP 562), so `import eqlines` and the CLI's construct, validate,
+# bound and info never import numpy.
+_LAZY = {
+    "CliqueResult": "maxclique",
+    "SimpleGraph": "maxclique",
+    "max_clique": "maxclique",
+    "Candidate": "saturation",
+    "SaturationReport": "saturation",
+    "build_compatibility_graph": "saturation",
+    "check_saturated": "saturation",
+    "enumerate_candidates": "saturation",
+    "select_basis": "saturation",
+    "SearchRun": "spansearch",
+    "SearchSummary": "spansearch",
+    "SplitMix64": "spansearch",
+    "extract_sublineset": "spansearch",
+    "orthogonal_complement": "spansearch",
+    "random_search": "spansearch",
+    "span_closure": "spansearch",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "1.0.0"
 

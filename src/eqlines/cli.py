@@ -6,6 +6,10 @@ Machine output (--json) is emitted on stdout with sorted keys and no
 timestamps, so identical inputs give byte-identical output; progress and
 diagnostics go to stderr.  Exit codes: 0 success, 1 validation failure,
 2 usage error or refusal.
+
+Only `saturate` and `search` import numpy: their handlers import the
+saturation and search modules, so the other subcommands start without
+them.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import constructions, graph6, lineset, maxclique, saturation, spansearch
+from . import constructions, graph6, lineset
 from .errors import (
     EqlinesError,
     HypothesisViolated,
@@ -184,6 +188,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_saturate(args: argparse.Namespace) -> int:
+    from . import maxclique, saturation
+
     ls = _load_lineset(args.file)
     patterns = 1 << (ls.rank - 1)
     if patterns > args.work_ceiling and not args.force:
@@ -227,6 +233,8 @@ def _cmd_saturate(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from . import spansearch
+
     ls = _load_lineset(args.file)
     progress = None if args.json else _progress_printer("runs")
     summary = spansearch.random_search(

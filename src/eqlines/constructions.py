@@ -1,8 +1,9 @@
 """Explicit equiangular line families and graph-based ingestion.
 
-Every family is built from integer data only: Gram entries are exact
-rationals computed as integer dot products divided by a known squared
-norm, so no construction ever touches floating point.
+Every family is built from integer data only: a Gram matrix is the
+Python-integer dot products of the line vectors over their common
+squared norm (`RatMatrix.from_integers`), so no construction touches
+floating point or imports numpy.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import graph6 as _g6
 from ._tables import (
@@ -36,7 +36,7 @@ IntVector24 = tuple[int, ...]
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 # --------------------------------------------------------------------------
@@ -184,14 +184,7 @@ def tremain_columns() -> tuple[TremainColumn, ...]:
 @functools.cache
 def tremain_28() -> LineSet:
     """28 equiangular lines in R^14 with angle 1/5."""
-    cols = tremain_columns()
-    rows = [[a.inner(b) for b in cols] for a in cols]
-    return LineSet.from_gram(
-        RatMatrix.from_rows(rows),
-        Fraction(1, 5),
-        coords=[c.int_coords() for c in cols],
-        coords_norm_sq=5,
-    )
+    return _lineset_from_vectors([c.int_coords() for c in tremain_columns()], 5)
 
 
 # --------------------------------------------------------------------------
@@ -206,14 +199,16 @@ def g_vector(points: Sequence[int]) -> IntVector24:
     return tuple(4 * (k in s) - 4 * (k == 1) - 1 for k in range(1, 25))
 
 
-def _lineset_from_g_vectors(vectors: Sequence[IntVector24]) -> LineSet:
-    g = np.array(vectors, dtype=np.int64)
-    rows = [[Fraction(x, 80) for x in row] for row in (g @ g.T).tolist()]
+def _lineset_from_vectors(vectors: Sequence[Sequence[int]], norm_sq: int) -> LineSet:
+    """Lines at angle 1/5 along integer vectors of squared norm norm_sq:
+    the Gram entries are their dot products over norm_sq."""
+    n = len(vectors)
+    nums = [_dot(u, v) for u in vectors for v in vectors]
     return LineSet.from_gram(
-        RatMatrix.from_rows(rows),
+        RatMatrix.from_integers(n, n, nums, norm_sq),
         Fraction(1, 5),
         coords=vectors,
-        coords_norm_sq=80,
+        coords_norm_sq=norm_sq,
     )
 
 
@@ -245,7 +240,7 @@ def taylor_90() -> LineSet:
         raise ConstructionMismatch(
             "surviving octads differ from the frozen table"
         )
-    return _lineset_from_g_vectors(vectors)
+    return _lineset_from_vectors(vectors, 80)
 
 
 @functools.cache

@@ -1,8 +1,9 @@
 """Exact rational linear algebra.
 
-Matrices hold arbitrary-precision rationals (`fractions.Fraction`); no
-operation here touches floating point.  Every elimination runs
-fraction-free on an `integer_scaled` copy: one Gauss-Jordan routine
+A matrix holds integer numerators over one common denominator, and
+hands out `fractions.Fraction` entries on demand; no operation here
+touches floating point.  Every elimination runs fraction-free on the
+numerators (`integer_scaled`): one Gauss-Jordan routine
 gives `rank`, `integer_inverse`, `inverse` and `kernel`, and `is_psd`
 keeps its own symmetric elimination, as the PSD test needs diagonal
 pivots.
@@ -13,7 +14,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from numbers import Integral
+from typing import Iterable, Optional, Sequence
 
 from .errors import NotSymmetric, SingularMatrix
 
@@ -43,20 +45,60 @@ def format_rational(value: Fraction) -> str:
 
 
 class RatMatrix:
-    """Immutable dense matrix of rationals, stored row-major."""
+    """Immutable dense matrix of rationals: integer numerators ``nums``
+    (row-major) over one positive denominator ``den``.
 
-    __slots__ = ("rows", "cols", "entries")
+    The form is canonical: ``den`` is the least common denominator of
+    the entries, so ``gcd(den, *nums) == 1``, and ``==`` and ``hash``
+    compare values whatever route built the matrix.
+    """
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[Fraction]):
-        entries = tuple(Fraction(x) for x in entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+    __slots__ = ("rows", "cols", "nums", "den")
+
+    def __init__(self, rows: int, cols: int, entries: Iterable[Fraction | int]):
+        pairs = []
+        for k, x in enumerate(entries):
+            if isinstance(x, Fraction):
+                pairs.append((x.numerator, x.denominator))
+            elif isinstance(x, Integral) and not isinstance(x, bool):
+                pairs.append((int(x), 1))
+            else:
+                raise ValueError(
+                    f"entry {k} must be a Fraction or an integer, got {x!r}"
+                )
+        if len(pairs) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(pairs)}")
+        den = lcm(*(d for _, d in pairs))
+        self._set(rows, cols, tuple(x * (den // d) for x, d in pairs), den)
+
+    def _set(self, rows: int, cols: int, nums: tuple[int, ...], den: int) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
+
+    @classmethod
+    def from_integers(
+        cls, rows: int, cols: int, nums: Iterable[int], den: int
+    ) -> "RatMatrix":
+        """The matrix with entries nums[k] / den (row-major), brought to
+        canonical form; den is any nonzero integer."""
+        nums = tuple(nums)
+        if len(nums) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(nums)}")
+        if den == 0:
+            raise ValueError("zero denominator")
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = tuple(x // g for x in nums)
+        m = object.__new__(cls)
+        m._set(rows, cols, nums, den // g)
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "RatMatrix":
@@ -66,33 +108,52 @@ class RatMatrix:
         for row in rows:
             if len(row) != nc:
                 raise ValueError("ragged rows")
-            flat.extend(Fraction(x) for x in row)
+            flat.extend(row)
         return cls(nr, nc, flat)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+        return cls.from_integers(
+            n, n, [int(i == j) for i in range(n) for j in range(n)], 1
+        )
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
-        return self.entries[i * self.cols + j]
+        return Fraction(self.nums[i * self.cols + j], self.den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        c = self.cols
+        return tuple(Fraction(x, self.den) for x in self.nums[i * c : (i + 1) * c])
+
+    def numerator_of(self, value: Fraction) -> Optional[int]:
+        """The integer x with value == x / den, or None when there is none
+        (so no entry equals value)."""
+        scaled = value * self.den
+        return scaled.numerator if scaled.denominator == 1 else None
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMatrix":
-        ents = [self[i, j] for i in row_idx for j in col_idx]
-        return RatMatrix(len(row_idx), len(col_idx), ents)
+        if not all(0 <= i < self.rows for i in row_idx) or not all(
+            0 <= j < self.cols for j in col_idx
+        ):
+            raise IndexError("submatrix index out of range")
+        nums, c = self.nums, self.cols
+        ents = [nums[i * c + j] for i in row_idx for j in col_idx]
+        return RatMatrix.from_integers(len(row_idx), len(col_idx), ents, self.den)
 
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
             return False
+        nums, n = self.nums, self.cols
         return all(
-            self[i, j] == self[j, i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
+            nums[i * n + j] == nums[j * n + i]
+            for i in range(n)
+            for j in range(i + 1, n)
         )
 
     def __eq__(self, other) -> bool:
@@ -100,11 +161,12 @@ class RatMatrix:
             isinstance(other, RatMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols})"
@@ -112,11 +174,9 @@ class RatMatrix:
 
 def integer_scaled(m: RatMatrix) -> tuple[list[list[int]], int]:
     """Scale a rational matrix to integers: (rows, s) with rows = s*m and
-    s the lcm of every entry's denominator."""
-    scale = lcm(*(x.denominator for x in m.entries))
-    rows = [[x.numerator * (scale // x.denominator) for x in m.row(i)]
-            for i in range(m.rows)]
-    return rows, scale
+    s the lcm of every entry's denominator.  The rows are fresh lists."""
+    c = m.cols
+    return [list(m.nums[i * c : (i + 1) * c]) for i in range(m.rows)], m.den
 
 
 def _fraction_free_rref(a: list[list[int]]) -> tuple[list[int], int]:
@@ -175,7 +235,7 @@ def inverse(a: RatMatrix) -> RatMatrix:
     m, scale = integer_scaled(a)
     # a = m/scale, so a^-1 = scale * m^-1 = scale * R/D
     r, d = integer_inverse(m)
-    return RatMatrix(a.rows, a.cols, [Fraction(scale * x, d) for y in r for x in y])
+    return RatMatrix.from_integers(a.rows, a.cols, [scale * x for y in r for x in y], d)
 
 
 def is_psd(m: RatMatrix) -> bool:

@@ -109,22 +109,22 @@ class LineSet:
 
     def sign_matrix(self) -> SignMatrix:
         """Sign pattern of the off-diagonal entries (gram = I + alpha*S)."""
+        g = self.gram
+        a = g.numerator_of(self.angle)
         rows = []
         for i in range(self.n):
             row = []
-            for j in range(self.n):
+            for j, x in enumerate(g.nums[i * self.n : (i + 1) * self.n]):
                 if i == j:
                     row.append(0)
+                elif x == a:
+                    row.append(1)
+                elif a is not None and x == -a:
+                    row.append(-1)
                 else:
-                    x = self.gram[i, j]
-                    if x == self.angle:
-                        row.append(1)
-                    elif x == -self.angle:
-                        row.append(-1)
-                    else:
-                        raise ValueError(
-                            f"entry ({i},{j}) = {x} is not +-{self.angle}"
-                        )
+                    raise ValueError(
+                        f"entry ({i},{j}) = {g[i, j]} is not +-{self.angle}"
+                    )
             rows.append(tuple(row))
         return SignMatrix(self.n, tuple(rows))
 
@@ -142,11 +142,10 @@ class LineSet:
 
 def _sign_gram(s: SignMatrix, angle: Fraction) -> RatMatrix:
     """The Gram matrix I + angle*S."""
-    ents = []
-    for i in range(s.n):
-        for j in range(s.n):
-            ents.append(Fraction(1) if i == j else angle * s.signs[i][j])
-    return RatMatrix(s.n, s.n, ents)
+    a, b = angle.numerator, angle.denominator
+    nums = [b if i == j else a * x for i, row in enumerate(s.signs)
+            for j, x in enumerate(row)]
+    return RatMatrix.from_integers(s.n, s.n, nums, b)
 
 
 def from_sign_matrix(s: SignMatrix, angle: Fraction) -> LineSet:
@@ -190,11 +189,12 @@ def validate(ls: LineSet) -> ValidationReport:
     """Check every defining invariant; failures are reported, not raised."""
     checks = []
     g = ls.gram
+    n, nums = ls.n, g.nums
 
     sym_ok, sym_detail = True, ""
-    for i in range(ls.n):
-        for j in range(i + 1, ls.n):
-            if g[i, j] != g[j, i]:
+    for i in range(n):
+        for j in range(i + 1, n):
+            if nums[i * n + j] != nums[j * n + i]:
                 sym_ok, sym_detail = False, f"first asymmetry at ({i},{j})"
                 break
         if not sym_ok:
@@ -202,16 +202,18 @@ def validate(ls: LineSet) -> ValidationReport:
     checks.append(CheckResult("symmetric", sym_ok, sym_detail))
 
     diag_ok, diag_detail = True, ""
-    for i in range(ls.n):
-        if g[i, i] != 1:
+    for i in range(n):
+        if nums[i * n + i] != g.den:
             diag_ok, diag_detail = False, f"diagonal ({i},{i}) = {g[i, i]}"
             break
     checks.append(CheckResult("unit_diagonal", diag_ok, diag_detail))
 
+    a = g.numerator_of(ls.angle)
     off_ok, off_detail = True, ""
-    for i in range(ls.n):
-        for j in range(i + 1, ls.n):
-            if g[i, j] != ls.angle and g[i, j] != -ls.angle:
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = nums[i * n + j]
+            if a is None or (x != a and x != -a):
                 off_ok = False
                 off_detail = f"entry ({i},{j}) = {g[i, j]}, expected +-{ls.angle}"
                 break

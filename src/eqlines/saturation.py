@@ -180,6 +180,8 @@ def line_pattern_indices(ls: LineSet, basis: Sequence[int]) -> dict[int, int]:
     normalized to first sign +1."""
     alpha = ls.angle
     d = len(basis)
+    n, nums = ls.n, ls.gram.nums
+    a = ls.gram.numerator_of(alpha)
     out: dict[int, int] = {}
     basis_set = set(basis)
     for j in range(ls.n):
@@ -187,14 +189,15 @@ def line_pattern_indices(ls: LineSet, basis: Sequence[int]) -> dict[int, int]:
             continue
         signs = []
         for k in basis:
-            x = ls.gram[j, k]
-            if x == alpha:
+            x = nums[j * n + k]
+            if x == a:
                 signs.append(1)
-            elif x == -alpha:
+            elif a is not None and x == -a:
                 signs.append(-1)
             else:
                 raise HypothesisViolated(
-                    f"line {j} meets basis line {k} at {x}, not +-{alpha}"
+                    f"line {j} meets basis line {k} at {ls.gram[j, k]}, "
+                    f"not +-{alpha}"
                 )
         if signs[0] == -1:
             signs = [-s for s in signs]

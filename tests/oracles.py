@@ -1,6 +1,8 @@
 """Reference implementations the tests compare the library against.
 
-They are deliberately plain: the exact fraction-free determinant, the
+They are deliberately plain: the `Fraction`-tuple matrix that integer
+numerators over one denominator replaced in `RatMatrix`, the exact
+fraction-free determinant and a PSD test by principal minors, the
 `Fraction` Gauss-Jordan solver, inverse, kernel and candidate system
 that the one fraction-free routine of `linalg` replaced, dense rational
 products, the vectorized block scan over sign patterns that the
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +36,86 @@ from eqlines._intops import (
 from eqlines.errors import SingularMatrix
 from eqlines.linalg import RatMatrix
 from eqlines.spansearch import MASK64, MIX1, MIX2, SplitMix64
+
+
+class FractionRatMatrix:
+    """Immutable dense matrix of rationals, stored row-major: the
+    library's `RatMatrix` as a tuple of `Fraction` entries, before it
+    kept integer numerators over one denominator.  Verbatim apart from
+    the names `FractionRatMatrix` and `fraction_integer_scaled`."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: Iterable[Fraction]):
+        entries = tuple(Fraction(x) for x in entries)
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RatMatrix is immutable")
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "FractionRatMatrix":
+        nr = len(rows)
+        nc = len(rows[0]) if nr else 0
+        flat = []
+        for row in rows:
+            if len(row) != nc:
+                raise ValueError("ragged rows")
+            flat.extend(Fraction(x) for x in row)
+        return cls(nr, nc, flat)
+
+    @classmethod
+    def identity(cls, n: int) -> "FractionRatMatrix":
+        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+
+    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+        i, j = key
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(key)
+        return self.entries[i * self.cols + j]
+
+    def row(self, i: int) -> tuple[Fraction, ...]:
+        return self.entries[i * self.cols : (i + 1) * self.cols]
+
+    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "FractionRatMatrix":
+        ents = [self[i, j] for i in row_idx for j in col_idx]
+        return FractionRatMatrix(len(row_idx), len(col_idx), ents)
+
+    def is_symmetric(self) -> bool:
+        if self.rows != self.cols:
+            return False
+        return all(
+            self[i, j] == self[j, i]
+            for i in range(self.rows)
+            for j in range(i + 1, self.cols)
+        )
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, FractionRatMatrix)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.entries == other.entries
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self) -> str:
+        return f"FractionRatMatrix({self.rows}x{self.cols})"
+
+
+def fraction_integer_scaled(m: FractionRatMatrix) -> tuple[list[list[int]], int]:
+    """Scale a rational matrix to integers: (rows, s) with rows = s*m and
+    s the lcm of every entry's denominator."""
+    scale = lcm(*(x.denominator for x in m.entries))
+    rows = [[x.numerator * (scale // x.denominator) for x in m.row(i)]
+            for i in range(m.rows)]
+    return rows, scale
 
 
 def transpose(m: RatMatrix) -> RatMatrix:
@@ -90,6 +172,16 @@ def det(m: RatMatrix) -> Fraction:
             arow[c] = 0
         prev = pivot
     return Fraction(sign * a[n - 1][n - 1]) / scale
+
+
+def psd_by_minors(m) -> bool:
+    """Exact PSD test of a symmetric matrix: every principal minor is
+    nonnegative (exponential in the size; for small matrices only)."""
+    return all(
+        det(m.submatrix(s, s)) >= 0
+        for k in range(1, m.rows + 1)
+        for s in itertools.combinations(range(m.rows), k)
+    )
 
 
 def _gauss_jordan(aug: list[list[Fraction]], n: int) -> None:

@@ -53,10 +53,13 @@ from eqlines.spansearch import (
     span_closure,
 )
 from oracles import (
+    FractionRatMatrix,
     _det_mod_many,
+    fraction_integer_scaled,
     fraction_inverse,
     fraction_kernel,
     fraction_scaled_candidate_matrix,
+    psd_by_minors,
     solve,
 )
 
@@ -413,10 +416,11 @@ def test_criterion_9d_psd_vs_eigenvalue_oracle():
     assert checked >= 30
 
 
-def _random_rational_matrix(rng: SplitMix64) -> RatMatrix:
+def _random_rational_entries(rng: SplitMix64) -> tuple[int, int, list[Fraction]]:
     """Seeded rows x cols rational matrix (0..6 each, so 0x0 and empty
-    shapes occur) of rank at most k: a product of random rational factors
-    with an inner dimension k, sometimes with a row or column zeroed."""
+    shapes occur) of rank at most k, as (rows, cols, row-major entries):
+    a product of random rational factors with an inner dimension k,
+    sometimes with a row or column zeroed."""
     rows, cols = rng.below(7), rng.below(7)
     if rng.below(2):
         cols = rows  # square: inverse is compared too
@@ -433,7 +437,11 @@ def _random_rational_matrix(rng: SplitMix64) -> RatMatrix:
         zero = rng.below(cols)
         for row in m:
             row[zero] = F(0)
-    return RatMatrix(rows, cols, [x for row in m for x in row])
+    return rows, cols, [x for row in m for x in row]
+
+
+def _random_rational_matrix(rng: SplitMix64) -> RatMatrix:
+    return RatMatrix(*_random_rational_entries(rng))
 
 
 def test_criterion_9e_fraction_free_vs_fraction_oracle():
@@ -482,6 +490,85 @@ def test_criterion_9e_fraction_free_vs_fraction_oracle():
         basis = select_basis(ls, basis)
         want = fraction_scaled_candidate_matrix(ls.gram, basis, ls.angle)
         assert _intops.scaled_candidate_matrix(ls.gram, basis, ls.angle) == want
+
+
+def _symmetric_variants(n: int, ents: list[Fraction]) -> list[list[Fraction]]:
+    """M + M^T (often indefinite) and M^T M (PSD) of a square M."""
+    m = [ents[i * n:(i + 1) * n] for i in range(n)]
+    return [
+        [m[i][j] + m[j][i] for i in range(n) for j in range(n)],
+        [sum((m[k][i] * m[k][j] for k in range(n)), F(0))
+         for i in range(n) for j in range(n)],
+    ]
+
+
+def test_criterion_9g_numerators_vs_fraction_matrix_oracle():
+    """`RatMatrix` (integer numerators over one least denominator) equals
+    the Fraction-tuple oracle `FractionRatMatrix` on 300 seeded random
+    rational matrices (0x0, 1x1, non-square, mixed denominators, rank
+    deficient) and their symmetric variants, built from `Fraction`s,
+    from rows and by `from_integers` over a non-least denominator:
+    entries, rows, [i, j], submatrices, ==/hash across the routes,
+    `integer_scaled`, rank, is_psd, inverse and kernel."""
+    rng = SplitMix64(9007)
+    seen = dict.fromkeys(["0x0", "1x1", "non_square", "mixed", "psd",
+                          "not_psd", "singular", "inverted"], 0)
+    for trial in range(300):
+        rows, cols, ents = _random_rational_entries(rng)
+        if trial < 10:
+            rows = cols = trial % 2  # 0x0 and 1x1 for sure
+            ents = [F(rng.below(13) - 6, 1 + rng.below(5))] * rows
+        cases = [(rows, cols, ents)]
+        if rows == cols:
+            cases += [(rows, rows, e) for e in _symmetric_variants(rows, ents)]
+        for r, c, e in cases:
+            old = FractionRatMatrix(r, c, e)
+            new = RatMatrix(r, c, e)
+            least = math.lcm(*(x.denominator for x in e))
+            den = (1 + rng.below(5)) * least * (1 - 2 * rng.below(2))
+            routes = [RatMatrix.from_integers(r, c, [int(x * den) for x in e], den)]
+            if r or not c:
+                routes.append(RatMatrix.from_rows([e[i * c:(i + 1) * c]
+                                                   for i in range(r)]))
+            for other in routes:
+                assert other == new and hash(other) == hash(new)
+            assert new.den == least
+            assert new.entries == old.entries
+            assert all(type(x) is Fraction for x in new.entries)
+            for i in range(r):
+                assert new.row(i) == old.row(i)
+                for j in range(c):
+                    assert new[i, j] == old[i, j]
+            if r and c:
+                ri = [rng.below(r) for _ in range(rng.below(r + 2))]
+                ci = [rng.below(c) for _ in range(rng.below(c + 2))]
+                assert new.submatrix(ri, ci).entries == old.submatrix(ri, ci).entries
+                assert new.submatrix(ri, ci) == RatMatrix(
+                    len(ri), len(ci), old.submatrix(ri, ci).entries)
+            assert linalg.integer_scaled(new) == fraction_integer_scaled(old)
+            want_kernel = fraction_kernel(old)
+            assert linalg.kernel(new) == want_kernel
+            assert linalg.rank(new) == c - len(want_kernel)
+            assert new.is_symmetric() == old.is_symmetric()
+            if old.is_symmetric():
+                psd = psd_by_minors(old)
+                assert linalg.is_psd(new) == psd
+                seen["psd" if psd else "not_psd"] += 1
+            if r == c:
+                try:
+                    inv = fraction_inverse(old)
+                except SingularMatrix:
+                    seen["singular"] += 1
+                    with pytest.raises(SingularMatrix):
+                        linalg.inverse(new)
+                else:
+                    seen["inverted"] += 1
+                    assert linalg.inverse(new).entries == inv.entries
+            seen["0x0"] += r == c == 0
+            seen["1x1"] += r == c == 1
+            seen["non_square"] += r != c
+            seen["mixed"] += len({x.denominator for x in e} - {1}) >= 2
+    assert min(seen.values()) >= 20, seen
 
 
 def _dependent_group(rng: SplitMix64, d: int, nullity: int, ambient: int,

@@ -2,10 +2,16 @@
 
 import argparse
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eqlines
 from eqlines import lineset
 from eqlines.cli import WORK_CEILING_CAP_BITS, _ceiling, main
 from eqlines.graph6 import encode_graph6
@@ -122,6 +128,20 @@ class TestConstruct:
         assert main(["construct", "taylor90", "--json"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    # sha256 of the files written before the Gram matrix moved from
+    # Fraction entries to integer numerators
+    PINNED = {
+        "tremain14": "6c2cbf024446571f2214bf2212bd43babe1966189dc81dd1df7d5b69e391b107",
+        "taylor90": "6b10f31075c2ebbebc1e3ccd173f07a39995f10f50d6190686df47173f7d1048",
+        "asche72": "8a7f32ba79517c4bb1914a6933a1b56b7253225a87b77c33de7507b5d78ce7c7",
+    }
+
+    @pytest.mark.parametrize("target", sorted(PINNED))
+    def test_output_file_bytes_pinned(self, tmp_path, capsys, target):
+        path = tmp_path / f"{target}.json"
+        assert main(["construct", target, "-o", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED[target]
 
 
 class TestFromGraph6:
@@ -451,3 +471,50 @@ class TestParser:
     def test_bad_ceiling_power(self, text):
         with pytest.raises(argparse.ArgumentTypeError):
             _ceiling(text)
+
+
+IMPORT_BUDGET_SCRIPT = """
+import contextlib, io, json, sys
+from eqlines.cli import main
+
+tremain, asche = sys.argv[1:]
+report = {"codes": {}, "numpy": {}}
+for argv in (["construct", "tremain14", "-o", tremain],
+             ["construct", "asche72", "-o", asche], ["validate", asche],
+             ["info", "20"], ["bound", "18", "1/5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        report["codes"][" ".join(argv[:2])] = main(argv)
+    report["numpy"][" ".join(argv[:2])] = "numpy" in sys.modules
+
+import eqlines
+report["unresolved"] = [n for n in eqlines.__all__ if not hasattr(eqlines, n)]
+for argv in (["saturate", tremain, "--json"],
+             ["search", asche, "--rank", "18", "--runs", "3", "--seed", "0",
+              "--json"]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        report["codes"][argv[0]] = main(argv)
+    report[argv[0]] = json.loads(out.getvalue())
+print(json.dumps(report))
+"""
+
+
+def test_import_budget(tmp_path):
+    """construct, validate, info and bound never import numpy, every
+    name in eqlines.__all__ resolves, and saturate and search still run
+    once the lazily imported modules load (in a fresh interpreter)."""
+    src = str(Path(eqlines.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_BUDGET_SCRIPT,
+         str(tmp_path / "tremain.json"), str(tmp_path / "asche.json")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert not any(report["numpy"].values()), report["numpy"]
+    assert report["unresolved"] == []
+    assert set(report["codes"].values()) == {0}, report["codes"]
+    assert report["saturate"]["saturated"] is True
+    assert report["search"]["runs"] == 3

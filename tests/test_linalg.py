@@ -1,8 +1,10 @@
 """Exact linear algebra: ranks, determinants, inverses, PSD, kernels."""
 
+import re
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from eqlines import linalg
@@ -76,6 +78,34 @@ class TestRatMatrix:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             RatMatrix.from_rows([[1, 2], [3]])
+
+    @pytest.mark.parametrize("bad", [0.1, 2.0, "1/3", "2", True, False, None])
+    def test_only_fractions_and_integers_accepted(self, bad):
+        # a float would be stored as its binary value, a string parsed
+        # and a bool read as 0/1: each is refused, naming the entry
+        with pytest.raises(ValueError, match=r"entry 2 .*" + re.escape(repr(bad))):
+            RatMatrix(2, 2, [1, F(1, 2), bad, 0])
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            RatMatrix.from_rows([[bad]])
+
+    def test_numpy_integers_accepted(self):
+        m = RatMatrix.from_rows([[np.int64(3), np.int32(-2)], [np.uint8(7), 1]])
+        assert m == RatMatrix.from_rows([[3, -2], [7, 1]])
+        assert type(m[1, 0]) is Fraction and type(m.nums[2]) is int
+
+    def test_canonical_form(self):
+        m = RatMatrix.from_rows([[F(1, 2), F(-1, 3)], [0, 2]])
+        assert (m.nums, m.den) == ((3, -2, 0, 12), 6)
+        same = RatMatrix.from_integers(2, 2, [-9, 6, 0, -36], -18)
+        assert (same.nums, same.den) == (m.nums, m.den)
+        assert same == m and hash(same) == hash(m)
+        assert m.entries == (F(1, 2), F(-1, 3), F(0), F(2))
+        assert m.submatrix([0], [1]).den == 3
+        assert m.submatrix([1], [0, 1]) == RatMatrix.from_integers(1, 2, [0, 2], 1)
+        with pytest.raises(ValueError):
+            RatMatrix.from_integers(1, 1, [1], 0)
+        with pytest.raises(ValueError):
+            RatMatrix.from_integers(1, 2, [1], 1)
 
 
 class TestRank:

@@ -78,10 +78,14 @@ class TestLineSet:
             LineSet.from_gram(g, angle)
 
     def test_sign_matrix_rejects_foreign_entries(self):
-        g = RatMatrix.from_rows([[1, F(1, 3)], [F(1, 3), 1]])
-        ls = LineSet.from_gram(g, F(1, 5))
-        with pytest.raises(ValueError):
-            ls.sign_matrix()
+        # 1/3 is no multiple of 1/5 over the Gram's denominator 3; 1/10
+        # is, but not +-1/5
+        for x in (F(1, 3), F(1, 10), F(-1, 10)):
+            g = RatMatrix.from_rows([[1, F(1, 5), x], [F(1, 5), 1, x], [x, x, 1]])
+            ls = LineSet.from_gram(g, F(1, 5))
+            with pytest.raises(ValueError) as err:
+                ls.sign_matrix()
+            assert str(err.value) == f"entry (0,2) = {x} is not +-1/5"
 
 
 class TestValidate:
@@ -102,7 +106,8 @@ class TestValidate:
         report = validate(ls)
         assert not report.passed
         assert any(
-            c.name == "unit_diagonal" and not c.passed for c in report.checks
+            c.name == "unit_diagonal" and c.detail == "diagonal (0,0) = 2"
+            for c in report.checks
         )
 
     def test_detects_asymmetry(self):
@@ -110,15 +115,16 @@ class TestValidate:
         report = validate(LineSet(2, HALF, g, 2))
         failed = {c.name for c in report.checks if not c.passed}
         assert "symmetric" in failed
+        assert report.checks[0].detail == "first asymmetry at (0,1)"
         assert "positive_semidefinite" in failed  # skipped counts as failed
 
     def test_detects_wrong_angle(self):
-        g = RatMatrix.from_rows([[1, F(1, 3)], [F(1, 3), 1]])
-        report = validate(LineSet(2, HALF, g, 2))
-        assert any(
-            c.name == "off_diagonal_pm_alpha" and not c.passed
-            for c in report.checks
-        )
+        for x in (F(1, 3), F(1, 4), F(-1, 6)):
+            g = RatMatrix.from_rows([[1, HALF, HALF], [HALF, 1, x], [HALF, x, 1]])
+            report = validate(LineSet(3, HALF, g, 3))
+            assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
+                ("off_diagonal_pm_alpha", f"entry (1,2) = {x}, expected +-1/2")
+            ]
 
     def test_detects_not_psd(self):
         third = F(2, 3)

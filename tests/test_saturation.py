@@ -153,6 +153,16 @@ class TestEnumerateHexagon:
         assert mapping == {2: 1}
         assert cands[0].pattern_index == 1
 
+    def test_line_off_angle_to_basis_rejected(self):
+        # 1/3 has no numerator over the denominator 6 that is +-1/2's;
+        # 1/6 has one, but not +-3
+        for x in (F(1, 3), F(-1, 6)):
+            g = RatMatrix.from_rows([[1, HALF, x], [HALF, 1, HALF], [x, HALF, 1]])
+            ls = LineSet(3, HALF, g, 3)
+            with pytest.raises(HypothesisViolated) as err:
+                line_pattern_indices(ls, [0, 1])
+            assert str(err.value) == f"line 2 meets basis line 0 at {x}, not +-1/2"
+
     def test_report_saturated(self):
         report = check_saturated(hexagon())
         assert isinstance(report, SaturationReport)
