@@ -10,6 +10,9 @@
 #       elimination oracle and the exact rank
 #   9g  RatMatrix (numerators over one denominator) vs the
 #       Fraction-tuple matrix oracle
+#   9h  stacked modular span tier vs the exact tier and the per-draw
+#       span oracle (shipped sets, wide entries, a det divisible by a
+#       pool prime, draws just over the float tier's 2^53 budget)
 set -euo pipefail
 here="$(cd "$(dirname "$0")" && pwd)"
 cd "$here/../.."

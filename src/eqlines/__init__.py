@@ -14,6 +14,7 @@ from .errors import (
     EmptyResult,
     EqlinesError,
     HypothesisViolated,
+    InvalidLineSet,
     MalformedGraph6,
     NotABasis,
     NotPSD,
@@ -91,6 +92,7 @@ __all__ = [
     "EmptyResult",
     "EqlinesError",
     "HypothesisViolated",
+    "InvalidLineSet",
     "LineSet",
     "MalformedGraph6",
     "NotABasis",

@@ -1,12 +1,14 @@
 """Exact integer computation engines.
 
 Everything here produces exact results; the fast paths use numpy int64
-with explicit overflow budgets, and every shortcut is either certified
-by an exact integer identity before use or replaced by a slower exact
-fallback.  Floating point either *proposes* an integer adjugate that
-is then verified exactly (a failed verification falls through), or
-carries integers below 2^52, where float64 arithmetic is exact (the
-residues of `_det_zero_mod`); no tolerance ever decides an answer.
+or float64 with explicit overflow budgets, and every shortcut is either
+certified by an exact integer identity before use or replaced by a
+slower exact fallback.  Floating point either *proposes* an integer
+adjugate that is then verified exactly (a failed verification falls
+through), or carries integers of at most 2^53, where float64 arithmetic
+is exact in any summation order (the verification itself, and the
+centred residues of `_det_zero_mod` and `_inverse_mod`); no tolerance
+ever decides an answer.
 
 Sign-pattern conventions (shared with the saturation module): pattern
 index m in [0, 2^(d-1)) maps to epsilon with eps[0] = +1 and, for
@@ -21,9 +23,9 @@ equal a target, for the pattern scan and for `pairwise_hits` (the
 compatibility graph) alike.
 
 Every exact solve here (the candidate system of `scaled_candidate_matrix`
-and the last span tier) goes through the fraction-free integer
-elimination of `linalg.integer_inverse`; no `Fraction` is built per
-matrix entry.
+and the last span tier, `_members_exact`) goes through the fraction-free
+integer elimination of `linalg.integer_inverse`; no `Fraction` is built
+per matrix entry.
 """
 
 from __future__ import annotations
@@ -47,19 +49,27 @@ _LIMB_HALF = _LIMB_BASE >> 1
 _SCAN_BLOCK = 1 << 14
 _PROGRESS_STEP = 1 << 16
 
-# int64 entries of the (draws, n, d) row gather that decides one stacked
-# block of span-membership draws; this sizes the block
-_DRAW_GATHER = 1 << 16
+# float64 entries of the (draws, d, n) column gather that decides one
+# stacked block of span-membership draws; this sizes the block (101
+# draws at n = 72, d = 18)
+_DRAW_GATHER = 1 << 17
 
-# 26-bit primes: residues stay below 2^26, so int64 dot products of
-# length up to ~2^11 of 29-bit products cannot overflow
+# every integer of magnitude at most 2^53 is exact in float64
+_FLOAT_EXACT = 1 << 53
+# digit base of the residues split by `SpanEngine._forms_mod`
+_DIGIT = 1 << 13
+
+# 26-bit primes: a centred residue is below 2^25, so the product of two
+# is below 2^50, exact in float64
 _PRIMES26 = (
     67108859, 67108837, 67108819, 67108777, 67108763, 67108757,
     67108753, 67108747, 67108739, 67108729, 67108721, 67108709,
     67108693, 67108669, 67108667, 67108661, 67108649, 67108633,
     67108597, 67108579, 67108529, 67108511, 67108507, 67108493,
 )
-_PRIME_BITS = sum(p.bit_length() - 1 for p in _PRIMES26)
+# each prime exceeds 2^_PRIME_LOG2, so t of them cover t * _PRIME_LOG2 bits
+_PRIME_LOG2 = 25
+_PRIME_BITS = _PRIME_LOG2 * len(_PRIMES26)
 # _PRIME_SQ[t] = (p_1 * ... * p_t)^2, the square of the first t primes' product
 _PRIME_SQ = [prod(_PRIMES26[:t]) ** 2 for t in range(len(_PRIMES26) + 1)]
 
@@ -212,29 +222,26 @@ def pairwise_hits(
 
 
 # --------------------------------------------------------------------------
-# span membership (exact, three tiers)
+# span membership (exact, four tiers)
 
 
-def _det_inverse_mod(a: np.ndarray, p: int) -> tuple[int, Optional[np.ndarray]]:
-    """(det mod p, inverse mod p or None if singular mod p)."""
-    d = len(a)
-    aug = np.concatenate([a % p, np.eye(d, dtype=np.int64)], axis=1)
-    det = 1
-    for c in range(d):
-        piv = c + int(np.argmax(aug[c:, c] != 0))
-        if aug[piv, c] == 0:
-            return 0, None
-        if piv != c:
-            aug[[c, piv]] = aug[[piv, c]]
-            det = -det % p
-        det = det * int(aug[c, c]) % p
-        inv = pow(int(aug[c, c]), -1, p)
-        aug[c] = aug[c] * inv % p
-        fac = aug[:, c].copy()
-        fac[c] = 0
-        aug -= fac[:, None] * aug[c][None, :]
-        aug %= p
-    return det, aug[:, d:]
+def _centre(t: np.ndarray, p, p_inv) -> np.ndarray:
+    """t - p*rint(t/p) for float64 integers |t| <= 2^52 and 26-bit primes
+    p: the residue of t mod p, within p/2 + 2 of zero.  The quotient is
+    estimated through 1/p, off by far less than 1/2 at this size, and
+    every product and difference is an integer below 2^53, exact."""
+    q = t * p_inv
+    np.rint(q, out=q)
+    q *= p
+    return np.subtract(t, q, out=q)
+
+
+def _nonzero_rows(hits: np.ndarray) -> list[list[int]]:
+    """The column indices of the True entries of each row of a 2-D mask,
+    from one `np.nonzero`."""
+    cols = np.nonzero(hits)[1].tolist()
+    ends = np.cumsum(hits.sum(axis=1)).tolist()
+    return [cols[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def _det_zero_mod(a: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -246,14 +253,13 @@ def _det_zero_mod(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     a column is its first nonzero entry, swapped to the top, and each
     lower row r becomes pivot*row_r - a_r0*row_0, which scales the
     determinant by a power of the pivot, a unit mod p.  So det == 0 mod p
-    iff some column has no nonzero pivot.  Every entry is kept centred,
-    r = t - p*rint(t/p) with the quotient estimated through 1/p, so that
-    |r| <= p/2 + 2: every product and difference is then an integer below
-    2^52, exact in float64, and an entry is zero iff it is 0 mod p.
+    iff some column has no nonzero pivot.  Every entry is kept centred
+    (`_centre`), so that every product and difference is an integer
+    below 2^52, exact in float64, and an entry is zero iff it is 0 mod p.
     """
     p = p.astype(np.float64)[:, None, None]
     p_inv = 1.0 / p
-    a = a - p * np.rint(a * p_inv)
+    a = _centre(a, p, p_inv)
     zero = np.zeros(len(a), dtype=bool)
     for _ in range(a.shape[1]):
         piv = np.argmax(a[:, :, 0] != 0, axis=1)
@@ -263,8 +269,54 @@ def _det_zero_mod(a: np.ndarray, p: np.ndarray) -> np.ndarray:
         zero |= a[:, 0, 0] == 0
         t = a[:, :1, :1] * a[:, 1:, 1:]
         t -= a[:, 1:, :1] * a[:, :1, 1:]
-        a = t - p * np.rint(t * p_inv)
+        a = _centre(t, p, p_inv)
     return zero
+
+
+def _inverse_mod(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, t) for a (k, d, d) float64 stack of integers (|entry| < 2^52)
+    and one 26-bit prime p[k] per matrix: t == 0 when A is singular mod
+    p, and otherwise t is a unit and Y == t * A^-1 (mod p), both centred.
+
+    Fraction-free Gauss-Jordan over the whole stack at once, on the
+    compact form of [A | I]: the pivot of column c is the first row
+    pi(c) not yet a pivot row whose entry is nonzero, with value v, and
+    every other row r becomes v*row_r - a_rc*row_pi(c).  Column c is then
+    free and takes column pi(c) of the accumulated row operations L; the
+    columns of L not yet stored are s_c times identity columns, s_c the
+    product of the pivots before column c.  At the end L A holds t / s_c
+    at (pi(c), c) and zeros elsewhere in column c, t the product of all
+    pivots, so row c of t * A^-1 is s_c times row pi(c) of the stored L,
+    with its column j moved to column pi(j).
+    """
+    k, d = a.shape[:2]
+    p = p.astype(np.float64)
+    p_inv = 1.0 / p
+    p3, p3_inv = p[:, None, None], p_inv[:, None, None]
+    lanes = np.arange(k)
+    w = _centre(a, p3, p3_inv)
+    free = np.ones((k, d), dtype=bool)
+    piv = np.zeros((k, d), dtype=np.intp)
+    scale = np.ones((k, d + 1))  # scale[:, c] = s_c
+    for c in range(d):
+        col = w[:, :, c].copy()
+        cand = (col != 0) & free
+        r = np.argmax(cand, axis=1)
+        v = np.where(cand[lanes, r], col[lanes, r], 0.0)
+        free[lanes, r] = False
+        piv[:, c] = r
+        row = w[lanes, r]
+        w *= v[:, None, None]
+        w -= col[:, :, None] * row[:, None, :]
+        w[lanes, r] = row
+        w[:, :, c] = -col * scale[:, c, None]
+        w[lanes, r, c] = scale[:, c]
+        w = _centre(w, p3, p3_inv)
+        scale[:, c + 1] = _centre(scale[:, c] * v, p, p_inv)
+    rows = np.take_along_axis(w, piv[:, :, None], axis=1) * scale[:, :d, None]
+    y = np.empty_like(w)
+    np.put_along_axis(y, np.broadcast_to(piv[:, None, :], w.shape), rows, axis=2)
+    return _centre(y, p3, p3_inv), scale[:, d]
 
 
 class SpanEngine:
@@ -272,22 +324,28 @@ class SpanEngine:
 
     Row j belongs to span(subset) iff M_jS (M_SS)^-1 M_Sj == M_jj.
     `members_many` decides a list of subsets of one size in stacked
-    blocks of `block(d)` draws, sized so that the (draws, n, d) row
-    gather holds about _DRAW_GATHER int64 entries:
+    blocks of `block(d)` draws, sized so that the (draws, d, n) float64
+    gather of the columns M_:S holds about _DRAW_GATHER entries.  Each
+    draw is decided by exactly one of four tiers, counted in
+    `tier_counts`:
 
-    1. float proposal: batched det and inverse of the Gram blocks
-       propose the adjugate B = det * A^-1, accepted only when
-       A @ B == det * I holds exactly in int64 within per-draw overflow
-       budgets; the membership forms are then exact;
-    2. modular singularity: for the draws left open, one stacked
-       float64 elimination (`_det_zero_mod`) over every (draw, prime)
-       pair certifies a draw singular when det == 0 modulo each of the
-       fewest 26-bit primes whose squared product exceeds its exact
-       Hadamard product (2 primes for asche72 at rank 18);
-    3. any other draw goes on its own through residues modulo enough
-       primes to cover the value bounds (`_members_modular`), and from
-       there to exact fraction-free integer elimination
-       (`_members_exact`, through `linalg.integer_inverse`).
+    1. float: batched det and inverse of the float64 Gram blocks propose
+       the adjugate B = det * A^-1.  It is accepted only when
+       max|B| * (d * max_m)^2 <= 2^53 and max_m * |det| <= 2^53, so
+       that every partial sum of A @ B and of the membership forms
+       m_j^T B m_j is an integer of at most 2^53, exact in float64 in
+       whatever order BLAS sums, and then only when A @ B == det * I;
+    2. singular: for the draws left open, one stacked float64
+       elimination (`_det_zero_mod`) over every (draw, prime) pair
+       certifies a draw singular when det == 0 modulo each of the fewest
+       26-bit primes whose squared product exceeds its exact Hadamard
+       product (2 primes for asche72 at rank 18);
+    3. modular: the other draws go through one stacked modular
+       Gauss-Jordan (`_inverse_mod`) over every (draw, prime) pair, with
+       as many primes not dividing det as the value bounds ask for;
+    4. exact: a draw the prime pool cannot cover goes through
+       fraction-free integer elimination (`_members_exact`, through
+       `linalg.integer_inverse`).
 
     `members(subset)` is `members_many([subset])[0]`.
     """
@@ -299,21 +357,34 @@ class SpanEngine:
         self.max_m = max((abs(x) for row in m_rows for x in row), default=0)
         self.small = self.max_m < 2**31
         if self.small:
-            self.m_np = np.array(m_rows, dtype=np.int64)
-            self.diag_np = np.array(self.diag, dtype=np.int64)
+            # cols[j] is column j of M; every entry is exact in float64
+            m_f = np.array(m_rows, dtype=np.float64).reshape(self.n, self.n)
+            self.cols = m_f.T.copy()
         self._mod_cache: dict[int, np.ndarray] = {}
+        self._tiers = [0, 0, 0, 0]
+
+    @property
+    def tier_counts(self) -> dict[str, int]:
+        """Draws decided so far by each tier: float, singular, modular, exact."""
+        return dict(zip(("float", "singular", "modular", "exact"), self._tiers))
 
     def _mod(self, p: int) -> np.ndarray:
+        """The residues M mod p in [0, p), as float64."""
         got = self._mod_cache.get(p)
         if got is None:
             if self.small:
-                got = self.m_np % p
+                got = self.cols.T % p
             else:
                 got = np.array(
-                    [[x % p for x in row] for row in self.m_rows], dtype=np.int64
+                    [[x % p for x in row] for row in self.m_rows], dtype=np.float64
                 )
             self._mod_cache[p] = got
         return got
+
+    def _blocks(self, sub: np.ndarray) -> np.ndarray:
+        """The float64 Gram blocks A[k] = M[S_k, S_k] of a (draws, d)
+        index array (cols[b, a] = M[a, b])."""
+        return self.cols[sub[:, None, :], sub[:, :, None]]
 
     def block(self, d: int) -> int:
         """Draws of d lines that one stacked block decides."""
@@ -342,63 +413,60 @@ class SpanEngine:
     ) -> list[Optional[list[int]]]:
         sub = np.array(subs, dtype=np.intp).reshape(len(subs), d)
         got = self._members_float(sub) if self.small else [None] * len(subs)
-        open_ = [k for k, g in enumerate(got) if g is None]
-        if open_:
+        open_ = np.array([k for k, g in enumerate(got) if g is None], dtype=np.intp)
+        if len(open_):
             singular = self._singular_mod(sub[open_])
-            for k, certified in zip(open_, singular.tolist()):
-                if not certified:
-                    got[k] = self._members_modular(subs[k])
+            self._tiers[1] += int(singular.sum())
+            rest = open_[~singular]
+            if len(rest):
+                for k, members in zip(rest.tolist(), self._members_modular(sub[rest])):
+                    got[k] = members
         return got
 
-    # -- tier 1: float proposal, exact integer verification ---------------
+    # -- tier 1: float proposal, exact float64 verification ----------------
 
     def _members_float(self, sub: np.ndarray) -> list[Optional[list[int]]]:
         """Members of each draw whose float-proposed adjugate verifies
-        exactly; None for every other draw."""
+        exactly within the 2^53 budget; None for every other draw."""
         count, d = sub.shape
         got: list[Optional[list[int]]] = [None] * count
-        a = self.m_np[sub[:, :, None], sub[:, None, :]]
-        detf = np.linalg.det(a.astype(np.float64))
+        a = self._blocks(sub)
+        detf = np.linalg.det(a)
         size = np.abs(detf)
-        take = np.flatnonzero(np.isfinite(detf) & (size >= 0.5) & (size < 2.0**62))
+        cap_det = _FLOAT_EXACT // max(self.max_m, 1)
+        take = np.flatnonzero((size >= 0.5) & (size < cap_det + 1))
         try:
-            inv = np.linalg.inv(a[take].astype(np.float64))
+            inv = np.linalg.inv(a[take])
         except np.linalg.LinAlgError:
             return got
-        dr = np.round(detf[take])
-        bf = np.round(inv * dr[:, None, None])
-        bf[~np.isfinite(bf)] = 2.0**62
-        # budgets: entries of A@B and M_S@B are sums of d terms of
-        # max_m*max_b; the quadratic form adds another factor d*max_m;
-        # the comparison target is max_m*|det|
-        max_b = np.minimum(
-            np.abs(bf).max(axis=(1, 2), initial=1.0), 2.0**62
-        ).astype(np.int64)
-        dr = dr.astype(np.int64)
-        fits = (max_b <= (2**62 - 1) // max((d * self.max_m) ** 2, 1)) & (
-            np.abs(dr) <= (2**62 - 1) // max(self.max_m, 1)
+        dr = np.rint(detf[take])
+        b = np.rint(inv * dr[:, None, None])
+        # a NaN or infinite proposal fails the budget comparison
+        max_b = np.abs(b).max(axis=(1, 2), initial=0.0)
+        fits = (max_b <= _FLOAT_EXACT // max((d * self.max_m) ** 2, 1)) & (
+            np.abs(dr) <= cap_det
         )
-        b = bf[fits].astype(np.int64)
-        take, dr = take[fits], dr[fits]
-        exact = (a[take] @ b == dr[:, None, None] * np.eye(d, dtype=np.int64)).all(
-            axis=(1, 2)
-        )
+        b, take, dr = b[fits], take[fits], dr[fits]
+        exact = (a[take] @ b == dr[:, None, None] * np.eye(d)).all(axis=(1, 2))
         b, take, dr = b[exact], take[exact], dr[exact]
-        ms = np.moveaxis(self.m_np[:, sub[take]], 1, 0)
-        forms = ((ms @ b) * ms).sum(axis=2)
-        hits = forms == self.diag_np * dr[:, None]
-        for k, hit in zip(take.tolist(), hits):
-            got[k] = np.flatnonzero(hit).tolist()
+        xs = self.cols[sub[take]]  # xs[k, a, j] = M[j, S_a]
+        forms = b @ xs
+        forms *= xs
+        forms = forms.sum(axis=1)
+        hits = forms == dr[:, None] * np.diagonal(self.cols)
+        for k, members in zip(take.tolist(), _nonzero_rows(hits)):
+            got[k] = members
+        self._tiers[0] += len(take)
         return got
 
-    # -- tier 2: multi-modular residues ------------------------------------
+    # -- tiers 2 and 3: multi-modular residues -----------------------------
 
     def _hadamard(self, sub: np.ndarray) -> list[int]:
         """Hadamard's bound prod_i ||a_i||^2 >= det(A)^2 on the Gram block
         A of each draw, as an exact integer."""
-        if self.small and sub.shape[1] * self.max_m**2 < 2**63:
-            a = self.m_np[sub[:, :, None], sub[:, None, :]]
-            norm_sq = (a * a).sum(axis=2).tolist()
+        if self.small and sub.shape[1] * self.max_m**2 <= _FLOAT_EXACT:
+            a = self._blocks(sub)
+            norm_sq = (a * a).sum(axis=2).astype(np.int64).tolist()
         else:
             norm_sq = [
                 [sum(self.m_rows[i][j] ** 2 for j in s) for i in s]
@@ -433,46 +501,107 @@ class SpanEngine:
             self._mod(p)[sub[r, :, None], sub[r, None, :]]
             for p, r in zip(_PRIMES26, rows)
         ])
-        zero = _det_zero_mod(stack.astype(np.float64), primes)
+        zero = _det_zero_mod(stack, primes)
         return live & (np.bincount(pairs[zero], minlength=len(sub)) == need)
 
-    def _members_modular(self, subset: list[int]) -> Optional[list[int]]:
-        d = len(subset)
-        if d > 1024:
-            # int64 dot-product budget of the residue engine
-            return self._members_exact(subset)
-        det_bits = (self._hadamard(np.array([subset], dtype=np.intp))[0]
-                    .bit_length() + 1) // 2
-        value_bits = (
-            det_bits + 2 * max(self.max_m.bit_length(), 1)
-            + 2 * max(d, 1).bit_length() + 4
-        )
-        need_val = value_bits + 2
-        if need_val > _PRIME_BITS:
-            return self._members_exact(subset)
+    def _members_modular(self, sub: np.ndarray) -> list[Optional[list[int]]]:
+        """Members of each draw from residues modulo the 26-bit primes.
 
-        sub = np.array(subset, dtype=np.intp)
-        used_bits = 0
-        alive: Optional[np.ndarray] = None
-        for p in _PRIMES26:
-            mp = self._mod(p)
-            det_p, inv_p = _det_inverse_mod(mp[np.ix_(sub, sub)], p)
-            if inv_p is None:
-                continue  # p divides det
-            b_p = inv_p * det_p % p
-            msp = mp[:, sub]
-            forms = ((msp @ b_p % p) * msp).sum(axis=1) % p
-            target = mp[np.arange(self.n), np.arange(self.n)] * det_p % p
-            ok = forms == target
-            alive = ok if alive is None else (alive & ok)
-            used_bits += p.bit_length() - 1
-            if used_bits >= need_val:
-                return np.nonzero(alive)[0].tolist()
-        # prime pool exhausted: det is zero, or too few primes kept it
-        # nonzero to cover the value bounds
-        return self._members_exact(subset)
+        m_j^T adj(A) m_j - M_jj det(A) is an integer of at most value_bits
+        bits (from the Hadamard bound), so it is zero iff it vanishes
+        modulo primes whose product exceeds 2^(value_bits + 2); each pool
+        prime exceeds 2^25.  Round by round, every draw short of primes
+        takes its next untried ones, and one stacked `_inverse_mod` over
+        the round's (draw, prime) pairs gives Y = t A^-1 mod p.  A prime
+        that divides det (t == 0) is skipped.  Otherwise t / det is a
+        unit, and row j survives p iff m_j^T Y m_j == t M_jj (mod p).  A
+        draw the pool cannot cover, or with d > 1024, goes to
+        `_members_exact`.
+        """
+        count, d = sub.shape
+        short = np.zeros(count, dtype=np.intp)  # primes still needed
+        if d <= 1024:  # keeps every float64 form of `_forms_mod` in 2^52
+            for k, h in enumerate(self._hadamard(sub)):
+                value_bits = (
+                    (h.bit_length() + 1) // 2 + 2 * max(self.max_m.bit_length(), 1)
+                    + 2 * max(d, 1).bit_length() + 4
+                )
+                if value_bits + 2 <= _PRIME_BITS:
+                    short[k] = -(-(value_bits + 2) // _PRIME_LOG2)
+        modular = short > 0
+        tried = np.zeros(count, dtype=np.intp)
+        alive = np.ones((count, self.n), dtype=bool)
+        todo = np.flatnonzero(modular)
+        while True:
+            # a draw short of primes that the rest of the pool cannot
+            # cover is left to the exact tier
+            todo = todo[(short[todo] > 0)
+                        & (tried[todo] + short[todo] <= len(_PRIMES26))]
+            if not len(todo):
+                break
+            # rows: each prime with the draws that try it in this round
+            rows = [
+                (p, todo[(tried[todo] <= t) & (t < tried[todo] + short[todo])])
+                for t, p in enumerate(_PRIMES26)
+            ]
+            rows = [(p, r) for p, r in rows if len(r)]
+            tried[todo] += short[todo]
+            y, unit = _inverse_mod(
+                np.concatenate([
+                    self._mod(p)[sub[r, :, None], sub[r, None, :]] for p, r in rows
+                ]),
+                np.repeat([p for p, _ in rows], [len(r) for _, r in rows]),
+            )
+            lo = 0
+            for p, r in rows:
+                y_p, unit_p = y[lo:lo + len(r)], unit[lo:lo + len(r)]
+                good = unit_p != 0  # a prime dividing det is skipped
+                alive[r[good]] &= self._forms_mod(
+                    sub[r[good]], y_p[good], unit_p[good], p
+                )
+                short[r[good]] -= 1
+                lo += len(r)
+        done = np.flatnonzero(modular & (short == 0))
+        got: list[Optional[list[int]]] = [None] * count
+        for k, members in zip(done.tolist(), _nonzero_rows(alive[done])):
+            got[k] = members
+        for k in np.flatnonzero(~modular | (short > 0)).tolist():
+            got[k] = self._members_exact(sub[k].tolist())
+        self._tiers[2] += len(done)
+        self._tiers[3] += count - len(done)
+        return got
 
-    # -- tier 3: exact fraction-free elimination ---------------------------
+    def _forms_mod(
+        self, sub: np.ndarray, y: np.ndarray, unit: np.ndarray, p: int
+    ) -> np.ndarray:
+        """Mask of the rows j with m_j^T Y m_j == unit * M_jj (mod p), for
+        each draw of sub with its Y and unit from `_inverse_mod`.
+
+        |Y| < 2^25, so a product Y @ x, or a row sum of f * x with
+        |f| < 2^25, stays within 2^52 when d * max|x| <= 2^27.  The
+        columns M_:S are such an x when d * max_m <= 2^27; otherwise
+        their centred residues (below 2^25) go in as two 13-bit digits,
+        each such an x for d <= 1024.
+        """
+        p_inv = 1.0 / p
+        if self.small and sub.shape[1] * self.max_m <= 1 << 27:
+            src = self.cols
+            digits = [src[sub]]
+        else:
+            src = _centre(self._mod(p).T, p, p_inv)
+            xs = src[sub]
+            high = np.rint(xs / _DIGIT)
+            digits = [high, xs - _DIGIT * high]
+        f = 0.0
+        for x in digits:
+            f = _centre(f * _DIGIT + y @ x, p, p_inv)
+        forms = 0.0
+        for x in digits:
+            forms = _centre(forms * _DIGIT + (f * x).sum(axis=1), p, p_inv)
+        target = _centre(unit[:, None] * np.diagonal(src), p, p_inv)
+        return _centre(forms - target, p, p_inv) == 0
+
+    # -- tier 4: exact fraction-free elimination ---------------------------
 
     def _members_exact(self, subset: list[int]) -> Optional[list[int]]:
         try:

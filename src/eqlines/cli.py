@@ -26,6 +26,7 @@ from . import constructions, graph6, lineset
 from .errors import (
     EqlinesError,
     HypothesisViolated,
+    InvalidLineSet,
     MalformedGraph6,
     NotABasis,
     NotPSD,
@@ -424,7 +425,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NotABasis, OutOfRange, RankDeficient, HypothesisViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NotPSD as exc:
+    except (NotPSD, InvalidLineSet) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except EqlinesError as exc:

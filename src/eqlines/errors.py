@@ -37,6 +37,10 @@ class NotPSD(EqlinesError):
     """A Gram matrix that must be positive semidefinite is not."""
 
 
+class InvalidLineSet(EqlinesError):
+    """A line set fails a defining invariant that `validate` checks."""
+
+
 class NotABasis(EqlinesError):
     """A user-supplied index list does not form a basis."""
 

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg
-from .errors import HypothesisViolated, OutOfRange
+from .errors import HypothesisViolated, InvalidLineSet, OutOfRange
 from .linalg import RatMatrix, format_rational, parse_rational
 from ._tables import BOUNDS_TABLE
 
@@ -185,8 +185,10 @@ class ValidationReport:
         }
 
 
-def validate(ls: LineSet) -> ValidationReport:
-    """Check every defining invariant; failures are reported, not raised."""
+def _invariant_checks(ls: LineSet) -> list[CheckResult]:
+    """The checks of `validate` that take the cached rank on trust:
+    symmetric, unit_diagonal, off_diagonal_pm_alpha and
+    positive_semidefinite."""
     checks = []
     g = ls.gram
     n, nums = ls.n, g.nums
@@ -230,15 +232,29 @@ def validate(ls: LineSet) -> ValidationReport:
     else:
         checks.append(CheckResult("positive_semidefinite", False,
                                   "skipped: matrix not symmetric"))
+    return checks
 
-    rank_now = linalg.rank(g)
+
+def validate(ls: LineSet) -> ValidationReport:
+    """Check every defining invariant; failures are reported, not raised."""
+    checks = _invariant_checks(ls)
+    rank_now = linalg.rank(ls.gram)
     rank_ok = rank_now == ls.rank
     checks.append(
         CheckResult("rank", rank_ok,
                     "" if rank_ok else f"cached {ls.rank}, recomputed {rank_now}")
     )
-
     return ValidationReport(ls.n, ls.angle, ls.rank, tuple(checks))
+
+
+def require_valid(ls: LineSet) -> None:
+    """Raise InvalidLineSet naming every failed check of `validate`,
+    apart from its rank recompute (the rank was computed on load)."""
+    failed = [c for c in _invariant_checks(ls) if not c.passed]
+    if failed:
+        raise InvalidLineSet("line set fails " + "; ".join(
+            f"{c.name} ({c.detail})" for c in failed
+        ))
 
 
 def relative_bound(r: int, angle: Fraction) -> Fraction:

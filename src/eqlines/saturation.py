@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _intops, linalg
 from .errors import HypothesisViolated, NotABasis
-from .lineset import LineSet, relative_bound_floor
+from .lineset import LineSet, relative_bound_floor, require_valid
 from .maxclique import CliqueResult, SimpleGraph, max_clique
 
 ProgressSink = Callable[[int, int], None]
@@ -248,6 +248,11 @@ def check_saturated(
 ) -> SaturationReport:
     """Full pipeline; saturated iff len(basis) + omega equals ls.n.
 
+    A line set that fails a check of `validate` (symmetry, unit
+    diagonal, off-diagonal entries +-alpha, positive semidefiniteness)
+    is refused with InvalidLineSet before any work; the rank computed on
+    load is trusted.
+
     verify_cover re-checks that the input's own non-basis lines appear
     among the candidates and are pairwise compatible (hence the bound
     can never fall below ls.n); that clique is then the clique search's
@@ -262,6 +267,7 @@ def check_saturated(
     witness form an equiangular set of N lines at rank d.  Either
     failure raises HypothesisViolated.
     """
+    require_valid(ls)
     basis = select_basis(ls, basis_override)
     cands = enumerate_candidates(ls, basis, progress=progress)
     graph = build_compatibility_graph(cands, ls, basis)

@@ -12,9 +12,9 @@ own seed as mix64(master + i*GOLDEN), so runs are independent of
 execution order.
 
 The search runs in one process, a block of runs at a time;
-`SpanEngine.block` sizes the block so that its (draws, n, d) row gather
-holds about 2^16 int64 entries (50 draws at n = 72, d = 18).  The
-subsets of a block are drawn together, one numpy uint64 SplitMix64
+`SpanEngine.block` sizes the block so that its (draws, d, n) column
+gather holds about 2^17 float64 entries (101 draws at n = 72, d = 18).
+The subsets of a block are drawn together, one numpy uint64 SplitMix64
 lane per run (`_draw_block`), bit-identical to drawing each run on its
 own; `SplitMix64`, `mix64` and `run_seed` remain the definition of the
 stream.  `SpanEngine.members_many` then decides the block in stacked

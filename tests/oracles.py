@@ -7,7 +7,9 @@ fraction-free determinant and a PSD test by principal minors, the
 that the one fraction-free routine of `linalg` replaced, dense rational
 products, the vectorized block scan over sign patterns that the
 meet-in-the-middle engine replaced, the per-draw span membership that
-the stacked blocks of `SpanEngine.members_many` replaced, the
+the stacked blocks of `SpanEngine.members_many` replaced (with its
+per-matrix `_det_inverse_mod`, which the stacked `_inverse_mod`
+replaced), the
 one-prime-at-a-time stacked determinant and Hadamard bit count that
 `_det_zero_mod` and the exact Hadamard bound replaced, the scalar
 subset sampler that the vectorised draws of `random_search` replaced,
@@ -30,7 +32,6 @@ from eqlines._intops import (
     _PRIMES26,
     SpanEngine,
     _balanced_limbs,
-    _det_inverse_mod,
     _pattern_block,
 )
 from eqlines.errors import SingularMatrix
@@ -436,11 +437,55 @@ def mix64_inverse(z: int) -> int:
     return _unshift_xor(z, 30)
 
 
+def _det_inverse_mod(a: np.ndarray, p: int) -> tuple[int, Optional[np.ndarray]]:
+    """(det mod p, inverse mod p or None if singular mod p)."""
+    d = len(a)
+    aug = np.concatenate([a % p, np.eye(d, dtype=np.int64)], axis=1)
+    det = 1
+    for c in range(d):
+        piv = c + int(np.argmax(aug[c:, c] != 0))
+        if aug[piv, c] == 0:
+            return 0, None
+        if piv != c:
+            aug[[c, piv]] = aug[[piv, c]]
+            det = -det % p
+        det = det * int(aug[c, c]) % p
+        inv = pow(int(aug[c, c]), -1, p)
+        aug[c] = aug[c] * inv % p
+        fac = aug[:, c].copy()
+        fac[c] = 0
+        aug -= fac[:, None] * aug[c][None, :]
+        aug %= p
+    return det, aug[:, d:]
+
+
 class PerDrawSpanEngine(SpanEngine):
     """The per-draw span membership that `SpanEngine.members_many`
-    replaced, verbatim: a float-proposed, integer-verified adjugate for
-    one draw, then residues modulo the 26-bit primes, then exact rational
-    elimination.  `members_many` loops over the draws one at a time."""
+    replaced, verbatim: a float-proposed, int64-verified adjugate for
+    one draw, then residues modulo the 26-bit primes through the
+    per-matrix `_det_inverse_mod` (which the stacked `_inverse_mod`
+    replaced), then exact rational elimination.  `members_many` loops
+    over the draws one at a time.  It keeps its own int64 copies of the
+    Gram matrix and of its residues."""
+
+    def __init__(self, m_rows: list[list[int]]):
+        super().__init__(m_rows)
+        if self.small:
+            self.m_np = np.array(m_rows, dtype=np.int64)
+            self.diag_np = np.array(self.diag, dtype=np.int64)
+        self._int_mod_cache: dict[int, np.ndarray] = {}
+
+    def _mod(self, p: int) -> np.ndarray:
+        got = self._int_mod_cache.get(p)
+        if got is None:
+            if self.small:
+                got = self.m_np % p
+            else:
+                got = np.array(
+                    [[x % p for x in row] for row in self.m_rows], dtype=np.int64
+                )
+            self._int_mod_cache[p] = got
+        return got
 
     def members_many(self, subsets):
         return [self.members(s) for s in subsets]

@@ -54,12 +54,14 @@ from eqlines.spansearch import (
 )
 from oracles import (
     FractionRatMatrix,
+    PerDrawSpanEngine,
     _det_mod_many,
     fraction_integer_scaled,
     fraction_inverse,
     fraction_kernel,
     fraction_scaled_candidate_matrix,
     psd_by_minors,
+    sample_subset,
     solve,
 )
 
@@ -658,3 +660,88 @@ def test_criterion_9f_stacked_singular_vs_exact_rank():
     p0 = _intops._PRIMES26[0]
     boundary = _intops.SpanEngine([[1, 0], [0, p0]])
     assert boundary._singular_mod(np.array([[0, 1]])).tolist() == [False]
+
+
+def _assert_modular_tier_agrees(m_rows, subsets):
+    """The stacked modular tier, called directly on the draws, against
+    `_members_exact` and the per-draw oracle; returns its answers."""
+    engine = _intops.SpanEngine(m_rows)
+    got = engine._members_modular(np.array(subsets, dtype=np.intp))
+    assert got == [engine._members_exact(s) for s in subsets]
+    assert got == PerDrawSpanEngine(m_rows).members_many(subsets)
+    return got
+
+
+def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
+    tremain, taylor, asche, monkeypatch
+):
+    """The stacked modular tier `SpanEngine._members_modular`, called
+    directly, agrees with `_members_exact` and the per-draw
+    `PerDrawSpanEngine` oracle: on random subsets of the shipped sets,
+    singular and rank-deficient ones included; on Gram entries widened
+    by 2^22 (residue digits within the float tier's range), 2^29 and
+    2^31; on a draw whose determinant is a pool prime, which skips that
+    prime and takes the next; and on draws just over either 2^53 budget
+    of the float tier, which the engine sends to this tier."""
+    rng = SplitMix64(9008)
+    kinds = set()
+    for ls in (tremain, taylor, asche):
+        m_rows = linalg.integer_scaled(ls.gram)[0]
+        for d in (3, ls.rank - 1, ls.rank + 1):
+            subsets = [sample_subset(rng, ls.n, d) for _ in range(8)]
+            got = _assert_modular_tier_agrees(m_rows, subsets)
+            kinds |= {(d > ls.rank, g is None) for g in got}
+    # every oversized draw is rank-deficient; the others mix both kinds
+    assert kinds == {(False, False), (False, True), (True, True)}
+
+    base = linalg.integer_scaled(asche.gram)[0]
+    for shift, small in ((22, True), (29, False), (31, False)):
+        m_rows = [[x << shift for x in row] for row in base]
+        assert _intops.SpanEngine(m_rows).small == small
+        for d in (2, 6, 18, 20):
+            subsets = [sample_subset(rng, asche.n, d) for _ in range(3)]
+            _assert_modular_tier_agrees(m_rows, subsets)
+
+    # lines 0 and 1 have a Gram block of det P0; line 2 is their sum
+    p0_vector = (8191, 113, 60, 3)  # squared norm P0
+    vectors = [(1, 0, 0, 0, 0, 0), (0, *p0_vector, 0), (1, *p0_vector, 0),
+               (0, 0, 0, 0, 0, 1)]
+    m_rows = [[sum(a * b for a, b in zip(u, v)) for v in vectors] for u in vectors]
+    rounds = []
+    kernel = _intops._inverse_mod
+    monkeypatch.setattr(_intops, "_inverse_mod",
+                        lambda a, p: rounds.append(p.tolist()) or kernel(a, p))
+    assert _assert_modular_tier_agrees(m_rows, [[0, 1]]) == [[0, 1, 2]]
+    primes = _intops._PRIMES26
+    need = len(rounds[0])
+    assert rounds == [list(primes[:need]), [primes[need]]]
+    monkeypatch.undo()
+
+    # draw [0] of M = [[x, 0, x], [0, 1, 0], [x, 0, x]] has det x and
+    # adjugate [1], and max_m = x, so both float-tier budgets read
+    # x^2 <= 2^53
+    x = math.isqrt(2**53)
+    for top, tier in ((x, "float"), (x + 1, "modular")):
+        m_rows = [[top, 0, top], [0, 1, 0], [top, 0, top]]
+        engine = _intops.SpanEngine(m_rows)
+        assert engine.members([0]) == [0, 2]
+        assert engine.tier_counts[tier] == 1 and sum(engine.tier_counts.values()) == 1
+        assert _assert_modular_tier_agrees(m_rows, [[0], [1], [2]]) == [
+            [0, 2], [1], [0, 2]
+        ]
+        assert _assert_modular_tier_agrees(m_rows, [[0, 1], [0, 2]]) == [
+            [0, 1, 2], None
+        ]
+
+    # draw [0, 1] of the next M has det -1 and adjugate entries up to
+    # max_m = x, so its budget max|B| * (d * max_m)^2 = 4x^3 <= 2^53 holds
+    # up to x = 2^17 while max_m * |det| = x stays far inside; row 2 lies
+    # in the span, since (A^-1)_00 = 2 - x
+    for top, tier in ((2**17, "float"), (2**17 + 1, "modular")):
+        m_rows = [[top, top - 1, 1], [top - 1, top - 2, 0], [1, 0, 2 - top]]
+        engine = _intops.SpanEngine(m_rows)
+        assert engine.members([0, 1]) == [0, 1, 2]
+        assert engine.tier_counts[tier] == 1 and sum(engine.tier_counts.values()) == 1
+        assert _assert_modular_tier_agrees(m_rows, [[0, 1], [1, 2]]) == [
+            [0, 1, 2], [0, 1, 2]
+        ]

@@ -364,6 +364,36 @@ class TestSaturate:
             main(["saturate", tremain_file, "--basis", "0,1,2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "doc,failed",
+        [
+            # a diagonal entry 2 and off-diagonal 1/3 at angle 1/5: every
+            # line lies in the basis, so nothing downstream notices
+            ({"angle": "1/5", "gram": [["2", "1/3", "1/3"],
+                                       ["1/3", "1", "1/3"],
+                                       ["1/3", "1/3", "1"]]},
+             ["unit_diagonal", "off_diagonal_pm_alpha"]),
+            # entries +-1/5 declared at angle 1/7
+            ({"angle": "1/7", "gram": [["1", "-1/5"], ["-1/5", "1"]]},
+             ["off_diagonal_pm_alpha"]),
+        ],
+        ids=["diagonal-2", "angle-mismatch"],
+    )
+    def test_invalid_input_refused_like_validate(
+        self, tmp_path, capsys, doc, failed
+    ):
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 1
+        capsys.readouterr()
+        assert main(["saturate", str(path), "--json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("validation failure: line set fails ")
+        named = {c for c in ("symmetric", "unit_diagonal", "off_diagonal_pm_alpha",
+                             "positive_semidefinite") if c in err}
+        assert named == set(failed)
+
 
 class TestSearch:
     ARGS = ["--rank", "18", "--runs", "60", "--seed", "0"]

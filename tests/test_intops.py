@@ -10,6 +10,7 @@ from eqlines.linalg import RatMatrix
 from eqlines.spansearch import SplitMix64
 from oracles import (
     PerDrawSpanEngine,
+    _det_inverse_mod,
     _det_mod_many,
     det,
     direct_unit_patterns,
@@ -230,7 +231,7 @@ class TestDetInverseMod:
             d = 1 + rng.below(5)
             a = [[rng.below(50) - 25 for _ in range(d)] for _ in range(d)]
             det_a = det(RatMatrix.from_rows(a))
-            det_p, inv_p = _intops._det_inverse_mod(
+            det_p, inv_p = _det_inverse_mod(
                 np.array(a, dtype=np.int64), p
             )
             assert det_p == int(det_a) % p
@@ -241,7 +242,7 @@ class TestDetInverseMod:
     def test_singular_mod_p(self):
         p = _intops._PRIMES26[0]
         a = np.array([[p, 0], [0, 1]], dtype=np.int64)
-        det_p, inv_p = _intops._det_inverse_mod(a, p)
+        det_p, inv_p = _det_inverse_mod(a, p)
         assert det_p == 0 and inv_p is None
 
 
@@ -253,7 +254,7 @@ class TestDetModMany:
     def assert_matches(stack):
         for p in _intops._PRIMES26:
             got = _det_mod_many(stack, p)
-            want = [_intops._det_inverse_mod(a, p)[0] for a in stack]
+            want = [_det_inverse_mod(a, p)[0] for a in stack]
             assert got.tolist() == want
             zero = _intops._det_zero_mod(
                 stack.astype(np.float64), np.full(len(stack), p)
@@ -300,6 +301,79 @@ class TestDetModMany:
     def test_empty_stack_and_empty_matrices(self):
         assert _det_mod_many(np.zeros((0, 3, 3), np.int64), P0).size == 0
         assert _det_mod_many(np.zeros((2, 0, 0), np.int64), P0).tolist() == [1, 1]
+
+
+class TestInverseMod:
+    """The stacked modular Gauss-Jordan `_inverse_mod` against the
+    per-matrix `_det_inverse_mod`, one prime per matrix."""
+
+    @staticmethod
+    def assert_matches(stack, primes):
+        y, unit = _intops._inverse_mod(stack.astype(np.float64), np.array(primes))
+        assert np.abs(y).max(initial=0) <= max(primes) // 2 + 2
+        for a, p, y_p, t in zip(stack, primes, y, unit.tolist()):
+            det_p, inv_p = _det_inverse_mod(a, p)
+            assert (t == 0) == (inv_p is None) == (det_p == 0)
+            if inv_p is not None:
+                assert np.array_equal(y_p.astype(np.int64) % p, inv_p * int(t) % p)
+
+    def test_random_stacks_with_pivot_search(self):
+        rng = SplitMix64(41)
+        for d in (1, 2, 3, 5, 8, 18):
+            primes = [_intops._PRIMES26[rng.below(24)] for _ in range(8)]
+            stack = np.array(
+                [[[rng.below(2**31) - 2**30 for _ in range(d)]
+                  for _ in range(d)] for _ in range(8)],
+                dtype=np.int64,
+            )
+            # columns 0 mod p in the leading rows force the pivot search
+            for k, p in enumerate(primes[:4]):
+                stack[k, : d - 1, k % d] = p * (k - 2)
+            stack[4, d - 1] = stack[4, 0] + primes[4]  # singular mod p only
+            stack[5, 0] = 0  # a zero row
+            self.assert_matches(stack, primes)
+
+    def test_small_gram_blocks(self):
+        rng = SplitMix64(42)
+        for _ in range(20):
+            d = 1 + rng.below(6)
+            vectors = [[rng.below(5) - 2 for _ in range(d)] for _ in range(d)]
+            stack = np.array([gram_from_vectors(vectors)], dtype=np.int64)
+            self.assert_matches(stack, [_intops._PRIMES26[rng.below(24)]])
+
+
+class TestFormsMod:
+    """`_forms_mod` on near-worst-case residues: the columns M_:S and Y
+    hold values near (p-1)/2, so the unsplit sums would reach d * 2^50,
+    past float64's exact range."""
+
+    @pytest.mark.parametrize("wrap", [0, 256], ids=["small", "wide"])
+    def test_digit_split_is_exact(self, wrap):
+        d, extra = 15, 4
+        h = (P0 - 1) // 2
+        n = d + extra
+        m_rows = [[0] * n for _ in range(n)]
+        for j in range(n):
+            for a in range(d):
+                m_rows[j][a] = m_rows[a][j] = h - (j * a) % 5 + wrap * P0
+        y = [[h - (a + 2 * b) % 3 for b in range(d)] for a in range(d)]
+        for j in range(d, n):
+            m = m_rows[j][:d]
+            form = sum(m[a] * y[a][b] * m[b] for a in range(d) for b in range(d))
+            m_rows[j][j] = form % P0 + wrap * P0 + j % 2  # odd rows miss by one
+        engine = _intops.SpanEngine(m_rows)
+        # small: d * max_m > 2^27 takes the digits as well
+        assert engine.small == (wrap == 0)
+        got = engine._forms_mod(
+            np.arange(d)[None], np.array([y], dtype=np.float64), np.ones(1), P0
+        )
+        want = [
+            (sum(m_rows[j][a] * y[a][b] * m_rows[j][b]
+                 for a in range(d) for b in range(d)) - m_rows[j][j]) % P0 == 0
+            for j in range(n)
+        ]
+        assert got[0].tolist() == want
+        assert want[d:] == [j % 2 == 0 for j in range(d, n)]
 
 
 def gram_from_vectors(vectors) -> list[list[int]]:
@@ -349,7 +423,7 @@ class TestSpanEngine:
             want = self._oracle(m_rows, subset)
             assert engine.members(subset) == want
             assert engine._members_exact(subset) == want
-            assert engine._members_modular(subset) == want
+            assert engine._members_modular(np.array([subset])) == [want]
 
     def test_modular_tier_on_huge_entries(self):
         rng = SplitMix64(29)
@@ -446,10 +520,15 @@ class TestStackedSpan:
         asked = []
         modular = engine._members_modular
         monkeypatch.setattr(
-            engine, "_members_modular", lambda s: asked.append(s) or modular(s)
+            engine, "_members_modular",
+            lambda sub: asked.extend(sub.tolist()) or modular(sub),
         )
         assert engine.members_many(subsets) == want
         assert asked == nonsingular
+        assert engine.tier_counts == {
+            "float": 0, "singular": len(subsets) - len(nonsingular),
+            "modular": len(nonsingular), "exact": 0,
+        }
 
     def test_asche72_singular_draws_need_two_primes(self, asche, monkeypatch):
         # every Gram row of an asche72 draw of 18 has squared norm 42, and

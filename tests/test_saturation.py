@@ -6,8 +6,8 @@ from math import lcm
 
 import pytest
 
-from eqlines import _intops, saturation
-from eqlines.errors import HypothesisViolated, NotABasis
+from eqlines import _intops, linalg, saturation
+from eqlines.errors import HypothesisViolated, InvalidLineSet, NotABasis
 from eqlines.lineset import LineSet
 from eqlines.linalg import RatMatrix
 from eqlines.maxclique import CliqueResult, SimpleGraph
@@ -399,3 +399,37 @@ class TestCertificateSelfCheck:
         monkeypatch.setattr(saturation, "build_compatibility_graph", complete)
         with pytest.raises(HypothesisViolated, match="relative bound"):
             check_saturated(hexagon())
+
+
+class TestInputGate:
+    """check_saturated refuses what `validate` rejects, before any work,
+    and trusts the rank computed on load."""
+
+    @pytest.mark.parametrize(
+        "rows,failed",
+        [
+            # not PSD: three lines pairwise at -1/2 plus a fourth at +-1/2
+            ([[1, -HALF, -HALF, HALF], [-HALF, 1, -HALF, HALF],
+              [-HALF, -HALF, 1, HALF], [HALF, HALF, HALF, 1]],
+             "positive_semidefinite"),
+            ([[1, HALF], [-HALF, 1]], "symmetric"),
+        ],
+        ids=["not-psd", "asymmetric"],
+    )
+    def test_refused(self, monkeypatch, rows, failed):
+        ls = LineSet.from_gram(RatMatrix.from_rows(rows), HALF)
+
+        def no_basis(*args):
+            raise AssertionError("the gate must refuse before select_basis")
+
+        monkeypatch.setattr(saturation, "select_basis", no_basis)
+        with pytest.raises(InvalidLineSet, match=failed):
+            check_saturated(ls)
+
+    def test_valid_input_skips_the_rank_recompute(self, monkeypatch):
+        def no_rank(m):
+            raise AssertionError("rank is recomputed")
+
+        ls = hexagon()
+        monkeypatch.setattr(linalg, "rank", no_rank)
+        assert check_saturated(ls).saturated

@@ -257,8 +257,9 @@ class TestRandomSearch:
     @pytest.mark.parametrize("runs", [0, 7, 97])
     def test_block_seams_match_per_draw(self, taylor, runs):
         m_rows, _ = linalg.integer_scaled(taylor.gram)
-        # taylor90 at rank 18 is decided in blocks of 40 draws
-        assert _intops.SpanEngine(m_rows).block(18) == 40
+        # taylor90 at rank 18 is decided in blocks of 80 draws, so 97
+        # runs cross a block seam
+        assert _intops.SpanEngine(m_rows).block(18) == 80
         oracle = PerDrawSpanEngine(m_rows)
         summary = random_search(taylor, target_rank=18, runs=runs, seed=5)
         assert len(summary.run_log) == runs
@@ -305,11 +306,38 @@ class TestRandomSearch:
             )
             return got
 
-        # once after each block of 40 draws, never twice at the end
-        assert calls(100) == [(40, 100), (80, 100), (100, 100)]
-        assert calls(80) == [(40, 80), (80, 80)]
+        # once after each block of 80 draws, never twice at the end
+        assert calls(200) == [(80, 200), (160, 200), (200, 200)]
+        assert calls(160) == [(80, 160), (160, 160)]
         assert calls(10) == [(10, 10)]
         assert calls(0) == []
+
+
+class TestTierCounts:
+    """Which span tier decides each seeded draw, pinned, so that a
+    narrower budget cannot quietly move draws to slower tiers."""
+
+    @pytest.mark.parametrize(
+        "name,rank,runs,split",
+        [
+            ("asche", 18, 5000, (2726, 2274, 0, 0)),
+            ("taylor", 19, 2000, (1102, 898, 0, 0)),
+            ("tremain", 12, 2000, (1447, 553, 0, 0)),
+        ],
+    )
+    def test_seed0_split(self, name, rank, runs, split, request):
+        ls = request.getfixturevalue(name)
+        engine = _intops.SpanEngine(linalg.integer_scaled(ls.gram)[0])
+        assert engine.tier_counts == dict.fromkeys(
+            ("float", "singular", "modular", "exact"), 0
+        )
+        _, subsets = _draw_block(0, 0, runs, ls.n, rank)
+        got = engine.members_many(subsets.tolist())
+        assert tuple(engine.tier_counts.values()) == split
+        summary = random_search(ls, rank, runs, 0)
+        assert [run.closure for run in summary.run_log] == [
+            () if g is None else tuple(g) for g in got
+        ]
 
 
 class TestExtract:
