@@ -36,23 +36,20 @@ from .lineset import (
     relative_bound_floor,
     validate,
 )
-from .constructions import (
-    OctadDesign,
-    TremainColumn,
-    asche_72,
-    filter_orthogonal,
-    from_graph6,
-    g_vector,
-    generate_octads,
-    srg_check,
-    taylor_90,
-    tremain_28,
-)
-
-# The numpy-backed modules load on first use of one of their names
-# (PEP 562), so `import eqlines` and the CLI's construct, validate,
-# bound and info never import numpy.
+# The other modules load on first use of one of their names (PEP 562):
+# `import eqlines` loads neither numpy nor the construction tables, and
+# each CLI subcommand loads only the modules it runs.
 _LAZY = {
+    "OctadDesign": "constructions",
+    "TremainColumn": "constructions",
+    "asche_72": "constructions",
+    "filter_orthogonal": "constructions",
+    "from_graph6": "constructions",
+    "g_vector": "constructions",
+    "generate_octads": "constructions",
+    "srg_check": "constructions",
+    "taylor_90": "constructions",
+    "tremain_28": "constructions",
     "CliqueResult": "maxclique",
     "SimpleGraph": "maxclique",
     "max_clique": "maxclique",

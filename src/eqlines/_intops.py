@@ -206,18 +206,25 @@ def pairwise_hits(
     e: np.ndarray, m: list[list[int]], targets: Sequence[int]
 ) -> list[np.ndarray]:
     """Exact masks |eps_i^T m_j| == t, one per target t, for +-1 rows e
-    and integer rows m.
+    and integer rows m, as (len(e), ceil(len(m)/8)) uint8 bit matrices:
+    bit j % 8 of byte [i, j // 8] is entry [i, j] (np.packbits' little
+    bit order).
 
-    The forms are computed in row blocks of about _SCAN_BLOCK entries,
-    so apart from the boolean masks the memory is O(block) per limb.
+    The forms are computed and packed in row blocks of about _SCAN_BLOCK
+    entries, so apart from the packed masks (one bit per entry) the
+    memory is O(block) per limb.
     """
     limbs = _balanced_limbs(m)
-    hits = [np.zeros((len(e), len(m)), dtype=bool) for _ in targets]
+    width = (len(m) + 7) // 8
+    hits = [np.zeros((len(e), width), dtype=np.uint8) for _ in targets]
     rows = max(1, _SCAN_BLOCK // max(len(m), 1))
     for r0 in range(0, len(e), rows):
         forms = [e[r0:r0 + rows] @ mk.T for mk in limbs]
         for hit, t in zip(hits, targets):
-            hit[r0:r0 + rows] = _exact_equal(forms, t) | _exact_equal(forms, -t)
+            hit[r0:r0 + rows] = np.packbits(
+                _exact_equal(forms, t) | _exact_equal(forms, -t),
+                axis=1, bitorder="little",
+            )
     return hits
 
 

@@ -7,22 +7,28 @@ timestamps, so identical inputs give byte-identical output; progress and
 diagnostics go to stderr.  Exit codes: 0 success, 1 validation failure,
 2 usage error or refusal.
 
-Only `saturate` and `search` import numpy: their handlers import the
-saturation and search modules, so the other subcommands start without
-them.
+Each handler imports the modules it runs, so a call loads only what its
+subcommand needs: `construct` loads the constructions (and the graph6
+codec), `saturate` and `search` load numpy with the saturation or search
+modules, and `validate`, `bound` and `info` load neither.
+
+Every BLAS call in eqlines is a small stacked product (d <= 43), where a
+second BLAS thread never pays and its pool costs start-up time, so
+`main` sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to
+1 before any handler imports numpy, unless the caller has set any of
+them: a caller's own value always wins.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import constructions, graph6, lineset
+from . import lineset
 from .errors import (
     EqlinesError,
     HypothesisViolated,
@@ -41,6 +47,9 @@ EXIT_USAGE = 2
 
 DEFAULT_WORK_CEILING = 1 << 24
 WORK_CEILING_CAP_BITS = 1 << 16
+
+# the thread-count variables of OpenBLAS, OpenMP and MKL
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _rational(text: str) -> Fraction:
@@ -112,6 +121,8 @@ def _load_lineset(path: str) -> lineset.LineSet:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from . import constructions, graph6
+
     target = args.target
     if target == "octads":
         design = constructions.generate_octads()
@@ -234,6 +245,8 @@ def _cmd_saturate(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    import csv
+
     from . import spansearch
 
     ls = _load_lineset(args.file)
@@ -408,7 +421,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _single_blas_thread() -> None:
+    """Ask BLAS for one thread unless the caller has set a thread count.
+
+    BLAS reads these variables once, when numpy loads; a process that
+    has loaded numpy already is left as it is.
+    """
+    if "numpy" in sys.modules:
+        return
+    if not any(name in os.environ for name in BLAS_THREAD_VARS):
+        for name in BLAS_THREAD_VARS:
+            os.environ[name] = "1"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _single_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "construct" and args.target == "from-graph6":

@@ -4,9 +4,10 @@ A matrix holds integer numerators over one common denominator, and
 hands out `fractions.Fraction` entries on demand; no operation here
 touches floating point.  Every elimination runs fraction-free on the
 numerators (`integer_scaled`): one Gauss-Jordan routine
-gives `rank`, `integer_inverse`, `inverse` and `kernel`, and `is_psd`
+gives `rank`, `integer_inverse`, `inverse` and `kernel`, and `psd_rank`
 keeps its own symmetric elimination, as the PSD test needs diagonal
-pivots.
+pivots; on PSD input that elimination also gives the rank, so a Gram
+matrix pays for one pass, not two.
 """
 
 from __future__ import annotations
@@ -238,49 +239,46 @@ def inverse(a: RatMatrix) -> RatMatrix:
     return RatMatrix.from_integers(a.rows, a.cols, [scale * x for y in r for x in y], d)
 
 
-def is_psd(m: RatMatrix) -> bool:
-    """Exact positive-semidefiniteness test.
+def psd_rank(m: RatMatrix) -> Optional[int]:
+    """The rank of a symmetric matrix when it is positive semidefinite,
+    None when it is not; NotSymmetric for any other matrix.
 
-    Symmetric fraction-free elimination with diagonal pivoting: any
-    negative diagonal entry in a remaining block certifies "not PSD";
-    if the remaining diagonal is all zero the block itself must be zero.
+    Symmetric fraction-free elimination with diagonal pivots, on the
+    upper triangle only: the pivot is the first positive diagonal entry
+    of the remaining block, and every other entry becomes
+    (p*a_ij - a_ik*a_kj) / q, q the previous pivot, an exact division.
+    A negative diagonal entry certifies "not PSD".  Once no positive
+    diagonal entry is left, the matrix is PSD exactly when the remaining
+    block is zero, and then the pivots taken are its rank.  So on PSD
+    input this one pass gives both answers, and it stops after rank
+    pivots.
     """
     if m.rows != m.cols or not m.is_symmetric():
         raise NotSymmetric("PSD test requires a symmetric matrix")
-    n = m.rows
     a, _ = integer_scaled(m)
+    # u[i] holds the row i of the remaining block from its diagonal on
+    u = [row[i:] for i, row in enumerate(a)]
     prev = 1
-    for step in range(n):
-        piv = None
-        for i in range(step, n):
-            d = a[i][i]
-            if d < 0:
-                return False
-            if d > 0 and piv is None:
-                piv = i
-        if piv is None:
-            # zero diagonal block: PSD iff the whole block is zero
-            return all(
-                a[i][j] == 0 for i in range(step, n) for j in range(i + 1, n)
-            )
-        if piv != step:
-            a[step], a[piv] = a[piv], a[step]
-            for row in a:
-                row[step], row[piv] = row[piv], row[step]
-        pivot = a[step][step]
-        for i in range(step + 1, n):
-            fac = a[i][step]
-            arow, srow = a[i], a[step]
-            for j in range(i, n):
-                arow[j] = (arow[j] * pivot - fac * srow[j]) // prev
-        for i in range(step + 1, n):
-            arow = a[i]
-            for j in range(step + 1, i):
-                arow[j] = a[j][i]
-            arow[step] = 0
-            a[step][i] = 0
-        prev = pivot
-    return True
+    taken = 0
+    while u:
+        if any(row[0] < 0 for row in u):
+            return None
+        k = next((i for i, row in enumerate(u) if row[0] > 0), None)
+        if k is None:
+            return taken if not any(any(row) for row in u) else None
+        # column k of the block: a_ik = u[i][k - i] above the pivot row,
+        # the pivot row itself below it
+        col = [u[i].pop(k - i) for i in range(k)]
+        prow = u.pop(k)
+        p = prow[0]
+        col.extend(prow[1:])
+        u = [
+            [(p * x - f * y) // prev for x, y in zip(row, col[i:])]
+            for i, (row, f) in enumerate(zip(u, col))
+        ]
+        prev = p
+        taken += 1
+    return taken
 
 
 def kernel(m: RatMatrix) -> list[tuple[Fraction, ...]]:

@@ -19,9 +19,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg
-from .errors import HypothesisViolated, InvalidLineSet, OutOfRange
+from .errors import HypothesisViolated, InvalidLineSet, NotSymmetric, OutOfRange
 from .linalg import RatMatrix, format_rational, parse_rational
-from ._tables import BOUNDS_TABLE
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,22 @@ class SignMatrix:
                 if type(x) is not int:
                     raise ValueError(f"sign entries must be integers, got {x!r}")
         return cls(len(rows), tuple(tuple(r) for r in rows))
+
+
+def _rank_and_psd(gram: RatMatrix) -> tuple[int, Optional[bool]]:
+    """(rank, PSD) of a square matrix, PSD None when it is not symmetric.
+
+    One symmetric elimination (`linalg.psd_rank`) gives both for a PSD
+    matrix, the case of every valid line set; only a matrix it rejects
+    pays for the Gauss-Jordan `linalg.rank` as well.
+    """
+    try:
+        rank = linalg.psd_rank(gram)
+    except NotSymmetric:
+        return linalg.rank(gram), None
+    if rank is None:
+        return linalg.rank(gram), False
+    return rank, True
 
 
 @dataclass(frozen=True)
@@ -94,18 +109,24 @@ class LineSet:
             raise ValueError(
                 f'"coords_norm_sq" must be an integer, got {coords_norm_sq!r}'
             )
-        return cls(
+        rank, psd = _rank_and_psd(gram)
+        ls = cls(
             n=gram.rows,
             angle=Fraction(angle),
             gram=gram,
-            rank=linalg.rank(gram),
+            rank=rank,
             coords=fixed,
             coords_norm_sq=coords_norm_sq,
         )
+        if psd is not None:
+            # the elimination that gave the rank settled PSD too: fill
+            # the cached property instead of eliminating again
+            object.__setattr__(ls, "is_psd", psd)
+        return ls
 
     @cached_property
     def is_psd(self) -> bool:
-        return linalg.is_psd(self.gram)
+        return linalg.psd_rank(self.gram) is not None
 
     def sign_matrix(self) -> SignMatrix:
         """Sign pattern of the off-diagonal entries (gram = I + alpha*S)."""
@@ -236,9 +257,14 @@ def _invariant_checks(ls: LineSet) -> list[CheckResult]:
 
 
 def validate(ls: LineSet) -> ValidationReport:
-    """Check every defining invariant; failures are reported, not raised."""
+    """Check every defining invariant; failures are reported, not raised.
+
+    The rank is recomputed by one fresh elimination (`_rank_and_psd`);
+    the PSD check reads `is_psd`, which `from_gram` settled in the
+    elimination that gave the cached rank.
+    """
     checks = _invariant_checks(ls)
-    rank_now = linalg.rank(ls.gram)
+    rank_now, _ = _rank_and_psd(ls.gram)
     rank_ok = rank_now == ls.rank
     checks.append(
         CheckResult("rank", rank_ok,
@@ -285,6 +311,8 @@ class BoundsEntry:
 
 def known_bounds(d: int) -> BoundsEntry:
     """Best known range for the maximum line count in dimension d."""
+    from ._tables import BOUNDS_TABLE
+
     if d not in BOUNDS_TABLE:
         raise OutOfRange(f"bounds registry covers dimensions 2..43, got {d}")
     lo, hi = BOUNDS_TABLE[d]

@@ -2,10 +2,12 @@
 
 Vertices are 0-based; adjacency rows are Python int bitsets, which keeps
 the inner loops allocation-free (set intersection is a single AND).
-Whole-graph work (building from a matrix, the symmetry check, the
-relabelling, DIMACS export) goes through one numpy 0/1 matrix view,
-`_unpack` / `_pack`: milliseconds at K ~ 2000 vertices, where a Python
-loop over bit pairs takes about a second.
+Whole-graph work (the symmetry check, the relabelling, DIMACS export)
+goes through the packed bit matrix of the rows (`_bits`, K x K/8
+bytes), unpacked to 0/1 (`_unpack`) and packed back (`_pack`) one block
+of about _UNPACKED entries at a time: milliseconds at K ~ 2000
+vertices, where a Python loop over bit pairs takes about a second, and
+never K x K bytes.
 The solver relabels the vertices once in degree-descending order and
 colors every branch's pool in that fixed order (MCQ, Tomita & Seki
 2003; Tomita et al. 2010).  Deterministic by construction: degree ties
@@ -23,20 +25,45 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 
-def _unpack(adj: Sequence[int], n: int) -> np.ndarray:
-    """The n x n 0/1 matrix of bitset rows: entry [i, j] is bit j of adj[i]."""
+# 0/1 entries (bytes) of one unpacked block of rows
+_UNPACKED = 1 << 18
+
+
+def _bits(adj: Sequence[int], n: int) -> np.ndarray:
+    """The (n, ceil(n/8)) uint8 bit matrix of bitset rows: bit j % 8 of
+    byte [i, j // 8] is bit j of adj[i] (np.packbits' little bit order);
+    the inverse of _pack."""
     width = (n + 7) // 8
     raw = b"".join(row.to_bytes(width, "little") for row in adj)
-    return np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8).reshape(n, width),
-        axis=1, count=n, bitorder="little",
-    )
+    return np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
 
 
 def _pack(a: np.ndarray) -> list[int]:
-    """Bitset rows of a 0/1 matrix, the inverse of _unpack."""
+    """Bitset rows of a 0/1 matrix."""
     packed = np.packbits(a, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _unpack(bits: np.ndarray, count: int) -> np.ndarray:
+    """The 0/1 matrix of the first count columns of a bit matrix."""
+    return np.unpackbits(bits, axis=1, count=count, bitorder="little")
+
+
+def _block_rows(n: int) -> int:
+    """Rows of one unpacked block of an n-column matrix: a multiple of
+    8, so that a block of rows is also a whole number of byte columns."""
+    return max(8, _UNPACKED // max(n, 1) // 8 * 8)
+
+
+def _transposed_blocks(bits: np.ndarray):
+    """(r0, rows, cols) over blocks of rows of the square 0/1 matrix of
+    a bit matrix: rows are its rows r0.. and cols the same rows of its
+    transpose, unpacked from byte columns r0 // 8.. of the bit matrix."""
+    n = len(bits)
+    step = _block_rows(n)
+    for r0 in range(0, n, step):
+        rows = _unpack(bits[r0:r0 + step], n)
+        yield r0, rows, _unpack(bits[:, r0 // 8:(r0 + step) // 8], len(rows)).T
 
 
 @dataclass(frozen=True)
@@ -55,10 +82,11 @@ class SimpleGraph:
                 raise ValueError(f"row {i} has bits beyond vertex {self.n - 1}")
             if row >> i & 1:
                 raise ValueError(f"self-loop at vertex {i}")
-        a = _unpack(self.adj, self.n)
-        if not np.array_equal(a, a.T):
-            i, j = np.argwhere(np.triu(a != a.T, 1))[0].tolist()
-            raise ValueError(f"adjacency not symmetric at ({i},{j})")
+        for r0, rows, cols in _transposed_blocks(_bits(self.adj, self.n)):
+            diff = np.argwhere(np.triu(rows != cols, r0 + 1))
+            if len(diff):
+                i, j = diff[0].tolist()
+                raise ValueError(f"adjacency not symmetric at ({r0 + i},{j})")
 
     @classmethod
     def from_matrix(cls, a: np.ndarray) -> "SimpleGraph":
@@ -68,6 +96,17 @@ class SimpleGraph:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency matrix must be square")
         return cls(len(a), tuple(_pack(a)))
+
+    @classmethod
+    def from_upper_bits(cls, bits: np.ndarray) -> "SimpleGraph":
+        """Graph of the strict upper triangle of an (n, ceil(n/8)) uint8
+        bit matrix in np.packbits' little bit order (bit j % 8 of byte
+        [i, j // 8] is entry [i, j]): edge ij, i < j, is entry [i, j];
+        the diagonal and the lower triangle are ignored."""
+        adj = []
+        for r0, rows, cols in _transposed_blocks(bits):
+            adj.extend(_pack(np.triu(rows, r0 + 1) | np.tril(cols, r0 - 1)))
+        return cls(len(bits), tuple(adj))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
@@ -168,7 +207,11 @@ def max_clique(
         return CliqueResult(0, (), True)
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     label = {v: k for k, v in enumerate(order)}
-    adj = _pack(_unpack(g.adj, g.n)[np.ix_(order, order)])
+    bits, where = _bits(g.adj, g.n), np.array(order, dtype=np.intp)
+    step = _block_rows(g.n)
+    adj = []
+    for r0 in range(0, g.n, step):
+        adj.extend(_pack(_unpack(bits[where[r0:r0 + step]], g.n)[:, where]))
     budget = _Budget(time_budget)
     best = [label[v] for v in initial]
     stack: list[int] = []
@@ -204,6 +247,10 @@ def to_dimacs(g: SimpleGraph, comment: str = "") -> str:
         for part in comment.splitlines():
             lines.append(f"c {part}")
     lines.append(f"p edge {g.n} {g.edge_count()}")
-    for i, j in np.argwhere(np.triu(_unpack(g.adj, g.n), 1)).tolist():
-        lines.append(f"e {i + 1} {j + 1}")
+    bits = _bits(g.adj, g.n)
+    step = _block_rows(g.n)
+    for r0 in range(0, g.n, step):
+        block = np.triu(_unpack(bits[r0:r0 + step], g.n), r0 + 1)
+        for i, j in np.argwhere(block).tolist():
+            lines.append(f"e {r0 + i + 1} {j + 1}")
     return "\n".join(lines) + "\n"

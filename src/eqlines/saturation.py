@@ -154,7 +154,9 @@ def build_compatibility_graph(
     and M = D * coeffs, the integer form eps_i^T M_j is D * <v_i, v_j> /
     alpha.  Edges are forms of +-D.  A form of +-D/alpha (possible only
     when D/alpha is an integer) would mean two patterns giving one line,
-    which distinct unit-norm patterns cannot; this is checked.
+    which distinct unit-norm patterns cannot; this is checked.  The
+    masks stay packed, one bit per pair, and the edge ij (i < j) is read
+    from the form eps_i^T M_j.
     """
     den = lcm(*(x.denominator for c in cands for x in c.coeffs))
     m = [[x.numerator * (den // x.denominator) for x in c.coeffs]
@@ -163,16 +165,18 @@ def build_compatibility_graph(
     dup = Fraction(den) / ls.angle
     targets = [den] if dup.denominator != 1 else [den, dup.numerator]
     edge, *dups = _intops.pairwise_hits(e, m, targets)
+    diag = np.arange(len(cands))
     for same in dups:
-        np.fill_diagonal(same, False)
-        if same.any():
-            i, j = np.argwhere(same)[0].tolist()
+        # clear the diagonal: each candidate meets itself at D/alpha
+        same[diag, diag >> 3] &= ~(1 << (diag & 7)).astype(np.uint8)
+        i = np.flatnonzero(same.any(axis=1))
+        if len(i):
+            i = int(i[0])
+            j = int(np.flatnonzero(np.unpackbits(same[i], bitorder="little"))[0])
             raise HypothesisViolated(
                 f"candidates {i} and {j} describe the same line"
             )
-    edge = np.triu(edge, 1)
-    edge |= edge.T  # numpy buffers the overlapping transpose
-    return SimpleGraph.from_matrix(edge)
+    return SimpleGraph.from_upper_bits(edge)
 
 
 def line_pattern_indices(ls: LineSet, basis: Sequence[int]) -> dict[int, int]:

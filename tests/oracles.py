@@ -3,7 +3,8 @@
 They are deliberately plain: the `Fraction`-tuple matrix that integer
 numerators over one denominator replaced in `RatMatrix`, the exact
 fraction-free determinant and a PSD test by principal minors, the
-`Fraction` Gauss-Jordan solver, inverse, kernel and candidate system
+symmetric elimination that decided PSD alone before `linalg.psd_rank`
+also returned the rank, the `Fraction` Gauss-Jordan solver, inverse, kernel and candidate system
 that the one fraction-free routine of `linalg` replaced, dense rational
 products, the vectorized block scan over sign patterns that the
 meet-in-the-middle engine replaced, the per-draw span membership that
@@ -34,8 +35,8 @@ from eqlines._intops import (
     _balanced_limbs,
     _pattern_block,
 )
-from eqlines.errors import SingularMatrix
-from eqlines.linalg import RatMatrix
+from eqlines.errors import NotSymmetric, SingularMatrix
+from eqlines.linalg import RatMatrix, integer_scaled
 from eqlines.spansearch import MASK64, MIX1, MIX2, SplitMix64
 
 
@@ -183,6 +184,52 @@ def psd_by_minors(m) -> bool:
         for k in range(1, m.rows + 1)
         for s in itertools.combinations(range(m.rows), k)
     )
+
+
+def is_psd(m: RatMatrix) -> bool:
+    """Exact positive-semidefiniteness test (the library's `is_psd`
+    before `linalg.psd_rank` replaced it; verbatim).
+
+    Symmetric fraction-free elimination with diagonal pivoting: any
+    negative diagonal entry in a remaining block certifies "not PSD";
+    if the remaining diagonal is all zero the block itself must be zero.
+    """
+    if m.rows != m.cols or not m.is_symmetric():
+        raise NotSymmetric("PSD test requires a symmetric matrix")
+    n = m.rows
+    a, _ = integer_scaled(m)
+    prev = 1
+    for step in range(n):
+        piv = None
+        for i in range(step, n):
+            d = a[i][i]
+            if d < 0:
+                return False
+            if d > 0 and piv is None:
+                piv = i
+        if piv is None:
+            # zero diagonal block: PSD iff the whole block is zero
+            return all(
+                a[i][j] == 0 for i in range(step, n) for j in range(i + 1, n)
+            )
+        if piv != step:
+            a[step], a[piv] = a[piv], a[step]
+            for row in a:
+                row[step], row[piv] = row[piv], row[step]
+        pivot = a[step][step]
+        for i in range(step + 1, n):
+            fac = a[i][step]
+            arow, srow = a[i], a[step]
+            for j in range(i, n):
+                arow[j] = (arow[j] * pivot - fac * srow[j]) // prev
+        for i in range(step + 1, n):
+            arow = a[i]
+            for j in range(step + 1, i):
+                arow[j] = a[j][i]
+            arow[step] = 0
+            a[step][i] = 0
+        prev = pivot
+    return True
 
 
 def _gauss_jordan(aug: list[list[Fraction]], n: int) -> None:

@@ -35,9 +35,9 @@ from eqlines.constructions import (
     tremain_28,
     tremain_columns,
 )
-from eqlines.errors import SingularMatrix
+from eqlines.errors import NotSymmetric, SingularMatrix
 from eqlines.graph6 import parse_graph6
-from eqlines.lineset import relative_bound, validate
+from eqlines.lineset import LineSet, _rank_and_psd, relative_bound, validate
 from eqlines.linalg import RatMatrix
 from eqlines.maxclique import SimpleGraph, max_clique
 from eqlines.saturation import (
@@ -54,6 +54,7 @@ from eqlines.spansearch import (
 )
 from oracles import (
     FractionRatMatrix,
+    is_psd,
     PerDrawSpanEngine,
     _det_mod_many,
     fraction_integer_scaled,
@@ -408,7 +409,7 @@ def test_criterion_9d_psd_vs_eigenvalue_oracle():
             ]
             m = sym
         mat = RatMatrix.from_rows(m)
-        exact = linalg.is_psd(mat)
+        exact = linalg.psd_rank(mat) is not None
         eigs = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in m]))
         lo = float(eigs.min())
         if abs(lo) < 1e-9:
@@ -511,7 +512,7 @@ def test_criterion_9g_numerators_vs_fraction_matrix_oracle():
     deficient) and their symmetric variants, built from `Fraction`s,
     from rows and by `from_integers` over a non-least denominator:
     entries, rows, [i, j], submatrices, ==/hash across the routes,
-    `integer_scaled`, rank, is_psd, inverse and kernel."""
+    `integer_scaled`, rank, psd_rank, inverse and kernel."""
     rng = SplitMix64(9007)
     seen = dict.fromkeys(["0x0", "1x1", "non_square", "mixed", "psd",
                           "not_psd", "singular", "inverted"], 0)
@@ -554,7 +555,7 @@ def test_criterion_9g_numerators_vs_fraction_matrix_oracle():
             assert new.is_symmetric() == old.is_symmetric()
             if old.is_symmetric():
                 psd = psd_by_minors(old)
-                assert linalg.is_psd(new) == psd
+                assert linalg.psd_rank(new) == (linalg.rank(new) if psd else None)
                 seen["psd" if psd else "not_psd"] += 1
             if r == c:
                 try:
@@ -745,3 +746,69 @@ def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
         assert _assert_modular_tier_agrees(m_rows, [[0, 1], [1, 2]]) == [
             [0, 1, 2], [0, 1, 2]
         ]
+
+
+def test_criterion_9i_shared_rank_psd_elimination():
+    """The one symmetric elimination behind a line set's rank and PSD
+    check (`linalg.psd_rank`, `lineset._rank_and_psd`, and through them
+    `LineSet.from_gram`) agrees with the oracle `is_psd` and the
+    Gauss-Jordan `linalg.rank` on 288 seeded matrices: low-rank PSD
+    X X^T with rational X, the same with a nonzero entry between two
+    zero rows (a zero diagonal left after the positive pivots, not PSD),
+    indefinite symmetric, non-symmetric (which `psd_rank` refuses), and
+    zero, 0x0 and 1x1 matrices."""
+    rng = SplitMix64(9009)
+    seen = dict.fromkeys(["low_rank_psd", "zero_diagonal_pair", "indefinite",
+                          "non_symmetric", "zero", "1x1"], 0)
+    empty = 0
+    for trial in range(288):
+        kind = list(seen)[trial % len(seen)]
+        n = 1 if kind == "1x1" else rng.below(10)
+        if kind in ("zero_diagonal_pair", "non_symmetric"):
+            n = max(n, 2)
+        if kind in ("low_rank_psd", "zero_diagonal_pair"):
+            k = rng.below(n + 1)
+            x = [[F(rng.below(9) - 4, 1 + rng.below(3)) for _ in range(k)]
+                 for _ in range(n)]
+            if kind == "zero_diagonal_pair":
+                # rows 0 and 1 of X X^T vanish; a nonzero entry between
+                # them leaves a zero-diagonal block that is not zero
+                x[0] = x[1] = [F(0)] * k
+            rows = [[sum((a * b for a, b in zip(u, v)), F(0)) for v in x]
+                    for u in x]
+            if kind == "zero_diagonal_pair":
+                rows[0][1] = rows[1][0] = F(1 + rng.below(5), 1 + rng.below(3))
+        elif kind == "zero":
+            rows = [[0] * n for _ in range(n)]
+        else:
+            rows = [[F(rng.below(11) - 5, 1 + rng.below(4)) for _ in range(n)]
+                    for _ in range(n)]
+            if kind != "non_symmetric":
+                rows = [[rows[i][j] + rows[j][i] for j in range(n)]
+                        for i in range(n)]
+            if kind == "non_symmetric":
+                rows[0][1] = rows[1][0] + 1
+        m = RatMatrix(n, n, [x for row in rows for x in row])
+        rank = linalg.rank(m)
+        ls = LineSet.from_gram(m, F(1, 3))
+        assert ls.rank == rank
+        if kind == "non_symmetric":
+            with pytest.raises(NotSymmetric):
+                linalg.psd_rank(m)
+            with pytest.raises(NotSymmetric):
+                ls.is_psd
+            assert _rank_and_psd(m) == (rank, None)
+            seen[kind] += 1
+            continue
+        psd = is_psd(m)
+        assert linalg.psd_rank(m) == (rank if psd else None)
+        assert _rank_and_psd(m) == (rank, psd)
+        assert ls.is_psd == psd
+        if kind == "low_rank_psd":
+            assert psd and rank <= k
+        if kind == "zero_diagonal_pair":
+            assert not psd
+        if kind != "indefinite" or not psd:
+            seen[kind] += 1
+        empty += n == 0
+    assert min(seen.values()) >= 30 and empty, (seen, empty)

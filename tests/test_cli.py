@@ -13,7 +13,7 @@ import pytest
 
 import eqlines
 from eqlines import lineset
-from eqlines.cli import WORK_CEILING_CAP_BITS, _ceiling, main
+from eqlines.cli import BLAS_THREAD_VARS, WORK_CEILING_CAP_BITS, _ceiling, main
 from eqlines.graph6 import encode_graph6
 
 
@@ -527,11 +527,37 @@ for argv in (["saturate", tremain, "--json"],
 print(json.dumps(report))
 """
 
+# Runs one CLI call in a fresh interpreter and reports the eqlines
+# modules it loaded and the BLAS thread variables as numpy began to load.
+LOAD_PROBE_SCRIPT = """
+import contextlib, io, json, os, sys
+
+BLAS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+seen = {}
+
+class NumpyProbe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({v: os.environ.get(v) for v in BLAS})
+        return None
+
+sys.meta_path.insert(0, NumpyProbe())
+from eqlines.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "blas": seen, "modules": sorted(
+    m for m in sys.modules if m.startswith("eqlines"))}))
+"""
+
 
 def test_import_budget(tmp_path):
     """construct, validate, info and bound never import numpy, every
     name in eqlines.__all__ resolves, and saturate and search still run
-    once the lazily imported modules load (in a fresh interpreter)."""
+    once the lazily imported modules load (in a fresh interpreter).
+    In fresh interpreters of their own, saturate and search load no
+    construction module, and numpy starts loading with one BLAS thread
+    unless the caller set a thread count."""
     src = str(Path(eqlines.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -548,3 +574,29 @@ def test_import_budget(tmp_path):
     assert set(report["codes"].values()) == {0}, report["codes"]
     assert report["saturate"]["saturated"] is True
     assert report["search"]["runs"] == 3
+
+    def probe(argv, **blas):
+        env_probe = {k: v for k, v in env.items() if k not in BLAS_THREAD_VARS}
+        env_probe.update(blas)
+        proc = subprocess.run(
+            [sys.executable, "-c", LOAD_PROBE_SCRIPT, *argv],
+            capture_output=True, text=True, env=env_probe, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["code"] == 0
+        return got
+
+    unused = {"eqlines.constructions", "eqlines.graph6", "eqlines._tables"}
+    for argv in (["saturate", str(tmp_path / "tremain.json"), "--json"],
+                 ["search", str(tmp_path / "asche.json"), "--rank", "18",
+                  "--runs", "3", "--seed", "0", "--json"]):
+        got = probe(argv)
+        assert not unused & set(got["modules"]), got["modules"]
+        assert got["blas"] == dict.fromkeys(BLAS_THREAD_VARS, "1")
+    # a caller's own thread count wins, and the others stay unset
+    got = probe(argv, OPENBLAS_NUM_THREADS="3")
+    assert got["blas"] == {
+        "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None,
+        "MKL_NUM_THREADS": None,
+    }

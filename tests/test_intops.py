@@ -179,14 +179,17 @@ def random_signs(rng: SplitMix64, k: int, d: int) -> np.ndarray:
 
 
 def assert_hits_match_direct(e: np.ndarray, m: list[list[int]], targets) -> None:
-    """pairwise_hits against |eps_i^T m_j| == t in Python ints."""
+    """pairwise_hits, unpacked, against |eps_i^T m_j| == t in Python ints."""
     hits = _intops.pairwise_hits(e, m, targets)
     direct = [[abs(sum(a * b for a, b in zip(ei, mj))) for mj in m]
               for ei in e.tolist()]
     assert len(hits) == len(targets)
     for hit, t in zip(hits, targets):
-        assert hit.shape == (len(e), len(m))
-        assert hit.tolist() == [[v == t for v in row] for row in direct]
+        assert hit.shape == (len(e), (len(m) + 7) // 8)
+        got = np.unpackbits(hit, axis=1, count=len(m), bitorder="little")
+        assert got.tolist() == [[int(v == t) for v in row] for row in direct]
+        # the padding bits of the last byte stay clear
+        assert np.unpackbits(hit, axis=1, bitorder="little")[:, len(m):].sum() == 0
 
 
 class TestPairwiseHits:

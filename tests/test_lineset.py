@@ -199,20 +199,22 @@ class TestJson:
         assert back.coords_norm_sq == 5
 
     def test_load_with_coords_computes_rank_once(self, monkeypatch):
+        """One elimination gives the rank and settles PSD on load."""
         calls = []
-        rank = linalg.rank
+        for name in ("rank", "psd_rank"):
 
-        def counting_rank(m):
-            calls.append(m.rows)
-            return rank(m)
+            def counting(m, name=name, inner=getattr(linalg, name)):
+                calls.append((name, m.rows))
+                return inner(m)
 
-        monkeypatch.setattr(linalg, "rank", counting_rank)
+            monkeypatch.setattr(linalg, name, counting)
         g = RatMatrix.from_rows([[1, F(1, 5)], [F(1, 5), 1]])
         ls = LineSet.from_gram(g, F(1, 5), coords=[(2, 1), (1, 2)], coords_norm_sq=5)
         calls.clear()
         back = lineset.loads(lineset.dumps(ls))
-        assert calls == [2]
+        assert calls == [("psd_rank", 2)]
         assert back.rank == 2 and back.coords == ((2, 1), (1, 2))
+        assert back.is_psd and calls == [("psd_rank", 2)]
 
     @pytest.mark.parametrize(
         "coords,norm_sq,field",

@@ -2,8 +2,10 @@
 
 from concurrent import futures
 from fractions import Fraction
+import tracemalloc
 from math import lcm
 
+import numpy as np
 import pytest
 
 from eqlines import _intops, linalg, saturation
@@ -379,6 +381,27 @@ class TestTaylorSaturation:
         where = {c.pattern_index: v for v, c in enumerate(cands)}
         cover = sorted(where[m] for m in line_pattern_indices(taylor, basis).values())
         assert report.clique_witness == tuple(cover)
+
+    def test_default_basis_graph_packed_in_bits(self, taylor):
+        """The graph stage holds its K x K masks as bits: its tracemalloc
+        peak on taylor90's default basis (K = 1806) is under half of the
+        13.65 MB that byte masks took, and the adjacency equals a dense
+        int64 construction of the same forms."""
+        basis = select_basis(taylor)
+        cands = enumerate_candidates(taylor, basis)
+        tracemalloc.start()
+        try:
+            g = build_compatibility_graph(cands, taylor, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13.65e6 / 2, peak
+        den = lcm(*(x.denominator for c in cands for x in c.coeffs))
+        m = np.array([[int(x * den) for x in c.coeffs] for c in cands])
+        e = np.array([c.signs for c in cands])
+        dense = np.triu(np.abs(e @ m.T) == den, 1)
+        assert g == SimpleGraph.from_matrix(dense | dense.T)
+        assert (g.n, g.edge_count()) == (1806, 517457)
 
 
 class TestCertificateSelfCheck:
