@@ -8,9 +8,10 @@ diagnostics go to stderr.  Exit codes: 0 success, 1 validation failure,
 2 usage error or refusal.
 
 Each handler imports the modules it runs, so a call loads only what its
-subcommand needs: `construct` loads the constructions (and the graph6
-codec), `saturate` and `search` load numpy with the saturation or search
-modules, and `validate`, `bound` and `info` load neither.
+subcommand needs: `construct` loads the constructions (and, for
+`from-graph6` only, the graph6 codec), `saturate` and `search` load
+numpy with the saturation or search modules, and `validate`, `bound`
+and `info` load neither.
 
 Every BLAS call in eqlines is a small stacked product (d <= 43), where a
 second BLAS thread never pays and its pool costs start-up time, so
@@ -121,7 +122,7 @@ def _load_lineset(path: str) -> lineset.LineSet:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    from . import constructions, graph6
+    from . import constructions
 
     target = args.target
     if target == "octads":
@@ -155,8 +156,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         with open(args.graph6_file, "rb") as fh:
             data = fh.read()
+        from .graph6 import parse_graph6
+
         ls = constructions.from_graph6(data, args.angle)
-        n, adj = graph6.parse_graph6(data)
+        n, adj = parse_graph6(data)
         params = constructions.srg_check(n, adj)
         if params is None:
             print("warning: graph is not strongly regular", file=sys.stderr)

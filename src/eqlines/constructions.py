@@ -13,9 +13,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import Generator, Iterable, Iterator, Optional, Sequence
 
-from . import graph6 as _g6
 from ._tables import (
     E1_MINUS_E2,
     E1_MINUS_E3,
@@ -68,15 +67,14 @@ class OctadDesign:
         return sum(1 for m in self.masks if m & want == want)
 
 
-@functools.cache
-def generate_octads() -> OctadDesign:
-    """The lexicographic greedy over the 8-subsets of {1,...,24}.
+# Size of the span of the greedy's blocks: the 2^12 words of the
+# extended binary Golay code.
+_GOLAY_WORDS = 1 << 12
 
-    The greedy visits the 8-subsets in lexicographic order and keeps one
-    iff it meets every kept subset in at most 4 points.  It keeps exactly
-    759 blocks, starting with {1,...,8}, and any two blocks meet in 0, 2,
-    or 4 points: the Steiner system S(5,8,24) as a constant-weight
-    lexicode (Conway & Sloane, "Lexicographic codes", 1986).
+
+def _greedy_blocks() -> Iterator[int]:
+    """The blocks of the lexicographic greedy over the 8-subsets of
+    {1,...,24}, in the greedy's order; see `generate_octads`.
 
     Two 8-subsets meet in 5 or more points iff they share a 5-subset, so
     the greedy keeps a subset iff none of its 5-subsets lies in
@@ -93,35 +91,95 @@ def generate_octads() -> OctadDesign:
       live prefix of 5 or more points is then a subset of L, so dead;
       the search resumes at the fifth point.
 
-    So it returns the greedy's 759 blocks in the greedy's order, after
-    32,477 nodes.
+    Run to the end, it yields the greedy's 759 blocks after 32,477
+    nodes; it does only the work its consumer draws.
     """
-    kept: list[int] = []
     covered: set[int] = set()
 
-    def extend(prefix: int, size: int, start: int, subsets: list[list[int]]) -> bool:
+    def extend(
+        prefix: int, size: int, start: int, subsets: list[list[int]]
+    ) -> Generator[int, None, bool]:
         """Try every next point from ``start``; ``subsets[j]`` holds the
-        masks of the j-subsets of ``prefix`` (j = 0..4).  True when a
-        leaf was kept, which kills this prefix once it has 5 points."""
+        masks of the j-subsets of ``prefix`` (j = 0..4).  Returns True
+        when a leaf was kept, which kills this prefix once it has 5
+        points."""
         for x in range(start, 17 + size):
             bit = 1 << x
             if size >= 4 and not covered.isdisjoint(map(bit.__or__, subsets[4])):
                 continue
             if size == 7:
                 leaf = prefix | bit
-                kept.append(leaf)
                 points = [1 << p for p in range(24) if leaf >> p & 1]
                 covered.update(sum(five) for five in itertools.combinations(points, 5))
+                yield leaf
                 return True
             grown = [subsets[0]] + [
                 subsets[j] + list(map(bit.__or__, subsets[j - 1])) for j in range(1, 5)
             ]
-            if extend(prefix | bit, size + 1, x + 1, grown) and size >= 5:
+            kept = yield from extend(prefix | bit, size + 1, x + 1, grown)
+            if kept and size >= 5:
                 return True
         return False
 
-    extend(0, 0, 0, [[0], [], [], [], []])
-    return OctadDesign(tuple(kept))
+    yield from extend(0, 0, 0, [[0], [], [], [], []])
+
+
+def _octads_in_span(blocks: Iterable[int]) -> tuple[int, ...]:
+    """The weight-8 words of the XOR span of ``blocks`` in lexicographic
+    order of their sorted point tuples.  Blocks are drawn only until the
+    span holds `_GOLAY_WORDS` words.
+
+    Raises ConstructionMismatch unless the span reaches dimension 12
+    and has exactly 759 words of weight 8, the first being {1,...,8}.
+    """
+    span = {0}
+    for block in blocks:
+        if block not in span:
+            span.update([w ^ block for w in span])
+            if len(span) == _GOLAY_WORDS:
+                break
+    else:
+        raise ConstructionMismatch(
+            f"the blocks span {len(span).bit_length() - 1} dimensions, not 12"
+        )
+    # Read from point 1 up, the earlier of two 8-sets in lexicographic
+    # order holds a 1 where the two first differ: it is the larger string.
+    octads = sorted(
+        (w for w in span if w.bit_count() == 8),
+        key=lambda w: f"{w:024b}"[::-1],
+        reverse=True,
+    )
+    if len(octads) != 759 or octads[0] != 0xFF:
+        raise ConstructionMismatch(
+            f"the span holds {len(octads)} words of weight 8, "
+            "not the 759 octads from {1,...,8}"
+        )
+    return tuple(octads)
+
+
+@functools.cache
+def generate_octads() -> OctadDesign:
+    """The lexicographic greedy over the 8-subsets of {1,...,24}.
+
+    The greedy visits the 8-subsets in lexicographic order and keeps one
+    iff it meets every kept subset in at most 4 points.  It keeps exactly
+    759 blocks, starting with {1,...,8}, and any two blocks meet in 0, 2,
+    or 4 points: the Steiner system S(5,8,24) as a constant-weight
+    lexicode (Conway & Sloane, "Lexicographic codes", 1986).
+
+    Conway & Sloane also show that binary lexicodes are linear.  The
+    one of length 24 and distance 8 is the extended binary Golay code, a
+    12-dimensional code over GF(2), and the greedy's blocks are its 759
+    words of weight 8 (the tests check this against the full greedy
+    scan).  So the first blocks determine all the others: the pruned
+    search of `_greedy_blocks` stops once the blocks kept so far span
+    12 dimensions, at the 78th block, and the design is the weight-8
+    words of their span, sorted into the greedy's order.
+    `_octads_in_span` raises ConstructionMismatch unless the span has
+    dimension 12 and exactly 759 words of weight 8, the first being
+    {1,...,8}.
+    """
+    return OctadDesign(_octads_in_span(_greedy_blocks()))
 
 
 # --------------------------------------------------------------------------
@@ -203,7 +261,10 @@ def _lineset_from_vectors(vectors: Sequence[Sequence[int]], norm_sq: int) -> Lin
     """Lines at angle 1/5 along integer vectors of squared norm norm_sq:
     the Gram entries are their dot products over norm_sq."""
     n = len(vectors)
-    nums = [_dot(u, v) for u in vectors for v in vectors]
+    nums = [0] * (n * n)
+    for i, u in enumerate(vectors):
+        for j in range(i, n):
+            nums[i * n + j] = nums[j * n + i] = _dot(u, vectors[j])
     return LineSet.from_gram(
         RatMatrix.from_integers(n, n, nums, norm_sq),
         Fraction(1, 5),
@@ -213,13 +274,9 @@ def _lineset_from_vectors(vectors: Sequence[Sequence[int]], norm_sq: int) -> Lin
 
 
 @functools.cache
-def taylor_90() -> LineSet:
-    """90 equiangular lines in R^20 with angle 1/5.
-
-    Keeps the octads E containing point 1 whose line vector g(E) has zero
-    integer dot product with each of e1-e2, c, c1, c2, and checks the
-    survivors against the frozen 90-row table.
-    """
+def _taylor_vectors() -> tuple[IntVector24, ...]:
+    """The 90 line vectors of `taylor_90`, derived once for it and for
+    `asche_72`."""
     design = generate_octads()
     constraints = (E1_MINUS_E2, VEC_C, VEC_C1, VEC_C2)
     chosen: list[tuple[int, ...]] = []
@@ -240,26 +297,41 @@ def taylor_90() -> LineSet:
         raise ConstructionMismatch(
             "surviving octads differ from the frozen table"
         )
-    return _lineset_from_vectors(vectors, 80)
+    return tuple(vectors)
+
+
+@functools.cache
+def taylor_90() -> LineSet:
+    """90 equiangular lines in R^20 with angle 1/5.
+
+    Keeps the octads E containing point 1 whose line vector g(E) has zero
+    integer dot product with each of e1-e2, c, c1, c2, and checks the
+    survivors against the frozen 90-row table.
+    """
+    return _lineset_from_vectors(_taylor_vectors(), 80)
 
 
 @functools.cache
 def asche_72() -> LineSet:
     """72 equiangular lines in R^19: the 90-line family minus the 18 blocks
-    containing point 3; every kept line vector is orthogonal to e1-e3."""
-    base = taylor_90()
+    containing point 3; every kept line vector is orthogonal to e1-e3.
+
+    Built from its own 72 vectors, so its Gram matrix and rank come
+    from one 72x72 elimination; the set equals
+    ``taylor_90().restrict(keep)`` without building the 90 lines.
+    """
+    vectors = _taylor_vectors()
     keep = [i for i, pts in enumerate(TAYLOR_OCTADS) if 3 not in pts]
     if len(keep) != 72:
         raise ConstructionMismatch(
             f"expected 72 octads avoiding point 3, found {len(keep)}"
         )
-    assert base.coords is not None
     for i in keep:
-        if _dot(base.coords[i], E1_MINUS_E3) != 0:
+        if _dot(vectors[i], E1_MINUS_E3) != 0:
             raise ConstructionMismatch(
                 f"kept line {i} is not orthogonal to e1-e3"
             )
-    return base.restrict(keep)
+    return _lineset_from_vectors([vectors[i] for i in keep], 80)
 
 
 def filter_orthogonal(
@@ -297,7 +369,9 @@ def from_graph6(data: bytes, angle: Fraction) -> LineSet:
     Raises MalformedGraph6 on bad input and NotPSD when the Gram matrix of
     the requested angle is not positive semidefinite.
     """
-    n, adj = _g6.parse_graph6(data)
+    from .graph6 import parse_graph6
+
+    n, adj = parse_graph6(data)
     rows = []
     for i in range(n):
         row = [0] * n

@@ -15,8 +15,9 @@ one-prime-at-a-time stacked determinant and Hadamard bit count that
 `_det_zero_mod` and the exact Hadamard bound replaced, the scalar
 subset sampler that the vectorised draws of `random_search` replaced,
 an inverse of the SplitMix64 finalizer, and the greedy scan over all
-8-subsets that the pruned search of `generate_octads` replaced.  None
-of them is used by the library.
+8-subsets that `generate_octads` replaced (it runs a pruned search up
+to the 78th block and takes the weight-8 words of the blocks' span).
+None of them is used by the library.
 """
 
 from __future__ import annotations

@@ -143,6 +143,15 @@ class TestConstruct:
         assert main(["construct", target, "-o", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED[target]
 
+    # sha256 of the design file written by the full pruned search, before
+    # the design became the weight-8 words of its first blocks' span
+    PINNED_OCTADS = "2bb227d3ad49448328bf251afd37127cf64ebb0a2a8fb2eb50886368949c6382"
+
+    def test_octads_file_bytes_pinned(self, tmp_path, capsys):
+        path = tmp_path / "octads.json"
+        assert main(["construct", "octads", "-o", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_OCTADS
+
 
 class TestFromGraph6:
     def test_petersen(self, tmp_path, capsys):
@@ -556,8 +565,9 @@ def test_import_budget(tmp_path):
     name in eqlines.__all__ resolves, and saturate and search still run
     once the lazily imported modules load (in a fresh interpreter).
     In fresh interpreters of their own, saturate and search load no
-    construction module, and numpy starts loading with one BLAS thread
-    unless the caller set a thread count."""
+    construction module, numpy starts loading with one BLAS thread
+    unless the caller set a thread count, and construct asche72 does
+    not load the graph6 codec."""
     src = str(Path(eqlines.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -600,3 +610,7 @@ def test_import_budget(tmp_path):
         "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None,
         "MKL_NUM_THREADS": None,
     }
+    # a named construction leaves the graph6 codec unloaded
+    got = probe(["construct", "asche72"])
+    assert "eqlines.constructions" in got["modules"]
+    assert "eqlines.graph6" not in got["modules"], got["modules"]

@@ -18,6 +18,8 @@ from eqlines._tables import (
 )
 from eqlines.constructions import (
     TremainColumn,
+    _greedy_blocks,
+    _octads_in_span,
     filter_orthogonal,
     from_graph6,
     g_vector,
@@ -25,7 +27,7 @@ from eqlines.constructions import (
     srg_check,
     tremain_columns,
 )
-from eqlines.errors import EmptyResult, MalformedGraph6, NotPSD
+from eqlines.errors import ConstructionMismatch, EmptyResult, MalformedGraph6, NotPSD
 from eqlines.graph6 import encode_graph6
 
 from oracles import greedy_octads
@@ -52,6 +54,11 @@ def cycle_adj(n: int) -> list[int]:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     return adj
+
+
+@pytest.fixture(scope="module")
+def greedy() -> tuple[int, ...]:
+    return greedy_octads()
 
 
 class TestOctads:
@@ -91,6 +98,18 @@ class TestOctads:
 
     def test_search_matches_greedy_scan_in_order(self):
         assert generate_octads.__wrapped__().masks == greedy_octads()
+
+    def test_search_stops_at_the_78th_block(self, greedy):
+        drawn: list[int] = []
+        design = _octads_in_span(drawn.append(b) or b for b in _greedy_blocks())
+        assert design == greedy
+        assert tuple(drawn) == greedy[:78]
+
+    def test_short_greedy_prefix_is_refused(self, greedy):
+        # the first 78 blocks span the 12-dimensional code; 77 do not
+        assert _octads_in_span(greedy[:78]) == greedy
+        with pytest.raises(ConstructionMismatch, match="span 11 dimensions"):
+            _octads_in_span(greedy[:77])
 
     @pytest.mark.parametrize("bad", [0, 25, -1])
     def test_count_containing_rejects_points_outside_range(self, octads, bad):
@@ -269,6 +288,16 @@ class TestAsche72:
             assert asche.coords[a] == taylor.coords[i]
             for b, j in enumerate(keep):
                 assert asche.gram[a, b] == taylor.gram[i, j]
+
+    def test_equals_restriction_of_taylor(self, taylor, asche):
+        keep = [i for i, row in enumerate(TAYLOR_OCTADS) if 3 not in row]
+        old = taylor.restrict(keep)
+        assert asche.gram.nums == old.gram.nums
+        assert asche.gram.den == old.gram.den
+        assert asche.rank == old.rank == 19
+        assert asche.coords == old.coords
+        assert asche.coords_norm_sq == old.coords_norm_sq == 80
+        assert asche.angle == old.angle
 
     def test_equals_orthogonal_filter(self, taylor, asche):
         via_filter = filter_orthogonal(taylor, [E1_MINUS_E3])
