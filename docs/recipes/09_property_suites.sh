@@ -13,10 +13,14 @@
 #   9h  stacked modular span tier vs the exact tier and the per-draw
 #       span oracle (shipped sets, wide entries, a det divisible by a
 #       pool prime, draws just over the float tier's 2^53 budget)
-#   9i  shared rank/PSD elimination (psd_rank, from_gram) vs the old
+#   9i  shared rank/PSD elimination (psd_basis, from_gram) vs the old
 #       PSD elimination oracle and the Gauss-Jordan rank (low-rank PSD,
 #       zero-diagonal pairs, indefinite, non-symmetric, zero, 0x0 and
 #       1x1 matrices)
+#   9j  the basis found on load (LineSet.basis, select_basis) vs the
+#       old greedy span scan, in order (the four shipped sets, 20 line
+#       permutations and 10 random subsets of each), and NotPSD on a
+#       set that is not PSD
 set -euo pipefail
 here="$(cd "$(dirname "$0")" && pwd)"
 cd "$here/../.."

@@ -4,10 +4,10 @@ A matrix holds integer numerators over one common denominator, and
 hands out `fractions.Fraction` entries on demand; no operation here
 touches floating point.  Every elimination runs fraction-free on the
 numerators (`integer_scaled`): one Gauss-Jordan routine
-gives `rank`, `integer_inverse`, `inverse` and `kernel`, and `psd_rank`
+gives `rank`, `integer_inverse`, `inverse` and `kernel`, and `psd_basis`
 keeps its own symmetric elimination, as the PSD test needs diagonal
-pivots; on PSD input that elimination also gives the rank, so a Gram
-matrix pays for one pass, not two.
+pivots; on PSD input its pivot rows are also the rank and the greedy
+leftmost basis, so a Gram matrix pays for one pass, not three.
 """
 
 from __future__ import annotations
@@ -239,9 +239,10 @@ def inverse(a: RatMatrix) -> RatMatrix:
     return RatMatrix.from_integers(a.rows, a.cols, [scale * x for y in r for x in y], d)
 
 
-def psd_rank(m: RatMatrix) -> Optional[int]:
-    """The rank of a symmetric matrix when it is positive semidefinite,
-    None when it is not; NotSymmetric for any other matrix.
+def psd_basis(m: RatMatrix) -> Optional[tuple[int, ...]]:
+    """The pivot rows of a symmetric matrix, as row indices in the order
+    taken, when it is positive semidefinite; None when it is not;
+    NotSymmetric for any other matrix.  Their number is the rank.
 
     Symmetric fraction-free elimination with diagonal pivots, on the
     upper triangle only: the pivot is the first positive diagonal entry
@@ -249,23 +250,28 @@ def psd_rank(m: RatMatrix) -> Optional[int]:
     (p*a_ij - a_ik*a_kj) / q, q the previous pivot, an exact division.
     A negative diagonal entry certifies "not PSD".  Once no positive
     diagonal entry is left, the matrix is PSD exactly when the remaining
-    block is zero, and then the pivots taken are its rank.  So on PSD
-    input this one pass gives both answers, and it stops after rank
-    pivots.
+    block is zero.  So on PSD input this one pass gives both answers,
+    and it stops after rank pivots.
+
+    On a Gram matrix the pivots are the greedy leftmost basis, in order:
+    after pivots B the remaining diagonal entry of row i is det(G_BB)
+    times G_ii - G_iB G_BB^-1 G_Bi, the squared distance of vector i to
+    the span of B, so the first positive one is the first row outside it.
     """
     if m.rows != m.cols or not m.is_symmetric():
         raise NotSymmetric("PSD test requires a symmetric matrix")
     a, _ = integer_scaled(m)
-    # u[i] holds the row i of the remaining block from its diagonal on
+    # u[i] holds row rows[i] of the remaining block from its diagonal on
     u = [row[i:] for i, row in enumerate(a)]
+    rows = list(range(m.rows))
     prev = 1
-    taken = 0
+    pivots = []
     while u:
         if any(row[0] < 0 for row in u):
             return None
         k = next((i for i, row in enumerate(u) if row[0] > 0), None)
         if k is None:
-            return taken if not any(any(row) for row in u) else None
+            break
         # column k of the block: a_ik = u[i][k - i] above the pivot row,
         # the pivot row itself below it
         col = [u[i].pop(k - i) for i in range(k)]
@@ -277,8 +283,8 @@ def psd_rank(m: RatMatrix) -> Optional[int]:
             for i, (row, f) in enumerate(zip(u, col))
         ]
         prev = p
-        taken += 1
-    return taken
+        pivots.append(rows.pop(k))
+    return None if any(any(row) for row in u) else tuple(pivots)
 
 
 def kernel(m: RatMatrix) -> list[tuple[Fraction, ...]]:

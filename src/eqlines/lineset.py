@@ -53,20 +53,21 @@ class SignMatrix:
         return cls(len(rows), tuple(tuple(r) for r in rows))
 
 
-def _rank_and_psd(gram: RatMatrix) -> tuple[int, Optional[bool]]:
-    """(rank, PSD) of a square matrix, PSD None when it is not symmetric.
+def _rank_and_basis(gram: RatMatrix) -> tuple[int, Optional[tuple[int, ...]], bool]:
+    """(rank, basis, symmetric) of a square matrix, basis from
+    `linalg.psd_basis` (None when it is not PSD or not symmetric).
 
-    One symmetric elimination (`linalg.psd_rank`) gives both for a PSD
+    One symmetric elimination gives the rank and the basis of a PSD
     matrix, the case of every valid line set; only a matrix it rejects
     pays for the Gauss-Jordan `linalg.rank` as well.
     """
     try:
-        rank = linalg.psd_rank(gram)
+        basis = linalg.psd_basis(gram)
     except NotSymmetric:
-        return linalg.rank(gram), None
-    if rank is None:
-        return linalg.rank(gram), False
-    return rank, True
+        return linalg.rank(gram), None, False
+    if basis is None:
+        return linalg.rank(gram), None, True
+    return len(basis), basis, True
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ class LineSet:
             raise ValueError(
                 f'"coords_norm_sq" must be an integer, got {coords_norm_sq!r}'
             )
-        rank, psd = _rank_and_psd(gram)
+        rank, basis, symmetric = _rank_and_basis(gram)
         ls = cls(
             n=gram.rows,
             angle=Fraction(angle),
@@ -118,15 +119,20 @@ class LineSet:
             coords=fixed,
             coords_norm_sq=coords_norm_sq,
         )
-        if psd is not None:
-            # the elimination that gave the rank settled PSD too: fill
-            # the cached property instead of eliminating again
-            object.__setattr__(ls, "is_psd", psd)
+        if symmetric:
+            # the elimination that gave the rank found the basis: cache it
+            object.__setattr__(ls, "basis", basis)
         return ls
 
     @cached_property
+    def basis(self) -> Optional[tuple[int, ...]]:
+        """Each line, in order, outside the span of the lines kept before
+        it (`linalg.psd_basis`); None when the Gram matrix is not PSD."""
+        return linalg.psd_basis(self.gram)
+
+    @property
     def is_psd(self) -> bool:
-        return linalg.psd_rank(self.gram) is not None
+        return self.basis is not None
 
     def sign_matrix(self) -> SignMatrix:
         """Sign pattern of the off-diagonal entries (gram = I + alpha*S)."""
@@ -259,12 +265,12 @@ def _invariant_checks(ls: LineSet) -> list[CheckResult]:
 def validate(ls: LineSet) -> ValidationReport:
     """Check every defining invariant; failures are reported, not raised.
 
-    The rank is recomputed by one fresh elimination (`_rank_and_psd`);
+    The rank is recomputed by one fresh elimination (`_rank_and_basis`);
     the PSD check reads `is_psd`, which `from_gram` settled in the
     elimination that gave the cached rank.
     """
     checks = _invariant_checks(ls)
-    rank_now, _ = _rank_and_psd(ls.gram)
+    rank_now, _, _ = _rank_and_basis(ls.gram)
     rank_ok = rank_now == ls.rank
     checks.append(
         CheckResult("rank", rank_ok,

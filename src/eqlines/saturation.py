@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _intops, linalg
-from .errors import HypothesisViolated, NotABasis
+from .errors import HypothesisViolated, NotABasis, NotPSD
 from .lineset import LineSet, relative_bound_floor, require_valid
 from .maxclique import CliqueResult, SimpleGraph, max_clique
 
@@ -74,36 +74,24 @@ def select_basis(
 ) -> list[int]:
     """Indices of rank(ls) lines whose Gram block is nonsingular.
 
-    Default: greedy leftmost scan keeping each line that enlarges the
-    span.  With override: the given indices are verified and returned.
+    Default: `LineSet.basis`, the greedy leftmost basis that the
+    elimination on load found.  With override: the given indices are
+    verified and returned.  NotPSD when the Gram matrix is not PSD.
     """
+    if ls.basis is None:
+        raise NotPSD("the Gram matrix is not positive semidefinite")
+    if override is None:
+        return list(ls.basis)
     r = ls.rank
-    if override is not None:
-        idx = [int(i) for i in override]
-        if any(not 0 <= i < ls.n for i in idx):
-            raise IndexError("basis index out of range")
-        if len(idx) != r:
-            raise NotABasis(f"basis needs {r} indices, got {len(idx)}")
-        if len(set(idx)) != len(idx) or linalg.rank(
-            ls.gram.submatrix(idx, idx)
-        ) != r:
-            raise NotABasis("override indices have rank-deficient Gram block")
-        return idx
-
-    m_rows, _ = linalg.integer_scaled(ls.gram)
-    engine = _intops.SpanEngine(m_rows)
-    chosen: list[int] = []
-    in_span: frozenset[int] = frozenset()
-    while len(chosen) < r:
-        nxt = next(
-            j for j in range(ls.n) if j not in in_span and j not in chosen
-        )
-        chosen.append(nxt)
-        if len(chosen) < r:
-            got = engine.members(chosen)
-            assert got is not None, "greedily chosen lines must stay independent"
-            in_span = frozenset(got)
-    return chosen
+    idx = [int(i) for i in override]
+    if any(not 0 <= i < ls.n for i in idx):
+        raise IndexError("basis index out of range")
+    if len(idx) != r:
+        raise NotABasis(f"basis needs {r} indices, got {len(idx)}")
+    # a repeated index leaves the block rank-deficient too
+    if len(linalg.psd_basis(ls.gram.submatrix(idx, idx))) != r:
+        raise NotABasis("override indices have rank-deficient Gram block")
+    return idx
 
 
 def _pattern_signs(m: int, d: int) -> tuple[int, ...]:
@@ -247,7 +235,6 @@ def check_saturated(
     basis_override: Optional[Sequence[int]] = None,
     progress: Optional[ProgressSink] = None,
     time_budget: Optional[float] = None,
-    verify_cover: bool = True,
     graph_sink: Optional[Callable[[SimpleGraph], None]] = None,
 ) -> SaturationReport:
     """Full pipeline; saturated iff len(basis) + omega equals ls.n.
@@ -257,10 +244,10 @@ def check_saturated(
     is refused with InvalidLineSet before any work; the rank computed on
     load is trusted.
 
-    verify_cover re-checks that the input's own non-basis lines appear
-    among the candidates and are pairwise compatible (hence the bound
-    can never fall below ls.n); that clique is then the clique search's
-    starting best, and the witness whenever omega = n - d.  graph_sink
+    The input's own non-basis lines must appear among the candidates and
+    be pairwise compatible (hence the bound can never fall below ls.n);
+    that clique is the clique search's starting best, and the witness
+    whenever omega = n - d.  graph_sink
     (if given) receives the compatibility graph, e.g. for export.  If a
     time budget cut the clique search short, clique_optimal is False
     and the bound is only a lower bound.
@@ -277,7 +264,7 @@ def check_saturated(
     graph = build_compatibility_graph(cands, ls, basis)
     if graph_sink is not None:
         graph_sink(graph)
-    cover = verify_nonbasis_cover(ls, basis, cands, graph) if verify_cover else ()
+    cover = verify_nonbasis_cover(ls, basis, cands, graph)
     clique: CliqueResult = max_clique(graph, time_budget, initial=cover)
     d = len(basis)
     n_bound = d + clique.size

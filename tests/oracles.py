@@ -3,8 +3,10 @@
 They are deliberately plain: the `Fraction`-tuple matrix that integer
 numerators over one denominator replaced in `RatMatrix`, the exact
 fraction-free determinant and a PSD test by principal minors, the
-symmetric elimination that decided PSD alone before `linalg.psd_rank`
-also returned the rank, the `Fraction` Gauss-Jordan solver, inverse, kernel and candidate system
+symmetric elimination that decided PSD alone before `linalg.psd_basis`
+also returned the rank and the basis, the greedy span scan that chose
+`select_basis`'s default basis before it read those pivot rows, the
+`Fraction` Gauss-Jordan solver, inverse, kernel and candidate system
 that the one fraction-free routine of `linalg` replaced, dense rational
 products, the vectorized block scan over sign patterns that the
 meet-in-the-middle engine replaced, the per-draw span membership that
@@ -38,6 +40,7 @@ from eqlines._intops import (
 )
 from eqlines.errors import NotSymmetric, SingularMatrix
 from eqlines.linalg import RatMatrix, integer_scaled
+from eqlines.lineset import LineSet
 from eqlines.spansearch import MASK64, MIX1, MIX2, SplitMix64
 
 
@@ -189,7 +192,7 @@ def psd_by_minors(m) -> bool:
 
 def is_psd(m: RatMatrix) -> bool:
     """Exact positive-semidefiniteness test (the library's `is_psd`
-    before `linalg.psd_rank` replaced it; verbatim).
+    before `linalg.psd_basis` replaced it; verbatim).
 
     Symmetric fraction-free elimination with diagonal pivoting: any
     negative diagonal entry in a remaining block certifies "not PSD";
@@ -231,6 +234,27 @@ def is_psd(m: RatMatrix) -> bool:
             a[step][i] = 0
         prev = pivot
     return True
+
+
+def greedy_span_basis(ls: LineSet) -> list[int]:
+    """The default basis of `select_basis` before it read the pivot rows
+    of `LineSet.basis`, verbatim: a greedy leftmost scan keeping each
+    line that enlarges the span, through `SpanEngine`."""
+    r = ls.rank
+    m_rows, _ = integer_scaled(ls.gram)
+    engine = SpanEngine(m_rows)
+    chosen: list[int] = []
+    in_span: frozenset[int] = frozenset()
+    while len(chosen) < r:
+        nxt = next(
+            j for j in range(ls.n) if j not in in_span and j not in chosen
+        )
+        chosen.append(nxt)
+        if len(chosen) < r:
+            got = engine.members(chosen)
+            assert got is not None, "greedily chosen lines must stay independent"
+            in_span = frozenset(got)
+    return chosen
 
 
 def _gauss_jordan(aug: list[list[Fraction]], n: int) -> None:

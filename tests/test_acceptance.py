@@ -35,9 +35,16 @@ from eqlines.constructions import (
     tremain_28,
     tremain_columns,
 )
-from eqlines.errors import NotSymmetric, SingularMatrix
+from eqlines.errors import NotPSD, NotSymmetric, SingularMatrix
 from eqlines.graph6 import parse_graph6
-from eqlines.lineset import LineSet, _rank_and_psd, relative_bound, validate
+from eqlines.lineset import (
+    LineSet,
+    SignMatrix,
+    _rank_and_basis,
+    from_sign_matrix,
+    relative_bound,
+    validate,
+)
 from eqlines.linalg import RatMatrix
 from eqlines.maxclique import SimpleGraph, max_clique
 from eqlines.saturation import (
@@ -61,6 +68,7 @@ from oracles import (
     fraction_inverse,
     fraction_kernel,
     fraction_scaled_candidate_matrix,
+    greedy_span_basis,
     psd_by_minors,
     sample_subset,
     solve,
@@ -409,7 +417,7 @@ def test_criterion_9d_psd_vs_eigenvalue_oracle():
             ]
             m = sym
         mat = RatMatrix.from_rows(m)
-        exact = linalg.psd_rank(mat) is not None
+        exact = linalg.psd_basis(mat) is not None
         eigs = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in m]))
         lo = float(eigs.min())
         if abs(lo) < 1e-9:
@@ -512,7 +520,7 @@ def test_criterion_9g_numerators_vs_fraction_matrix_oracle():
     deficient) and their symmetric variants, built from `Fraction`s,
     from rows and by `from_integers` over a non-least denominator:
     entries, rows, [i, j], submatrices, ==/hash across the routes,
-    `integer_scaled`, rank, psd_rank, inverse and kernel."""
+    `integer_scaled`, rank, psd_basis, inverse and kernel."""
     rng = SplitMix64(9007)
     seen = dict.fromkeys(["0x0", "1x1", "non_square", "mixed", "psd",
                           "not_psd", "singular", "inverted"], 0)
@@ -555,7 +563,10 @@ def test_criterion_9g_numerators_vs_fraction_matrix_oracle():
             assert new.is_symmetric() == old.is_symmetric()
             if old.is_symmetric():
                 psd = psd_by_minors(old)
-                assert linalg.psd_rank(new) == (linalg.rank(new) if psd else None)
+                basis = linalg.psd_basis(new)
+                assert (basis is not None) == psd
+                if psd:
+                    assert len(basis) == linalg.rank(new)
                 seen["psd" if psd else "not_psd"] += 1
             if r == c:
                 try:
@@ -748,15 +759,27 @@ def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
         ]
 
 
+def _greedy_rank_basis(m: RatMatrix) -> tuple[int, ...]:
+    """Each row, in order, that raises the Gauss-Jordan rank of the
+    principal block of the rows kept before it."""
+    kept: list[int] = []
+    for j in range(m.rows):
+        ext = kept + [j]
+        if linalg.rank(m.submatrix(ext, ext)) > len(kept):
+            kept.append(j)
+    return tuple(kept)
+
+
 def test_criterion_9i_shared_rank_psd_elimination():
-    """The one symmetric elimination behind a line set's rank and PSD
-    check (`linalg.psd_rank`, `lineset._rank_and_psd`, and through them
-    `LineSet.from_gram`) agrees with the oracle `is_psd` and the
+    """The one symmetric elimination behind a line set's rank, PSD check
+    and basis (`linalg.psd_basis`, `lineset._rank_and_basis`, and through
+    them `LineSet.from_gram`) agrees with the oracle `is_psd` and the
     Gauss-Jordan `linalg.rank` on 288 seeded matrices: low-rank PSD
     X X^T with rational X, the same with a nonzero entry between two
     zero rows (a zero diagonal left after the positive pivots, not PSD),
-    indefinite symmetric, non-symmetric (which `psd_rank` refuses), and
-    zero, 0x0 and 1x1 matrices."""
+    indefinite symmetric, non-symmetric (which `psd_basis` refuses), and
+    zero, 0x0 and 1x1 matrices.  On PSD input its pivot rows are the
+    greedy leftmost basis by principal-block rank."""
     rng = SplitMix64(9009)
     seen = dict.fromkeys(["low_rank_psd", "zero_diagonal_pair", "indefinite",
                           "non_symmetric", "zero", "1x1"], 0)
@@ -794,16 +817,19 @@ def test_criterion_9i_shared_rank_psd_elimination():
         assert ls.rank == rank
         if kind == "non_symmetric":
             with pytest.raises(NotSymmetric):
-                linalg.psd_rank(m)
+                linalg.psd_basis(m)
             with pytest.raises(NotSymmetric):
                 ls.is_psd
-            assert _rank_and_psd(m) == (rank, None)
+            assert _rank_and_basis(m) == (rank, None, False)
             seen[kind] += 1
             continue
         psd = is_psd(m)
-        assert linalg.psd_rank(m) == (rank if psd else None)
-        assert _rank_and_psd(m) == (rank, psd)
-        assert ls.is_psd == psd
+        basis = linalg.psd_basis(m)
+        assert (basis is not None) == psd
+        assert _rank_and_basis(m) == (rank, basis, True)
+        assert ls.basis == basis and ls.is_psd == psd
+        if psd:
+            assert basis == _greedy_rank_basis(m)
         if kind == "low_rank_psd":
             assert psd and rank <= k
         if kind == "zero_diagonal_pair":
@@ -812,3 +838,39 @@ def test_criterion_9i_shared_rank_psd_elimination():
             seen[kind] += 1
         empty += n == 0
     assert min(seen.values()) >= 30 and empty, (seen, empty)
+
+
+def test_criterion_9j_basis_from_load_elimination(tremain, taylor, asche):
+    """The basis that loading finds (`LineSet.basis`) and the default of
+    `select_basis` equal the old greedy span scan `greedy_span_basis`,
+    in order, on 124 sets: tremain14, taylor90, asche72 and best56 as
+    built, under 20 seeded line permutations each, and on 10 seeded
+    random subsets of each.  A set that is not PSD (5 lines at 1/3, all
+    signs -1) has no basis, and `select_basis` raises NotPSD."""
+    best = random_search(asche, 18, 12, SEARCH_MASTER_SEED).best
+    best56 = extract_sublineset(asche, best.closure)
+    rng = SplitMix64(9010)
+    checked = 0
+    for ls in (tremain, taylor, asche, best56):
+        variants = [ls]
+        for _ in range(20):
+            perm = list(range(ls.n))
+            for i in range(ls.n - 1):
+                j = i + rng.below(ls.n - i)
+                perm[i], perm[j] = perm[j], perm[i]
+            variants.append(ls.restrict(perm))
+        for _ in range(10):
+            variants.append(ls.restrict(
+                sample_subset(rng, ls.n, 1 + rng.below(ls.n))))
+        for v in variants:
+            want = greedy_span_basis(v)
+            assert list(v.basis) == want
+            assert select_basis(v) == want
+            checked += 1
+    assert checked == 124
+
+    signs = [[0 if i == j else -1 for j in range(5)] for i in range(5)]
+    ls = from_sign_matrix(SignMatrix.from_rows(signs), F(1, 3))
+    assert ls.rank == 5 and ls.basis is None and not ls.is_psd
+    with pytest.raises(NotPSD):
+        select_basis(ls)

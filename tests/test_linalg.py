@@ -191,19 +191,20 @@ class TestSolveInverse:
 
 class TestPSD:
     def test_simple_cases(self):
-        assert linalg.psd_rank(RatMatrix.identity(3)) == 3
-        assert linalg.psd_rank(RatMatrix.from_rows([[0, 0], [0, 0]])) == 0
-        assert linalg.psd_rank(RatMatrix.from_rows([[1, 0], [0, 0]])) == 1
-        assert linalg.psd_rank(RatMatrix.from_rows([[1, 0], [0, -1]])) is None
-        assert linalg.psd_rank(RatMatrix.from_rows([[0, 1], [1, 0]])) is None
+        assert linalg.psd_basis(RatMatrix.identity(3)) == (0, 1, 2)
+        assert linalg.psd_basis(RatMatrix.from_rows([[0, 0], [0, 0]])) == ()
+        assert linalg.psd_basis(RatMatrix.from_rows([[1, 0], [0, 0]])) == (0,)
+        assert linalg.psd_basis(RatMatrix.from_rows([[0, 0], [0, 1]])) == (1,)
+        assert linalg.psd_basis(RatMatrix.from_rows([[1, 0], [0, -1]])) is None
+        assert linalg.psd_basis(RatMatrix.from_rows([[0, 1], [1, 0]])) is None
         # boundary: [[1,1],[1,1]] is PSD (eigenvalues 2, 0)
-        assert linalg.psd_rank(RatMatrix.from_rows([[1, 1], [1, 1]])) == 1
+        assert linalg.psd_basis(RatMatrix.from_rows([[1, 1], [1, 1]])) == (0,)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
-            linalg.psd_rank(RatMatrix.from_rows([[1, 2], [0, 1]]))
+            linalg.psd_basis(RatMatrix.from_rows([[1, 2], [0, 1]]))
         with pytest.raises(NotSymmetric):
-            linalg.psd_rank(RatMatrix.from_rows([[1, 2]]))
+            linalg.psd_basis(RatMatrix.from_rows([[1, 2]]))
 
     def test_gram_matrices_are_psd(self):
         rng = SplitMix64(606)
@@ -212,7 +213,10 @@ class TestPSD:
             k = 1 + rng.below(4)
             b = rand_int_matrix(rng, k, n)
             g = matmul(transpose(b), b)
-            assert linalg.psd_rank(g) == linalg.rank(g)
+            basis = linalg.psd_basis(g)
+            assert len(basis) == linalg.rank(g)
+            assert basis == tuple(sorted(basis))
+            assert linalg.rank(g.submatrix(basis, basis)) == len(basis)
 
     def test_shifted_gram_matrices_are_not_psd(self):
         rng = SplitMix64(707)
@@ -225,13 +229,13 @@ class TestPSD:
                 [g[i, j] - (shift if i == j else 0) for j in range(n)]
                 for i in range(n)
             ]
-            assert linalg.psd_rank(RatMatrix.from_rows(rows)) is None
+            assert linalg.psd_basis(RatMatrix.from_rows(rows)) is None
 
     def test_rational_entries(self):
         g = RatMatrix.from_rows(
             [[1, F(1, 5), -F(1, 5)], [F(1, 5), 1, F(1, 5)], [-F(1, 5), F(1, 5), 1]]
         )
-        assert linalg.psd_rank(g) == 3
+        assert linalg.psd_basis(g) == (0, 1, 2)
 
 
 class TestKernel:

@@ -199,9 +199,10 @@ class TestJson:
         assert back.coords_norm_sq == 5
 
     def test_load_with_coords_computes_rank_once(self, monkeypatch):
-        """One elimination gives the rank and settles PSD on load."""
+        """One elimination gives the rank and settles the basis and PSD
+        on load."""
         calls = []
-        for name in ("rank", "psd_rank"):
+        for name in ("rank", "psd_basis"):
 
             def counting(m, name=name, inner=getattr(linalg, name)):
                 calls.append((name, m.rows))
@@ -212,9 +213,10 @@ class TestJson:
         ls = LineSet.from_gram(g, F(1, 5), coords=[(2, 1), (1, 2)], coords_norm_sq=5)
         calls.clear()
         back = lineset.loads(lineset.dumps(ls))
-        assert calls == [("psd_rank", 2)]
+        assert calls == [("psd_basis", 2)]
         assert back.rank == 2 and back.coords == ((2, 1), (1, 2))
-        assert back.is_psd and calls == [("psd_rank", 2)]
+        assert back.basis == (0, 1) and back.is_psd
+        assert calls == [("psd_basis", 2)]
 
     @pytest.mark.parametrize(
         "coords,norm_sq,field",

@@ -8,9 +8,9 @@ from math import lcm
 import numpy as np
 import pytest
 
-from eqlines import _intops, linalg, saturation
-from eqlines.errors import HypothesisViolated, InvalidLineSet, NotABasis
-from eqlines.lineset import LineSet
+from eqlines import _intops, lineset, linalg, saturation
+from eqlines.errors import HypothesisViolated, InvalidLineSet, NotABasis, NotPSD
+from eqlines.lineset import LineSet, SignMatrix, from_sign_matrix
 from eqlines.linalg import RatMatrix
 from eqlines.maxclique import CliqueResult, SimpleGraph
 from eqlines.saturation import (
@@ -25,7 +25,7 @@ from eqlines.saturation import (
     verify_nonbasis_cover,
 )
 from eqlines.spansearch import SplitMix64
-from oracles import enumerate_range_batch
+from oracles import enumerate_range_batch, greedy_span_basis
 
 F = Fraction
 HALF = F(1, 2)
@@ -127,6 +127,35 @@ class TestSelectBasis:
     def test_override_out_of_range(self):
         with pytest.raises(IndexError):
             select_basis(hexagon(), [0, 3])
+
+    def test_not_psd_refused(self):
+        # 5 lines at 1/3, all signs -1: rank 5, the all-ones vector has
+        # eigenvalue -1/3
+        signs = [[0 if i == j else -1 for j in range(5)] for i in range(5)]
+        ls = from_sign_matrix(SignMatrix.from_rows(signs), F(1, 3))
+        assert ls.rank == 5 and not ls.is_psd
+        with pytest.raises(NotPSD):
+            select_basis(ls)
+        with pytest.raises(NotPSD):
+            select_basis(ls, [0, 1, 2, 3, 4])
+
+    @pytest.mark.parametrize("override", [None, list(range(1, 28, 2))],
+                             ids=["default", "odd"])
+    def test_saturate_runs_no_span_scan_or_rank(self, monkeypatch, tremain,
+                                                override):
+        """Loading and saturating a valid set take the basis, and check an
+        override, with the one elimination on load."""
+        want = check_saturated(tremain, override)
+        if override is None:
+            assert list(want.basis_indices) == greedy_span_basis(tremain)
+
+        def refuse(*args):
+            raise AssertionError("a second mechanism ran")
+
+        monkeypatch.setattr(_intops, "SpanEngine", refuse)
+        monkeypatch.setattr(linalg, "rank", refuse)
+        ls = lineset.loads(lineset.dumps(tremain))
+        assert check_saturated(ls, override) == want
 
     def test_greedy_block_is_invertible(self, taylor):
         from eqlines import linalg
