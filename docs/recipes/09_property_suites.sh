@@ -21,6 +21,10 @@
 #       old greedy span scan, in order (the four shipped sets, 20 line
 #       permutations and 10 random subsets of each), and NotPSD on a
 #       set that is not PSD
+#   9k  the span engine's kernel-vector certificate of singular draws vs
+#       the exact rank (dependent groups of nullity 0-3, the four shipped
+#       sets, entries near 2^22, indefinite and near-singular blocks, a
+#       failing solve), its 2^53 budget, and its seed-0 asche72 count
 set -euo pipefail
 here="$(cd "$(dirname "$0")" && pwd)"
 cd "$here/../.."

@@ -4,11 +4,12 @@ Everything here produces exact results; the fast paths use numpy int64
 or float64 with explicit overflow budgets, and every shortcut is either
 certified by an exact integer identity before use or replaced by a
 slower exact fallback.  Floating point either *proposes* an integer
-adjugate that is then verified exactly (a failed verification falls
-through), or carries integers of at most 2^53, where float64 arithmetic
-is exact in any summation order (the verification itself, and the
-centred residues of `_det_zero_mod` and `_inverse_mod`); no tolerance
-ever decides an answer.
+adjugate, or an integer kernel vector of a singular block, that is then
+verified exactly (a failed verification falls through), or carries
+integers of at most 2^53, where float64 arithmetic is exact in any
+summation order (the verifications themselves, and the centred residues
+of `_det_zero_mod` and `_inverse_mod`); no tolerance ever decides an
+answer.
 
 Sign-pattern conventions (shared with the saturation module): pattern
 index m in [0, 2^(d-1)) maps to epsilon with eps[0] = +1 and, for
@@ -56,6 +57,9 @@ _DRAW_GATHER = 1 << 17
 
 # every integer of magnitude at most 2^53 is exact in float64
 _FLOAT_EXACT = 1 << 53
+# the fractional part of the golden ratio: the probe of `_kernel_zero`
+# has entries 1 + frac(k * _PHI), distinct for every k
+_PHI = 0.6180339887498949
 # digit base of the residues split by `SpanEngine._forms_mod`
 _DIGIT = 1 << 13
 
@@ -229,7 +233,7 @@ def pairwise_hits(
 
 
 # --------------------------------------------------------------------------
-# span membership (exact, four tiers)
+# span membership (exact, five tiers)
 
 
 def _centre(t: np.ndarray, p, p_inv) -> np.ndarray:
@@ -277,6 +281,38 @@ def _det_zero_mod(a: np.ndarray, p: np.ndarray) -> np.ndarray:
         t = a[:, :1, :1] * a[:, 1:, 1:]
         t -= a[:, 1:, :1] * a[:, :1, 1:]
         a = _centre(t, p, p_inv)
+    return zero
+
+
+def _kernel_zero(a: np.ndarray, max_m: int) -> np.ndarray:
+    """Mask of the matrices of a (k, d, d) float64 stack of integers
+    (|entry| <= max_m) certified singular by an integer kernel vector.
+
+    One batched float solve of (A + eps*I) x = probe, with eps =
+    1e-12 * max_m and the fixed probe 1 + frac(k * phi), proposes x; for
+    a singular A the kernel part of x, of order 1/eps, swamps the rest.
+    Dividing x by its smallest entry above 2^-20 of its largest, and
+    rounding, gives an integer w.  A matrix is certified only when
+    w != 0, max|w| * max_m * d <= 2^53, so that every partial sum of
+    A @ w is an integer of at most 2^53, exact in float64 in whatever
+    order BLAS sums, and A @ w == 0.  A failed solve certifies nothing.
+    """
+    k, d = a.shape[:2]
+    probe = 1.0 + np.arange(1, d + 1) * _PHI % 1.0
+    try:
+        x = np.linalg.solve(a + 1e-12 * max_m * np.eye(d), probe[:, None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.zeros(k, dtype=bool)
+    mag = np.abs(x)
+    # a NaN or all-zero x has no significant entry and gives w = 0 or NaN
+    sig = mag > mag.max(axis=1, keepdims=True, initial=0.0) * 2.0**-20
+    unit = np.where(sig, mag, np.inf).min(axis=1, keepdims=True, initial=np.inf)
+    with np.errstate(invalid="ignore"):
+        w = np.rint(x / unit)
+    max_w = np.abs(w).max(axis=1, initial=0.0)
+    zero = (max_w > 0) & (max_w <= _FLOAT_EXACT // max(d * max_m, 1))
+    take = np.flatnonzero(zero)
+    zero[take] = (a[take] @ w[take, :, None] == 0).all(axis=(1, 2))
     return zero
 
 
@@ -330,10 +366,13 @@ class SpanEngine:
     """Reusable exact span-membership tester over one integer Gram matrix.
 
     Row j belongs to span(subset) iff M_jS (M_SS)^-1 M_Sj == M_jj.
-    `members_many` decides a list of subsets of one size in stacked
-    blocks of `block(d)` draws, sized so that the (draws, d, n) float64
-    gather of the columns M_:S holds about _DRAW_GATHER entries.  Each
-    draw is decided by exactly one of four tiers, counted in
+    `members_many` decides a list of subsets of one size.  Tiers 1 and
+    2 take stacked blocks of `block(d)` draws, sized so that the
+    (draws, d, n) float64 gather of the columns M_:S holds about
+    _DRAW_GATHER entries.  The draws they leave open gather across
+    blocks and go to tiers 3 and 4 a whole block's worth at a time (and
+    once more at the end), so every stack stays within one block.  Each
+    draw is decided by exactly one of five tiers, counted in
     `tier_counts`:
 
     1. float: batched det and inverse of the float64 Gram blocks propose
@@ -342,15 +381,18 @@ class SpanEngine:
        that every partial sum of A @ B and of the membership forms
        m_j^T B m_j is an integer of at most 2^53, exact in float64 in
        whatever order BLAS sums, and then only when A @ B == det * I;
-    2. singular: for the draws left open, one stacked float64
+    2. kernel: a draw whose float det rounds to 0 is certified singular
+       by `_kernel_zero` when one batched float solve proposes an
+       integer w != 0 with max|w| * max_m * d <= 2^53 and A @ w == 0;
+    3. singular: for the draws left open, one stacked float64
        elimination (`_det_zero_mod`) over every (draw, prime) pair
        certifies a draw singular when det == 0 modulo each of the fewest
        26-bit primes whose squared product exceeds its exact Hadamard
        product (2 primes for asche72 at rank 18);
-    3. modular: the other draws go through one stacked modular
+    4. modular: the other draws go through one stacked modular
        Gauss-Jordan (`_inverse_mod`) over every (draw, prime) pair, with
        as many primes not dividing det as the value bounds ask for;
-    4. exact: a draw the prime pool cannot cover goes through
+    5. exact: a draw the prime pool cannot cover goes through
        fraction-free integer elimination (`_members_exact`, through
        `linalg.integer_inverse`).
 
@@ -368,12 +410,15 @@ class SpanEngine:
             m_f = np.array(m_rows, dtype=np.float64).reshape(self.n, self.n)
             self.cols = m_f.T.copy()
         self._mod_cache: dict[int, np.ndarray] = {}
-        self._tiers = [0, 0, 0, 0]
+        self._tiers = [0, 0, 0, 0, 0]
 
     @property
     def tier_counts(self) -> dict[str, int]:
-        """Draws decided so far by each tier: float, singular, modular, exact."""
-        return dict(zip(("float", "singular", "modular", "exact"), self._tiers))
+        """Draws decided so far by each tier: float, kernel, singular,
+        modular, exact."""
+        return dict(zip(
+            ("float", "kernel", "singular", "modular", "exact"), self._tiers
+        ))
 
     def _mod(self, p: int) -> np.ndarray:
         """The residues M mod p in [0, p), as float64."""
@@ -390,8 +435,8 @@ class SpanEngine:
 
     def _blocks(self, sub: np.ndarray) -> np.ndarray:
         """The float64 Gram blocks A[k] = M[S_k, S_k] of a (draws, d)
-        index array (cols[b, a] = M[a, b])."""
-        return self.cols[sub[:, None, :], sub[:, :, None]]
+        index array (cols[b, a] = M[a, b]), by one flat `np.take`."""
+        return np.take(self.cols, sub[:, None, :] * self.n + sub[:, :, None])
 
     def block(self, d: int) -> int:
         """Draws of d lines that one stacked block decides."""
@@ -404,48 +449,61 @@ class SpanEngine:
     def members_many(
         self, subsets: Sequence[Sequence[int]]
     ) -> list[Optional[list[int]]]:
-        """`members` of each subset, in order; the subsets share one size."""
-        subs = [sorted(s) for s in subsets]
-        if not subs:
+        """`members` of each subset, in order; the subsets share one size.
+
+        Tiers 1 and 2 take the draws `block(d)` at a time.  The draws
+        they leave open wait, across blocks, until a whole block's worth
+        has gathered; they then go to the residue tiers together, and
+        the rest once more at the end, so that no residue stack holds
+        more than one block of draws.
+        """
+        if len(subsets) == 0:
             return []
-        d = len(subs[0])
+        sub = np.array(subsets, dtype=np.intp)
+        sub.sort(axis=1)
+        count, d = sub.shape
         step = self.block(d)
-        got: list[Optional[list[int]]] = []
-        for k in range(0, len(subs), step):
-            got.extend(self._members_block(subs[k:k + step], d))
+        got: list[Optional[list[int]]] = [None] * count
+        left = np.empty(0, dtype=np.intp)
+        for k in range(0, count, step):
+            if self.small:
+                got[k:k + step], open_ = self._members_float(sub[k:k + step])
+            else:
+                open_ = np.arange(min(step, count - k))
+            left = np.concatenate([left, k + open_])
+            if len(left) >= step:
+                self._members_residue(sub, left[:step], got)
+                left = left[step:]
+        self._members_residue(sub, left, got)
         return got
 
-    def _members_block(
-        self, subs: list[list[int]], d: int
-    ) -> list[Optional[list[int]]]:
-        sub = np.array(subs, dtype=np.intp).reshape(len(subs), d)
-        got = self._members_float(sub) if self.small else [None] * len(subs)
-        open_ = np.array([k for k, g in enumerate(got) if g is None], dtype=np.intp)
-        if len(open_):
-            singular = self._singular_mod(sub[open_])
-            self._tiers[1] += int(singular.sum())
-            rest = open_[~singular]
-            if len(rest):
-                for k, members in zip(rest.tolist(), self._members_modular(sub[rest])):
-                    got[k] = members
-        return got
+    # -- tiers 1 and 2: float proposals, exact float64 verification --------
 
-    # -- tier 1: float proposal, exact float64 verification ----------------
-
-    def _members_float(self, sub: np.ndarray) -> list[Optional[list[int]]]:
-        """Members of each draw whose float-proposed adjugate verifies
-        exactly within the 2^53 budget; None for every other draw."""
+    def _members_float(
+        self, sub: np.ndarray
+    ) -> tuple[list[Optional[list[int]]], np.ndarray]:
+        """(got, open) for one block: got holds the members of each draw
+        whose float-proposed adjugate verifies exactly within the 2^53
+        budget, and None for every other draw; open lists the draws
+        left undecided, which excludes those and the draws whose float
+        det rounds to 0 and that `_kernel_zero` certifies singular."""
         count, d = sub.shape
         got: list[Optional[list[int]]] = [None] * count
+        open_ = np.ones(count, dtype=bool)
         a = self._blocks(sub)
         detf = np.linalg.det(a)
         size = np.abs(detf)
+        zero = np.flatnonzero(size < 0.5)
+        if len(zero):
+            kernel = zero[_kernel_zero(a[zero], self.max_m)]
+            open_[kernel] = False
+            self._tiers[1] += len(kernel)
         cap_det = _FLOAT_EXACT // max(self.max_m, 1)
         take = np.flatnonzero((size >= 0.5) & (size < cap_det + 1))
         try:
             inv = np.linalg.inv(a[take])
         except np.linalg.LinAlgError:
-            return got
+            return got, np.flatnonzero(open_)
         dr = np.rint(detf[take])
         b = np.rint(inv * dr[:, None, None])
         # a NaN or infinite proposal fails the budget comparison
@@ -463,10 +521,24 @@ class SpanEngine:
         hits = forms == dr[:, None] * np.diagonal(self.cols)
         for k, members in zip(take.tolist(), _nonzero_rows(hits)):
             got[k] = members
+        open_[take] = False
         self._tiers[0] += len(take)
-        return got
+        return got, np.flatnonzero(open_)
 
-    # -- tiers 2 and 3: multi-modular residues -----------------------------
+    def _members_residue(
+        self, sub: np.ndarray, left: np.ndarray, got: list[Optional[list[int]]]
+    ) -> None:
+        """Decide the draws sub[left] by tiers 3 to 5, into got."""
+        if not len(left):
+            return
+        singular = self._singular_mod(sub[left])
+        self._tiers[2] += int(singular.sum())
+        rest = left[~singular]
+        if len(rest):
+            for k, members in zip(rest.tolist(), self._members_modular(sub[rest])):
+                got[k] = members
+
+    # -- tiers 3 and 4: multi-modular residues -----------------------------
 
     def _hadamard(self, sub: np.ndarray) -> list[int]:
         """Hadamard's bound prod_i ||a_i||^2 >= det(A)^2 on the Gram block
@@ -574,8 +646,8 @@ class SpanEngine:
             got[k] = members
         for k in np.flatnonzero(~modular | (short > 0)).tolist():
             got[k] = self._members_exact(sub[k].tolist())
-        self._tiers[2] += len(done)
-        self._tiers[3] += count - len(done)
+        self._tiers[3] += len(done)
+        self._tiers[4] += count - len(done)
         return got
 
     def _forms_mod(
@@ -608,7 +680,7 @@ class SpanEngine:
         target = _centre(unit[:, None] * np.diagonal(src), p, p_inv)
         return _centre(forms - target, p, p_inv) == 0
 
-    # -- tier 4: exact fraction-free elimination ---------------------------
+    # -- tier 5: exact fraction-free elimination ---------------------------
 
     def _members_exact(self, subset: list[int]) -> Optional[list[int]]:
         try:

@@ -248,8 +248,6 @@ def _cmd_saturate(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    import csv
-
     from . import spansearch
 
     ls = _load_lineset(args.file)
@@ -269,6 +267,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
             for vec in spansearch.orthogonal_complement(ls, best.closure)
         ]
     if args.csv:
+        import csv
+
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["run", "seed", "closure_size", "rank_ok"])

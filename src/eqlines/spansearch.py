@@ -11,14 +11,17 @@ finalized by two xor-multiply rounds.  Run i of a search derives its
 own seed as mix64(master + i*GOLDEN), so runs are independent of
 execution order.
 
-The search runs in one process, a block of runs at a time;
-`SpanEngine.block` sizes the block so that its (draws, d, n) column
-gather holds about 2^17 float64 entries (101 draws at n = 72, d = 18).
-The subsets of a block are drawn together, one numpy uint64 SplitMix64
-lane per run (`_draw_block`), bit-identical to drawing each run on its
-own; `SplitMix64`, `mix64` and `run_seed` remain the definition of the
-stream.  `SpanEngine.members_many` then decides the block in stacked
-numpy.
+The search runs in one process, a chunk of runs at a time.  A chunk
+is a whole number of the blocks that `SpanEngine.block` sizes so that
+their (draws, d, n) column gather holds about 2^17 float64 entries (101
+draws at n = 72, d = 18), as many as keep the chunk's (runs, n)
+permutation near _DRAW_CHUNK = 2^16 entries (9 blocks there).  The
+subsets of a chunk are drawn together, one numpy uint64 SplitMix64 lane
+per run (`_draw_block`), bit-identical to drawing each run on its own;
+`SplitMix64`, `mix64` and `run_seed` remain the definition of the
+stream.  `SpanEngine.members_many` then decides the chunk in stacked
+numpy, block by block, with the draws the float tiers leave open
+gathered across the chunk's blocks.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ import numpy as np
 from . import _intops, linalg
 from .errors import OutOfRange, RankDeficient
 from .lineset import LineSet, validate
+
+# entries of the (runs, n) permutation that one `_draw_block` call
+# shuffles: random_search draws chunks of whole blocks about this size
+_DRAW_CHUNK = 1 << 16
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -100,7 +107,8 @@ def _draw_block(
     seeds = _mix64_many(runs * GOLDEN + master)
     state = seeds.copy()
     lanes = np.arange(hi - lo)
-    perm = np.tile(np.arange(n), (hi - lo, 1))
+    # the smallest dtype that holds n keeps the (runs, n) shuffle small
+    perm = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (hi - lo, 1))
     for i in range(k):
         bound = n - i
         lim = (1 << 64) - (1 << 64) % bound
@@ -114,7 +122,7 @@ def _draw_block(
                 redo = redo[r[redo] >= lim]
         j = i + (r % bound).astype(np.intp)
         perm[lanes, i], perm[lanes, j] = perm[lanes, j], perm[lanes, i]
-    return seeds.tolist(), np.sort(perm[:, :k], axis=1)
+    return seeds.tolist(), np.sort(perm[:, :k], axis=1).astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -199,8 +207,9 @@ def random_search(
     comes from its own derived seed, results merge in run order, and the
     best run is the smallest-index run of maximal closure size.  Draws
     with singular Gram blocks are recorded at histogram size 0.
-    progress (if given) receives (done, runs) once after each block of
-    draws, ending at (runs, runs); runs = 0 reports nothing.
+    progress (if given) receives (done, runs) once for each block of
+    draws, as each chunk of blocks is logged, ending at (runs, runs);
+    runs = 0 reports nothing.
     """
     if not 1 <= target_rank <= ls.rank:
         raise OutOfRange(
@@ -212,22 +221,24 @@ def random_search(
     m_rows, _ = linalg.integer_scaled(ls.gram)
     engine = _intops.SpanEngine(m_rows)
     block = engine.block(target_rank)
+    chunk = block * max(1, _DRAW_CHUNK // (block * ls.n))
     log: list[SearchRun] = []
-    for lo in range(0, runs, block):
+    for lo in range(0, runs, chunk):
         seeds, drawn = _draw_block(
-            seed, lo, min(lo + block, runs), ls.n, target_rank
+            seed, lo, min(lo + chunk, runs), ls.n, target_rank
         )
-        subsets = drawn.tolist()
-        for s, subset, members in zip(
-            seeds, subsets, engine.members_many(subsets)
-        ):
-            closure = () if members is None else tuple(members)
-            log.append(SearchRun(
-                len(log), s, tuple(subset), closure, len(closure),
-                0 if members is None else target_rank,
-            ))
-        if progress is not None:
-            progress(len(log), runs)
+        got = engine.members_many(drawn)
+        for b in range(0, len(got), block):
+            for s, subset, members in zip(
+                seeds[b:b + block], drawn[b:b + block].tolist(), got[b:b + block]
+            ):
+                closure = () if members is None else tuple(members)
+                log.append(SearchRun(
+                    len(log), s, tuple(subset), closure, len(closure),
+                    0 if members is None else target_rank,
+                ))
+            if progress is not None:
+                progress(len(log), runs)
 
     histogram: dict[int, int] = {}
     best: Optional[SearchRun] = None

@@ -55,6 +55,7 @@ from eqlines.saturation import (
 )
 from eqlines.spansearch import (
     SplitMix64,
+    _draw_block,
     extract_sublineset,
     random_search,
     span_closure,
@@ -757,6 +758,109 @@ def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
         assert _assert_modular_tier_agrees(m_rows, [[0, 1], [1, 2]]) == [
             [0, 1, 2], [0, 1, 2]
         ]
+
+
+def _kernel_sound(blocks: list[list[list[int]]], max_m: int) -> list[bool]:
+    """`_kernel_zero` on a list of integer blocks of one size, with every
+    block it certifies checked singular by the exact rank."""
+    got = _intops._kernel_zero(np.array(blocks, dtype=np.float64), max_m).tolist()
+    for block, zero in zip(blocks, got):
+        if zero:
+            assert linalg.rank(RatMatrix.from_rows(block)) < len(block), block
+    return got
+
+
+def test_criterion_9k_kernel_certificate_vs_exact_rank(
+    tremain, taylor, asche, monkeypatch
+):
+    """The kernel-vector certificate `_kernel_zero` never certifies a
+    block that `linalg.rank` finds nonsingular: on 9f's dependent groups
+    (nullities 0-3), on random subsets of the four shipped sets, on
+    Gram entries scaled near 2^22 (the same blocks certified), on
+    indefinite and near-singular blocks, and under a `solve` that
+    returns NaN, zeros or garbage, or raises.  A true kernel vector is
+    certified up to the 2^53 budget max|w| * max_m * d and refused one
+    past it.  Of the 2274 seed-0 draws on asche72 at rank 18 whose float
+    det rounds to 0, it certifies 2141, all singular by residues too."""
+    rng = SplitMix64(9011)
+    by_nullity = {}
+    for _ in range(12):
+        d = 2 + rng.below(5)
+        groups = [_dependent_group(rng, d, g % 4 if g % 4 < d else 0, 6, 3)
+                  for g in range(8)]
+        blocks = [[[sum(a * b for a, b in zip(u, v)) for v in grp] for u in grp]
+                  for grp in groups]
+        max_m = max(abs(x) for blk in blocks for row in blk for x in row)
+        for blk, zero in zip(blocks, _kernel_sound(blocks, max_m)):
+            nullity = len(blk) - linalg.rank(RatMatrix.from_rows(blk))
+            by_nullity.setdefault(nullity, []).append(zero)
+    assert set(by_nullity) == {0, 1, 2, 3}
+    assert not any(by_nullity[0]) and sum(by_nullity[1]) >= 20
+
+    best = random_search(asche, 18, 12, SEARCH_MASTER_SEED).best
+    best56 = extract_sublineset(asche, best.closure)
+    certified = 0
+    for ls in (tremain, taylor, asche, best56):
+        m_rows = linalg.integer_scaled(ls.gram)[0]
+        max_m = max(abs(x) for row in m_rows for x in row)
+        for d in (3, ls.rank - 1, ls.rank, ls.rank + 1):
+            draws = [sample_subset(rng, ls.n, d) for _ in range(10)]
+            blocks = [[[m_rows[i][j] for j in s] for i in s] for s in draws]
+            got = _kernel_sound(blocks, max_m)
+            certified += sum(got)
+            # scaled by an odd factor to entries near 2^22, the same
+            # blocks are certified, each within the budget
+            scale = (2**22 // max_m) | 1
+            wide = [[[scale * x for x in row] for row in blk] for blk in blocks]
+            assert _kernel_sound(wide, scale * max_m) == got
+    assert certified >= 60
+
+    # indefinite: row 2 is the sum of rows 0 and 1, and [[1, 2], [2, 1]]
+    # has the eigenvalue -1; near-singular: Fibonacci blocks of det +-1
+    fib = [1, 1]
+    while len(fib) < 40:
+        fib.append(fib[-1] + fib[-2])
+    assert _kernel_sound([[[1, 2, 3], [2, 1, 3], [3, 3, 6]],
+                          [[0, 1, 1], [1, 0, 1], [1, 1, 0]]], 6) == [True, False]
+    near = [[[fib[k], fib[k + 1]], [fib[k + 1], fib[k + 2]]] for k in range(10, 37)]
+    assert not any(_kernel_sound(near, fib[38]))
+
+    # w = (1, 1, -1) spans the kernel of s * G, G the Gram matrix of
+    # e1, e2 and e1 + e2 (max entry 2s), so the budget is 3 * 2s <= 2^53
+    top = 2**53 // 6
+    for s, zero in ((top, True), (top + 1, False)):
+        block = [[s, 0, s], [0, s, s], [s, s, 2 * s]]
+        assert _kernel_sound([block], 2 * s) == [zero]
+
+    # a solve that fails certifies nothing: NaN, zeros (w = 0, which
+    # A @ w == 0 alone would accept) or a LinAlgError; garbage certifies
+    # no nonsingular block
+    m_rows = linalg.integer_scaled(asche.gram)[0]
+    max_m = max(abs(x) for row in m_rows for x in row)
+    draws = [sample_subset(rng, asche.n, 18) for _ in range(40)]
+    blocks = [[[m_rows[i][j] for j in s] for i in s] for s in draws]
+    assert 0 < sum(linalg.rank(RatMatrix.from_rows(b)) == 18 for b in blocks) < 40
+    noise = np.random.default_rng(9011)
+
+    def fail(a, b):
+        raise np.linalg.LinAlgError("singular")
+
+    garbage = (lambda a, b: noise.integers(-2, 3, a.shape[:-1] + (1,)) * 1.0,
+               lambda a, b: noise.standard_normal(a.shape[:-1] + (1,)) * 1e3)
+    for fake in (lambda a, b: np.full(a.shape[:-1] + (1,), np.nan),
+                 lambda a, b: np.zeros(a.shape[:-1] + (1,)), fail, *garbage):
+        monkeypatch.setattr(np.linalg, "solve", fake)
+        got = _kernel_sound(blocks, max_m)
+        assert fake in garbage or not any(got)
+    monkeypatch.undo()
+
+    engine = _intops.SpanEngine(m_rows)
+    _, sub = _draw_block(0, 0, 5000, asche.n, 18)
+    a = engine._blocks(sub)
+    zero = np.flatnonzero(np.abs(np.linalg.det(a)) < 0.5)
+    kernel = zero[_intops._kernel_zero(a[zero], engine.max_m)]
+    assert (len(zero), len(kernel)) == (2274, 2141)
+    assert engine._singular_mod(sub[kernel]).all()
 
 
 def _greedy_rank_basis(m: RatMatrix) -> tuple[int, ...]:

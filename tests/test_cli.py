@@ -537,7 +537,8 @@ print(json.dumps(report))
 """
 
 # Runs one CLI call in a fresh interpreter and reports the eqlines
-# modules it loaded and the BLAS thread variables as numpy began to load.
+# modules (and csv) it loaded and the BLAS thread variables as numpy
+# began to load.
 LOAD_PROBE_SCRIPT = """
 import contextlib, io, json, os, sys
 
@@ -556,7 +557,7 @@ from eqlines.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps({"code": code, "blas": seen, "modules": sorted(
-    m for m in sys.modules if m.startswith("eqlines"))}))
+    m for m in sys.modules if m.startswith("eqlines") or m == "csv")}))
 """
 
 
@@ -565,7 +566,8 @@ def test_import_budget(tmp_path):
     name in eqlines.__all__ resolves, and saturate and search still run
     once the lazily imported modules load (in a fresh interpreter).
     In fresh interpreters of their own, saturate and search load no
-    construction module, numpy starts loading with one BLAS thread
+    construction module and no csv module (search loads it for --csv
+    alone), numpy starts loading with one BLAS thread
     unless the caller set a thread count, and construct asche72 does
     not load the graph6 codec."""
     src = str(Path(eqlines.__file__).resolve().parents[1])
@@ -597,13 +599,17 @@ def test_import_budget(tmp_path):
         assert got["code"] == 0
         return got
 
-    unused = {"eqlines.constructions", "eqlines.graph6", "eqlines._tables"}
+    unused = {"eqlines.constructions", "eqlines.graph6", "eqlines._tables",
+              "csv"}
     for argv in (["saturate", str(tmp_path / "tremain.json"), "--json"],
                  ["search", str(tmp_path / "asche.json"), "--rank", "18",
                   "--runs", "3", "--seed", "0", "--json"]):
         got = probe(argv)
         assert not unused & set(got["modules"]), got["modules"]
         assert got["blas"] == dict.fromkeys(BLAS_THREAD_VARS, "1")
+    # only --csv loads the csv module
+    got = probe([*argv, "--csv", str(tmp_path / "runs.csv")])
+    assert "csv" in got["modules"], got["modules"]
     # a caller's own thread count wins, and the others stay unset
     got = probe(argv, OPENBLAS_NUM_THREADS="3")
     assert got["blas"] == {

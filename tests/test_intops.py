@@ -529,8 +529,8 @@ class TestStackedSpan:
         assert engine.members_many(subsets) == want
         assert asked == nonsingular
         assert engine.tier_counts == {
-            "float": 0, "singular": len(subsets) - len(nonsingular),
-            "modular": len(nonsingular), "exact": 0,
+            "float": 0, "kernel": len(subsets) - len(nonsingular),
+            "singular": 0, "modular": len(nonsingular), "exact": 0,
         }
 
     def test_asche72_singular_draws_need_two_primes(self, asche, monkeypatch):

@@ -320,16 +320,16 @@ class TestTierCounts:
     @pytest.mark.parametrize(
         "name,rank,runs,split",
         [
-            ("asche", 18, 5000, (2726, 2274, 0, 0)),
-            ("taylor", 19, 2000, (1102, 898, 0, 0)),
-            ("tremain", 12, 2000, (1447, 553, 0, 0)),
+            ("asche", 18, 5000, (2726, 2141, 133, 0, 0)),
+            ("taylor", 19, 2000, (1102, 861, 37, 0, 0)),
+            ("tremain", 12, 2000, (1447, 515, 38, 0, 0)),
         ],
     )
     def test_seed0_split(self, name, rank, runs, split, request):
         ls = request.getfixturevalue(name)
         engine = _intops.SpanEngine(linalg.integer_scaled(ls.gram)[0])
         assert engine.tier_counts == dict.fromkeys(
-            ("float", "singular", "modular", "exact"), 0
+            ("float", "kernel", "singular", "modular", "exact"), 0
         )
         _, subsets = _draw_block(0, 0, runs, ls.n, rank)
         got = engine.members_many(subsets.tolist())
@@ -338,6 +338,25 @@ class TestTierCounts:
         assert [run.closure for run in summary.run_log] == [
             () if g is None else tuple(g) for g in got
         ]
+
+    def test_leftovers_reach_residues_a_block_at_a_time(
+        self, asche, monkeypatch
+    ):
+        # the 133 seed-0 draws that tiers 1 and 2 leave open wait for a
+        # whole block's worth (101 draws), so the residues take two
+        # stacks of two primes per draw, not one stack per block of 101
+        engine = _intops.SpanEngine(linalg.integer_scaled(asche.gram)[0])
+        _, subsets = _draw_block(0, 0, 5000, asche.n, 18)
+        stacks = []
+        kernel = _intops._det_zero_mod
+        monkeypatch.setattr(
+            _intops, "_det_zero_mod",
+            lambda a, p: stacks.append(len(a)) or kernel(a, p),
+        )
+        engine.members_many(subsets.tolist())
+        step, left = engine.block(18), engine.tier_counts["singular"]
+        assert (step, left) == (101, 133)
+        assert stacks == [2 * step, 2 * (left - step)]
 
 
 class TestExtract:
