@@ -25,6 +25,9 @@
 #       the exact rank (dependent groups of nullity 0-3, the four shipped
 #       sets, entries near 2^22, indefinite and near-singular blocks, a
 #       failing solve), its 2^53 budget, and its seed-0 asche72 count
+#   9l  class-at-a-time clique coloring vs the recursive MCQ oracle:
+#       size, witness, optimality and node count (240 random graphs,
+#       unseeded and seeded; tremain14, asche72, taylor90, best56)
 set -euo pipefail
 here="$(cd "$(dirname "$0")" && pwd)"
 cd "$here/../.."

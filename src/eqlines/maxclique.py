@@ -8,12 +8,17 @@ bytes), unpacked to 0/1 (`_unpack`) and packed back (`_pack`) one block
 of about _UNPACKED entries at a time: milliseconds at K ~ 2000
 vertices, where a Python loop over bit pairs takes about a second, and
 never K x K bytes.
-The solver relabels the vertices once in degree-descending order and
+The solver ranks the vertices once in degree-descending order and
 colors every branch's pool in that fixed order (MCQ, Tomita & Seki
-2003; Tomita et al. 2010).  Deterministic by construction: degree ties
-break toward the lower index, and a caller-supplied starting clique is
-kept unless a strictly larger one exists, so identical inputs return
-identical witnesses.
+2003; Tomita et al. 2010), one color class at a time: a class is grown
+by ANDs with precomputed non-neighbour masks (BBMC, San Segundo,
+Rodriguez-Losada & Jimenez 2011), and the search branches only on the
+classes that can beat the best clique.  Pools are kept on an explicit
+stack, so a clique of any size is found without recursion, and
+`CliqueResult.nodes` counts the pools entered.  Deterministic by
+construction: degree ties break toward the lower index, and a
+caller-supplied starting clique is kept unless a strictly larger one
+exists, so identical inputs return identical witnesses and node counts.
 """
 
 from __future__ import annotations
@@ -136,50 +141,33 @@ class SimpleGraph:
 
 @dataclass(frozen=True)
 class CliqueResult:
+    """nodes counts the candidate pools the search entered, the whole
+    vertex set included: deterministic for a given graph and starting
+    clique unless a time budget cut the search short."""
+
     size: int
     witness: tuple[int, ...]
     optimal: bool
+    nodes: int = 0
 
 
-def _color_order(adj: Sequence[int], pool: int) -> list[tuple[int, int]]:
-    """Greedy coloring of the vertices in pool, lowest index first.
-
-    Returns (vertex, color) pairs; vertices appear grouped by color in
-    increasing color order, so the last entries have the highest bound.
-    """
-    order = []
-    remaining = pool
-    color = 0
-    while remaining:
-        color += 1
-        avail = remaining
+def _color_classes(nadj: Sequence[int], single: Sequence[int], pool: int) -> list[int]:
+    """Greedy coloring of the vertices in pool, highest label first, one
+    class at a time: [0, class 1, class 2, ...] as bitsets; the leading
+    0 stands for "no class left".  Vertex v sits at bit v - 1, so the
+    highest vertex of a set is its bit_length(); nadj[v] is the set of
+    the other vertices not adjacent to v, and single[v] is {v}."""
+    classes = [0]
+    while pool:
+        avail = pool
+        cls = 0
         while avail:
-            v = (avail & -avail).bit_length() - 1
-            order.append((v, color))
-            remaining &= ~(1 << v)
-            avail &= ~adj[v]
-            avail &= remaining
-    return order
-
-
-class _Budget:
-    __slots__ = ("deadline", "ticks")
-
-    def __init__(self, seconds: Optional[float]):
-        self.deadline = None if seconds is None else time.monotonic() + seconds
-        self.ticks = 0
-
-    def expired(self) -> bool:
-        if self.deadline is None:
-            return False
-        self.ticks += 1
-        if self.ticks & 2047:
-            return False
-        return time.monotonic() > self.deadline
-
-
-class _TimeUp(Exception):
-    pass
+            v = avail.bit_length()
+            avail &= nadj[v]
+            cls |= single[v]
+        pool ^= cls
+        classes.append(cls)
+    return classes
 
 
 def max_clique(
@@ -190,54 +178,87 @@ def max_clique(
     """Maximum clique size and one witness.
 
     Branch and bound after MCQ (Tomita & Seki 2003): the vertices are
-    relabelled once in degree-descending order (lower index first on
-    ties), and every candidate pool is greedily colored in that fixed
-    order; a vertex whose color cannot lift the current clique above
-    the best one is pruned.  initial, if given, must be a clique of g
-    (ValueError otherwise) and is the starting best: it stays the
-    witness unless a strictly larger clique exists.  Otherwise the
-    witness is the first maximum clique the search meets, in the order
-    the degree-descending labels fix.  The witness is returned sorted,
-    in g's own labels.  With a time budget (seconds), the best clique
-    found so far is returned with optimal=False once time is up.
+    ranked once in degree-descending order (lower index first on ties),
+    and every candidate pool is greedily colored in that fixed order,
+    one color class at a time over precomputed non-neighbour masks
+    (BBMC, San Segundo et al. 2011).  A vertex of color c can lift a
+    clique of s vertices to at most s + c, so the search branches only
+    on the classes above len(best) - s, highest class first and the
+    last-ranked vertex of a class first, and checks the bound again
+    before every vertex, since best may grow meanwhile.  The search
+    keeps its own stack of pools, so no recursion limit caps the clique
+    size.  initial, if given, must be a clique of g (ValueError
+    otherwise) and is the starting best: it stays the witness unless a
+    strictly larger clique exists.  Otherwise the witness is the first
+    maximum clique the search meets, in the order the ranking fixes.
+    The witness is returned sorted, in g's own labels.  With a time
+    budget (seconds), the best clique found so far is returned with
+    optimal=False once time is up.
     """
     if not g.is_clique(initial):
         raise ValueError(f"initial vertices {list(initial)} are not a clique")
     if g.n == 0:
         return CliqueResult(0, (), True)
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    label = {v: k for k, v in enumerate(order)}
+    # labels 1..n run against the ranking, so that the coloring's next
+    # vertex, the first-ranked of a set, is the set's bit_length()
+    order = sorted(range(g.n), key=lambda v: (g.degree(v), -v))
+    label = {v: k for k, v in enumerate(order, 1)}
     bits, where = _bits(g.adj, g.n), np.array(order, dtype=np.intp)
     step = _block_rows(g.n)
-    adj = []
+    adj = [0]
     for r0 in range(0, g.n, step):
         adj.extend(_pack(_unpack(bits[where[r0:r0 + step]], g.n)[:, where]))
-    budget = _Budget(time_budget)
+    full = (1 << g.n) - 1
+    single = [0] + [1 << i for i in range(g.n)]
+    # complements within the vertex range: nonnegative, so every AND
+    # stays on CPython's fast path for positive ints
+    nadj = [0] + [full ^ adj[v] ^ single[v] for v in range(1, g.n + 1)]
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     best = [label[v] for v in initial]
     stack: list[int] = []
-
-    def expand(pool: int) -> None:
-        nonlocal best
-        if budget.expired():
-            raise _TimeUp
-        for v, color in reversed(_color_order(adj, pool)):
-            if len(stack) + color <= len(best):
-                return
-            pool &= ~(1 << v)
-            stack.append(v)
-            child = pool & adj[v]
-            if child:
-                expand(child)
-            elif len(stack) > len(best):
+    # (pool, classes, color, cls) of every ancestor of the current pool:
+    # cls is what is left of classes[color]; it and classes[1:color] are
+    # still to branch on
+    frames = []
+    pool, nodes, optimal = full, 1, True
+    classes = _color_classes(nadj, single, pool)
+    color = len(classes) - 1
+    cls = classes[color]
+    while True:
+        # a finished pool has color 0, and its branches made best
+        # longer than stack, so this also closes it
+        if len(stack) + color <= len(best):
+            if not frames:
+                break
+            pool, classes, color, cls = frames.pop()
+            stack.pop()
+            continue
+        bit = cls & -cls
+        cls ^= bit
+        pool ^= bit
+        if not cls:
+            color -= 1
+            cls = classes[color]
+        v = bit.bit_length()
+        stack.append(v)
+        child = pool & adj[v]
+        if child:
+            nodes += 1
+            if deadline is not None and not nodes & 2047 \
+                    and time.monotonic() > deadline:
+                optimal = False
+                break
+            frames.append((pool, classes, color, cls))
+            pool = child
+            classes = _color_classes(nadj, single, pool)
+            color = len(classes) - 1
+            cls = classes[color]
+        else:
+            if len(stack) > len(best):
                 best = stack.copy()
             stack.pop()
-
-    optimal = True
-    try:
-        expand((1 << g.n) - 1)
-    except _TimeUp:
-        optimal = False
-    return CliqueResult(len(best), tuple(sorted(order[v] for v in best)), optimal)
+    witness = tuple(sorted(order[v - 1] for v in best))
+    return CliqueResult(len(best), witness, optimal, nodes)
 
 
 def to_dimacs(g: SimpleGraph, comment: str = "") -> str:

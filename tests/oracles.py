@@ -18,7 +18,10 @@ one-prime-at-a-time stacked determinant and Hadamard bit count that
 subset sampler that the vectorised draws of `random_search` replaced,
 an inverse of the SplitMix64 finalizer, and the greedy scan over all
 8-subsets that `generate_octads` replaced (it runs a pruned search up
-to the 78th block and takes the weight-8 words of the blocks' span).
+to the 78th block and takes the weight-8 words of the blocks' span),
+and the recursive MCQ clique search with its list of (vertex, color)
+pairs that the class-at-a-time coloring and explicit stack of
+`max_clique` replaced.
 None of them is used by the library.
 """
 
@@ -41,6 +44,7 @@ from eqlines._intops import (
 from eqlines.errors import NotSymmetric, SingularMatrix
 from eqlines.linalg import RatMatrix, integer_scaled
 from eqlines.lineset import LineSet
+from eqlines.maxclique import CliqueResult, SimpleGraph
 from eqlines.spansearch import MASK64, MIX1, MIX2, SplitMix64
 
 
@@ -663,3 +667,59 @@ def greedy_octads() -> tuple[int, ...]:
         else:
             kept.append(m)
     return tuple(kept)
+
+
+def color_order(adj: Sequence[int], pool: int) -> list[tuple[int, int]]:
+    """Greedy coloring of the vertices in pool, lowest index first.
+
+    Returns (vertex, color) pairs; vertices appear grouped by color in
+    increasing color order, so the last entries have the highest bound.
+    """
+    order = []
+    remaining = pool
+    color = 0
+    while remaining:
+        color += 1
+        avail = remaining
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            order.append((v, color))
+            remaining &= ~(1 << v)
+            avail &= ~adj[v]
+            avail &= remaining
+    return order
+
+
+def mcq_max_clique(g: SimpleGraph, initial: Sequence[int] = ()) -> CliqueResult:
+    """The library's `max_clique` before it colored one class at a time
+    over non-neighbour masks and kept its own stack: MCQ over the
+    degree-descending labels, one recursive call per candidate pool,
+    which it counts as nodes.  No time budget; initial is trusted to be
+    a clique."""
+    if g.n == 0:
+        return CliqueResult(0, (), True, 0)
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    label = {v: k for k, v in enumerate(order)}
+    adj = [sum(1 << label[u] for u in range(g.n) if g.adj[v] >> u & 1)
+           for v in order]
+    best = [label[v] for v in initial]
+    stack: list[int] = []
+    nodes = 0
+
+    def expand(pool: int) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        for v, color in reversed(color_order(adj, pool)):
+            if len(stack) + color <= len(best):
+                return
+            pool &= ~(1 << v)
+            stack.append(v)
+            child = pool & adj[v]
+            if child:
+                expand(child)
+            elif len(stack) > len(best):
+                best = stack.copy()
+            stack.pop()
+
+    expand((1 << g.n) - 1)
+    return CliqueResult(len(best), tuple(sorted(order[v] for v in best)), True, nodes)

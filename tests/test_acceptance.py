@@ -48,10 +48,12 @@ from eqlines.lineset import (
 from eqlines.linalg import RatMatrix
 from eqlines.maxclique import SimpleGraph, max_clique
 from eqlines.saturation import (
+    build_compatibility_graph,
     check_saturated,
     enumerate_candidates,
     line_pattern_indices,
     select_basis,
+    verify_nonbasis_cover,
 )
 from eqlines.spansearch import (
     SplitMix64,
@@ -63,6 +65,7 @@ from eqlines.spansearch import (
 from oracles import (
     FractionRatMatrix,
     is_psd,
+    mcq_max_clique,
     PerDrawSpanEngine,
     _det_mod_many,
     fraction_integer_scaled,
@@ -978,3 +981,50 @@ def test_criterion_9j_basis_from_load_elimination(tremain, taylor, asche):
     assert ls.rank == 5 and ls.basis is None and not ls.is_psd
     with pytest.raises(NotPSD):
         select_basis(ls)
+
+
+def _random_maximal_clique(rng: SplitMix64, g: SimpleGraph) -> list[int]:
+    """A maximal clique grown greedily from a seeded vertex order."""
+    order = list(range(g.n))
+    for i in range(g.n - 1):
+        j = i + rng.below(g.n - i)
+        order[i], order[j] = order[j], order[i]
+    clique: list[int] = []
+    for v in order:
+        if all(g.adj[v] >> u & 1 for u in clique):
+            clique.append(v)
+    return clique
+
+
+def test_criterion_9l_class_coloring_vs_mcq_oracle(tremain, taylor, asche, best56):
+    """`max_clique` (class-at-a-time coloring, explicit stack) equals the
+    recursive MCQ oracle in size, witness, optimality and node count:
+    on 240 seeded random graphs of up to 40 vertices at densities
+    10-95%, unseeded and seeded with a random maximal clique, and on
+    the compatibility graphs of tremain14 (even basis, K = 378),
+    asche72 (default basis), taylor90 (basis J) and best56 (default
+    basis), unseeded and under check_saturated's cover seed."""
+    rng = SplitMix64(9012)
+    seeded = 0
+    for trial in range(240):
+        g = _random_graph(rng, 1 + rng.below(40), 10 + rng.below(86))
+        initial = _random_maximal_clique(rng, g) if trial % 2 else []
+        seeded += bool(initial)
+        assert max_clique(g, initial=initial) == mcq_max_clique(g, initial)
+    assert seeded == 120
+
+    cases = [
+        (tremain, EVEN_BASIS_0B, 378),
+        (asche, None, 112),
+        (taylor, [i - 1 for i in BASIS_J_1B], 70),
+        (best56, None, 197),
+    ]
+    for ls, basis, k in cases:
+        basis = select_basis(ls, basis)
+        cands = enumerate_candidates(ls, basis)
+        g = build_compatibility_graph(cands, ls, basis)
+        assert g.n == k
+        cover = verify_nonbasis_cover(ls, basis, cands, g)
+        for initial in ([], cover):
+            got = max_clique(g, initial=initial)
+            assert got.optimal and got == mcq_max_clique(g, initial)

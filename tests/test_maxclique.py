@@ -5,21 +5,23 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from eqlines.maxclique import (
-    CliqueResult,
-    SimpleGraph,
-    _color_order,
-    max_clique,
-    to_dimacs,
+from eqlines.maxclique import CliqueResult, SimpleGraph, max_clique, to_dimacs
+from eqlines.saturation import (
+    build_compatibility_graph,
+    check_saturated,
+    enumerate_candidates,
+    select_basis,
+    verify_nonbasis_cover,
 )
 from eqlines.spansearch import SplitMix64
+from oracles import color_order, mcq_max_clique
 
 
 def greedy_coloring_bound(g: SimpleGraph, candidates: Optional[int] = None) -> int:
     """Number of greedy colors of the induced subgraph; an upper bound on
     its clique number.  candidates is a vertex bitset (default: all)."""
     pool = (1 << g.n) - 1 if candidates is None else candidates
-    order = _color_order(g.adj, pool)
+    order = color_order(g.adj, pool)
     return order[-1][1] if order else 0
 
 
@@ -185,6 +187,17 @@ class TestSolver:
         assert full.optimal
         assert result.size <= full.size
 
+    def test_zero_budget_stops_at_first_clock_read(self):
+        # the clock is read every 2048 pools, so a zero budget ends the
+        # search at its 2048th pool with the best clique found so far
+        g = random_graph(SplitMix64(18), 120, 75)
+        full = max_clique(g)
+        assert full.optimal and full.nodes > 2048
+        cut = max_clique(g, time_budget=0.0)
+        assert not cut.optimal and cut.nodes == 2048
+        assert_witness_ok(g, cut)
+        assert cut.size <= full.size
+
     def test_seeded_search_matches_brute_force(self):
         rng = SplitMix64(15)
         for _ in range(60):
@@ -223,6 +236,58 @@ class TestSolver:
         assert max_clique(g).witness == (3, 4, 5)
         assert max_clique(g, initial=[0, 1, 2]).witness == (0, 1, 2)
         assert max_clique(g, initial=[0, 1]).witness == (3, 4, 5)
+
+
+class TestLargeCliques:
+    """The search keeps its own stack: a clique far deeper than Python's
+    recursion limit is still found and proved."""
+
+    @staticmethod
+    def complete(n: int) -> np.ndarray:
+        return ~np.eye(n, dtype=bool)
+
+    def test_complete_graph(self):
+        result = max_clique(SimpleGraph.from_matrix(self.complete(1200)))
+        assert result.size == 1200 and result.optimal
+        assert result.witness == tuple(range(1200))
+        assert result.nodes == 1200
+
+    def test_complete_graph_minus_perfect_matching(self):
+        a = self.complete(1200)
+        a[0::2, 1::2] &= ~np.eye(600, dtype=bool)
+        a[1::2, 0::2] &= ~np.eye(600, dtype=bool)
+        g = SimpleGraph.from_matrix(a)
+        assert g.edge_count() == 1200 * 1199 // 2 - 600
+        result = max_clique(g)
+        assert result.size == 600 and result.optimal
+        assert_witness_ok(g, result)
+
+
+class TestNodeCount:
+    def test_best56_pinned(self, best56):
+        """2,287 pools under check_saturated's cover seed, from the
+        oracle; the counter stays out of the report."""
+        basis = select_basis(best56)
+        cands = enumerate_candidates(best56, basis)
+        g = build_compatibility_graph(cands, best56, basis)
+        cover = verify_nonbasis_cover(best56, basis, cands, g)
+        result = max_clique(g, initial=cover)
+        assert (g.n, result.size, result.nodes) == (197, 38, 2287)
+        assert result == mcq_max_clique(g, initial=cover)
+        assert check_saturated(best56).to_dict() == {
+            "basis": [*range(1, 16), 19, 21, 22],
+            "candidate_count": 197,
+            "clique_number": 38,
+            "N": 56,
+            "saturated": True,
+            "clique_witness": [
+                7, 13, 14, 18, 19, 25, 34, 43, 46, 49, 56, 62, 66, 72, 75,
+                82, 84, 103, 104, 113, 119, 124, 128, 130, 134, 135, 141,
+                144, 149, 153, 160, 162, 166, 171, 176, 180, 187, 194,
+            ],
+            "clique_optimal": True,
+            "total_patterns": 131072,
+        }
 
 
 class TestDimacs:
