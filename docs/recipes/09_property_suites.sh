@@ -28,6 +28,11 @@
 #   9l  class-at-a-time clique coloring vs the recursive MCQ oracle:
 #       size, witness, optimality and node count (240 random graphs,
 #       unseeded and seeded; tremain14, asche72, taylor90, best56)
+#   9m  candidates as pattern indices over the integer W, with the
+#       graph from eps_i^T W eps_j, vs the Fraction Candidate list and
+#       its lcm-integerized graph: patterns, coordinates and adjacency
+#       (tremain14 on three bases, asche72, taylor90 basis J, best56,
+#       10 random subsets)
 set -euo pipefail
 here="$(cd "$(dirname "$0")" && pwd)"
 cd "$here/../.."

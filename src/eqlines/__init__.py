@@ -53,7 +53,7 @@ _LAZY = {
     "CliqueResult": "maxclique",
     "SimpleGraph": "maxclique",
     "max_clique": "maxclique",
-    "Candidate": "saturation",
+    "CandidateSet": "saturation",
     "SaturationReport": "saturation",
     "build_compatibility_graph": "saturation",
     "check_saturated": "saturation",
@@ -82,7 +82,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BoundsEntry",
-    "Candidate",
+    "CandidateSet",
     "CheckResult",
     "CliqueResult",
     "ConstructionMismatch",

@@ -21,7 +21,7 @@ keep a block scan and a direct Python-int scan as its oracles.
 Wide integers are split into balanced base-2^40 limbs, a scheme known
 only to this module: `_exact_equal` alone decides whether limb forms
 equal a target, for the pattern scan and for `pairwise_hits` (the
-compatibility graph) alike.
+bilinear forms eps_i^T W eps_j of the compatibility graph) alike.
 
 Every exact solve here (the candidate system of `scaled_candidate_matrix`
 and the last span tier, `_members_exact`) goes through the fraction-free
@@ -207,23 +207,25 @@ def enumerate_unit_patterns(
 
 
 def pairwise_hits(
-    e: np.ndarray, m: list[list[int]], targets: Sequence[int]
+    e: np.ndarray, w: list[list[int]], targets: Sequence[int]
 ) -> list[np.ndarray]:
-    """Exact masks |eps_i^T m_j| == t, one per target t, for +-1 rows e
-    and integer rows m, as (len(e), ceil(len(m)/8)) uint8 bit matrices:
-    bit j % 8 of byte [i, j // 8] is entry [i, j] (np.packbits' little
-    bit order).
+    """Exact masks |eps_i^T W eps_j| == t, one per target t, for the +-1
+    rows e and an integer d x d matrix W, as (len(e), ceil(len(e)/8))
+    uint8 bit matrices: bit j % 8 of byte [i, j // 8] is entry [i, j]
+    (np.packbits' little bit order).
 
-    The forms are computed and packed in row blocks of about _SCAN_BLOCK
-    entries, so apart from the packed masks (one bit per entry) the
-    memory is O(block) per limb.
+    Each row block costs (e[blk] @ W_k) @ e.T per balanced limb W_k, and
+    _exact_equal decides it (|form| <= d^2 * 2^39 per limb), as in the
+    pattern scan.  The blocks hold about _SCAN_BLOCK forms, so apart from
+    the packed masks (one bit per entry) the memory is O(block) per limb.
     """
-    limbs = _balanced_limbs(m)
-    width = (len(m) + 7) // 8
-    hits = [np.zeros((len(e), width), dtype=np.uint8) for _ in targets]
-    rows = max(1, _SCAN_BLOCK // max(len(m), 1))
-    for r0 in range(0, len(e), rows):
-        forms = [e[r0:r0 + rows] @ mk.T for mk in limbs]
+    limbs = _balanced_limbs(w)
+    k = len(e)
+    width = (k + 7) // 8
+    hits = [np.zeros((k, width), dtype=np.uint8) for _ in targets]
+    rows = max(1, _SCAN_BLOCK // max(k, 1))
+    for r0 in range(0, k, rows):
+        forms = [(e[r0:r0 + rows] @ wk) @ e.T for wk in limbs]
         for hit, t in zip(hits, targets):
             hit[r0:r0 + rows] = np.packbits(
                 _exact_equal(forms, t) | _exact_equal(forms, -t),

@@ -16,8 +16,6 @@ line sets are 0-based throughout the API.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,18 +28,30 @@ from .maxclique import CliqueResult, SimpleGraph, max_clique
 ProgressSink = Callable[[int, int], None]
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One unit vector meeting every basis line at +-alpha.
+@dataclass(frozen=True, eq=False)
+class CandidateSet:
+    """The K unit vectors meeting every basis line at +-alpha.
 
-    pattern_index: lexicographic index m of the sign pattern;
-    signs: the pattern itself (first entry +1);
-    coeffs: coordinates over the basis lines, c = alpha * G_B^(-1) * signs.
+    patterns: the ascending int64 pattern indices of the candidates;
+    w, scale, target: W = L * alpha * G_B^(-1), L and T = L/alpha from
+    `_intops.scaled_candidate_matrix`.  Candidate i is the vector with
+    coordinates c = W eps_i / L over the basis lines, where eps_i is the
+    sign pattern of patterns[i].
     """
 
-    pattern_index: int
-    signs: tuple[int, ...]
-    coeffs: tuple[Fraction, ...]
+    patterns: np.ndarray
+    w: list[list[int]]
+    scale: int
+    target: int
+
+    def __post_init__(self):
+        ms = np.asarray(self.patterns, dtype=np.int64)
+        if ms.ndim != 1 or (np.diff(ms) <= 0).any():
+            raise ValueError("candidate patterns must be strictly ascending")
+        object.__setattr__(self, "patterns", ms)
+
+    def __len__(self) -> int:
+        return len(self.patterns)
 
 
 @dataclass(frozen=True)
@@ -94,18 +104,12 @@ def select_basis(
     return idx
 
 
-def _pattern_signs(m: int, d: int) -> tuple[int, ...]:
-    return (1,) + tuple(
-        -1 if m >> (d - 1 - t) & 1 else 1 for t in range(1, d)
-    )
-
-
 def enumerate_candidates(
     ls: LineSet,
     basis: Sequence[int],
     progress: Optional[ProgressSink] = None,
     threads: int = 1,
-) -> list[Candidate]:
+) -> CandidateSet:
     """All candidates over the basis, in sign-pattern lexicographic order.
 
     Each of the 2^(d-1) patterns eps (first sign +1) is kept iff the
@@ -115,55 +119,28 @@ def enumerate_candidates(
     and once at the end.  threads is accepted and ignored: the scan is
     faster serial than split across processes.
     """
-    d = len(basis)
     w, scale, t_target = _intops.scaled_candidate_matrix(
         ls.gram, basis, ls.angle
     )
     ms = _intops.enumerate_unit_patterns(w, t_target, progress)
-    e = _intops._pattern_block(np.array(ms, dtype=np.int64), d)
-    # object dtype keeps the numerators exact at any width of W
-    nums = e.astype(object) @ np.array(w, dtype=object).T
-    return [
-        Candidate(m, _pattern_signs(m, d),
-                  tuple(Fraction(x, scale) for x in row))
-        for m, row in zip(ms, nums.tolist())
-    ]
+    return CandidateSet(ms, w, scale, t_target)
 
 
 def build_compatibility_graph(
-    cands: Sequence[Candidate], ls: LineSet, basis: Sequence[int]
+    cands: CandidateSet, ls: LineSet, basis: Sequence[int]
 ) -> SimpleGraph:
     """Graph on the candidates; i ~ j iff their inner product is +-alpha.
 
-    The candidates carry their exact coordinates, so no second inverse
-    of the basis Gram block is needed (basis is accepted for the
-    signature).  With c = alpha * G_B^(-1) * eps, <v_i, v_j> equals
-    alpha * eps_i^T c_j; with D the lcm of the coefficient denominators
-    and M = D * coeffs, the integer form eps_i^T M_j is D * <v_i, v_j> /
-    alpha.  Edges are forms of +-D.  A form of +-D/alpha (possible only
-    when D/alpha is an integer) would mean two patterns giving one line,
-    which distinct unit-norm patterns cannot; this is checked.  The
-    masks stay packed, one bit per pair, and the edge ij (i < j) is read
-    from the form eps_i^T M_j.
+    With c = W eps / L, <v_i, v_j> = alpha * eps_i^T c_j, so i ~ j iff
+    eps_i^T W eps_j = +-L: one exact integer bilinear form per pair,
+    read from the upper triangle of packed bit masks (ls and basis are
+    accepted for the signature).  No two candidates are one line: a
+    candidate v lies in span(B) and meets b_k at alpha * eps_k, so eps
+    fixes v; v = +-v' forces eps = +-eps', and two first-plus patterns
+    are never negatives of each other, so the patterns are equal.
     """
-    den = lcm(*(x.denominator for c in cands for x in c.coeffs))
-    m = [[x.numerator * (den // x.denominator) for x in c.coeffs]
-         for c in cands]
-    e = np.array([c.signs for c in cands], dtype=np.int64)
-    dup = Fraction(den) / ls.angle
-    targets = [den] if dup.denominator != 1 else [den, dup.numerator]
-    edge, *dups = _intops.pairwise_hits(e, m, targets)
-    diag = np.arange(len(cands))
-    for same in dups:
-        # clear the diagonal: each candidate meets itself at D/alpha
-        same[diag, diag >> 3] &= ~(1 << (diag & 7)).astype(np.uint8)
-        i = np.flatnonzero(same.any(axis=1))
-        if len(i):
-            i = int(i[0])
-            j = int(np.flatnonzero(np.unpackbits(same[i], bitorder="little"))[0])
-            raise HypothesisViolated(
-                f"candidates {i} and {j} describe the same line"
-            )
+    e = _intops._pattern_block(cands.patterns, len(cands.w))
+    (edge,) = _intops.pairwise_hits(e, cands.w, [cands.scale])
     return SimpleGraph.from_upper_bits(edge)
 
 
@@ -204,22 +181,24 @@ def line_pattern_indices(ls: LineSet, basis: Sequence[int]) -> dict[int, int]:
 def verify_nonbasis_cover(
     ls: LineSet,
     basis: Sequence[int],
-    cands: Sequence[Candidate],
+    cands: CandidateSet,
     graph: SimpleGraph,
 ) -> list[int]:
     """The non-basis lines must appear among the candidates (up to global
     sign) and be pairwise compatible, which forces N >= n.  Returns the
     candidate of each non-basis line, in line order: a clique of size
     n - d in the compatibility graph."""
-    where = {c.pattern_index: v for v, c in enumerate(cands)}
-    vertices = []
-    for j, m in line_pattern_indices(ls, basis).items():
-        v = where.get(m)
-        if v is None:
-            raise HypothesisViolated(
-                f"non-basis line {j} is missing from the candidate list"
-            )
-        vertices.append(v)
+    lines = line_pattern_indices(ls, basis)
+    ms = np.fromiter(lines.values(), dtype=np.int64, count=len(lines))
+    where = np.searchsorted(cands.patterns, ms)
+    found = where < len(cands)
+    found[found] = cands.patterns[where[found]] == ms[found]
+    if not found.all():
+        j = list(lines)[int(np.argmin(found))]
+        raise HypothesisViolated(
+            f"non-basis line {j} is missing from the candidate list"
+        )
+    vertices = where.tolist()
     for a in range(len(vertices)):
         for b in range(a + 1, len(vertices)):
             i, j = vertices[a], vertices[b]

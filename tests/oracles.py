@@ -21,13 +21,17 @@ an inverse of the SplitMix64 finalizer, and the greedy scan over all
 to the 78th block and takes the weight-8 words of the blocks' span),
 and the recursive MCQ clique search with its list of (vertex, color)
 pairs that the class-at-a-time coloring and explicit stack of
-`max_clique` replaced.
+`max_clique` replaced, and the `Candidate` list of `Fraction`
+coordinates with its lcm re-integerization and linear pairwise forms
+that the `CandidateSet` and the bilinear `pairwise_hits` replaced (plus
+`candidate_coeffs`, the exact coordinates of a `CandidateSet`).
 None of them is used by the library.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
@@ -37,14 +41,19 @@ import numpy as np
 from eqlines._intops import (
     _LIMB_BASE,
     _PRIMES26,
+    _SCAN_BLOCK,
     SpanEngine,
     _balanced_limbs,
+    _exact_equal,
     _pattern_block,
+    enumerate_unit_patterns,
+    scaled_candidate_matrix,
 )
-from eqlines.errors import NotSymmetric, SingularMatrix
+from eqlines.errors import HypothesisViolated, NotSymmetric, SingularMatrix
 from eqlines.linalg import RatMatrix, integer_scaled
 from eqlines.lineset import LineSet
 from eqlines.maxclique import CliqueResult, SimpleGraph
+from eqlines.saturation import CandidateSet
 from eqlines.spansearch import MASK64, MIX1, MIX2, SplitMix64
 
 
@@ -723,3 +732,106 @@ def mcq_max_clique(g: SimpleGraph, initial: Sequence[int] = ()) -> CliqueResult:
 
     expand((1 << g.n) - 1)
     return CliqueResult(len(best), tuple(sorted(order[v] for v in best)), True, nodes)
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """One unit vector meeting every basis line at +-alpha.
+
+    pattern_index: lexicographic index m of the sign pattern;
+    signs: the pattern itself (first entry +1);
+    coeffs: coordinates over the basis lines, c = alpha * G_B^(-1) * signs.
+    """
+
+    pattern_index: int
+    signs: tuple[int, ...]
+    coeffs: tuple[Fraction, ...]
+
+
+def _pattern_signs(m: int, d: int) -> tuple[int, ...]:
+    return (1,) + tuple(
+        -1 if m >> (d - 1 - t) & 1 else 1 for t in range(1, d)
+    )
+
+
+def fraction_enumerate_candidates(
+    ls: LineSet, basis: Sequence[int], progress=None, threads: int = 1
+) -> list[Candidate]:
+    """The library's `enumerate_candidates` before it returned a
+    `CandidateSet`: one `Candidate` of `Fraction` coordinates per kept
+    pattern, through an object-dtype product."""
+    d = len(basis)
+    w, scale, t_target = scaled_candidate_matrix(ls.gram, basis, ls.angle)
+    ms = enumerate_unit_patterns(w, t_target, progress)
+    e = _pattern_block(np.array(ms, dtype=np.int64), d)
+    # object dtype keeps the numerators exact at any width of W
+    nums = e.astype(object) @ np.array(w, dtype=object).T
+    return [
+        Candidate(m, _pattern_signs(m, d),
+                  tuple(Fraction(x, scale) for x in row))
+        for m, row in zip(ms, nums.tolist())
+    ]
+
+
+def linear_pairwise_hits(
+    e: np.ndarray, m: list[list[int]], targets: Sequence[int]
+) -> list[np.ndarray]:
+    """The library's `pairwise_hits` before it took the bilinear forms
+    eps_i^T W eps_j: exact masks |eps_i^T m_j| == t, one per target t,
+    for +-1 rows e and integer rows m, packed as np.packbits does with
+    little bit order."""
+    limbs = _balanced_limbs(m)
+    width = (len(m) + 7) // 8
+    hits = [np.zeros((len(e), width), dtype=np.uint8) for _ in targets]
+    rows = max(1, _SCAN_BLOCK // max(len(m), 1))
+    for r0 in range(0, len(e), rows):
+        forms = [e[r0:r0 + rows] @ mk.T for mk in limbs]
+        for hit, t in zip(hits, targets):
+            hit[r0:r0 + rows] = np.packbits(
+                _exact_equal(forms, t) | _exact_equal(forms, -t),
+                axis=1, bitorder="little",
+            )
+    return hits
+
+
+def lcm_compatibility_graph(
+    cands: Sequence[Candidate], ls: LineSet, basis: Sequence[int]
+) -> SimpleGraph:
+    """The library's `build_compatibility_graph` over a `Candidate`
+    list: the lcm D of the coefficient denominators re-integerizes the
+    coordinates as M = D * coeffs, edges are forms eps_i^T M_j of +-D,
+    and a form of +-D/alpha (when D/alpha is an integer) would mean two
+    candidates giving one line, which is checked."""
+    den = lcm(*(x.denominator for c in cands for x in c.coeffs))
+    m = [[x.numerator * (den // x.denominator) for x in c.coeffs]
+         for c in cands]
+    e = np.array([c.signs for c in cands], dtype=np.int64)
+    dup = Fraction(den) / ls.angle
+    targets = [den] if dup.denominator != 1 else [den, dup.numerator]
+    edge, *dups = linear_pairwise_hits(e, m, targets)
+    diag = np.arange(len(cands))
+    for same in dups:
+        # clear the diagonal: each candidate meets itself at D/alpha
+        same[diag, diag >> 3] &= ~(1 << (diag & 7)).astype(np.uint8)
+        i = np.flatnonzero(same.any(axis=1))
+        if len(i):
+            i = int(i[0])
+            j = int(np.flatnonzero(np.unpackbits(same[i], bitorder="little"))[0])
+            raise HypothesisViolated(
+                f"candidates {i} and {j} describe the same line"
+            )
+    return SimpleGraph.from_upper_bits(edge)
+
+
+def candidate_coeffs(cands: CandidateSet) -> list[tuple[Fraction, ...]]:
+    """Exact coordinates c = W eps / L over the basis lines of each
+    candidate, in Python ints."""
+    w, d = cands.w, len(cands.w)
+    out = []
+    for m in cands.patterns.tolist():
+        eps = _pattern_signs(m, d)
+        out.append(tuple(
+            Fraction(sum(x * s for x, s in zip(row, eps)), cands.scale)
+            for row in w
+        ))
+    return out

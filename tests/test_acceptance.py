@@ -64,6 +64,9 @@ from eqlines.spansearch import (
 )
 from oracles import (
     FractionRatMatrix,
+    candidate_coeffs,
+    fraction_enumerate_candidates,
+    lcm_compatibility_graph,
     is_psd,
     mcq_max_clique,
     PerDrawSpanEngine,
@@ -193,7 +196,7 @@ def test_criterion_5_saturation_rank_20():
     assert len(cands) == 70
     mapping = line_pattern_indices(taylor, basis)
     assert len(mapping) == 70  # every non-basis line realizes a candidate
-    assert {c.pattern_index for c in cands} == set(mapping.values())
+    assert set(cands.patterns.tolist()) == set(mapping.values())
     assert report.candidate_count == 70
     assert report.clique_number == 70
     assert report.n_bound == 90
@@ -371,7 +374,7 @@ def test_criterion_9b_candidates_vs_sign_system_oracle():
             )
             if norm == 1:
                 expected[m] = coeffs
-        got = {c.pattern_index: c.coeffs for c in cands}
+        got = dict(zip(cands.patterns.tolist(), candidate_coeffs(cands)))
         assert got == expected
 
 
@@ -1028,3 +1031,37 @@ def test_criterion_9l_class_coloring_vs_mcq_oracle(tremain, taylor, asche, best5
         for initial in ([], cover):
             got = max_clique(g, initial=initial)
             assert got.optimal and got == mcq_max_clique(g, initial)
+
+
+def test_criterion_9m_integer_candidates_vs_fraction_oracle(tremain, taylor, asche, best56):
+    """The candidates as pattern indices over the scan's integer W, and
+    the graph from the bilinear forms eps_i^T W eps_j, equal the
+    `Candidate` list of `Fraction` coordinates and its lcm-integerized
+    graph: same patterns in the same order, same exact coordinates and
+    same adjacency, on tremain14 (the even-labelled basis, the default
+    basis and a random one), asche72 (default basis), taylor90 (basis
+    J), best56 (default basis) and 10 random subsets of up to 24 lines
+    (rank <= 20) with their default bases."""
+    rng = SplitMix64(9013)
+    cases = [
+        (tremain, EVEN_BASIS_0B),
+        (tremain, None),
+        (tremain, _random_low_rank_subset(rng, tremain, 14)),
+        (asche, None),
+        (taylor, [i - 1 for i in BASIS_J_1B]),
+        (best56, None),
+    ]
+    sources = [tremain, taylor, asche]
+    for trial in range(10):
+        # rank <= 20 and, in most draws, nonempty candidates and edges
+        source = sources[trial % 3]
+        picked = sorted(set(rng.below(source.n) for _ in range(8 + rng.below(17))))
+        cases.append((source.restrict(picked), None))
+    for ls, basis in cases:
+        basis = select_basis(ls, basis)
+        cands = enumerate_candidates(ls, basis)
+        want = fraction_enumerate_candidates(ls, basis)
+        assert cands.patterns.tolist() == [c.pattern_index for c in want]
+        assert candidate_coeffs(cands) == [c.coeffs for c in want]
+        g = build_compatibility_graph(cands, ls, basis)
+        assert g.adj == lcm_compatibility_graph(want, ls, basis).adj

@@ -178,52 +178,61 @@ def random_signs(rng: SplitMix64, k: int, d: int) -> np.ndarray:
     )
 
 
-def assert_hits_match_direct(e: np.ndarray, m: list[list[int]], targets) -> None:
-    """pairwise_hits, unpacked, against |eps_i^T m_j| == t in Python ints."""
-    hits = _intops.pairwise_hits(e, m, targets)
-    direct = [[abs(sum(a * b for a, b in zip(ei, mj))) for mj in m]
-              for ei in e.tolist()]
+def bilinear_forms(e: np.ndarray, w: list[list[int]]) -> list[list[int]]:
+    """eps_i^T W eps_j for every pair of rows of e, in Python ints."""
+    eps = e.tolist()
+    we = [[sum(x * s for x, s in zip(row, ej)) for row in w] for ej in eps]
+    return [[sum(a * b for a, b in zip(ei, wj)) for wj in we] for ei in eps]
+
+
+def assert_hits_match_direct(e: np.ndarray, w: list[list[int]], targets) -> None:
+    """pairwise_hits, unpacked, against |eps_i^T W eps_j| == t in Python ints."""
+    hits = _intops.pairwise_hits(e, w, targets)
+    direct = bilinear_forms(e, w)
+    k = len(e)
     assert len(hits) == len(targets)
     for hit, t in zip(hits, targets):
-        assert hit.shape == (len(e), (len(m) + 7) // 8)
-        got = np.unpackbits(hit, axis=1, count=len(m), bitorder="little")
-        assert got.tolist() == [[int(v == t) for v in row] for row in direct]
+        assert hit.shape == (k, (k + 7) // 8)
+        got = np.unpackbits(hit, axis=1, count=k, bitorder="little")
+        assert got.tolist() == [[int(abs(v) == t) for v in row] for row in direct]
         # the padding bits of the last byte stay clear
-        assert np.unpackbits(hit, axis=1, bitorder="little")[:, len(m):].sum() == 0
+        assert np.unpackbits(hit, axis=1, bitorder="little")[:, k:].sum() == 0
 
 
 class TestPairwiseHits:
-    # more rows than one block, so the row-block seams are crossed
+    """The bilinear forms eps_i^T W eps_j of the compatibility graph;
+    K rows span more than one row block, so the block seams are crossed."""
+
     K = 150
 
     def test_single_limb(self):
         rng = SplitMix64(25)
         d = 6
         e = random_signs(rng, self.K, d)
-        m = [[rng.below(19) - 9 for _ in range(d)] for _ in range(self.K - 7)]
-        assert _intops._SCAN_BLOCK // len(m) < self.K
-        eps = e.tolist()
-        forms = [sum(a * b for a, b in zip(eps[i], m[j]))
-                 for i, j in ((0, 1), (40, 3), (149, 100))]
-        targets = [abs(f) for f in forms] + [0, 10**6]
-        assert_hits_match_direct(e, m, targets)
-        assert len(_intops._balanced_limbs(m)) == 1
+        w = random_symmetric(rng, d)
+        assert _intops._SCAN_BLOCK // self.K < self.K
+        forms = bilinear_forms(e, w)
+        targets = [abs(forms[i][j]) for i, j in ((0, 1), (40, 3), (149, 100))]
+        assert_hits_match_direct(e, w, targets + [0, 10**6])
+        assert len(_intops._balanced_limbs(w)) == 1
 
     def test_two_limbs(self):
         rng = SplitMix64(26)
         d = 4
         big = (1 << 44) + 7
         e = random_signs(rng, self.K, d)
-        m = [[(rng.below(19) - 9) * big + rng.below(3) - 1 for _ in range(d)]
-             for _ in range(self.K)]
-        assert _intops._SCAN_BLOCK // len(m) < self.K
-        eps = e.tolist()
-        forms = [sum(a * b for a, b in zip(eps[i], m[j]))
-                 for i, j in ((0, 1), (75, 2), (149, 149))]
+        w = random_symmetric(rng, d, big)
+        for i in range(d):
+            for j in range(i, d):
+                w[i][j] += rng.below(3) - 1
+                w[j][i] = w[i][j]
+        assert min(abs(x) for row in w for x in row) >= 1 << 44
+        assert _intops._SCAN_BLOCK // self.K < self.K
+        forms = bilinear_forms(e, w)
+        targets = [abs(forms[i][j]) for i, j in ((0, 1), (75, 2), (149, 149))]
         # the last target agrees with a form mod 2^40 but differs from it
-        targets = [abs(f) for f in forms] + [abs(forms[0]) + (1 << 40)]
-        assert_hits_match_direct(e, m, targets)
-        assert len(_intops._balanced_limbs(m)) == 2
+        assert_hits_match_direct(e, w, targets + [targets[0] + (1 << 40)])
+        assert len(_intops._balanced_limbs(w)) == 2
 
 
 class TestDetInverseMod:

@@ -1,9 +1,9 @@
 """Basis selection, candidate enumeration, and saturation checking."""
 
+from collections import Counter
 from concurrent import futures
 from fractions import Fraction
 import tracemalloc
-from math import lcm
 
 import numpy as np
 import pytest
@@ -14,9 +14,8 @@ from eqlines.lineset import LineSet, SignMatrix, from_sign_matrix
 from eqlines.linalg import RatMatrix
 from eqlines.maxclique import CliqueResult, SimpleGraph
 from eqlines.saturation import (
-    Candidate,
+    CandidateSet,
     SaturationReport,
-    _pattern_signs,
     build_compatibility_graph,
     check_saturated,
     enumerate_candidates,
@@ -25,7 +24,7 @@ from eqlines.saturation import (
     verify_nonbasis_cover,
 )
 from eqlines.spansearch import SplitMix64
-from oracles import enumerate_range_batch, greedy_span_basis
+from oracles import candidate_coeffs, enumerate_range_batch, greedy_span_basis
 
 F = Fraction
 HALF = F(1, 2)
@@ -54,38 +53,46 @@ def inner(ls: LineSet, basis, ca, cb) -> Fraction:
     )
 
 
-def limb_candidates(
-    rng: SplitMix64, d: int, k: int, first_form: int = 1
-) -> list[Candidate]:
-    """Synthetic candidates whose coefficients have denominators near
-    2^45, so the graph's integer forms span two limbs.  Candidate j > 0
-    fixes its last coefficient so that eps_i^T c_j = +-1 for a random
-    i < j; candidate 0 has eps_0^T c_0 = first_form."""
-    q = (1 << 45) + 3
-    cands = []
-    for j in range(k):
-        signs = (1,) + tuple(1 - 2 * rng.below(2) for _ in range(d - 1))
-        coeffs = [F(rng.below(2 * q) - q, q) for _ in range(d - 1)]
-        eps, form = signs, first_form
-        if j:
-            eps, form = cands[rng.below(j)].signs, 1 - 2 * rng.below(2)
-        coeffs.append(eps[-1] * (form - sum(a * x for a, x in zip(eps, coeffs))))
-        cands.append(Candidate(j, signs, tuple(coeffs)))
-    return cands
+def pattern_signs(m: int, d: int) -> tuple[int, ...]:
+    """The sign pattern of index m, from the scan's `_pattern_block`."""
+    return tuple(_intops._pattern_block(np.array([m], dtype=np.int64), d)[0].tolist())
+
+
+def limb_candidates(rng: SplitMix64, d: int) -> CandidateSet:
+    """Every first-plus pattern over a synthetic symmetric W whose
+    entries are at least 2^44 in size, so the graph's forms span two
+    limbs; L is the commonest |eps_i^T W eps_j| over i < j, so the graph
+    has edges."""
+    big = (1 << 44) + 7
+    w = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            w[i][j] = w[j][i] = (
+                (rng.below(9) + 1) * (1 - 2 * rng.below(2)) * big
+                + rng.below(3) - 1
+            )
+    ms = list(range(1 << (d - 1)))
+    e = [pattern_signs(m, d) for m in ms]
+    forms = Counter(
+        abs(sum(a * x * b for a, row in zip(e[i], w) for x, b in zip(row, e[j])))
+        for j in range(len(ms)) for i in range(j)
+    )
+    scale = max(forms, key=lambda t: (forms[t], t))
+    return CandidateSet(ms, w, scale, scale)
 
 
 class TestPatternSigns:
     def test_first_sign_always_plus(self):
         for d in (1, 2, 5):
             for m in range(1 << (d - 1)):
-                s = _pattern_signs(m, d)
+                s = pattern_signs(m, d)
                 assert len(s) == d and s[0] == 1
                 assert all(x in (-1, 1) for x in s)
 
     def test_ordering_is_lexicographic(self):
         # ascending index = lexicographic with + before -
         d = 4
-        pats = [_pattern_signs(m, d) for m in range(1 << (d - 1))]
+        pats = [pattern_signs(m, d) for m in range(1 << (d - 1))]
         key = [tuple(0 if x == 1 else 1 for x in p) for p in pats]
         assert key == sorted(key)
         assert pats[0] == (1, 1, 1, 1)
@@ -93,8 +100,8 @@ class TestPatternSigns:
 
     def test_bit_convention(self):
         # bit (d-1-t) of the index drives sign t
-        assert _pattern_signs(0b100, 4) == (1, -1, 1, 1)
-        assert _pattern_signs(0b001, 4) == (1, 1, 1, -1)
+        assert pattern_signs(0b100, 4) == (1, -1, 1, 1)
+        assert pattern_signs(0b001, 4) == (1, 1, 1, -1)
 
 
 class TestSelectBasis:
@@ -171,10 +178,9 @@ class TestEnumerateHexagon:
         ls = hexagon()
         cands = enumerate_candidates(ls, [0, 1])
         assert len(cands) == 1
-        c = cands[0]
-        assert c.pattern_index == 1
-        assert c.signs == (1, -1)
-        assert c.coeffs == (F(1), F(-1))
+        assert cands.patterns.tolist() == [1]
+        assert pattern_signs(1, 2) == (1, -1)
+        assert candidate_coeffs(cands) == [(F(1), F(-1))]
 
     def test_candidate_is_third_line(self):
         # the lone candidate is line 2 of the hexagon itself
@@ -182,7 +188,7 @@ class TestEnumerateHexagon:
         cands = enumerate_candidates(ls, [0, 1])
         mapping = line_pattern_indices(ls, [0, 1])
         assert mapping == {2: 1}
-        assert cands[0].pattern_index == 1
+        assert cands.patterns[0] == 1
 
     def test_line_off_angle_to_basis_rejected(self):
         # 1/3 has no numerator over the denominator 6 that is +-1/2's;
@@ -234,7 +240,7 @@ class TestEnumerateTremain:
     def test_pattern_indices_sorted_unique(self, tremain):
         odd = list(range(1, 28, 2))
         cands = enumerate_candidates(tremain, odd)
-        ms = [c.pattern_index for c in cands]
+        ms = cands.patterns.tolist()
         assert ms == sorted(ms)
         assert len(set(ms)) == len(ms)
         assert all(0 <= m < 1 << 13 for m in ms)
@@ -243,15 +249,17 @@ class TestEnumerateTremain:
         odd = list(range(1, 28, 2))
         cands = enumerate_candidates(tremain, odd)
         alpha = tremain.angle
-        for c in cands[::17] + [cands[-1]]:
+        coeffs = candidate_coeffs(cands)
+        for v in [*range(0, len(cands), 17), len(cands) - 1]:
+            c, signs = coeffs[v], pattern_signs(int(cands.patterns[v]), 14)
             # <v, b_k> = eps_k * alpha, recomputed from scratch
             for k in range(14):
                 dot = sum(
-                    c.coeffs[i] * tremain.gram[odd[i], odd[k]]
+                    c[i] * tremain.gram[odd[i], odd[k]]
                     for i in range(14)
                 )
-                assert dot == c.signs[k] * alpha
-            assert inner(tremain, odd, c.coeffs, c.coeffs) == 1
+                assert dot == signs[k] * alpha
+            assert inner(tremain, odd, c, c) == 1
 
     def test_engines_agree(self, tremain, taylor):
         # the serial scan against the block-scan oracle
@@ -264,17 +272,70 @@ class TestEnumerateTremain:
             )
             want = enumerate_range_batch(w, t_target, 0, 1 << (len(basis) - 1))
             got = enumerate_candidates(ls, basis)
-            assert [c.pattern_index for c in got] == want
+            assert got.patterns.tolist() == want
 
     def test_every_nonbasis_line_is_a_candidate(self, tremain):
         odd = list(range(1, 28, 2))
         cands = enumerate_candidates(tremain, odd)
         mapping = line_pattern_indices(tremain, odd)
         assert sorted(mapping) == [i for i in range(28) if i not in odd]
-        have = {c.pattern_index for c in cands}
+        have = set(cands.patterns.tolist())
         assert set(mapping.values()) <= have
         g = build_compatibility_graph(cands, tremain, odd)
         verify_nonbasis_cover(tremain, odd, cands, g)
+
+
+class TestCandidateSet:
+    def test_unordered_patterns_rejected(self):
+        """The record's one input check: strictly ascending patterns, so
+        no pattern, hence no line, is listed twice."""
+        w, scale, target = [[1]], 1, 1
+        assert len(CandidateSet([0, 2, 5], w, scale, target)) == 3
+        assert len(CandidateSet([], w, scale, target)) == 0
+        for ms in ([1, 1], [3, 2], [0, 4, 4, 7]):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                CandidateSet(ms, w, scale, target)
+
+
+class TestNonbasisCover:
+    def test_missing_lines_reported_in_line_order(self, tremain):
+        odd = list(range(1, 28, 2))
+        cands = enumerate_candidates(tremain, odd)
+        g = build_compatibility_graph(cands, tremain, odd)
+        mapping = line_pattern_indices(tremain, odd)
+        cover = verify_nonbasis_cover(tremain, odd, cands, g)
+        where = {m: v for v, m in enumerate(cands.patterns.tolist())}
+        assert cover == [where[m] for m in mapping.values()]
+        lines = list(mapping)
+        ms = cands.patterns.tolist()
+        lo, hi = min(mapping.values()), max(mapping.values())
+        cases = [
+            # two lines' patterns dropped: the first in line order is named
+            ([m for m in ms if m not in (mapping[lines[-1]], mapping[lines[5]])],
+             lines[5]),
+            # every line missing, past the last or before the first entry
+            ([m for m in ms if m < lo], lines[0]),
+            ([m for m in ms if m > hi], lines[0]),
+            ([], lines[0]),
+        ]
+        for kept, j in cases:
+            fewer = CandidateSet(kept, cands.w, cands.scale, cands.target)
+            with pytest.raises(HypothesisViolated) as err:
+                verify_nonbasis_cover(tremain, odd, fewer, g)
+            assert str(err.value) == (
+                f"non-basis line {j} is missing from the candidate list"
+            )
+
+    def test_incompatible_cover_rejected(self, tremain):
+        odd = list(range(1, 28, 2))
+        cands = enumerate_candidates(tremain, odd)
+        cover = verify_nonbasis_cover(
+            tremain, odd, cands, build_compatibility_graph(cands, tremain, odd))
+        edgeless = SimpleGraph(len(cands), (0,) * len(cands))
+        i, j = cover[:2]
+        with pytest.raises(HypothesisViolated,
+                           match=f"incompatible candidates {i},{j}$"):
+            verify_nonbasis_cover(tremain, odd, cands, edgeless)
 
 
 class TestCompatibilityGraph:
@@ -285,10 +346,12 @@ class TestCompatibilityGraph:
         assert g.n == 1 and g.edge_count() == 0
 
     def test_duplicate_candidates_rejected(self):
+        # a pattern listed twice is one line twice; the record refuses it
         ls = hexagon()
-        c = enumerate_candidates(ls, [0, 1])[0]
-        with pytest.raises(HypothesisViolated):
-            build_compatibility_graph([c, c], ls, [0, 1])
+        c = enumerate_candidates(ls, [0, 1])
+        m = int(c.patterns[0])
+        with pytest.raises(ValueError, match="strictly ascending"):
+            CandidateSet([m, m], c.w, c.scale, c.target)
 
     def test_edges_match_direct_inner_products(self, tremain):
         odd = list(range(1, 28, 2))
@@ -296,31 +359,34 @@ class TestCompatibilityGraph:
         g = build_compatibility_graph(cands, ls=tremain, basis=odd)
         assert g.n == 378
         alpha = tremain.angle
+        coeffs = candidate_coeffs(cands)
         for i in (0, 5, 100):
             for j in range(i + 1, i + 40):
-                dot = inner(tremain, odd, cands[i].coeffs, cands[j].coeffs)
+                dot = inner(tremain, odd, coeffs[i], coeffs[j])
                 want_edge = abs(dot) == alpha
                 assert bool(g.adj[i] >> j & 1) == want_edge
                 assert abs(dot) != 1  # no duplicated lines
 
     def test_multi_limb_edges_match_fraction_oracle(self):
-        rng = SplitMix64(45)
-        cands = limb_candidates(rng, d=5, k=60)
-        den = lcm(*(x.denominator for c in cands for x in c.coeffs))
-        assert max(abs(x) * den for c in cands for x in c.coeffs) >= 1 << 40
+        cands = limb_candidates(SplitMix64(45), d=7)
+        assert min(abs(x) for row in cands.w for x in row) >= 1 << 44
+        assert len(_intops._balanced_limbs(cands.w)) == 2
         g = build_compatibility_graph(cands, single_line(), [0])
-        assert g.n == 60 and g.edge_count() >= 59
-        for j, cj in enumerate(cands):
+        assert g.n == 64 and g.edge_count() > 0
+        # eps_i^T c_j = +-1 with c_j = W eps_j / L, in Fractions
+        coeffs = candidate_coeffs(cands)
+        for j, cj in enumerate(coeffs):
             for i in range(j):
-                dot = sum(a * x for a, x in zip(cands[i].signs, cj.coeffs))
+                eps = pattern_signs(int(cands.patterns[i]), 7)
+                dot = sum(a * x for a, x in zip(eps, cj))
                 assert bool(g.adj[i] >> j & 1) == (abs(dot) == 1), (i, j)
 
     def test_multi_limb_duplicate_rejected(self):
-        # eps^T c = 1/alpha = 3 is a unit vector meeting itself
-        rng = SplitMix64(46)
-        c = limb_candidates(rng, d=5, k=1, first_form=3)[0]
-        with pytest.raises(HypothesisViolated, match="candidates 0 and 1"):
-            build_compatibility_graph([c, c], single_line(), [0])
+        cands = limb_candidates(SplitMix64(46), d=5)
+        ms = cands.patterns.tolist()
+        for dup in ([ms[0], ms[0]], ms[:3] + ms[2:]):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                CandidateSet(dup, cands.w, cands.scale, cands.target)
 
     def test_clique_gives_saturation(self, tremain):
         odd = list(range(1, 28, 2))
@@ -369,7 +435,7 @@ class TestProgressAndThreads:
         parallel = enumerate_candidates(
             taylor, list(TAYLOR_BASIS), threads=3
         )
-        assert serial == parallel
+        assert parallel.patterns.tolist() == serial.patterns.tolist()
         assert len(serial) == 70
 
     def test_huge_thread_count_is_clamped(self, taylor, monkeypatch):
@@ -384,7 +450,7 @@ class TestProgressAndThreads:
         clamped = enumerate_candidates(
             taylor, list(TAYLOR_BASIS), threads=10**9
         )
-        assert clamped == serial
+        assert clamped.patterns.tolist() == serial.patterns.tolist()
 
 
 class TestTaylorSaturation:
@@ -393,7 +459,7 @@ class TestTaylorSaturation:
         assert len(cands) == 70
         mapping = line_pattern_indices(taylor, TAYLOR_BASIS)
         assert len(mapping) == 70
-        assert {c.pattern_index for c in cands} == set(mapping.values())
+        assert set(cands.patterns.tolist()) == set(mapping.values())
         g = build_compatibility_graph(cands, taylor, TAYLOR_BASIS)
         assert g.n == 70 and g.edge_count() == 70 * 69 // 2
         verify_nonbasis_cover(taylor, TAYLOR_BASIS, cands, g)
@@ -407,7 +473,7 @@ class TestTaylorSaturation:
         assert report.clique_optimal is True
         assert report.saturated is True
         cands = enumerate_candidates(taylor, basis)
-        where = {c.pattern_index: v for v, c in enumerate(cands)}
+        where = {m: v for v, m in enumerate(cands.patterns.tolist())}
         cover = sorted(where[m] for m in line_pattern_indices(taylor, basis).values())
         assert report.clique_witness == tuple(cover)
 
@@ -425,10 +491,8 @@ class TestTaylorSaturation:
         finally:
             tracemalloc.stop()
         assert peak < 13.65e6 / 2, peak
-        den = lcm(*(x.denominator for c in cands for x in c.coeffs))
-        m = np.array([[int(x * den) for x in c.coeffs] for c in cands])
-        e = np.array([c.signs for c in cands])
-        dense = np.triu(np.abs(e @ m.T) == den, 1)
+        e = _intops._pattern_block(cands.patterns, 20)
+        dense = np.triu(np.abs(e @ np.array(cands.w) @ e.T) == cands.scale, 1)
         assert g == SimpleGraph.from_matrix(dense | dense.T)
         assert (g.n, g.edge_count()) == (1806, 517457)
 
