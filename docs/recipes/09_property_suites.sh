@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Property suites against independent oracles:
 #   9a  clique solver  vs brute-force enumeration (200 random graphs)
-#   9b  candidate enumeration vs exact sign-system solving (rank <= 4)
+#   9b  candidate enumeration vs exact sign-system solving (25 rank 5-7
+#       span closures in tremain28, taylor90 and asche72 that carry
+#       non-basis lines, so every draw keeps candidates)
 #   9c  span closures  vs the rank criterion (100 random subsets)
 #   9d  exact PSD      vs numpy eigenvalues at 1e-9
 #   9e  fraction-free rank, inverse, kernel and candidate system
@@ -33,6 +35,9 @@
 #       its lcm-integerized graph: patterns, coordinates and adjacency
 #       (tremain14 on three bases, asche72, taylor90 basis J, best56,
 #       10 random subsets)
+#   9n  the scan and the pairwise forms past d^2 * max|W| = 2^63, on
+#       Python ints, vs direct Python-int scans and the limb block scan
+#       (entries +-2^60 to 2^70 at d = 5 to 16)
 set -euo pipefail
 here="$(cd "$(dirname "$0")" && pwd)"
 cd "$here/../.."

@@ -18,10 +18,12 @@ Ascending m is therefore lexicographic order with + before -.  One
 serial engine, `enumerate_unit_patterns`, scans all patterns; the tests
 keep a block scan and a direct Python-int scan as its oracles.
 
-Wide integers are split into balanced base-2^40 limbs, a scheme known
-only to this module: `_exact_equal` alone decides whether limb forms
-equal a target, for the pattern scan and for `pairwise_hits` (the
-bilinear forms eps_i^T W eps_j of the compatibility graph) alike.
+The pattern scan and `pairwise_hits` (the bilinear forms eps_i^T W eps_j
+of the compatibility graph) compute their +-1 forms in one array
+(`_exact_array`): int64 when d^2 * max|W| < 2^63, which bounds every
+partial sum of a form, and otherwise object dtype, whose Python ints are
+exact at any size.  The shipped sets stay far inside int64: their
+largest |W| entry has at most 12 bits.
 
 Every exact solve here (the candidate system of `scaled_candidate_matrix`
 and the last span tier, `_members_exact`) goes through the fraction-free
@@ -41,10 +43,6 @@ import numpy as np
 from . import linalg
 from .errors import SingularMatrix
 from .linalg import RatMatrix
-
-# limb base for exact multi-word int64 arithmetic on +-1 quadratic forms
-_LIMB_BASE = 1 << 40
-_LIMB_HALF = _LIMB_BASE >> 1
 
 # patterns per block of the sign-pattern scan, and the progress interval
 _SCAN_BLOCK = 1 << 14
@@ -108,23 +106,17 @@ def scaled_candidate_matrix(
 # sign-pattern enumeration
 
 
-def _balanced_limbs(w: list[list[int]]) -> list[np.ndarray]:
-    """Split an integer matrix into balanced base-2^40 limbs (int64)."""
-    rows = [list(r) for r in w]
-    limbs = []
-    while any(x for r in rows for x in r):
-        cur = []
-        for r in rows:
-            crow = []
-            for idx, x in enumerate(r):
-                digit = (x + _LIMB_HALF) % _LIMB_BASE - _LIMB_HALF
-                crow.append(digit)
-                r[idx] = (x - digit) // _LIMB_BASE
-            cur.append(crow)
-        limbs.append(np.array(cur, dtype=np.int64))
-    if not limbs:
-        limbs.append(np.zeros((len(w), len(w[0]) if w else 0), dtype=np.int64))
-    return limbs
+def _exact_array(w: list[list[int]]) -> np.ndarray:
+    """W as an array in which every +-1 form is exact.
+
+    A form eps^T W eps', and every partial sum of it in any order, is a
+    sum of at most d^2 terms +-W_ij, so int64 holds it exactly when
+    d^2 * max|W| < 2^63; past that the array takes object dtype, whose
+    Python ints are exact at any size.
+    """
+    d = len(w)
+    top = max((abs(x) for row in w for x in row), default=0)
+    return np.array(w, dtype=np.int64 if d * d * top < 1 << 63 else object)
 
 
 def _pattern_block(ms: np.ndarray, d: int) -> np.ndarray:
@@ -133,25 +125,6 @@ def _pattern_block(ms: np.ndarray, d: int) -> np.ndarray:
     for t in range(1, d):
         e[:, t] = 1 - 2 * ((ms >> (d - 1 - t)) & 1)
     return e
-
-
-def _exact_equal(forms: list[np.ndarray], target: int) -> np.ndarray:
-    """Mask of the entries whose limb forms sum_k forms[k] * 2^(40k) equal
-    target exactly.
-
-    One limb: the int64 forms are the values.  Several limbs: an exact
-    mod-2^40 prefilter on limb 0, then Python-int recombination of the
-    survivors.  Balanced limbs have |entry| <= 2^39, so a form of fewer
-    than 2^24 such products stays inside int64.
-    """
-    if len(forms) == 1:
-        return forms[0] == target
-    hit = forms[0] % _LIMB_BASE == target % _LIMB_BASE
-    for pos in np.flatnonzero(hit).tolist():
-        value = sum(int(f.flat[pos]) * _LIMB_BASE**k for k, f in enumerate(forms))
-        if value != target:
-            hit.flat[pos] = False
-    return hit
 
 
 def enumerate_unit_patterns(
@@ -164,25 +137,23 @@ def enumerate_unit_patterns(
     Meet in the middle: with b = (d-1)//2 and a = d - b, write
     m = h*2^b + l, where h fixes the first a signs (the first is +1) and
     l the last b.  Then eps^T W eps = q_H[h] + q_L[l] + e_H[h]^T C e_L[l]
-    with C = W_HL + W_LH^T, so a block of high halves costs one int64
-    matmul per limb against P = C E_L^T, which is built once.  Row-major
-    order of the (h, l) block is ascending m, so the result needs no sort.
+    with C = W_HL + W_LH^T, so a block of high halves costs one matmul
+    against P = C E_L^T, which is built once.  Row-major order of the
+    (h, l) block is ascending m, so the result needs no sort.
 
-    _exact_equal decides each block (|form| <= d^2 * 2^39 per limb).
-    progress (if given) receives (done, total) about every 2^16 patterns
-    and once at the end.
+    The forms are computed over `_exact_array(W)`, so `==` decides each
+    block exactly.  progress (if given) receives (done, total) about
+    every 2^16 patterns and once at the end.
     """
     d = len(w)
     b = (d - 1) // 2
     a = d - b
     total = 1 << (d - 1)
-    limbs = _balanced_limbs(w)
+    wa = _exact_array(w)
     e_l = _pattern_block(np.arange(1 << b, dtype=np.int64), b + 1)[:, 1:]
-    halves = []
-    for wk in limbs:
-        q_l = ((e_l @ wk[a:, a:]) * e_l).sum(axis=1)
-        p = (wk[:a, a:] + wk[a:, :a].T) @ e_l.T
-        halves.append((wk[:a, :a], q_l, p))
+    w_hh = wa[:a, :a]
+    q_l = ((e_l @ wa[a:, a:]) * e_l).sum(axis=1)
+    p = (wa[:a, a:] + wa[a:, :a].T) @ e_l.T
     highs = total >> b
     rows = max(1, _SCAN_BLOCK >> b)
     kept: list[int] = []
@@ -190,13 +161,10 @@ def enumerate_unit_patterns(
     for h0 in range(0, highs, rows):
         hs = np.arange(h0, min(h0 + rows, highs), dtype=np.int64)
         e_h = _pattern_block(hs, a)
-        forms = [
-            (((e_h @ w_hh) * e_h).sum(axis=1)[:, None] + q_l + e_h @ p).ravel()
-            for w_hh, q_l, p in halves
-        ]
+        forms = (((e_h @ w_hh) * e_h).sum(axis=1)[:, None] + q_l + e_h @ p).ravel()
         base = h0 << b
-        kept.extend((base + np.flatnonzero(_exact_equal(forms, t_target))).tolist())
-        done = base + len(forms[0])
+        kept.extend((base + np.flatnonzero(forms == t_target)).tolist())
+        done = base + len(forms)
         if (progress is not None and done < total
                 and done - last >= _PROGRESS_STEP):
             last = done
@@ -206,32 +174,27 @@ def enumerate_unit_patterns(
     return kept
 
 
-def pairwise_hits(
-    e: np.ndarray, w: list[list[int]], targets: Sequence[int]
-) -> list[np.ndarray]:
-    """Exact masks |eps_i^T W eps_j| == t, one per target t, for the +-1
-    rows e and an integer d x d matrix W, as (len(e), ceil(len(e)/8))
-    uint8 bit matrices: bit j % 8 of byte [i, j // 8] is entry [i, j]
-    (np.packbits' little bit order).
+def pairwise_hits(e: np.ndarray, w: list[list[int]], target: int) -> np.ndarray:
+    """Exact mask |eps_i^T W eps_j| == target, for the +-1 rows e and an
+    integer d x d matrix W, as a (len(e), ceil(len(e)/8)) uint8 bit
+    matrix: bit j % 8 of byte [i, j // 8] is entry [i, j] (np.packbits'
+    little bit order).
 
-    Each row block costs (e[blk] @ W_k) @ e.T per balanced limb W_k, and
-    _exact_equal decides it (|form| <= d^2 * 2^39 per limb), as in the
-    pattern scan.  The blocks hold about _SCAN_BLOCK forms, so apart from
-    the packed masks (one bit per entry) the memory is O(block) per limb.
+    Each row block costs (e[blk] @ W) @ e.T over `_exact_array(W)`, so
+    `==` decides it exactly, as in the pattern scan.  The blocks hold
+    about _SCAN_BLOCK forms, so apart from the packed mask (one bit per
+    entry) the memory is O(block).
     """
-    limbs = _balanced_limbs(w)
+    wa = _exact_array(w)
     k = len(e)
-    width = (k + 7) // 8
-    hits = [np.zeros((k, width), dtype=np.uint8) for _ in targets]
+    hit = np.zeros((k, (k + 7) // 8), dtype=np.uint8)
     rows = max(1, _SCAN_BLOCK // max(k, 1))
     for r0 in range(0, k, rows):
-        forms = [(e[r0:r0 + rows] @ wk) @ e.T for wk in limbs]
-        for hit, t in zip(hits, targets):
-            hit[r0:r0 + rows] = np.packbits(
-                _exact_equal(forms, t) | _exact_equal(forms, -t),
-                axis=1, bitorder="little",
-            )
-    return hits
+        forms = (e[r0:r0 + rows] @ wa) @ e.T
+        hit[r0:r0 + rows] = np.packbits(
+            abs(forms) == target, axis=1, bitorder="little"
+        )
+    return hit
 
 
 # --------------------------------------------------------------------------

@@ -103,15 +103,12 @@ class SimpleGraph:
         return cls(len(a), tuple(_pack(a)))
 
     @classmethod
-    def from_upper_bits(cls, bits: np.ndarray) -> "SimpleGraph":
-        """Graph of the strict upper triangle of an (n, ceil(n/8)) uint8
-        bit matrix in np.packbits' little bit order (bit j % 8 of byte
-        [i, j // 8] is entry [i, j]): edge ij, i < j, is entry [i, j];
-        the diagonal and the lower triangle are ignored."""
-        adj = []
-        for r0, rows, cols in _transposed_blocks(bits):
-            adj.extend(_pack(np.triu(rows, r0 + 1) | np.tril(cols, r0 - 1)))
-        return cls(len(bits), tuple(adj))
+    def from_bits(cls, bits: np.ndarray) -> "SimpleGraph":
+        """Graph of an (n, ceil(n/8)) uint8 bit matrix in np.packbits'
+        little bit order, the inverse of `_bits`; it must be symmetric
+        with an empty diagonal and clear padding (ValueError otherwise)."""
+        rows = (int.from_bytes(row.tobytes(), "little") for row in bits)
+        return cls(len(bits), tuple(rows))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":

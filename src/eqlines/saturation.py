@@ -34,9 +34,10 @@ class CandidateSet:
 
     patterns: the ascending int64 pattern indices of the candidates;
     w, scale, target: W = L * alpha * G_B^(-1), L and T = L/alpha from
-    `_intops.scaled_candidate_matrix`.  Candidate i is the vector with
-    coordinates c = W eps_i / L over the basis lines, where eps_i is the
-    sign pattern of patterns[i].
+    `_intops.scaled_candidate_matrix`, in Python ints of any size (the
+    kernels of `_intops` compute on int64 while d^2 * max|W| < 2^63).
+    Candidate i is the vector with coordinates c = W eps_i / L over the
+    basis lines, where eps_i is the sign pattern of patterns[i].
     """
 
     patterns: np.ndarray
@@ -132,16 +133,17 @@ def build_compatibility_graph(
     """Graph on the candidates; i ~ j iff their inner product is +-alpha.
 
     With c = W eps / L, <v_i, v_j> = alpha * eps_i^T c_j, so i ~ j iff
-    eps_i^T W eps_j = +-L: one exact integer bilinear form per pair,
-    read from the upper triangle of packed bit masks (ls and basis are
-    accepted for the signature).  No two candidates are one line: a
-    candidate v lies in span(B) and meets b_k at alpha * eps_k, so eps
-    fixes v; v = +-v' forces eps = +-eps', and two first-plus patterns
-    are never negatives of each other, so the patterns are equal.
+    eps_i^T W eps_j = +-L: one exact integer bilinear form per pair, in
+    one packed bit mask that is the graph's own bit matrix (ls and basis
+    are accepted for the signature).  The mask is symmetric because W is,
+    and its diagonal is empty: |eps_i^T W eps_i| = T = L/alpha != L.  No
+    two candidates are one line: a candidate v lies in span(B) and meets
+    b_k at alpha * eps_k, so eps fixes v; v = +-v' forces eps = +-eps',
+    and two first-plus patterns are never negatives of each other, so
+    the patterns are equal.
     """
     e = _intops._pattern_block(cands.patterns, len(cands.w))
-    (edge,) = _intops.pairwise_hits(e, cands.w, [cands.scale])
-    return SimpleGraph.from_upper_bits(edge)
+    return SimpleGraph.from_bits(_intops.pairwise_hits(e, cands.w, cands.scale))
 
 
 def line_pattern_indices(ls: LineSet, basis: Sequence[int]) -> dict[int, int]:

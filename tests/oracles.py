@@ -24,7 +24,11 @@ pairs that the class-at-a-time coloring and explicit stack of
 `max_clique` replaced, and the `Candidate` list of `Fraction`
 coordinates with its lcm re-integerization and linear pairwise forms
 that the `CandidateSet` and the bilinear `pairwise_hits` replaced (plus
-`candidate_coeffs`, the exact coordinates of a `CandidateSet`).
+`candidate_coeffs`, the exact coordinates of a `CandidateSet`), with
+the balanced base-2^40 limbs (`_balanced_limbs`, `_exact_equal`) and the
+upper-triangle graph assembly (`graph_from_upper_bits`) that the one
+exact array of `_intops._exact_array` and `SimpleGraph.from_bits`
+replaced.
 None of them is used by the library.
 """
 
@@ -39,12 +43,9 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from eqlines._intops import (
-    _LIMB_BASE,
     _PRIMES26,
     _SCAN_BLOCK,
     SpanEngine,
-    _balanced_limbs,
-    _exact_equal,
     _pattern_block,
     enumerate_unit_patterns,
     scaled_candidate_matrix,
@@ -52,7 +53,7 @@ from eqlines._intops import (
 from eqlines.errors import HypothesisViolated, NotSymmetric, SingularMatrix
 from eqlines.linalg import RatMatrix, integer_scaled
 from eqlines.lineset import LineSet
-from eqlines.maxclique import CliqueResult, SimpleGraph
+from eqlines.maxclique import CliqueResult, SimpleGraph, _pack, _transposed_blocks
 from eqlines.saturation import CandidateSet
 from eqlines.spansearch import MASK64, MIX1, MIX2, SplitMix64
 
@@ -385,6 +386,49 @@ def fraction_kernel(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     return basis
 
 
+# limb base for exact multi-word int64 arithmetic on +-1 quadratic forms
+_LIMB_BASE = 1 << 40
+_LIMB_HALF = _LIMB_BASE >> 1
+
+
+def _balanced_limbs(w: list[list[int]]) -> list[np.ndarray]:
+    """Split an integer matrix into balanced base-2^40 limbs (int64)."""
+    rows = [list(r) for r in w]
+    limbs = []
+    while any(x for r in rows for x in r):
+        cur = []
+        for r in rows:
+            crow = []
+            for idx, x in enumerate(r):
+                digit = (x + _LIMB_HALF) % _LIMB_BASE - _LIMB_HALF
+                crow.append(digit)
+                r[idx] = (x - digit) // _LIMB_BASE
+            cur.append(crow)
+        limbs.append(np.array(cur, dtype=np.int64))
+    if not limbs:
+        limbs.append(np.zeros((len(w), len(w[0]) if w else 0), dtype=np.int64))
+    return limbs
+
+
+def _exact_equal(forms: list[np.ndarray], target: int) -> np.ndarray:
+    """Mask of the entries whose limb forms sum_k forms[k] * 2^(40k) equal
+    target exactly.
+
+    One limb: the int64 forms are the values.  Several limbs: an exact
+    mod-2^40 prefilter on limb 0, then Python-int recombination of the
+    survivors.  Balanced limbs have |entry| <= 2^39, so a form of fewer
+    than 2^24 such products stays inside int64.
+    """
+    if len(forms) == 1:
+        return forms[0] == target
+    hit = forms[0] % _LIMB_BASE == target % _LIMB_BASE
+    for pos in np.flatnonzero(hit).tolist():
+        value = sum(int(f.flat[pos]) * _LIMB_BASE**k for k, f in enumerate(forms))
+        if value != target:
+            hit.flat[pos] = False
+    return hit
+
+
 def _exact_quadratic(
     e: np.ndarray, limbs: list[np.ndarray], target: int
 ) -> np.ndarray:
@@ -397,7 +441,8 @@ def _exact_quadratic(
     forms = [(e * (e @ wk.T)).sum(axis=1) for wk in limbs]
     if len(limbs) == 1:
         return np.nonzero(forms[0] == target)[0]
-    cand = np.nonzero((forms[0] - target) % _LIMB_BASE == 0)[0]
+    # reduce the target first: it may lie past int64
+    cand = np.nonzero((forms[0] - target % _LIMB_BASE) % _LIMB_BASE == 0)[0]
     keep = []
     for pos in cand:
         total = sum(
@@ -820,7 +865,18 @@ def lcm_compatibility_graph(
             raise HypothesisViolated(
                 f"candidates {i} and {j} describe the same line"
             )
-    return SimpleGraph.from_upper_bits(edge)
+    return graph_from_upper_bits(edge)
+
+
+def graph_from_upper_bits(bits: np.ndarray) -> SimpleGraph:
+    """Graph of the strict upper triangle of an (n, ceil(n/8)) uint8
+    bit matrix in np.packbits' little bit order (bit j % 8 of byte
+    [i, j // 8] is entry [i, j]): edge ij, i < j, is entry [i, j];
+    the diagonal and the lower triangle are ignored."""
+    adj = []
+    for r0, rows, cols in _transposed_blocks(bits):
+        adj.extend(_pack(np.triu(rows, r0 + 1) | np.tril(cols, r0 - 1)))
+    return SimpleGraph(len(bits), tuple(adj))
 
 
 def candidate_coeffs(cands: CandidateSet) -> list[tuple[Fraction, ...]]:

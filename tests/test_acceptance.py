@@ -65,6 +65,8 @@ from eqlines.spansearch import (
 from oracles import (
     FractionRatMatrix,
     candidate_coeffs,
+    direct_unit_patterns,
+    enumerate_range_batch,
     fraction_enumerate_candidates,
     lcm_compatibility_graph,
     is_psd,
@@ -76,9 +78,9 @@ from oracles import (
     fraction_kernel,
     fraction_scaled_candidate_matrix,
     greedy_span_basis,
+    matvec,
     psd_by_minors,
     sample_subset,
-    solve,
 )
 
 F = Fraction
@@ -346,35 +348,48 @@ def _random_low_rank_subset(rng: SplitMix64, source, rank: int) -> list[int]:
 
 
 def test_criterion_9b_candidates_vs_sign_system_oracle():
-    """Candidate enumeration on random rank <= 4 equiangular sets agrees
-    with solving all 2^(d-1) sign systems in exact arithmetic."""
+    """Candidate enumeration on 25 random rank 5-7 equiangular sets that
+    carry non-basis lines, so that every draw keeps candidates, agrees
+    with solving all 2^(d-1) sign systems in exact arithmetic.  Each set
+    is the span closure, larger than the draw, of a random draw of the
+    span search in tremain28, taylor90 or asche72; its own non-basis
+    lines are candidates, so K > 0 (below rank 5, R(d, 1/5) < d + 1
+    leaves no room for a candidate)."""
     rng = SplitMix64(9002)
-    sources = [tremain_28(), taylor_90()]
+    sources = [tremain_28(), taylor_90(), asche_72()]
     for trial in range(25):
-        source = sources[trial % 2]
-        d = 2 + rng.below(3)  # 2..4
-        picked = _random_low_rank_subset(rng, source, d)
-        ls = source.restrict(picked)
-        basis = list(range(d))  # the subset is its own basis
+        source = sources[trial % 3]
+        rank = 5 + rng.below(3)  # 5..7
+        closures = []
+        while not closures:
+            search = random_search(source, rank, 2000, rng.next64())
+            closures = [r.closure for r in search.run_log if r.closure_size > rank]
+        ls = source.restrict(closures[rng.below(len(closures))])
+        basis = select_basis(ls)
+        d = len(basis)
+        assert d == rank < ls.n
         cands = enumerate_candidates(ls, basis)
 
-        # oracle: solve G c = alpha*eps for every first-plus pattern and
-        # keep exact unit-norm solutions
+        # oracle: solve G_B c = alpha*eps for every first-plus pattern,
+        # through the Fraction inverse of G_B, and keep exact unit-norm
+        # solutions
+        gram_b = ls.gram.submatrix(basis, basis)
+        inv_b = fraction_inverse(gram_b)
         expected = {}
         for m in range(1 << (d - 1)):
             eps = [1] + [
                 -1 if m >> (d - 1 - t) & 1 else 1 for t in range(1, d)
             ]
-            rhs = [ls.angle * e for e in eps]
-            coeffs = tuple(solve(ls.gram, rhs))
+            coeffs = matvec(inv_b, [ls.angle * e for e in eps])
             norm = sum(
-                coeffs[i] * coeffs[j] * ls.gram[i, j]
+                coeffs[i] * coeffs[j] * gram_b[i, j]
                 for i in range(d)
                 for j in range(d)
             )
             if norm == 1:
                 expected[m] = coeffs
         got = dict(zip(cands.patterns.tolist(), candidate_coeffs(cands)))
+        assert len(got) >= ls.n - d
         assert got == expected
 
 
@@ -1065,3 +1080,50 @@ def test_criterion_9m_integer_candidates_vs_fraction_oracle(tremain, taylor, asc
         assert candidate_coeffs(cands) == [c.coeffs for c in want]
         g = build_compatibility_graph(cands, ls, basis)
         assert g.adj == lcm_compatibility_graph(want, ls, basis).adj
+
+
+def _wide_symmetric(rng: SplitMix64, d: int, bits: int) -> list[list[int]]:
+    """A symmetric W with entries +-2^bits + r, r in [-2, 2], so that many
+    +-1 forms collide in their high part and only the low part tells
+    them apart."""
+    w = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            high = (1 - 2 * rng.below(2)) << bits
+            w[i][j] = w[j][i] = high + rng.below(5) - 2
+    return w
+
+
+def test_criterion_9n_wide_forms_vs_python_int_oracles():
+    """Past d^2 * max|W| = 2^63 the pattern scan and the pairwise forms
+    of the compatibility graph compute on Python ints, and agree with
+    direct Python-int scans: symmetric W with entries +-2^b + r, b from
+    60 to 70 and |r| <= 2, at d = 5 to 16.  The scan is checked against
+    the direct scan up to d = 12 and against the limb block scan at
+    d = 16, on a target that some pattern hits; the pairwise masks of 64
+    random sign rows on the |form| of three pairs."""
+    rng = SplitMix64(9014)
+    for d in (5, 6, 8, 10, 12, 16):
+        w = _wide_symmetric(rng, d, 60 + rng.below(11))
+        assert _intops._exact_array(w).dtype == object
+        e = np.array(
+            [[1 - 2 * rng.below(2) for _ in range(d)] for _ in range(64)],
+            dtype=np.int64,
+        )
+        forms = [
+            [sum(a * x * b for a, row in zip(ei, w) for x, b in zip(row, ej))
+             for ej in e.tolist()]
+            for ei in e.tolist()
+        ]
+        # e[0] with its first sign made +1 is a pattern whose form is forms[0][0]
+        t_target = forms[0][0]
+        got = _intops.enumerate_unit_patterns(w, t_target)
+        if d <= 12:
+            want = direct_unit_patterns(w, t_target)
+        else:
+            want = enumerate_range_batch(w, t_target, 0, 1 << (d - 1))
+        assert got == want and got
+        for t in (abs(forms[0][1]), abs(forms[5][40]), abs(forms[63][63])):
+            hit = _intops.pairwise_hits(e, w, t)
+            got = np.unpackbits(hit, axis=1, count=64, bitorder="little")
+            assert got.tolist() == [[int(abs(v) == t) for v in row] for row in forms]

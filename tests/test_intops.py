@@ -10,6 +10,7 @@ from eqlines.linalg import RatMatrix
 from eqlines.spansearch import SplitMix64
 from oracles import (
     PerDrawSpanEngine,
+    _balanced_limbs,
     _det_inverse_mod,
     _det_mod_many,
     det,
@@ -60,14 +61,52 @@ class TestScaledCandidateMatrix:
             assert F(w[i][0], scale) == taylor.angle * inv[i, 0]
 
 
+class TestExactArray:
+    """`_exact_array` keeps int64 while d^2 * max|W| < 2^63, the bound on
+    every partial sum of a +-1 form, and object dtype past it."""
+
+    def test_small_entries_stay_int64(self):
+        wa = _intops._exact_array([[5, -3], [-3, 7]])
+        assert wa.dtype == np.int64
+        assert wa.tolist() == [[5, -3], [-3, 7]]
+
+    def test_boundary_pair(self):
+        # d = 4: 16 * (2^59 - 1) = 2^63 - 16 fits, 16 * 2^59 = 2^63 does not
+        d = 4
+        for top, dtype in (((1 << 59) - 1, np.int64), (1 << 59, object)):
+            w = [[top if i == j else -1 for j in range(d)] for i in range(d)]
+            wa = _intops._exact_array(w)
+            assert wa.dtype == dtype
+            assert wa.tolist() == w
+        # the largest form at the int64 side of the boundary is exact:
+        # the all-plus pattern of top * J sums to 16 * top = 2^63 - 16
+        top = (1 << 59) - 1
+        w = [[top] * d for _ in range(d)]
+        assert _intops._exact_array(w).dtype == np.int64
+        assert _intops.enumerate_unit_patterns(w, d * d * top) == [0]
+        e = _intops._pattern_block(np.arange(1 << (d - 1)), d)
+        hit = _intops.pairwise_hits(e, w, d * d * top)
+        assert np.unpackbits(hit, axis=1, count=8, bitorder="little")[0, 0] == 1
+
+    def test_wide_entries_are_python_ints(self):
+        w = [[(1 << 70) + 1, -(1 << 65)], [-(1 << 65), 3]]
+        wa = _intops._exact_array(w)
+        assert wa.dtype == object
+        assert all(type(x) is int for x in wa.flat)
+        assert wa.tolist() == w
+
+
 class TestBalancedLimbs:
+    """The base-2^40 limb split of the block-scan oracle
+    (`oracles.enumerate_range_batch`)."""
+
     def test_small_single_limb(self):
-        limbs = _intops._balanced_limbs([[5, -3], [-3, 7]])
+        limbs = _balanced_limbs([[5, -3], [-3, 7]])
         assert len(limbs) == 1
         assert limbs[0].tolist() == [[5, -3], [-3, 7]]
 
     def test_zero_matrix(self):
-        limbs = _intops._balanced_limbs([[0]])
+        limbs = _balanced_limbs([[0]])
         assert len(limbs) == 1 and limbs[0].tolist() == [[0]]
 
     def test_recombination(self):
@@ -78,7 +117,7 @@ class TestBalancedLimbs:
                 [(rng.below(1 << 50)) - (1 << 49) for _ in range(3)]
                 for _ in range(3)
             ]
-            limbs = _intops._balanced_limbs(vals)
+            limbs = _balanced_limbs(vals)
             assert len(limbs) >= 2
             again = [[0] * 3 for _ in range(3)]
             for k, limb in enumerate(limbs):
@@ -111,6 +150,8 @@ class TestEnumeration:
                     assert got == direct_unit_patterns(w, t_target)
 
     def test_engines_match_on_multi_limb_entries(self):
+        # entries that take two base-2^40 limbs in the block-scan oracle
+        # and still fit the scan's int64 forms
         rng = SplitMix64(23)
         big = (1 << 45) + 12345
         for _ in range(6):
@@ -119,9 +160,10 @@ class TestEnumeration:
             t_target = realized_target(rng, w)
             want = direct_unit_patterns(w, t_target)
             assert _intops.enumerate_unit_patterns(w, t_target) == want
-        # two limbs at d = 16, where the scan takes several row blocks
+        # d = 16, where the scan takes several row blocks
         w = random_symmetric(rng, 16, scale=big)
-        assert len(_intops._balanced_limbs(w)) == 2
+        assert len(_balanced_limbs(w)) == 2
+        assert _intops._exact_array(w).dtype == np.int64
         t_target = realized_target(rng, w)
         got = _intops.enumerate_unit_patterns(w, t_target)
         assert got and got == enumerate_range_batch(w, t_target, 0, 1 << 15)
@@ -129,12 +171,33 @@ class TestEnumeration:
     def test_recombination_decides_when_low_limb_agrees(self):
         # W = 3I + 2^39 J: eps^T W eps = 3d + 2^39 s^2 with s the sign
         # sum, odd at d = 5, so every pattern agrees with the target mod
-        # 2^40 and only the recombined value tells s^2 = 25 from 9 or 1
+        # 2^40 and only the block-scan oracle's recombination of its
+        # limbs tells s^2 = 25 from 9 or 1; the scan's int64 forms are
+        # the values
         d = 5
         w = [[3 * (i == j) + (1 << 39) for j in range(d)] for i in range(d)]
-        assert len(_intops._balanced_limbs(w)) == 2
+        assert len(_balanced_limbs(w)) == 2
+        assert _intops._exact_array(w).dtype == np.int64
         for s in (5, 3, 1):
             t_target = 3 * d + (1 << 39) * s * s
+            want = direct_unit_patterns(w, t_target)
+            assert want
+            assert _intops.enumerate_unit_patterns(w, t_target) == want
+            assert enumerate_range_batch(w, t_target, 0, 1 << (d - 1)) == want
+        assert _intops.enumerate_unit_patterns(w, 3 * d) == []
+
+    def test_wrapping_forms_decided_exactly(self):
+        # W = 3I + 2^61 J: s^2 = 25, 9 and 1 all give 2^61 s^2 == 2^61
+        # mod 2^64, so int64 forms would wrap every pattern onto the
+        # s = +-1 target; the object-dtype forms tell them apart
+        d = 5
+        w = [[3 * (i == j) + (1 << 61) for j in range(d)] for i in range(d)]
+        assert _intops._exact_array(w).dtype == object
+        e = _intops._pattern_block(np.arange(1 << (d - 1)), d)
+        wrapped = ((e @ np.array(w, dtype=np.int64)) * e).sum(axis=1)
+        assert (wrapped == 3 * d + (1 << 61)).all()
+        for s in (5, 3, 1):
+            t_target = 3 * d + (1 << 61) * s * s
             want = direct_unit_patterns(w, t_target)
             assert want
             assert _intops.enumerate_unit_patterns(w, t_target) == want
@@ -186,12 +249,12 @@ def bilinear_forms(e: np.ndarray, w: list[list[int]]) -> list[list[int]]:
 
 
 def assert_hits_match_direct(e: np.ndarray, w: list[list[int]], targets) -> None:
-    """pairwise_hits, unpacked, against |eps_i^T W eps_j| == t in Python ints."""
-    hits = _intops.pairwise_hits(e, w, targets)
+    """pairwise_hits, unpacked, against |eps_i^T W eps_j| == t in Python
+    ints, for each target t."""
     direct = bilinear_forms(e, w)
     k = len(e)
-    assert len(hits) == len(targets)
-    for hit, t in zip(hits, targets):
+    for t in targets:
+        hit = _intops.pairwise_hits(e, w, t)
         assert hit.shape == (k, (k + 7) // 8)
         got = np.unpackbits(hit, axis=1, count=k, bitorder="little")
         assert got.tolist() == [[int(abs(v) == t) for v in row] for row in direct]
@@ -201,7 +264,10 @@ def assert_hits_match_direct(e: np.ndarray, w: list[list[int]], targets) -> None
 
 class TestPairwiseHits:
     """The bilinear forms eps_i^T W eps_j of the compatibility graph;
-    K rows span more than one row block, so the block seams are crossed."""
+    K rows span more than one row block, so the block seams are crossed.
+    The limb counts are those of the oracles' base-2^40 split: the
+    kernel computes both widths on int64, and past d^2 * max|W| = 2^63
+    on Python ints."""
 
     K = 150
 
@@ -214,7 +280,7 @@ class TestPairwiseHits:
         forms = bilinear_forms(e, w)
         targets = [abs(forms[i][j]) for i, j in ((0, 1), (40, 3), (149, 100))]
         assert_hits_match_direct(e, w, targets + [0, 10**6])
-        assert len(_intops._balanced_limbs(w)) == 1
+        assert len(_balanced_limbs(w)) == 1
 
     def test_two_limbs(self):
         rng = SplitMix64(26)
@@ -232,7 +298,37 @@ class TestPairwiseHits:
         targets = [abs(forms[i][j]) for i, j in ((0, 1), (75, 2), (149, 149))]
         # the last target agrees with a form mod 2^40 but differs from it
         assert_hits_match_direct(e, w, targets + [targets[0] + (1 << 40)])
-        assert len(_intops._balanced_limbs(w)) == 2
+        assert len(_balanced_limbs(w)) == 2
+        assert _intops._exact_array(w).dtype == np.int64
+
+    def test_wide_entries(self):
+        # entries near 2^66 at d = 8 take the object path
+        rng = SplitMix64(47)
+        d = 8
+        big = (1 << 66) + 5
+        e = random_signs(rng, self.K, d)
+        w = random_symmetric(rng, d, big)
+        for i in range(d):
+            w[i][i] += rng.below(5) - 2
+        assert _intops._exact_array(w).dtype == object
+        forms = bilinear_forms(e, w)
+        targets = [abs(forms[i][j]) for i, j in ((0, 1), (75, 2), (149, 149))]
+        assert_hits_match_direct(e, w, targets + [targets[0] + (1 << 64)])
+
+    def test_wrapping_forms_decided_exactly(self):
+        # W = 3I + 2^61 J over all 16 first-plus patterns at d = 5:
+        # eps_i^T W eps_j = 3 eps_i.eps_j + 2^61 s_i s_j with odd sign
+        # sums, so int64 forms wrap s_i s_j = 9 and 25 onto 1
+        d = 5
+        w = [[3 * (i == j) + (1 << 61) for j in range(d)] for i in range(d)]
+        e = _intops._pattern_block(np.arange(1 << (d - 1)), d)
+        forms = bilinear_forms(e, w)
+        t = 3 * d + (1 << 61)
+        wrapped = (e @ np.array(w, dtype=np.int64)) @ e.T
+        exact = [[abs(v) == t for v in row] for row in forms]
+        assert (np.abs(wrapped) == t).sum() > np.sum(exact) > 0
+        targets = sorted({abs(v) for row in forms for v in row})
+        assert_hits_match_direct(e, w, targets)
 
 
 class TestDetInverseMod:

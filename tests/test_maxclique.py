@@ -5,7 +5,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from eqlines.maxclique import CliqueResult, SimpleGraph, max_clique, to_dimacs
+from eqlines.maxclique import CliqueResult, SimpleGraph, _bits, max_clique, to_dimacs
 from eqlines.saturation import (
     build_compatibility_graph,
     check_saturated,
@@ -103,6 +103,23 @@ class TestSimpleGraph:
         assert SimpleGraph.from_matrix(a) == g
         assert SimpleGraph.from_matrix(a.astype(bool)) == g
         assert SimpleGraph.from_matrix(np.zeros((0, 0))) == SimpleGraph(0, ())
+
+    def test_from_bits_inverts_bits(self):
+        rng = SplitMix64(48)
+        for n in (0, 1, 7, 8, 9, 300):
+            g = random_graph(rng, n, 40)
+            bits = _bits(g.adj, g.n)
+            assert bits.shape == (n, (n + 7) // 8)
+            assert SimpleGraph.from_bits(bits) == g
+
+    def test_from_bits_rejects_bad_masks(self):
+        bits = _bits((0b010, 0, 0), 3)
+        with pytest.raises(ValueError, match=r"not symmetric at \(0,1\)"):
+            SimpleGraph.from_bits(bits)
+        with pytest.raises(ValueError, match="self-loop at vertex 2"):
+            SimpleGraph.from_bits(_bits((0, 0, 0b100), 3))
+        with pytest.raises(ValueError, match="beyond vertex 2"):
+            SimpleGraph.from_bits(_bits((0b1000, 0, 0), 3))
 
     def test_from_matrix_rejects_asymmetric(self):
         a = np.zeros((4, 4), dtype=np.int64)

@@ -24,7 +24,12 @@ from eqlines.saturation import (
     verify_nonbasis_cover,
 )
 from eqlines.spansearch import SplitMix64
-from oracles import candidate_coeffs, enumerate_range_batch, greedy_span_basis
+from oracles import (
+    _balanced_limbs,
+    candidate_coeffs,
+    enumerate_range_batch,
+    greedy_span_basis,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -60,10 +65,11 @@ def pattern_signs(m: int, d: int) -> tuple[int, ...]:
 
 def limb_candidates(rng: SplitMix64, d: int) -> CandidateSet:
     """Every first-plus pattern over a synthetic symmetric W whose
-    entries are at least 2^44 in size, so the graph's forms span two
-    limbs; L is the commonest |eps_i^T W eps_j| over i < j, so the graph
+    entries are at least 2^62 in size: two limbs of the oracles'
+    base-2^40 split, and past int64, so the graph's forms are Python
+    ints; L is the commonest |eps_i^T W eps_j| over i < j, so the graph
     has edges."""
-    big = (1 << 44) + 7
+    big = (1 << 62) + 7
     w = [[0] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
@@ -369,8 +375,9 @@ class TestCompatibilityGraph:
 
     def test_multi_limb_edges_match_fraction_oracle(self):
         cands = limb_candidates(SplitMix64(45), d=7)
-        assert min(abs(x) for row in cands.w for x in row) >= 1 << 44
-        assert len(_intops._balanced_limbs(cands.w)) == 2
+        assert min(abs(x) for row in cands.w for x in row) >= 1 << 62
+        assert len(_balanced_limbs(cands.w)) == 2
+        assert _intops._exact_array(cands.w).dtype == object
         g = build_compatibility_graph(cands, single_line(), [0])
         assert g.n == 64 and g.edge_count() > 0
         # eps_i^T c_j = +-1 with c_j = W eps_j / L, in Fractions
