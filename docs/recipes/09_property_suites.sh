@@ -35,9 +35,15 @@
 #       its lcm-integerized graph: patterns, coordinates and adjacency
 #       (tremain14 on three bases, asche72, taylor90 basis J, best56,
 #       10 random subsets)
-#   9n  the scan and the pairwise forms past d^2 * max|W| = 2^63, on
-#       Python ints, vs direct Python-int scans and the limb block scan
-#       (entries +-2^60 to 2^70 at d = 5 to 16)
+#   9n  the scan and the pairwise forms past d^2 * max|W| = 2^63 vs
+#       direct Python-int scans and the limb block scan, and the numpy
+#       pairwise masks (object dtype) and the packed-lane rows vs
+#       Python-int forms (entries +-2^60 to 2^70 at d = 5 to 16)
+#   9o  the packed-lane scan and compatibility rows vs the numpy block
+#       scan and pairwise_hits they replaced (tremain14, taylor90,
+#       asche72, best56 on their default bases, recipe 04's and 05's
+#       bases, 10 random subsets, random W at d = 2 to 23 with lanes
+#       at exactly +-B, the wide entries of 9n)
 set -euo pipefail
 here="$(cd "$(dirname "$0")" && pwd)"
 cd "$here/../.."

@@ -9,15 +9,16 @@ diagnostics go to stderr.  Exit codes: 0 success, 1 validation failure,
 
 Each handler imports the modules it runs, so a call loads only what its
 subcommand needs: `construct` loads the constructions (and, for
-`from-graph6` only, the graph6 codec), `saturate` and `search` load
-numpy with the saturation or search modules, and `validate`, `bound`
-and `info` load neither.
+`from-graph6` only, the graph6 codec), `saturate` the saturation and
+clique modules, `search` numpy with the search module, and `validate`,
+`bound` and `info` neither.  Only `search` loads numpy.
 
-Every BLAS call in eqlines is a small stacked product (d <= 43), where a
-second BLAS thread never pays and its pool costs start-up time, so
-`main` sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to
-1 before any handler imports numpy, unless the caller has set any of
-them: a caller's own value always wins.
+Every BLAS call in eqlines is a small stacked product of the span
+search (d <= 43), where a second BLAS thread never pays and its pool
+costs start-up time, so `main` sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before any handler imports
+numpy, unless the caller has set any of them: a caller's own value
+always wins.
 """
 
 from __future__ import annotations

@@ -2,12 +2,12 @@
 
 Vertices are 0-based; adjacency rows are Python int bitsets, which keeps
 the inner loops allocation-free (set intersection is a single AND).
-Whole-graph work (the symmetry check, the relabelling, DIMACS export)
-goes through the packed bit matrix of the rows (`_bits`, K x K/8
-bytes), unpacked to 0/1 (`_unpack`) and packed back (`_pack`) one block
-of about _UNPACKED entries at a time: milliseconds at K ~ 2000
-vertices, where a Python loop over bit pairs takes about a second, and
-never K x K bytes.
+The symmetry check and the relabelling transpose the bit matrix
+(`_transpose`), and no part of the module imports numpy: the rows are
+written as binary digits, a block of about _BLOCK_DIGITS = 2^20 digits
+at a time, and each column is a strided slice of a block read back by
+int(text, 2).  That takes about 13 ms at K = 1806 vertices, where a
+Python loop over bit pairs takes about a second.
 The solver ranks the vertices once in degree-descending order and
 colors every branch's pool in that fixed order (MCQ, Tomita & Seki
 2003; Tomita et al. 2010), one color class at a time: a class is grown
@@ -27,48 +27,23 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
+# binary digits in one block of `_transpose`
+_BLOCK_DIGITS = 1 << 20
 
 
-# 0/1 entries (bytes) of one unpacked block of rows
-_UNPACKED = 1 << 18
-
-
-def _bits(adj: Sequence[int], n: int) -> np.ndarray:
-    """The (n, ceil(n/8)) uint8 bit matrix of bitset rows: bit j % 8 of
-    byte [i, j // 8] is bit j of adj[i] (np.packbits' little bit order);
-    the inverse of _pack."""
-    width = (n + 7) // 8
-    raw = b"".join(row.to_bytes(width, "little") for row in adj)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
-
-
-def _pack(a: np.ndarray) -> list[int]:
-    """Bitset rows of a 0/1 matrix."""
-    packed = np.packbits(a, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _unpack(bits: np.ndarray, count: int) -> np.ndarray:
-    """The 0/1 matrix of the first count columns of a bit matrix."""
-    return np.unpackbits(bits, axis=1, count=count, bitorder="little")
-
-
-def _block_rows(n: int) -> int:
-    """Rows of one unpacked block of an n-column matrix: a multiple of
-    8, so that a block of rows is also a whole number of byte columns."""
-    return max(8, _UNPACKED // max(n, 1) // 8 * 8)
-
-
-def _transposed_blocks(bits: np.ndarray):
-    """(r0, rows, cols) over blocks of rows of the square 0/1 matrix of
-    a bit matrix: rows are its rows r0.. and cols the same rows of its
-    transpose, unpacked from byte columns r0 // 8.. of the bit matrix."""
-    n = len(bits)
-    step = _block_rows(n)
-    for r0 in range(0, n, step):
-        rows = _unpack(bits[r0:r0 + step], n)
-        yield r0, rows, _unpack(bits[:, r0 // 8:(r0 + step) // 8], len(rows)).T
+def _transpose(adj: Sequence[int], n: int) -> list[int]:
+    """The rows of the transpose of the n x n bit matrix whose row i is
+    adj[i] (bit j is entry [i, j]).  A block of columns c0.. of every
+    row, last row first, is written as binary digits; column c is then
+    every width-th digit, the highest row first, as int(text, 2) reads."""
+    cols = []
+    step = max(1, _BLOCK_DIGITS // max(n, 1))
+    for c0 in range(0, n, step):
+        width = min(step, n - c0)
+        mask, spec = (1 << width) - 1, f"0{width}b"
+        text = "".join([format(row >> c0 & mask, spec) for row in reversed(adj)])
+        cols.extend([int(text[c::width], 2) for c in range(width - 1, -1, -1)])
+    return cols
 
 
 @dataclass(frozen=True)
@@ -87,28 +62,23 @@ class SimpleGraph:
                 raise ValueError(f"row {i} has bits beyond vertex {self.n - 1}")
             if row >> i & 1:
                 raise ValueError(f"self-loop at vertex {i}")
-        for r0, rows, cols in _transposed_blocks(_bits(self.adj, self.n)):
-            diff = np.argwhere(np.triu(rows != cols, r0 + 1))
-            if len(diff):
-                i, j = diff[0].tolist()
-                raise ValueError(f"adjacency not symmetric at ({r0 + i},{j})")
+        for i, (row, col) in enumerate(zip(self.adj, _transpose(self.adj, self.n))):
+            diff = (row ^ col) >> i + 1
+            if diff:
+                j = i + (diff & -diff).bit_length()
+                raise ValueError(f"adjacency not symmetric at ({i},{j})")
 
     @classmethod
-    def from_matrix(cls, a: np.ndarray) -> "SimpleGraph":
-        """Graph of a square adjacency matrix (nonzero entry = edge); it
+    def from_matrix(cls, a: Sequence[Sequence]) -> "SimpleGraph":
+        """Graph of a square adjacency matrix given as any 2-D sequence
+        of rows, nested lists or an array (nonzero entry = edge); it
         must be symmetric with a zero diagonal (ValueError otherwise)."""
-        a = np.asarray(a, dtype=bool)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        n = len(a)
+        if any(len(row) != n for row in a):
             raise ValueError("adjacency matrix must be square")
-        return cls(len(a), tuple(_pack(a)))
-
-    @classmethod
-    def from_bits(cls, bits: np.ndarray) -> "SimpleGraph":
-        """Graph of an (n, ceil(n/8)) uint8 bit matrix in np.packbits'
-        little bit order, the inverse of `_bits`; it must be symmetric
-        with an empty diagonal and clear padding (ValueError otherwise)."""
-        rows = (int.from_bytes(row.tobytes(), "little") for row in bits)
-        return cls(len(bits), tuple(rows))
+        return cls(n, tuple(
+            int("".join(["1" if x else "0" for x in row])[::-1], 2) for row in a
+        ))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
@@ -200,11 +170,10 @@ def max_clique(
     # vertex, the first-ranked of a set, is the set's bit_length()
     order = sorted(range(g.n), key=lambda v: (g.degree(v), -v))
     label = {v: k for k, v in enumerate(order, 1)}
-    bits, where = _bits(g.adj, g.n), np.array(order, dtype=np.intp)
-    step = _block_rows(g.n)
-    adj = [0]
-    for r0 in range(0, g.n, step):
-        adj.extend(_pack(_unpack(bits[where[r0:r0 + step]], g.n)[:, where]))
+    # g is symmetric, so transposing its rows in ranked order ranks the
+    # columns, and taking those in ranked order ranks the rows again
+    cols = _transpose([g.adj[v] for v in order], g.n)
+    adj = [0] + [cols[v] for v in order]
     full = (1 << g.n) - 1
     single = [0] + [1 << i for i in range(g.n)]
     # complements within the vertex range: nonnegative, so every AND
@@ -265,10 +234,9 @@ def to_dimacs(g: SimpleGraph, comment: str = "") -> str:
         for part in comment.splitlines():
             lines.append(f"c {part}")
     lines.append(f"p edge {g.n} {g.edge_count()}")
-    bits = _bits(g.adj, g.n)
-    step = _block_rows(g.n)
-    for r0 in range(0, g.n, step):
-        block = np.triu(_unpack(bits[r0:r0 + step], g.n), r0 + 1)
-        for i, j in np.argwhere(block).tolist():
-            lines.append(f"e {r0 + i + 1} {j + 1}")
+    for i, row in enumerate(g.adj):
+        above = format(row >> i + 1, "b")[::-1]
+        lines.extend(
+            f"e {i + 1} {i + 2 + k}" for k, c in enumerate(above) if c == "1"
+        )
     return "\n".join(lines) + "\n"

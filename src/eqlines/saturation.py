@@ -7,18 +7,19 @@ and bound any equiangular extension of the basis by d + omega of that
 compatibility graph.  The set is saturated when the bound equals its
 own size.
 
-All decisions are exact.  Patterns are indexed by m in [0, 2^(d-1)):
-the first sign is +1 and sign t (t >= 1) is +1 iff bit (d-1-t) of m is
-0, so ascending m is lexicographic order with + before -.  Indices into
-line sets are 0-based throughout the API.
+All decisions are exact, on Python ints: the scan and the graph run on
+the packed lanes of `_intops`, and no module of the pipeline imports
+numpy.  Patterns are indexed by m in [0, 2^(d-1)): the first sign is +1
+and sign t (t >= 1) is +1 iff bit (d-1-t) of m is 0, so ascending m is
+lexicographic order with + before -.  Indices into line sets are
+0-based throughout the API.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from . import _intops, linalg
 from .errors import HypothesisViolated, NotABasis, NotPSD
@@ -32,22 +33,22 @@ ProgressSink = Callable[[int, int], None]
 class CandidateSet:
     """The K unit vectors meeting every basis line at +-alpha.
 
-    patterns: the ascending int64 pattern indices of the candidates;
-    w, scale, target: W = L * alpha * G_B^(-1), L and T = L/alpha from
-    `_intops.scaled_candidate_matrix`, in Python ints of any size (the
-    kernels of `_intops` compute on int64 while d^2 * max|W| < 2^63).
-    Candidate i is the vector with coordinates c = W eps_i / L over the
-    basis lines, where eps_i is the sign pattern of patterns[i].
+    patterns: the ascending pattern indices of the candidates, a tuple
+    of ints; w, scale, target: W = L * alpha * G_B^(-1), L and T =
+    L/alpha from `_intops.scaled_candidate_matrix`, in Python ints of
+    any size, as the packed-lane kernels of `_intops` are exact at any
+    width.  Candidate i is the vector with coordinates c = W eps_i / L
+    over the basis lines, where eps_i is the sign pattern of patterns[i].
     """
 
-    patterns: np.ndarray
+    patterns: tuple[int, ...]
     w: list[list[int]]
     scale: int
     target: int
 
     def __post_init__(self):
-        ms = np.asarray(self.patterns, dtype=np.int64)
-        if ms.ndim != 1 or (np.diff(ms) <= 0).any():
+        ms = tuple(map(int, self.patterns))
+        if any(a >= b for a, b in zip(ms, ms[1:])):
             raise ValueError("candidate patterns must be strictly ascending")
         object.__setattr__(self, "patterns", ms)
 
@@ -133,17 +134,18 @@ def build_compatibility_graph(
     """Graph on the candidates; i ~ j iff their inner product is +-alpha.
 
     With c = W eps / L, <v_i, v_j> = alpha * eps_i^T c_j, so i ~ j iff
-    eps_i^T W eps_j = +-L: one exact integer bilinear form per pair, in
-    one packed bit mask that is the graph's own bit matrix (ls and basis
-    are accepted for the signature).  The mask is symmetric because W is,
-    and its diagonal is empty: |eps_i^T W eps_i| = T = L/alpha != L.  No
-    two candidates are one line: a candidate v lies in span(B) and meets
-    b_k at alpha * eps_k, so eps fixes v; v = +-v' forces eps = +-eps',
-    and two first-plus patterns are never negatives of each other, so
-    the patterns are equal.
+    eps_i^T W eps_j = +-L: one exact integer bilinear form per pair, a
+    packed lane of `_intops.pairwise_rows`, whose rows are the graph's
+    bitset rows (ls and basis are accepted for the signature).  The
+    mask is symmetric because W is, and its diagonal is empty:
+    |eps_i^T W eps_i| = T = L/alpha != L.  No two candidates are one
+    line: a candidate v lies in span(B) and meets b_k at alpha * eps_k,
+    so eps fixes v; v = +-v' forces eps = +-eps', and two first-plus
+    patterns are never negatives of each other, so the patterns are
+    equal.
     """
-    e = _intops._pattern_block(cands.patterns, len(cands.w))
-    return SimpleGraph.from_bits(_intops.pairwise_hits(e, cands.w, cands.scale))
+    rows = _intops.pairwise_rows(cands.patterns, cands.w, cands.scale)
+    return SimpleGraph(len(rows), tuple(rows))
 
 
 def line_pattern_indices(ls: LineSet, basis: Sequence[int]) -> dict[int, int]:
@@ -190,17 +192,14 @@ def verify_nonbasis_cover(
     sign) and be pairwise compatible, which forces N >= n.  Returns the
     candidate of each non-basis line, in line order: a clique of size
     n - d in the compatibility graph."""
-    lines = line_pattern_indices(ls, basis)
-    ms = np.fromiter(lines.values(), dtype=np.int64, count=len(lines))
-    where = np.searchsorted(cands.patterns, ms)
-    found = where < len(cands)
-    found[found] = cands.patterns[where[found]] == ms[found]
-    if not found.all():
-        j = list(lines)[int(np.argmin(found))]
-        raise HypothesisViolated(
-            f"non-basis line {j} is missing from the candidate list"
-        )
-    vertices = where.tolist()
+    vertices = []
+    for j, m in line_pattern_indices(ls, basis).items():
+        v = bisect_left(cands.patterns, m)
+        if v == len(cands) or cands.patterns[v] != m:
+            raise HypothesisViolated(
+                f"non-basis line {j} is missing from the candidate list"
+            )
+        vertices.append(v)
     for a in range(len(vertices)):
         for b in range(a + 1, len(vertices)):
             i, j = vertices[a], vertices[b]

@@ -22,17 +22,27 @@ per run (`_draw_block`), bit-identical to drawing each run on its own;
 stream.  `SpanEngine.members_many` then decides the chunk in stacked
 numpy, block by block, with the draws the float tiers leave open
 gathered across the chunk's blocks.
+
+Every span decision is exact.  Floating point either *proposes* an
+integer adjugate, or an integer kernel vector of a singular block, that
+is then verified exactly (a failed verification falls through), or
+carries integers of at most 2^53, where float64 arithmetic is exact in
+any summation order (the verifications themselves, and the centred
+residues of `_det_zero_mod` and `_inverse_mod`); no tolerance ever
+decides an answer.  This is the one module that loads numpy.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from math import prod
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import _intops, linalg
-from .errors import OutOfRange, RankDeficient
+from . import linalg
+from .errors import OutOfRange, RankDeficient, SingularMatrix
 from .lineset import LineSet, validate
 
 # entries of the (runs, n) permutation that one `_draw_block` call
@@ -45,6 +55,33 @@ GOLDEN = 0x9E3779B97F4A7C15
 MIX1, MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 ProgressSink = Callable[[int, int], None]
+
+# float64 entries of the (draws, d, n) column gather that decides one
+# stacked block of span-membership draws; this sizes the block (101
+# draws at n = 72, d = 18)
+_DRAW_GATHER = 1 << 17
+
+# every integer of magnitude at most 2^53 is exact in float64
+_FLOAT_EXACT = 1 << 53
+# the fractional part of the golden ratio: the probe of `_kernel_zero`
+# has entries 1 + frac(k * _PHI), distinct for every k
+_PHI = 0.6180339887498949
+# digit base of the residues split by `SpanEngine._forms_mod`
+_DIGIT = 1 << 13
+
+# 26-bit primes: a centred residue is below 2^25, so the product of two
+# is below 2^50, exact in float64
+_PRIMES26 = (
+    67108859, 67108837, 67108819, 67108777, 67108763, 67108757,
+    67108753, 67108747, 67108739, 67108729, 67108721, 67108709,
+    67108693, 67108669, 67108667, 67108661, 67108649, 67108633,
+    67108597, 67108579, 67108529, 67108511, 67108507, 67108493,
+)
+# each prime exceeds 2^_PRIME_LOG2, so t of them cover t * _PRIME_LOG2 bits
+_PRIME_LOG2 = 25
+_PRIME_BITS = _PRIME_LOG2 * len(_PRIMES26)
+# _PRIME_SQ[t] = (p_1 * ... * p_t)^2, the square of the first t primes' product
+_PRIME_SQ = [prod(_PRIMES26[:t]) ** 2 for t in range(len(_PRIMES26) + 1)]
 
 
 def mix64(z: int) -> int:
@@ -68,9 +105,10 @@ class SplitMix64:
         return mix64(self.state)
 
     def below(self, bound: int) -> int:
-        """Uniform value in [0, bound) via rejection (no modulo bias)."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform value in [0, bound) via rejection (no modulo bias);
+        bound must lie in 1..2^64, since a draw has 64 bits."""
+        if not 0 < bound <= 1 << 64:
+            raise ValueError("bound must lie in 1..2^64")
         lim = (1 << 64) - ((1 << 64) % bound)
         while True:
             r = self.next64()
@@ -123,6 +161,475 @@ def _draw_block(
         j = i + (r % bound).astype(np.intp)
         perm[lanes, i], perm[lanes, j] = perm[lanes, j], perm[lanes, i]
     return seeds.tolist(), np.sort(perm[:, :k], axis=1).astype(np.intp)
+
+
+# --------------------------------------------------------------------------
+# span membership (exact, five tiers)
+
+
+def _centre(t: np.ndarray, p, p_inv) -> np.ndarray:
+    """t - p*rint(t/p) for float64 integers |t| <= 2^52 and 26-bit primes
+    p: the residue of t mod p, within p/2 + 2 of zero.  The quotient is
+    estimated through 1/p, off by far less than 1/2 at this size, and
+    every product and difference is an integer below 2^53, exact."""
+    q = t * p_inv
+    np.rint(q, out=q)
+    q *= p
+    return np.subtract(t, q, out=q)
+
+
+def _nonzero_rows(hits: np.ndarray) -> list[list[int]]:
+    """The column indices of the True entries of each row of a 2-D mask,
+    from one `np.nonzero`."""
+    cols = np.nonzero(hits)[1].tolist()
+    ends = np.cumsum(hits.sum(axis=1)).tolist()
+    return [cols[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def _det_zero_mod(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Mask of the matrices of a (k, d, d) float64 stack of integers
+    (|entry| < 2^52) whose determinant is 0 modulo their own prime p[k]
+    (one 26-bit prime per matrix).
+
+    Fraction-free elimination over the whole stack at once: the pivot of
+    a column is its first nonzero entry, swapped to the top, and each
+    lower row r becomes pivot*row_r - a_r0*row_0, which scales the
+    determinant by a power of the pivot, a unit mod p.  So det == 0 mod p
+    iff some column has no nonzero pivot.  Every entry is kept centred
+    (`_centre`), so that every product and difference is an integer
+    below 2^52, exact in float64, and an entry is zero iff it is 0 mod p.
+    """
+    p = p.astype(np.float64)[:, None, None]
+    p_inv = 1.0 / p
+    a = _centre(a, p, p_inv)
+    zero = np.zeros(len(a), dtype=bool)
+    for _ in range(a.shape[1]):
+        piv = np.argmax(a[:, :, 0] != 0, axis=1)
+        swap = np.flatnonzero(piv)
+        if len(swap):
+            a[swap, 0], a[swap, piv[swap]] = a[swap, piv[swap]], a[swap, 0]
+        zero |= a[:, 0, 0] == 0
+        t = a[:, :1, :1] * a[:, 1:, 1:]
+        t -= a[:, 1:, :1] * a[:, :1, 1:]
+        a = _centre(t, p, p_inv)
+    return zero
+
+
+def _kernel_zero(a: np.ndarray, max_m: int) -> np.ndarray:
+    """Mask of the matrices of a (k, d, d) float64 stack of integers
+    (|entry| <= max_m) certified singular by an integer kernel vector.
+
+    One batched float solve of (A + eps*I) x = probe, with eps =
+    1e-12 * max_m and the fixed probe 1 + frac(k * phi), proposes x; for
+    a singular A the kernel part of x, of order 1/eps, swamps the rest.
+    Dividing x by its smallest entry above 2^-20 of its largest, and
+    rounding, gives an integer w.  A matrix is certified only when
+    w != 0, max|w| * max_m * d <= 2^53, so that every partial sum of
+    A @ w is an integer of at most 2^53, exact in float64 in whatever
+    order BLAS sums, and A @ w == 0.  A failed solve certifies nothing.
+    """
+    k, d = a.shape[:2]
+    probe = 1.0 + np.arange(1, d + 1) * _PHI % 1.0
+    try:
+        x = np.linalg.solve(a + 1e-12 * max_m * np.eye(d), probe[:, None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.zeros(k, dtype=bool)
+    mag = np.abs(x)
+    # a NaN or all-zero x has no significant entry and gives w = 0 or NaN
+    sig = mag > mag.max(axis=1, keepdims=True, initial=0.0) * 2.0**-20
+    unit = np.where(sig, mag, np.inf).min(axis=1, keepdims=True, initial=np.inf)
+    with np.errstate(invalid="ignore"):
+        w = np.rint(x / unit)
+    max_w = np.abs(w).max(axis=1, initial=0.0)
+    zero = (max_w > 0) & (max_w <= _FLOAT_EXACT // max(d * max_m, 1))
+    take = np.flatnonzero(zero)
+    zero[take] = (a[take] @ w[take, :, None] == 0).all(axis=(1, 2))
+    return zero
+
+
+def _inverse_mod(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, t) for a (k, d, d) float64 stack of integers (|entry| < 2^52)
+    and one 26-bit prime p[k] per matrix: t == 0 when A is singular mod
+    p, and otherwise t is a unit and Y == t * A^-1 (mod p), both centred.
+
+    Fraction-free Gauss-Jordan over the whole stack at once, on the
+    compact form of [A | I]: the pivot of column c is the first row
+    pi(c) not yet a pivot row whose entry is nonzero, with value v, and
+    every other row r becomes v*row_r - a_rc*row_pi(c).  Column c is then
+    free and takes column pi(c) of the accumulated row operations L; the
+    columns of L not yet stored are s_c times identity columns, s_c the
+    product of the pivots before column c.  At the end L A holds t / s_c
+    at (pi(c), c) and zeros elsewhere in column c, t the product of all
+    pivots, so row c of t * A^-1 is s_c times row pi(c) of the stored L,
+    with its column j moved to column pi(j).
+    """
+    k, d = a.shape[:2]
+    p = p.astype(np.float64)
+    p_inv = 1.0 / p
+    p3, p3_inv = p[:, None, None], p_inv[:, None, None]
+    lanes = np.arange(k)
+    w = _centre(a, p3, p3_inv)
+    free = np.ones((k, d), dtype=bool)
+    piv = np.zeros((k, d), dtype=np.intp)
+    scale = np.ones((k, d + 1))  # scale[:, c] = s_c
+    for c in range(d):
+        col = w[:, :, c].copy()
+        cand = (col != 0) & free
+        r = np.argmax(cand, axis=1)
+        v = np.where(cand[lanes, r], col[lanes, r], 0.0)
+        free[lanes, r] = False
+        piv[:, c] = r
+        row = w[lanes, r]
+        w *= v[:, None, None]
+        w -= col[:, :, None] * row[:, None, :]
+        w[lanes, r] = row
+        w[:, :, c] = -col * scale[:, c, None]
+        w[lanes, r, c] = scale[:, c]
+        w = _centre(w, p3, p3_inv)
+        scale[:, c + 1] = _centre(scale[:, c] * v, p, p_inv)
+    rows = np.take_along_axis(w, piv[:, :, None], axis=1) * scale[:, :d, None]
+    y = np.empty_like(w)
+    np.put_along_axis(y, np.broadcast_to(piv[:, None, :], w.shape), rows, axis=2)
+    return _centre(y, p3, p3_inv), scale[:, d]
+
+
+class SpanEngine:
+    """Reusable exact span-membership tester over one integer Gram matrix.
+
+    Row j belongs to span(subset) iff M_jS (M_SS)^-1 M_Sj == M_jj.
+    `members_many` decides a list of subsets of one size.  Tiers 1 and
+    2 take stacked blocks of `block(d)` draws, sized so that the
+    (draws, d, n) float64 gather of the columns M_:S holds about
+    _DRAW_GATHER entries.  The draws they leave open gather across
+    blocks and go to tiers 3 and 4 a whole block's worth at a time (and
+    once more at the end), so every stack stays within one block.  Each
+    draw is decided by exactly one of five tiers, counted in
+    `tier_counts`:
+
+    1. float: batched det and inverse of the float64 Gram blocks propose
+       the adjugate B = det * A^-1.  It is accepted only when
+       max|B| * (d * max_m)^2 <= 2^53 and max_m * |det| <= 2^53, so
+       that every partial sum of A @ B and of the membership forms
+       m_j^T B m_j is an integer of at most 2^53, exact in float64 in
+       whatever order BLAS sums, and then only when A @ B == det * I;
+    2. kernel: a draw whose float det rounds to 0 is certified singular
+       by `_kernel_zero` when one batched float solve proposes an
+       integer w != 0 with max|w| * max_m * d <= 2^53 and A @ w == 0;
+    3. singular: for the draws left open, one stacked float64
+       elimination (`_det_zero_mod`) over every (draw, prime) pair
+       certifies a draw singular when det == 0 modulo each of the fewest
+       26-bit primes whose squared product exceeds its exact Hadamard
+       product (2 primes for asche72 at rank 18);
+    4. modular: the other draws go through one stacked modular
+       Gauss-Jordan (`_inverse_mod`) over every (draw, prime) pair, with
+       as many primes not dividing det as the value bounds ask for;
+    5. exact: a draw the prime pool cannot cover goes through
+       fraction-free integer elimination (`_members_exact`, through
+       `linalg.integer_inverse`).
+
+    `members(subset)` is `members_many([subset])[0]`.
+    """
+
+    def __init__(self, m_rows: list[list[int]]):
+        self.m_rows = m_rows
+        self.n = len(m_rows)
+        self.diag = [m_rows[i][i] for i in range(self.n)]
+        self.max_m = max((abs(x) for row in m_rows for x in row), default=0)
+        self.small = self.max_m < 2**31
+        if self.small:
+            # cols[j] is column j of M; every entry is exact in float64
+            m_f = np.array(m_rows, dtype=np.float64).reshape(self.n, self.n)
+            self.cols = m_f.T.copy()
+        self._mod_cache: dict[int, np.ndarray] = {}
+        self._tiers = [0, 0, 0, 0, 0]
+
+    @property
+    def tier_counts(self) -> dict[str, int]:
+        """Draws decided so far by each tier: float, kernel, singular,
+        modular, exact."""
+        return dict(zip(
+            ("float", "kernel", "singular", "modular", "exact"), self._tiers
+        ))
+
+    def _mod(self, p: int) -> np.ndarray:
+        """The residues M mod p in [0, p), as float64."""
+        got = self._mod_cache.get(p)
+        if got is None:
+            if self.small:
+                got = self.cols.T % p
+            else:
+                got = np.array(
+                    [[x % p for x in row] for row in self.m_rows], dtype=np.float64
+                )
+            self._mod_cache[p] = got
+        return got
+
+    def _blocks(self, sub: np.ndarray) -> np.ndarray:
+        """The float64 Gram blocks A[k] = M[S_k, S_k] of a (draws, d)
+        index array (cols[b, a] = M[a, b]), by one flat `np.take`."""
+        return np.take(self.cols, sub[:, None, :] * self.n + sub[:, :, None])
+
+    def block(self, d: int) -> int:
+        """Draws of d lines that one stacked block decides."""
+        return max(1, _DRAW_GATHER // max(self.n * d, 1))
+
+    def members(self, subset: Sequence[int]) -> Optional[list[int]]:
+        """Sorted member indices, or None when the subset block is singular."""
+        return self.members_many([subset])[0]
+
+    def members_many(
+        self, subsets: Sequence[Sequence[int]]
+    ) -> list[Optional[list[int]]]:
+        """`members` of each subset, in order; the subsets share one size.
+
+        Tiers 1 and 2 take the draws `block(d)` at a time.  The draws
+        they leave open wait, across blocks, until a whole block's worth
+        has gathered; they then go to the residue tiers together, and
+        the rest once more at the end, so that no residue stack holds
+        more than one block of draws.
+        """
+        if len(subsets) == 0:
+            return []
+        sub = np.array(subsets, dtype=np.intp)
+        sub.sort(axis=1)
+        count, d = sub.shape
+        step = self.block(d)
+        got: list[Optional[list[int]]] = [None] * count
+        left = np.empty(0, dtype=np.intp)
+        for k in range(0, count, step):
+            if self.small:
+                got[k:k + step], open_ = self._members_float(sub[k:k + step])
+            else:
+                open_ = np.arange(min(step, count - k))
+            left = np.concatenate([left, k + open_])
+            if len(left) >= step:
+                self._members_residue(sub, left[:step], got)
+                left = left[step:]
+        self._members_residue(sub, left, got)
+        return got
+
+    # -- tiers 1 and 2: float proposals, exact float64 verification --------
+
+    def _members_float(
+        self, sub: np.ndarray
+    ) -> tuple[list[Optional[list[int]]], np.ndarray]:
+        """(got, open) for one block: got holds the members of each draw
+        whose float-proposed adjugate verifies exactly within the 2^53
+        budget, and None for every other draw; open lists the draws
+        left undecided, which excludes those and the draws whose float
+        det rounds to 0 and that `_kernel_zero` certifies singular."""
+        count, d = sub.shape
+        got: list[Optional[list[int]]] = [None] * count
+        open_ = np.ones(count, dtype=bool)
+        a = self._blocks(sub)
+        detf = np.linalg.det(a)
+        size = np.abs(detf)
+        zero = np.flatnonzero(size < 0.5)
+        if len(zero):
+            kernel = zero[_kernel_zero(a[zero], self.max_m)]
+            open_[kernel] = False
+            self._tiers[1] += len(kernel)
+        cap_det = _FLOAT_EXACT // max(self.max_m, 1)
+        take = np.flatnonzero((size >= 0.5) & (size < cap_det + 1))
+        try:
+            inv = np.linalg.inv(a[take])
+        except np.linalg.LinAlgError:
+            return got, np.flatnonzero(open_)
+        dr = np.rint(detf[take])
+        b = np.rint(inv * dr[:, None, None])
+        # a NaN or infinite proposal fails the budget comparison
+        max_b = np.abs(b).max(axis=(1, 2), initial=0.0)
+        fits = (max_b <= _FLOAT_EXACT // max((d * self.max_m) ** 2, 1)) & (
+            np.abs(dr) <= cap_det
+        )
+        b, take, dr = b[fits], take[fits], dr[fits]
+        exact = (a[take] @ b == dr[:, None, None] * np.eye(d)).all(axis=(1, 2))
+        b, take, dr = b[exact], take[exact], dr[exact]
+        xs = self.cols[sub[take]]  # xs[k, a, j] = M[j, S_a]
+        forms = b @ xs
+        forms *= xs
+        forms = forms.sum(axis=1)
+        hits = forms == dr[:, None] * np.diagonal(self.cols)
+        for k, members in zip(take.tolist(), _nonzero_rows(hits)):
+            got[k] = members
+        open_[take] = False
+        self._tiers[0] += len(take)
+        return got, np.flatnonzero(open_)
+
+    def _members_residue(
+        self, sub: np.ndarray, left: np.ndarray, got: list[Optional[list[int]]]
+    ) -> None:
+        """Decide the draws sub[left] by tiers 3 to 5, into got."""
+        if not len(left):
+            return
+        singular = self._singular_mod(sub[left])
+        self._tiers[2] += int(singular.sum())
+        rest = left[~singular]
+        if len(rest):
+            for k, members in zip(rest.tolist(), self._members_modular(sub[rest])):
+                got[k] = members
+
+    # -- tiers 3 and 4: multi-modular residues -----------------------------
+
+    def _hadamard(self, sub: np.ndarray) -> list[int]:
+        """Hadamard's bound prod_i ||a_i||^2 >= det(A)^2 on the Gram block
+        A of each draw, as an exact integer."""
+        if self.small and sub.shape[1] * self.max_m**2 <= _FLOAT_EXACT:
+            a = self._blocks(sub)
+            norm_sq = (a * a).sum(axis=2).astype(np.int64).tolist()
+        else:
+            norm_sq = [
+                [sum(self.m_rows[i][j] ** 2 for j in s) for i in s]
+                for s in sub.tolist()
+            ]
+        return [prod(row) for row in norm_sq]
+
+    def _singular_mod(self, sub: np.ndarray) -> np.ndarray:
+        """Mask of the draws certified singular by residues.
+
+        A draw with Hadamard bound H needs the first t primes, t the least
+        count with (p_1...p_t)^2 > H: a nonzero det divisible by each of
+        them would have det^2 >= (p_1...p_t)^2 > H.  Every (draw, prime)
+        pair goes into one stacked `_det_zero_mod`, and a draw is certified
+        when det == 0 modulo all of its primes.  Every other draw, and any
+        draw whose bound outruns the prime pool, is left False.
+        """
+        need = np.array(
+            [bisect_right(_PRIME_SQ, h) for h in self._hadamard(sub)], dtype=np.intp
+        )
+        live = need < len(_PRIME_SQ)
+        # rows[t]: the live draws that need prime t
+        rows = [
+            np.flatnonzero(live & (need > t))
+            for t in range(max(need[live].tolist(), default=0))
+        ]
+        if not rows:
+            return live & (need == 0)  # a zero row: det == 0 outright
+        pairs = np.concatenate(rows)
+        primes = np.repeat(_PRIMES26[:len(rows)], [len(r) for r in rows])
+        stack = np.concatenate([
+            self._mod(p)[sub[r, :, None], sub[r, None, :]]
+            for p, r in zip(_PRIMES26, rows)
+        ])
+        zero = _det_zero_mod(stack, primes)
+        return live & (np.bincount(pairs[zero], minlength=len(sub)) == need)
+
+    def _members_modular(self, sub: np.ndarray) -> list[Optional[list[int]]]:
+        """Members of each draw from residues modulo the 26-bit primes.
+
+        m_j^T adj(A) m_j - M_jj det(A) is an integer of at most value_bits
+        bits (from the Hadamard bound), so it is zero iff it vanishes
+        modulo primes whose product exceeds 2^(value_bits + 2); each pool
+        prime exceeds 2^25.  Round by round, every draw short of primes
+        takes its next untried ones, and one stacked `_inverse_mod` over
+        the round's (draw, prime) pairs gives Y = t A^-1 mod p.  A prime
+        that divides det (t == 0) is skipped.  Otherwise t / det is a
+        unit, and row j survives p iff m_j^T Y m_j == t M_jj (mod p).  A
+        draw the pool cannot cover, or with d > 1024, goes to
+        `_members_exact`.
+        """
+        count, d = sub.shape
+        short = np.zeros(count, dtype=np.intp)  # primes still needed
+        if d <= 1024:  # keeps every float64 form of `_forms_mod` in 2^52
+            for k, h in enumerate(self._hadamard(sub)):
+                value_bits = (
+                    (h.bit_length() + 1) // 2 + 2 * max(self.max_m.bit_length(), 1)
+                    + 2 * max(d, 1).bit_length() + 4
+                )
+                if value_bits + 2 <= _PRIME_BITS:
+                    short[k] = -(-(value_bits + 2) // _PRIME_LOG2)
+        modular = short > 0
+        tried = np.zeros(count, dtype=np.intp)
+        alive = np.ones((count, self.n), dtype=bool)
+        todo = np.flatnonzero(modular)
+        while True:
+            # a draw short of primes that the rest of the pool cannot
+            # cover is left to the exact tier
+            todo = todo[(short[todo] > 0)
+                        & (tried[todo] + short[todo] <= len(_PRIMES26))]
+            if not len(todo):
+                break
+            # rows: each prime with the draws that try it in this round
+            rows = [
+                (p, todo[(tried[todo] <= t) & (t < tried[todo] + short[todo])])
+                for t, p in enumerate(_PRIMES26)
+            ]
+            rows = [(p, r) for p, r in rows if len(r)]
+            tried[todo] += short[todo]
+            y, unit = _inverse_mod(
+                np.concatenate([
+                    self._mod(p)[sub[r, :, None], sub[r, None, :]] for p, r in rows
+                ]),
+                np.repeat([p for p, _ in rows], [len(r) for _, r in rows]),
+            )
+            lo = 0
+            for p, r in rows:
+                y_p, unit_p = y[lo:lo + len(r)], unit[lo:lo + len(r)]
+                good = unit_p != 0  # a prime dividing det is skipped
+                alive[r[good]] &= self._forms_mod(
+                    sub[r[good]], y_p[good], unit_p[good], p
+                )
+                short[r[good]] -= 1
+                lo += len(r)
+        done = np.flatnonzero(modular & (short == 0))
+        got: list[Optional[list[int]]] = [None] * count
+        for k, members in zip(done.tolist(), _nonzero_rows(alive[done])):
+            got[k] = members
+        for k in np.flatnonzero(~modular | (short > 0)).tolist():
+            got[k] = self._members_exact(sub[k].tolist())
+        self._tiers[3] += len(done)
+        self._tiers[4] += count - len(done)
+        return got
+
+    def _forms_mod(
+        self, sub: np.ndarray, y: np.ndarray, unit: np.ndarray, p: int
+    ) -> np.ndarray:
+        """Mask of the rows j with m_j^T Y m_j == unit * M_jj (mod p), for
+        each draw of sub with its Y and unit from `_inverse_mod`.
+
+        |Y| < 2^25, so a product Y @ x, or a row sum of f * x with
+        |f| < 2^25, stays within 2^52 when d * max|x| <= 2^27.  The
+        columns M_:S are such an x when d * max_m <= 2^27; otherwise
+        their centred residues (below 2^25) go in as two 13-bit digits,
+        each such an x for d <= 1024.
+        """
+        p_inv = 1.0 / p
+        if self.small and sub.shape[1] * self.max_m <= 1 << 27:
+            src = self.cols
+            digits = [src[sub]]
+        else:
+            src = _centre(self._mod(p).T, p, p_inv)
+            xs = src[sub]
+            high = np.rint(xs / _DIGIT)
+            digits = [high, xs - _DIGIT * high]
+        f = 0.0
+        for x in digits:
+            f = _centre(f * _DIGIT + y @ x, p, p_inv)
+        forms = 0.0
+        for x in digits:
+            forms = _centre(forms * _DIGIT + (f * x).sum(axis=1), p, p_inv)
+        target = _centre(unit[:, None] * np.diagonal(src), p, p_inv)
+        return _centre(forms - target, p, p_inv) == 0
+
+    # -- tier 5: exact fraction-free elimination ---------------------------
+
+    def _members_exact(self, subset: list[int]) -> Optional[list[int]]:
+        try:
+            r, den = linalg.integer_inverse(
+                [[self.m_rows[i][j] for j in subset] for i in subset]
+            )
+        except SingularMatrix:
+            return None
+        # with R = den * A^-1 the criterion m A^-1 m == diag reads
+        # m R m == den * diag, in integers
+        members = []
+        for j in range(self.n):
+            vec = [self.m_rows[j][k] for k in subset]
+            value = sum(v * sum(x * y for x, y in zip(row, vec))
+                        for v, row in zip(vec, r))
+            if value == self.diag[j] * den:
+                members.append(j)
+        return members
 
 
 @dataclass(frozen=True)
@@ -186,7 +693,7 @@ def span_closure(ls: LineSet, subset: Sequence[int]) -> list[int]:
     if any(not 0 <= i < ls.n for i in idx):
         raise IndexError("line index out of range")
     m_rows, _ = linalg.integer_scaled(ls.gram)
-    got = _intops.SpanEngine(m_rows).members(sorted(idx))
+    got = SpanEngine(m_rows).members(sorted(idx))
     if got is None:
         raise RankDeficient(
             f"Gram block on {len(idx)} lines is singular"
@@ -219,7 +726,7 @@ def random_search(
         raise OutOfRange(f"runs must be at least 0, got {runs}")
     seed &= MASK64
     m_rows, _ = linalg.integer_scaled(ls.gram)
-    engine = _intops.SpanEngine(m_rows)
+    engine = SpanEngine(m_rows)
     block = engine.block(target_rank)
     chunk = block * max(1, _DRAW_CHUNK // (block * ls.n))
     log: list[SearchRun] = []

@@ -27,8 +27,15 @@ that the `CandidateSet` and the bilinear `pairwise_hits` replaced (plus
 `candidate_coeffs`, the exact coordinates of a `CandidateSet`), with
 the balanced base-2^40 limbs (`_balanced_limbs`, `_exact_equal`) and the
 upper-triangle graph assembly (`graph_from_upper_bits`) that the one
-exact array of `_intops._exact_array` and `SimpleGraph.from_bits`
-replaced.
+exact array of `_exact_array` and `graph_from_bits` replaced, and those
+numpy kernels in turn, which the packed Python-int lanes of `_intops`
+and `maxclique._transpose` replaced: the int64-or-object array
+`_exact_array`, the block scan `block_unit_patterns` over the rows of
+`_pattern_block`, the packed masks of `pairwise_hits`, and the bit
+matrix of bitset rows (`_bits`, `_pack`, `_unpack`,
+`_transposed_blocks`, `graph_from_bits`, `numpy_dimacs`), with
+`sign_patterns`, which maps +-1 rows to the pattern indices the lane
+kernels take.
 None of them is used by the library.
 """
 
@@ -42,20 +49,155 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from eqlines._intops import (
-    _PRIMES26,
-    _SCAN_BLOCK,
-    SpanEngine,
-    _pattern_block,
-    enumerate_unit_patterns,
-    scaled_candidate_matrix,
-)
+from eqlines._intops import enumerate_unit_patterns, scaled_candidate_matrix
 from eqlines.errors import HypothesisViolated, NotSymmetric, SingularMatrix
 from eqlines.linalg import RatMatrix, integer_scaled
 from eqlines.lineset import LineSet
-from eqlines.maxclique import CliqueResult, SimpleGraph, _pack, _transposed_blocks
+from eqlines.maxclique import CliqueResult, SimpleGraph
 from eqlines.saturation import CandidateSet
-from eqlines.spansearch import MASK64, MIX1, MIX2, SplitMix64
+from eqlines.spansearch import _PRIMES26, MASK64, MIX1, MIX2, SpanEngine, SplitMix64
+
+# patterns per block of the numpy scans, and forms per block of the
+# numpy pairwise masks
+_SCAN_BLOCK = 1 << 14
+# 0/1 entries (bytes) of one unpacked block of a bit matrix
+_UNPACKED = 1 << 18
+
+
+def _exact_array(w: list[list[int]]) -> np.ndarray:
+    """W as an array in which every +-1 form is exact.
+
+    A form eps^T W eps', and every partial sum of it in any order, is a
+    sum of at most d^2 terms +-W_ij, so int64 holds it exactly when
+    d^2 * max|W| < 2^63; past that the array takes object dtype, whose
+    Python ints are exact at any size.
+    """
+    d = len(w)
+    top = max((abs(x) for row in w for x in row), default=0)
+    return np.array(w, dtype=np.int64 if d * d * top < 1 << 63 else object)
+
+
+def _pattern_block(ms: np.ndarray, d: int) -> np.ndarray:
+    """Sign-pattern rows (+-1 int64) for a vector of pattern indices."""
+    ms = np.asarray(ms, dtype=np.int64)
+    e = np.ones((len(ms), d), dtype=np.int64)
+    for t in range(1, d):
+        e[:, t] = 1 - 2 * ((ms >> (d - 1 - t)) & 1)
+    return e
+
+
+def block_unit_patterns(w: list[list[int]], t_target: int) -> list[int]:
+    """The library's numpy scan before the packed-lane scan: ascending
+    pattern indices m with eps^T W eps == t_target.
+
+    Meet in the middle: with b = (d-1)//2 and a = d - b, write
+    m = h*2^b + l, where h fixes the first a signs (the first is +1) and
+    l the last b.  Then eps^T W eps = q_H[h] + q_L[l] + e_H[h]^T C e_L[l]
+    with C = W_HL + W_LH^T, so a block of high halves costs one matmul
+    against P = C E_L^T, which is built once.  Row-major order of the
+    (h, l) block is ascending m.  The forms are computed over
+    `_exact_array(W)`, so `==` decides each block exactly.
+    """
+    d = len(w)
+    b = (d - 1) // 2
+    a = d - b
+    wa = _exact_array(w)
+    e_l = _pattern_block(np.arange(1 << b, dtype=np.int64), b + 1)[:, 1:]
+    w_hh = wa[:a, :a]
+    q_l = ((e_l @ wa[a:, a:]) * e_l).sum(axis=1)
+    p = (wa[:a, a:] + wa[a:, :a].T) @ e_l.T
+    highs = 1 << (d - 1 - b)
+    rows = max(1, _SCAN_BLOCK >> b)
+    kept: list[int] = []
+    for h0 in range(0, highs, rows):
+        hs = np.arange(h0, min(h0 + rows, highs), dtype=np.int64)
+        e_h = _pattern_block(hs, a)
+        forms = (((e_h @ w_hh) * e_h).sum(axis=1)[:, None] + q_l + e_h @ p).ravel()
+        kept.extend(((h0 << b) + np.flatnonzero(forms == t_target)).tolist())
+    return kept
+
+
+def sign_patterns(e: np.ndarray) -> list[int]:
+    """The pattern index of each +-1 row of e with its first sign made
+    +1, which negates the row's forms and keeps their absolute values."""
+    d = e.shape[1]
+    return [sum(1 << (d - 1 - t) for t in range(1, d) if row[t] != row[0])
+            for row in e.tolist()]
+
+
+def pairwise_hits(e: np.ndarray, w: list[list[int]], target: int) -> np.ndarray:
+    """The library's numpy compatibility mask before `pairwise_rows`:
+    the exact mask |eps_i^T W eps_j| == target, for the +-1 rows e and an
+    integer d x d matrix W, as a (len(e), ceil(len(e)/8)) uint8 bit
+    matrix: bit j % 8 of byte [i, j // 8] is entry [i, j] (np.packbits'
+    little bit order).  Each row block costs (e[blk] @ W) @ e.T over
+    `_exact_array(W)`, so `==` decides it exactly.
+    """
+    wa = _exact_array(w)
+    k = len(e)
+    hit = np.zeros((k, (k + 7) // 8), dtype=np.uint8)
+    rows = max(1, _SCAN_BLOCK // max(k, 1))
+    for r0 in range(0, k, rows):
+        forms = (e[r0:r0 + rows] @ wa) @ e.T
+        hit[r0:r0 + rows] = np.packbits(
+            abs(forms) == target, axis=1, bitorder="little"
+        )
+    return hit
+
+
+def _bits(adj: Sequence[int], n: int) -> np.ndarray:
+    """The (n, ceil(n/8)) uint8 bit matrix of bitset rows: bit j % 8 of
+    byte [i, j // 8] is bit j of adj[i] (np.packbits' little bit order);
+    the inverse of _pack."""
+    width = (n + 7) // 8
+    raw = b"".join(row.to_bytes(width, "little") for row in adj)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
+
+
+def _pack(a: np.ndarray) -> list[int]:
+    """Bitset rows of a 0/1 matrix."""
+    packed = np.packbits(a, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _unpack(bits: np.ndarray, count: int) -> np.ndarray:
+    """The 0/1 matrix of the first count columns of a bit matrix."""
+    return np.unpackbits(bits, axis=1, count=count, bitorder="little")
+
+
+def _transposed_blocks(bits: np.ndarray):
+    """(r0, rows, cols) over blocks of rows of the square 0/1 matrix of
+    a bit matrix: rows are its rows r0.. and cols the same rows of its
+    transpose, unpacked from byte columns r0 // 8.. of the bit matrix.
+    A block is a multiple of 8 rows, so it is also a whole number of
+    byte columns."""
+    n = len(bits)
+    step = max(8, _UNPACKED // max(n, 1) // 8 * 8)
+    for r0 in range(0, n, step):
+        rows = _unpack(bits[r0:r0 + step], n)
+        yield r0, rows, _unpack(bits[:, r0 // 8:(r0 + step) // 8], len(rows)).T
+
+
+def numpy_dimacs(g: SimpleGraph, comment: str = "") -> str:
+    """The library's `to_dimacs` over the unpacked blocks of `_bits`."""
+    lines = [f"c {part}" for part in comment.splitlines()]
+    lines.append(f"p edge {g.n} {g.edge_count()}")
+    bits = _bits(g.adj, g.n)
+    step = max(8, _UNPACKED // max(g.n, 1) // 8 * 8)
+    for r0 in range(0, g.n, step):
+        block = np.triu(_unpack(bits[r0:r0 + step], g.n), r0 + 1)
+        for i, j in np.argwhere(block).tolist():
+            lines.append(f"e {r0 + i + 1} {j + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def graph_from_bits(bits: np.ndarray) -> SimpleGraph:
+    """The library's `SimpleGraph.from_bits`: the graph of an
+    (n, ceil(n/8)) uint8 bit matrix in np.packbits' little bit order, the
+    inverse of `_bits`; it must be symmetric with an empty diagonal and
+    clear padding (ValueError otherwise)."""
+    rows = (int.from_bytes(row.tobytes(), "little") for row in bits)
+    return SimpleGraph(len(bits), tuple(rows))
 
 
 class FractionRatMatrix:
@@ -884,7 +1026,7 @@ def candidate_coeffs(cands: CandidateSet) -> list[tuple[Fraction, ...]]:
     candidate, in Python ints."""
     w, d = cands.w, len(cands.w)
     out = []
-    for m in cands.patterns.tolist():
+    for m in cands.patterns:
         eps = _pattern_signs(m, d)
         out.append(tuple(
             Fraction(sum(x * s for x, s in zip(row, eps)), cands.scale)

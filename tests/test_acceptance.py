@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eqlines import _intops, linalg
+from eqlines import _intops, linalg, spansearch
 from eqlines._tables import TAYLOR_OCTADS
 from eqlines.cli import main
 from eqlines.constructions import (
@@ -64,6 +64,9 @@ from eqlines.spansearch import (
 )
 from oracles import (
     FractionRatMatrix,
+    _exact_array,
+    _pattern_block,
+    block_unit_patterns,
     candidate_coeffs,
     direct_unit_patterns,
     enumerate_range_batch,
@@ -79,8 +82,10 @@ from oracles import (
     fraction_scaled_candidate_matrix,
     greedy_span_basis,
     matvec,
+    pairwise_hits,
     psd_by_minors,
     sample_subset,
+    sign_patterns,
 )
 
 F = Fraction
@@ -198,7 +203,7 @@ def test_criterion_5_saturation_rank_20():
     assert len(cands) == 70
     mapping = line_pattern_indices(taylor, basis)
     assert len(mapping) == 70  # every non-basis line realizes a candidate
-    assert set(cands.patterns.tolist()) == set(mapping.values())
+    assert set(cands.patterns) == set(mapping.values())
     assert report.candidate_count == 70
     assert report.clique_number == 70
     assert report.n_bound == 90
@@ -388,7 +393,7 @@ def test_criterion_9b_candidates_vs_sign_system_oracle():
             )
             if norm == 1:
                 expected[m] = coeffs
-        got = dict(zip(cands.patterns.tolist(), candidate_coeffs(cands)))
+        got = dict(zip(list(cands.patterns), candidate_coeffs(cands)))
         assert len(got) >= ls.n - d
         assert got == expected
 
@@ -629,7 +634,7 @@ def _near_half_stack(rng: SplitMix64, k: int, d: int):
     +-(p-1)/2 or +-(p+1)/2 plus multiples of p, some leading column
     entries are 0 mod p (pivot swaps), and some rows repeat another row
     mod p (singular mod p only)."""
-    primes = [_intops._PRIMES26[rng.below(len(_intops._PRIMES26))]
+    primes = [spansearch._PRIMES26[rng.below(len(spansearch._PRIMES26))]
               for _ in range(k)]
     stack = []
     for p in primes:
@@ -660,7 +665,7 @@ def test_criterion_9f_stacked_singular_vs_exact_rank():
         d = 1 + rng.below(7)
         stack, primes = _near_half_stack(rng, 6, d)
         want = [_det_mod_many(a[None], p)[0] == 0 for a, p in zip(stack, primes)]
-        got = _intops._det_zero_mod(stack.astype(np.float64), np.array(primes))
+        got = spansearch._det_zero_mod(stack.astype(np.float64), np.array(primes))
         assert got.tolist() == want
         zero_mod_p += sum(want)
         swaps += sum(a[0, 0] % p == 0 for a, p in zip(stack, primes))
@@ -678,7 +683,7 @@ def test_criterion_9f_stacked_singular_vs_exact_rank():
             gram = [[sum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
             scale = top // max(map(max, gram)) | 1
             m_rows = [[scale * x for x in row] for row in gram]
-            engine = _intops.SpanEngine(m_rows)
+            engine = spansearch.SpanEngine(m_rows)
             assert engine.small == (top < 2**31)
             assert engine.max_m > top // 2
             sub = np.arange(len(vecs)).reshape(8, d)
@@ -691,15 +696,15 @@ def test_criterion_9f_stacked_singular_vs_exact_rank():
             assert engine._singular_mod(sub).tolist() == want
     assert nullities == {0, 1, 2, 3}
 
-    p0 = _intops._PRIMES26[0]
-    boundary = _intops.SpanEngine([[1, 0], [0, p0]])
+    p0 = spansearch._PRIMES26[0]
+    boundary = spansearch.SpanEngine([[1, 0], [0, p0]])
     assert boundary._singular_mod(np.array([[0, 1]])).tolist() == [False]
 
 
 def _assert_modular_tier_agrees(m_rows, subsets):
     """The stacked modular tier, called directly on the draws, against
     `_members_exact` and the per-draw oracle; returns its answers."""
-    engine = _intops.SpanEngine(m_rows)
+    engine = spansearch.SpanEngine(m_rows)
     got = engine._members_modular(np.array(subsets, dtype=np.intp))
     assert got == [engine._members_exact(s) for s in subsets]
     assert got == PerDrawSpanEngine(m_rows).members_many(subsets)
@@ -731,7 +736,7 @@ def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
     base = linalg.integer_scaled(asche.gram)[0]
     for shift, small in ((22, True), (29, False), (31, False)):
         m_rows = [[x << shift for x in row] for row in base]
-        assert _intops.SpanEngine(m_rows).small == small
+        assert spansearch.SpanEngine(m_rows).small == small
         for d in (2, 6, 18, 20):
             subsets = [sample_subset(rng, asche.n, d) for _ in range(3)]
             _assert_modular_tier_agrees(m_rows, subsets)
@@ -742,11 +747,11 @@ def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
                (0, 0, 0, 0, 0, 1)]
     m_rows = [[sum(a * b for a, b in zip(u, v)) for v in vectors] for u in vectors]
     rounds = []
-    kernel = _intops._inverse_mod
-    monkeypatch.setattr(_intops, "_inverse_mod",
+    kernel = spansearch._inverse_mod
+    monkeypatch.setattr(spansearch, "_inverse_mod",
                         lambda a, p: rounds.append(p.tolist()) or kernel(a, p))
     assert _assert_modular_tier_agrees(m_rows, [[0, 1]]) == [[0, 1, 2]]
-    primes = _intops._PRIMES26
+    primes = spansearch._PRIMES26
     need = len(rounds[0])
     assert rounds == [list(primes[:need]), [primes[need]]]
     monkeypatch.undo()
@@ -757,7 +762,7 @@ def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
     x = math.isqrt(2**53)
     for top, tier in ((x, "float"), (x + 1, "modular")):
         m_rows = [[top, 0, top], [0, 1, 0], [top, 0, top]]
-        engine = _intops.SpanEngine(m_rows)
+        engine = spansearch.SpanEngine(m_rows)
         assert engine.members([0]) == [0, 2]
         assert engine.tier_counts[tier] == 1 and sum(engine.tier_counts.values()) == 1
         assert _assert_modular_tier_agrees(m_rows, [[0], [1], [2]]) == [
@@ -773,7 +778,7 @@ def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
     # in the span, since (A^-1)_00 = 2 - x
     for top, tier in ((2**17, "float"), (2**17 + 1, "modular")):
         m_rows = [[top, top - 1, 1], [top - 1, top - 2, 0], [1, 0, 2 - top]]
-        engine = _intops.SpanEngine(m_rows)
+        engine = spansearch.SpanEngine(m_rows)
         assert engine.members([0, 1]) == [0, 1, 2]
         assert engine.tier_counts[tier] == 1 and sum(engine.tier_counts.values()) == 1
         assert _assert_modular_tier_agrees(m_rows, [[0, 1], [1, 2]]) == [
@@ -784,7 +789,7 @@ def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
 def _kernel_sound(blocks: list[list[list[int]]], max_m: int) -> list[bool]:
     """`_kernel_zero` on a list of integer blocks of one size, with every
     block it certifies checked singular by the exact rank."""
-    got = _intops._kernel_zero(np.array(blocks, dtype=np.float64), max_m).tolist()
+    got = spansearch._kernel_zero(np.array(blocks, dtype=np.float64), max_m).tolist()
     for block, zero in zip(blocks, got):
         if zero:
             assert linalg.rank(RatMatrix.from_rows(block)) < len(block), block
@@ -875,11 +880,11 @@ def test_criterion_9k_kernel_certificate_vs_exact_rank(
         assert fake in garbage or not any(got)
     monkeypatch.undo()
 
-    engine = _intops.SpanEngine(m_rows)
+    engine = spansearch.SpanEngine(m_rows)
     _, sub = _draw_block(0, 0, 5000, asche.n, 18)
     a = engine._blocks(sub)
     zero = np.flatnonzero(np.abs(np.linalg.det(a)) < 0.5)
-    kernel = zero[_intops._kernel_zero(a[zero], engine.max_m)]
+    kernel = zero[spansearch._kernel_zero(a[zero], engine.max_m)]
     assert (len(zero), len(kernel)) == (2274, 2141)
     assert engine._singular_mod(sub[kernel]).all()
 
@@ -1076,7 +1081,7 @@ def test_criterion_9m_integer_candidates_vs_fraction_oracle(tremain, taylor, asc
         basis = select_basis(ls, basis)
         cands = enumerate_candidates(ls, basis)
         want = fraction_enumerate_candidates(ls, basis)
-        assert cands.patterns.tolist() == [c.pattern_index for c in want]
+        assert list(cands.patterns) == [c.pattern_index for c in want]
         assert candidate_coeffs(cands) == [c.coeffs for c in want]
         g = build_compatibility_graph(cands, ls, basis)
         assert g.adj == lcm_compatibility_graph(want, ls, basis).adj
@@ -1094,22 +1099,31 @@ def _wide_symmetric(rng: SplitMix64, d: int, bits: int) -> list[list[int]]:
     return w
 
 
-def test_criterion_9n_wide_forms_vs_python_int_oracles():
-    """Past d^2 * max|W| = 2^63 the pattern scan and the pairwise forms
-    of the compatibility graph compute on Python ints, and agree with
-    direct Python-int scans: symmetric W with entries +-2^b + r, b from
-    60 to 70 and |r| <= 2, at d = 5 to 16.  The scan is checked against
-    the direct scan up to d = 12 and against the limb block scan at
-    d = 16, on a target that some pattern hits; the pairwise masks of 64
-    random sign rows on the |form| of three pairs."""
+def _wide_cases():
+    """(W, 64 random sign rows) at d = 5 to 16, W from `_wide_symmetric`
+    with b from 60 to 70."""
     rng = SplitMix64(9014)
     for d in (5, 6, 8, 10, 12, 16):
         w = _wide_symmetric(rng, d, 60 + rng.below(11))
-        assert _intops._exact_array(w).dtype == object
         e = np.array(
             [[1 - 2 * rng.below(2) for _ in range(d)] for _ in range(64)],
             dtype=np.int64,
         )
+        yield w, e
+
+
+def test_criterion_9n_wide_forms_vs_python_int_oracles():
+    """Past d^2 * max|W| = 2^63 the pattern scan and the pairwise forms
+    of the compatibility graph agree with direct Python-int scans:
+    symmetric W with entries +-2^b + r, b from 60 to 70 and |r| <= 2, at
+    d = 5 to 16.  The scan is checked against the direct scan up to
+    d = 12 and against the limb block scan at d = 16, on a target that
+    some pattern hits; the pairwise masks of 64 random sign rows, in the
+    numpy oracle (object dtype past 2^63) and in the packed lanes, on the
+    |form| of three pairs."""
+    for w, e in _wide_cases():
+        d = len(w)
+        assert _exact_array(w).dtype == object
         forms = [
             [sum(a * x * b for a, row in zip(ei, w) for x, b in zip(row, ej))
              for ej in e.tolist()]
@@ -1123,7 +1137,80 @@ def test_criterion_9n_wide_forms_vs_python_int_oracles():
         else:
             want = enumerate_range_batch(w, t_target, 0, 1 << (d - 1))
         assert got == want and got
+        ms = sign_patterns(e)
         for t in (abs(forms[0][1]), abs(forms[5][40]), abs(forms[63][63])):
-            hit = _intops.pairwise_hits(e, w, t)
+            want = [[int(abs(v) == t) for v in row] for row in forms]
+            hit = pairwise_hits(e, w, t)
             got = np.unpackbits(hit, axis=1, count=64, bitorder="little")
-            assert got.tolist() == [[int(abs(v) == t) for v in row] for row in forms]
+            assert got.tolist() == want
+            assert _intops.pairwise_rows(ms, w, t) == [
+                sum(x << j for j, x in enumerate(row)) for row in want]
+
+
+def _assert_lanes_match_numpy(w, t_target, scale, extra=()):
+    """The packed-lane scan equals the numpy block scan on t_target, and
+    the packed-lane rows equal the numpy masks on scale, over the kept
+    patterns and the patterns of extra."""
+    kept = _intops.enumerate_unit_patterns(w, t_target)
+    assert kept == block_unit_patterns(w, t_target)
+    ms = sorted(set(kept) | set(extra))
+    hit = pairwise_hits(_pattern_block(ms, len(w)), w, scale)
+    assert _intops.pairwise_rows(ms, w, scale) == [
+        int.from_bytes(row.tobytes(), "little") for row in hit]
+    return kept
+
+
+def test_criterion_9o_lane_kernels_vs_numpy_kernels(tremain, taylor, asche, best56):
+    """The packed Python-int lanes of the pattern scan and of the
+    compatibility rows equal the numpy block scan and `pairwise_hits`
+    that they replaced: on tremain14, taylor90, asche72 and best56 with
+    their default bases, tremain14 on recipe 04's basis and taylor90 on
+    recipe 05's basis J; on 10 random subsets of up to 24 lines (rank
+    <= 20) with their default bases; on random symmetric W at d = 2 to
+    23, on a target that some pattern hits, on the |form| of a pair and
+    on targets past +-B that none hits; on W = +-top * u u^T, whose
+    all-u pattern has the form +-B, the edge of the lane range,
+    B = d^2 * top; and on the wide entries of criterion 9n."""
+    rng = SplitMix64(9015)
+    cases = [(tremain, None), (tremain, EVEN_BASIS_0B), (taylor, None),
+             (taylor, [i - 1 for i in BASIS_J_1B]), (asche, None), (best56, None)]
+    sources = [tremain, taylor, asche]
+    for trial in range(10):
+        source = sources[trial % 3]
+        picked = sorted(set(rng.below(source.n) for _ in range(8 + rng.below(17))))
+        cases.append((source.restrict(picked), None))
+    for ls, basis in cases:
+        basis = select_basis(ls, basis)
+        w, scale, t_target = _intops.scaled_candidate_matrix(ls.gram, basis, ls.angle)
+        _assert_lanes_match_numpy(w, t_target, scale)
+    for d in range(2, 24):
+        w = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                w[i][j] = w[j][i] = rng.below(4001) - 2000
+        eps = [[1] + [1 - 2 * rng.below(2) for _ in range(d - 1)] for _ in range(2)]
+        forms = [sum(a * x * b for a, row in zip(ei, w) for x, b in zip(row, eps[1]))
+                 for ei in eps]
+        randoms = [rng.below(1 << (d - 1)) for _ in range(100)]
+        # eps[0] @ W @ eps[0] is a target some pattern hits; no form
+        # reaches -B - 1 or B + 1, and the lane targets of the scan
+        # leave the lane range
+        t_target = sum(a * x * b for a, row in zip(eps[0], w)
+                       for x, b in zip(row, eps[0]))
+        assert _assert_lanes_match_numpy(w, t_target, abs(forms[0]), randoms)
+        bound = _intops._lanes(w)[0]
+        assert not _assert_lanes_match_numpy(w, -bound - 1, bound + 1, randoms)
+        top = 1 + rng.below(1 << 20)
+        u = [1] + [1 - 2 * rng.below(2) for _ in range(d - 1)]
+        m_u = sum(1 << (d - 1 - t) for t in range(1, d) if u[t] < 0)
+        for sign in (1, -1):
+            w = [[sign * top * a * b for b in u] for a in u]
+            bound = d * d * top
+            assert _intops._lanes(w)[0] == bound
+            kept = _assert_lanes_match_numpy(w, sign * bound, bound, randoms)
+            assert kept == [m_u]
+    for w, e in _wide_cases():
+        d = len(w)
+        ms = sign_patterns(e)
+        we = _pattern_block(ms[:2], d) @ _exact_array(w) @ _pattern_block(ms[:2], d).T
+        _assert_lanes_match_numpy(w, int(we[0, 0]), abs(int(we[0, 1])), ms)

@@ -537,8 +537,8 @@ print(json.dumps(report))
 """
 
 # Runs one CLI call in a fresh interpreter and reports the eqlines
-# modules (and csv) it loaded and the BLAS thread variables as numpy
-# began to load.
+# modules (and csv) it loaded, whether it loaded numpy, and the BLAS
+# thread variables as numpy began to load.
 LOAD_PROBE_SCRIPT = """
 import contextlib, io, json, os, sys
 
@@ -556,8 +556,9 @@ from eqlines.cli import main
 
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps({"code": code, "blas": seen, "modules": sorted(
-    m for m in sys.modules if m.startswith("eqlines") or m == "csv")}))
+print(json.dumps({"code": code, "blas": seen, "numpy": "numpy" in sys.modules,
+                  "modules": sorted(m for m in sys.modules
+                                    if m.startswith("eqlines") or m == "csv")}))
 """
 
 
@@ -567,9 +568,10 @@ def test_import_budget(tmp_path):
     once the lazily imported modules load (in a fresh interpreter).
     In fresh interpreters of their own, saturate and search load no
     construction module and no csv module (search loads it for --csv
-    alone), numpy starts loading with one BLAS thread
-    unless the caller set a thread count, and construct asche72 does
-    not load the graph6 codec."""
+    alone), saturate loads no numpy, with --json, with its human output
+    and with --export-graph, search's numpy starts loading with one
+    BLAS thread unless the caller set a thread count, and construct
+    asche72 does not load the graph6 codec."""
     src = str(Path(eqlines.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -601,12 +603,19 @@ def test_import_budget(tmp_path):
 
     unused = {"eqlines.constructions", "eqlines.graph6", "eqlines._tables",
               "csv"}
-    for argv in (["saturate", str(tmp_path / "tremain.json"), "--json"],
-                 ["search", str(tmp_path / "asche.json"), "--rank", "18",
-                  "--runs", "3", "--seed", "0", "--json"]):
-        got = probe(argv)
+    tremain = str(tmp_path / "tremain.json")
+    for argv in ([tremain, "--json"], [tremain],
+                 [tremain, "--export-graph", str(tmp_path / "tremain.clq")]):
+        got = probe(["saturate", *argv])
         assert not unused & set(got["modules"]), got["modules"]
-        assert got["blas"] == dict.fromkeys(BLAS_THREAD_VARS, "1")
+        assert not got["numpy"] and got["blas"] == {}, got
+    assert (tmp_path / "tremain.clq").read_text().startswith("p edge 431 ")
+    argv = ["search", str(tmp_path / "asche.json"), "--rank", "18",
+            "--runs", "3", "--seed", "0", "--json"]
+    got = probe(argv)
+    assert not unused & set(got["modules"]), got["modules"]
+    assert got["numpy"]
+    assert got["blas"] == dict.fromkeys(BLAS_THREAD_VARS, "1")
     # only --csv loads the csv module
     got = probe([*argv, "--csv", str(tmp_path / "runs.csv")])
     assert "csv" in got["modules"], got["modules"]

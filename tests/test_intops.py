@@ -5,22 +5,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eqlines import _intops, linalg
+from eqlines import _intops, linalg, spansearch
 from eqlines.linalg import RatMatrix
 from eqlines.spansearch import SplitMix64
 from oracles import (
+    _SCAN_BLOCK,
     PerDrawSpanEngine,
     _balanced_limbs,
     _det_inverse_mod,
     _det_mod_many,
+    _exact_array,
+    _pattern_block,
     det,
     direct_unit_patterns,
     enumerate_range_batch,
+    pairwise_hits,
     sample_subset,
+    sign_patterns,
 )
 
 F = Fraction
-P0 = _intops._PRIMES26[0]
+P0 = spansearch._PRIMES26[0]
 # 8191^2 + 113^2 + 60^2 + 3^2 == P0: a vector whose squared norm is P0
 P0_VECTOR = (8191, 113, 60, 3)
 
@@ -66,7 +71,7 @@ class TestExactArray:
     every partial sum of a +-1 form, and object dtype past it."""
 
     def test_small_entries_stay_int64(self):
-        wa = _intops._exact_array([[5, -3], [-3, 7]])
+        wa = _exact_array([[5, -3], [-3, 7]])
         assert wa.dtype == np.int64
         assert wa.tolist() == [[5, -3], [-3, 7]]
 
@@ -75,22 +80,29 @@ class TestExactArray:
         d = 4
         for top, dtype in (((1 << 59) - 1, np.int64), (1 << 59, object)):
             w = [[top if i == j else -1 for j in range(d)] for i in range(d)]
-            wa = _intops._exact_array(w)
+            wa = _exact_array(w)
             assert wa.dtype == dtype
             assert wa.tolist() == w
         # the largest form at the int64 side of the boundary is exact:
         # the all-plus pattern of top * J sums to 16 * top = 2^63 - 16
         top = (1 << 59) - 1
         w = [[top] * d for _ in range(d)]
-        assert _intops._exact_array(w).dtype == np.int64
+        assert _exact_array(w).dtype == np.int64
         assert _intops.enumerate_unit_patterns(w, d * d * top) == [0]
-        e = _intops._pattern_block(np.arange(1 << (d - 1)), d)
-        hit = _intops.pairwise_hits(e, w, d * d * top)
+        e = _pattern_block(np.arange(1 << (d - 1)), d)
+        hit = pairwise_hits(e, w, d * d * top)
         assert np.unpackbits(hit, axis=1, count=8, bitorder="little")[0, 0] == 1
+        # the lanes of that form, +B and -B with B = d^2 * top, sit at
+        # the edges of the lane range [0, 2B]
+        for sign in (1, -1):
+            w = [[sign * top] * d for _ in range(d)]
+            assert _intops._lanes(w)[0] == d * d * top
+            assert _intops.enumerate_unit_patterns(w, sign * d * d * top) == [0]
+            assert _intops.pairwise_rows(range(8), w, d * d * top)[0] == 1
 
     def test_wide_entries_are_python_ints(self):
         w = [[(1 << 70) + 1, -(1 << 65)], [-(1 << 65), 3]]
-        wa = _intops._exact_array(w)
+        wa = _exact_array(w)
         assert wa.dtype == object
         assert all(type(x) is int for x in wa.flat)
         assert wa.tolist() == w
@@ -163,7 +175,7 @@ class TestEnumeration:
         # d = 16, where the scan takes several row blocks
         w = random_symmetric(rng, 16, scale=big)
         assert len(_balanced_limbs(w)) == 2
-        assert _intops._exact_array(w).dtype == np.int64
+        assert _exact_array(w).dtype == np.int64
         t_target = realized_target(rng, w)
         got = _intops.enumerate_unit_patterns(w, t_target)
         assert got and got == enumerate_range_batch(w, t_target, 0, 1 << 15)
@@ -177,7 +189,7 @@ class TestEnumeration:
         d = 5
         w = [[3 * (i == j) + (1 << 39) for j in range(d)] for i in range(d)]
         assert len(_balanced_limbs(w)) == 2
-        assert _intops._exact_array(w).dtype == np.int64
+        assert _exact_array(w).dtype == np.int64
         for s in (5, 3, 1):
             t_target = 3 * d + (1 << 39) * s * s
             want = direct_unit_patterns(w, t_target)
@@ -192,8 +204,8 @@ class TestEnumeration:
         # s = +-1 target; the object-dtype forms tell them apart
         d = 5
         w = [[3 * (i == j) + (1 << 61) for j in range(d)] for i in range(d)]
-        assert _intops._exact_array(w).dtype == object
-        e = _intops._pattern_block(np.arange(1 << (d - 1)), d)
+        assert _exact_array(w).dtype == object
+        e = _pattern_block(np.arange(1 << (d - 1)), d)
         wrapped = ((e @ np.array(w, dtype=np.int64)) * e).sum(axis=1)
         assert (wrapped == 3 * d + (1 << 61)).all()
         for s in (5, 3, 1):
@@ -249,17 +261,21 @@ def bilinear_forms(e: np.ndarray, w: list[list[int]]) -> list[list[int]]:
 
 
 def assert_hits_match_direct(e: np.ndarray, w: list[list[int]], targets) -> None:
-    """pairwise_hits, unpacked, against |eps_i^T W eps_j| == t in Python
-    ints, for each target t."""
+    """The numpy oracle pairwise_hits, unpacked, and the packed-lane
+    rows of `_intops.pairwise_rows` against |eps_i^T W eps_j| == t in
+    Python ints, for each target t."""
     direct = bilinear_forms(e, w)
     k = len(e)
     for t in targets:
-        hit = _intops.pairwise_hits(e, w, t)
+        want = [[int(abs(v) == t) for v in row] for row in direct]
+        hit = pairwise_hits(e, w, t)
         assert hit.shape == (k, (k + 7) // 8)
         got = np.unpackbits(hit, axis=1, count=k, bitorder="little")
-        assert got.tolist() == [[int(abs(v) == t) for v in row] for row in direct]
+        assert got.tolist() == want
         # the padding bits of the last byte stay clear
         assert np.unpackbits(hit, axis=1, bitorder="little")[:, k:].sum() == 0
+        rows = _intops.pairwise_rows(sign_patterns(e), w, t)
+        assert rows == [sum(x << j for j, x in enumerate(row)) for row in want]
 
 
 class TestPairwiseHits:
@@ -276,7 +292,7 @@ class TestPairwiseHits:
         d = 6
         e = random_signs(rng, self.K, d)
         w = random_symmetric(rng, d)
-        assert _intops._SCAN_BLOCK // self.K < self.K
+        assert _SCAN_BLOCK // self.K < self.K
         forms = bilinear_forms(e, w)
         targets = [abs(forms[i][j]) for i, j in ((0, 1), (40, 3), (149, 100))]
         assert_hits_match_direct(e, w, targets + [0, 10**6])
@@ -293,13 +309,13 @@ class TestPairwiseHits:
                 w[i][j] += rng.below(3) - 1
                 w[j][i] = w[i][j]
         assert min(abs(x) for row in w for x in row) >= 1 << 44
-        assert _intops._SCAN_BLOCK // self.K < self.K
+        assert _SCAN_BLOCK // self.K < self.K
         forms = bilinear_forms(e, w)
         targets = [abs(forms[i][j]) for i, j in ((0, 1), (75, 2), (149, 149))]
         # the last target agrees with a form mod 2^40 but differs from it
         assert_hits_match_direct(e, w, targets + [targets[0] + (1 << 40)])
         assert len(_balanced_limbs(w)) == 2
-        assert _intops._exact_array(w).dtype == np.int64
+        assert _exact_array(w).dtype == np.int64
 
     def test_wide_entries(self):
         # entries near 2^66 at d = 8 take the object path
@@ -310,7 +326,7 @@ class TestPairwiseHits:
         w = random_symmetric(rng, d, big)
         for i in range(d):
             w[i][i] += rng.below(5) - 2
-        assert _intops._exact_array(w).dtype == object
+        assert _exact_array(w).dtype == object
         forms = bilinear_forms(e, w)
         targets = [abs(forms[i][j]) for i, j in ((0, 1), (75, 2), (149, 149))]
         assert_hits_match_direct(e, w, targets + [targets[0] + (1 << 64)])
@@ -321,7 +337,7 @@ class TestPairwiseHits:
         # sums, so int64 forms wrap s_i s_j = 9 and 25 onto 1
         d = 5
         w = [[3 * (i == j) + (1 << 61) for j in range(d)] for i in range(d)]
-        e = _intops._pattern_block(np.arange(1 << (d - 1)), d)
+        e = _pattern_block(np.arange(1 << (d - 1)), d)
         forms = bilinear_forms(e, w)
         t = 3 * d + (1 << 61)
         wrapped = (e @ np.array(w, dtype=np.int64)) @ e.T
@@ -334,7 +350,7 @@ class TestPairwiseHits:
 class TestDetInverseMod:
     def test_against_fraction_det(self):
         rng = SplitMix64(27)
-        p = _intops._PRIMES26[0]
+        p = spansearch._PRIMES26[0]
         for _ in range(15):
             d = 1 + rng.below(5)
             a = [[rng.below(50) - 25 for _ in range(d)] for _ in range(d)]
@@ -348,7 +364,7 @@ class TestDetInverseMod:
                 assert np.array_equal(prod, np.eye(d, dtype=np.int64))
 
     def test_singular_mod_p(self):
-        p = _intops._PRIMES26[0]
+        p = spansearch._PRIMES26[0]
         a = np.array([[p, 0], [0, 1]], dtype=np.int64)
         det_p, inv_p = _det_inverse_mod(a, p)
         assert det_p == 0 and inv_p is None
@@ -360,11 +376,11 @@ class TestDetModMany:
 
     @staticmethod
     def assert_matches(stack):
-        for p in _intops._PRIMES26:
+        for p in spansearch._PRIMES26:
             got = _det_mod_many(stack, p)
             want = [_det_inverse_mod(a, p)[0] for a in stack]
             assert got.tolist() == want
-            zero = _intops._det_zero_mod(
+            zero = spansearch._det_zero_mod(
                 stack.astype(np.float64), np.full(len(stack), p)
             )
             assert zero.tolist() == [w == 0 for w in want]
@@ -404,7 +420,7 @@ class TestDetModMany:
         assert int(det(RatMatrix.from_rows(block.tolist()))) == P0
         self.assert_matches(block[None])
         assert _det_mod_many(block[None], P0).tolist() == [0]
-        assert _det_mod_many(block[None], _intops._PRIMES26[1])[0] != 0
+        assert _det_mod_many(block[None], spansearch._PRIMES26[1])[0] != 0
 
     def test_empty_stack_and_empty_matrices(self):
         assert _det_mod_many(np.zeros((0, 3, 3), np.int64), P0).size == 0
@@ -417,7 +433,7 @@ class TestInverseMod:
 
     @staticmethod
     def assert_matches(stack, primes):
-        y, unit = _intops._inverse_mod(stack.astype(np.float64), np.array(primes))
+        y, unit = spansearch._inverse_mod(stack.astype(np.float64), np.array(primes))
         assert np.abs(y).max(initial=0) <= max(primes) // 2 + 2
         for a, p, y_p, t in zip(stack, primes, y, unit.tolist()):
             det_p, inv_p = _det_inverse_mod(a, p)
@@ -428,7 +444,7 @@ class TestInverseMod:
     def test_random_stacks_with_pivot_search(self):
         rng = SplitMix64(41)
         for d in (1, 2, 3, 5, 8, 18):
-            primes = [_intops._PRIMES26[rng.below(24)] for _ in range(8)]
+            primes = [spansearch._PRIMES26[rng.below(24)] for _ in range(8)]
             stack = np.array(
                 [[[rng.below(2**31) - 2**30 for _ in range(d)]
                   for _ in range(d)] for _ in range(8)],
@@ -447,7 +463,7 @@ class TestInverseMod:
             d = 1 + rng.below(6)
             vectors = [[rng.below(5) - 2 for _ in range(d)] for _ in range(d)]
             stack = np.array([gram_from_vectors(vectors)], dtype=np.int64)
-            self.assert_matches(stack, [_intops._PRIMES26[rng.below(24)]])
+            self.assert_matches(stack, [spansearch._PRIMES26[rng.below(24)]])
 
 
 class TestFormsMod:
@@ -469,7 +485,7 @@ class TestFormsMod:
             m = m_rows[j][:d]
             form = sum(m[a] * y[a][b] * m[b] for a in range(d) for b in range(d))
             m_rows[j][j] = form % P0 + wrap * P0 + j % 2  # odd rows miss by one
-        engine = _intops.SpanEngine(m_rows)
+        engine = spansearch.SpanEngine(m_rows)
         # small: d * max_m > 2^27 takes the digits as well
         assert engine.small == (wrap == 0)
         got = engine._forms_mod(
@@ -523,7 +539,7 @@ class TestSpanEngine:
             ambient = 3 + rng.below(3)
             n = ambient + 2 + rng.below(4)
             vectors, m_rows = self._random_instance(rng, ambient, n)
-            engine = _intops.SpanEngine(m_rows)
+            engine = spansearch.SpanEngine(m_rows)
             k = 1 + rng.below(ambient)
             subset = sorted(
                 set(rng.below(n) for _ in range(k))
@@ -539,7 +555,7 @@ class TestSpanEngine:
         for _ in range(6):
             vectors, m_rows = self._random_instance(rng, 3, 7)
             big = [[x * shift for x in row] for row in m_rows]
-            engine = _intops.SpanEngine(big)
+            engine = spansearch.SpanEngine(big)
             assert not engine.small
             subset = [0, 1]
             want = self._oracle(m_rows, subset)  # scaling preserves membership
@@ -548,14 +564,14 @@ class TestSpanEngine:
     def test_singular_subset_returns_none(self):
         vectors = [[1, 0], [2, 0], [0, 1]]
         m_rows = gram_from_vectors(vectors)
-        engine = _intops.SpanEngine(m_rows)
+        engine = spansearch.SpanEngine(m_rows)
         assert engine.members([0, 1]) is None  # parallel vectors
         assert engine.members([0, 2]) == [0, 1, 2]
 
     def test_members_includes_subset(self):
         rng = SplitMix64(30)
         vectors, m_rows = self._random_instance(rng, 4, 8)
-        engine = _intops.SpanEngine(m_rows)
+        engine = spansearch.SpanEngine(m_rows)
         got = engine.members([1, 3])
         if got is not None:
             assert {1, 3} <= set(got)
@@ -571,7 +587,7 @@ class TestStackedSpan:
 
     @staticmethod
     def engines(m_rows):
-        return _intops.SpanEngine(m_rows), PerDrawSpanEngine(m_rows)
+        return spansearch.SpanEngine(m_rows), PerDrawSpanEngine(m_rows)
 
     @pytest.mark.parametrize("name", ["tremain", "taylor", "asche"])
     def test_random_draws_match_per_draw(self, name, request):
@@ -641,19 +657,19 @@ class TestStackedSpan:
     def test_asche72_singular_draws_need_two_primes(self, asche, monkeypatch):
         # every Gram row of an asche72 draw of 18 has squared norm 42, and
         # (p1 p2)^2 > 42^18 > p1^2
-        engine = _intops.SpanEngine(linalg.integer_scaled(asche.gram)[0])
+        engine = spansearch.SpanEngine(linalg.integer_scaled(asche.gram)[0])
         sub = np.array(draws(asche, 18, 60, seed=38))
         assert engine._hadamard(sub) == [42**18] * 60
-        assert _intops._PRIME_SQ[1] < 42**18 < _intops._PRIME_SQ[2]
+        assert spansearch._PRIME_SQ[1] < 42**18 < spansearch._PRIME_SQ[2]
         moduli = []
-        kernel = _intops._det_zero_mod
+        kernel = spansearch._det_zero_mod
         monkeypatch.setattr(
-            _intops, "_det_zero_mod",
+            spansearch, "_det_zero_mod",
             lambda a, p: moduli.append(p.tolist()) or kernel(a, p),
         )
         singular = engine._singular_mod(sub)
         assert 0 < singular.sum() < 60
-        primes = _intops._PRIMES26
+        primes = spansearch._PRIMES26
         assert moduli == [[primes[0]] * 60 + [primes[1]] * 60]
 
     def test_det_equal_to_first_prime_is_not_singular(self):
@@ -665,7 +681,7 @@ class TestStackedSpan:
             (0, 0, 0, 0, 0, 1),
         ]
         m_rows = gram_from_vectors(vectors)
-        engine = _intops.SpanEngine(m_rows)
+        engine = spansearch.SpanEngine(m_rows)
         assert engine._singular_mod(np.array([[0, 1], [0, 2]])).tolist() == [False, False]
         assert engine._singular_mod(np.array([[1, 2, 0]])).tolist() == [True]
         # scaled past 2^31 the draw skips the float tier (det P0 * 2^62)

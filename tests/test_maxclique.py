@@ -1,11 +1,12 @@
 """Exact clique solver: examples, witness soundness, oracle agreement."""
 
+import hashlib
 from typing import Optional
 
 import numpy as np
 import pytest
 
-from eqlines.maxclique import CliqueResult, SimpleGraph, _bits, max_clique, to_dimacs
+from eqlines.maxclique import CliqueResult, SimpleGraph, max_clique, to_dimacs
 from eqlines.saturation import (
     build_compatibility_graph,
     check_saturated,
@@ -14,7 +15,7 @@ from eqlines.saturation import (
     verify_nonbasis_cover,
 )
 from eqlines.spansearch import SplitMix64
-from oracles import color_order, mcq_max_clique
+from oracles import _bits, color_order, graph_from_bits, mcq_max_clique, numpy_dimacs
 
 
 def greedy_coloring_bound(g: SimpleGraph, candidates: Optional[int] = None) -> int:
@@ -102,7 +103,9 @@ class TestSimpleGraph:
         a = np.array([[g.adj[i] >> j & 1 for j in range(g.n)] for i in range(g.n)])
         assert SimpleGraph.from_matrix(a) == g
         assert SimpleGraph.from_matrix(a.astype(bool)) == g
+        assert SimpleGraph.from_matrix(a.tolist()) == g
         assert SimpleGraph.from_matrix(np.zeros((0, 0))) == SimpleGraph(0, ())
+        assert SimpleGraph.from_matrix([]) == SimpleGraph(0, ())
 
     def test_from_bits_inverts_bits(self):
         rng = SplitMix64(48)
@@ -110,16 +113,16 @@ class TestSimpleGraph:
             g = random_graph(rng, n, 40)
             bits = _bits(g.adj, g.n)
             assert bits.shape == (n, (n + 7) // 8)
-            assert SimpleGraph.from_bits(bits) == g
+            assert graph_from_bits(bits) == g
 
     def test_from_bits_rejects_bad_masks(self):
         bits = _bits((0b010, 0, 0), 3)
         with pytest.raises(ValueError, match=r"not symmetric at \(0,1\)"):
-            SimpleGraph.from_bits(bits)
+            graph_from_bits(bits)
         with pytest.raises(ValueError, match="self-loop at vertex 2"):
-            SimpleGraph.from_bits(_bits((0, 0, 0b100), 3))
+            graph_from_bits(_bits((0, 0, 0b100), 3))
         with pytest.raises(ValueError, match="beyond vertex 2"):
-            SimpleGraph.from_bits(_bits((0b1000, 0, 0), 3))
+            graph_from_bits(_bits((0b1000, 0, 0), 3))
 
     def test_from_matrix_rejects_asymmetric(self):
         a = np.zeros((4, 4), dtype=np.int64)
@@ -134,6 +137,8 @@ class TestSimpleGraph:
             SimpleGraph.from_matrix(a)
         with pytest.raises(ValueError, match="square"):
             SimpleGraph.from_matrix(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            SimpleGraph.from_matrix([[0, 1], [1]])
 
 
 class TestExamples:
@@ -315,3 +320,20 @@ class TestDimacs:
         assert lines[0] == "c triangle minus an edge"
         assert lines[1] == "p edge 3 2"
         assert set(lines[2:]) == {"e 1 2", "e 2 3"}
+
+    @pytest.mark.parametrize("name,sha256", [
+        ("tremain", "2d92e37ad5b100eb5c22a8ee48e5a172ad2ca2ca4498e1498f669958c3ffcae7"),
+        ("best56", "33e874d7258a86354bc6fd9d9562ce79813f6fb1962d280f154af8a24da78363"),
+    ], ids=["tremain", "best56"])
+    def test_export_bytes_pinned(self, request, name, sha256):
+        """The compatibility graph over the default basis, exported as
+        the numpy export oracle writes it, with the sha256 of the file
+        that `saturate --export-graph` wrote before the export left
+        numpy (K = 431 for tremain14, 197 for best56)."""
+        ls = request.getfixturevalue(name)
+        basis = select_basis(ls)
+        g = build_compatibility_graph(enumerate_candidates(ls, basis), ls, basis)
+        text = to_dimacs(g)
+        assert text == numpy_dimacs(g)
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+        assert to_dimacs(g, "two\nlines") == numpy_dimacs(g, "two\nlines")

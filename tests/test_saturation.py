@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eqlines import _intops, lineset, linalg, saturation
+from eqlines import _intops, lineset, linalg, saturation, spansearch
 from eqlines.errors import HypothesisViolated, InvalidLineSet, NotABasis, NotPSD
 from eqlines.lineset import LineSet, SignMatrix, from_sign_matrix
 from eqlines.linalg import RatMatrix
@@ -26,6 +26,8 @@ from eqlines.saturation import (
 from eqlines.spansearch import SplitMix64
 from oracles import (
     _balanced_limbs,
+    _exact_array,
+    _pattern_block,
     candidate_coeffs,
     enumerate_range_batch,
     greedy_span_basis,
@@ -59,8 +61,8 @@ def inner(ls: LineSet, basis, ca, cb) -> Fraction:
 
 
 def pattern_signs(m: int, d: int) -> tuple[int, ...]:
-    """The sign pattern of index m, from the scan's `_pattern_block`."""
-    return tuple(_intops._pattern_block(np.array([m], dtype=np.int64), d)[0].tolist())
+    """The sign pattern of index m, from the block-scan oracle's `_pattern_block`."""
+    return tuple(_pattern_block(np.array([m], dtype=np.int64), d)[0].tolist())
 
 
 def limb_candidates(rng: SplitMix64, d: int) -> CandidateSet:
@@ -165,7 +167,7 @@ class TestSelectBasis:
         def refuse(*args):
             raise AssertionError("a second mechanism ran")
 
-        monkeypatch.setattr(_intops, "SpanEngine", refuse)
+        monkeypatch.setattr(spansearch, "SpanEngine", refuse)
         monkeypatch.setattr(linalg, "rank", refuse)
         ls = lineset.loads(lineset.dumps(tremain))
         assert check_saturated(ls, override) == want
@@ -184,7 +186,7 @@ class TestEnumerateHexagon:
         ls = hexagon()
         cands = enumerate_candidates(ls, [0, 1])
         assert len(cands) == 1
-        assert cands.patterns.tolist() == [1]
+        assert list(cands.patterns) == [1]
         assert pattern_signs(1, 2) == (1, -1)
         assert candidate_coeffs(cands) == [(F(1), F(-1))]
 
@@ -246,7 +248,7 @@ class TestEnumerateTremain:
     def test_pattern_indices_sorted_unique(self, tremain):
         odd = list(range(1, 28, 2))
         cands = enumerate_candidates(tremain, odd)
-        ms = cands.patterns.tolist()
+        ms = list(cands.patterns)
         assert ms == sorted(ms)
         assert len(set(ms)) == len(ms)
         assert all(0 <= m < 1 << 13 for m in ms)
@@ -278,14 +280,14 @@ class TestEnumerateTremain:
             )
             want = enumerate_range_batch(w, t_target, 0, 1 << (len(basis) - 1))
             got = enumerate_candidates(ls, basis)
-            assert got.patterns.tolist() == want
+            assert list(got.patterns) == want
 
     def test_every_nonbasis_line_is_a_candidate(self, tremain):
         odd = list(range(1, 28, 2))
         cands = enumerate_candidates(tremain, odd)
         mapping = line_pattern_indices(tremain, odd)
         assert sorted(mapping) == [i for i in range(28) if i not in odd]
-        have = set(cands.patterns.tolist())
+        have = set(cands.patterns)
         assert set(mapping.values()) <= have
         g = build_compatibility_graph(cands, tremain, odd)
         verify_nonbasis_cover(tremain, odd, cands, g)
@@ -310,10 +312,10 @@ class TestNonbasisCover:
         g = build_compatibility_graph(cands, tremain, odd)
         mapping = line_pattern_indices(tremain, odd)
         cover = verify_nonbasis_cover(tremain, odd, cands, g)
-        where = {m: v for v, m in enumerate(cands.patterns.tolist())}
+        where = {m: v for v, m in enumerate(cands.patterns)}
         assert cover == [where[m] for m in mapping.values()]
         lines = list(mapping)
-        ms = cands.patterns.tolist()
+        ms = list(cands.patterns)
         lo, hi = min(mapping.values()), max(mapping.values())
         cases = [
             # two lines' patterns dropped: the first in line order is named
@@ -377,7 +379,7 @@ class TestCompatibilityGraph:
         cands = limb_candidates(SplitMix64(45), d=7)
         assert min(abs(x) for row in cands.w for x in row) >= 1 << 62
         assert len(_balanced_limbs(cands.w)) == 2
-        assert _intops._exact_array(cands.w).dtype == object
+        assert _exact_array(cands.w).dtype == object
         g = build_compatibility_graph(cands, single_line(), [0])
         assert g.n == 64 and g.edge_count() > 0
         # eps_i^T c_j = +-1 with c_j = W eps_j / L, in Fractions
@@ -390,7 +392,7 @@ class TestCompatibilityGraph:
 
     def test_multi_limb_duplicate_rejected(self):
         cands = limb_candidates(SplitMix64(46), d=5)
-        ms = cands.patterns.tolist()
+        ms = list(cands.patterns)
         for dup in ([ms[0], ms[0]], ms[:3] + ms[2:]):
             with pytest.raises(ValueError, match="strictly ascending"):
                 CandidateSet(dup, cands.w, cands.scale, cands.target)
@@ -442,7 +444,7 @@ class TestProgressAndThreads:
         parallel = enumerate_candidates(
             taylor, list(TAYLOR_BASIS), threads=3
         )
-        assert parallel.patterns.tolist() == serial.patterns.tolist()
+        assert list(parallel.patterns) == list(serial.patterns)
         assert len(serial) == 70
 
     def test_huge_thread_count_is_clamped(self, taylor, monkeypatch):
@@ -457,7 +459,7 @@ class TestProgressAndThreads:
         clamped = enumerate_candidates(
             taylor, list(TAYLOR_BASIS), threads=10**9
         )
-        assert clamped.patterns.tolist() == serial.patterns.tolist()
+        assert list(clamped.patterns) == list(serial.patterns)
 
 
 class TestTaylorSaturation:
@@ -466,7 +468,7 @@ class TestTaylorSaturation:
         assert len(cands) == 70
         mapping = line_pattern_indices(taylor, TAYLOR_BASIS)
         assert len(mapping) == 70
-        assert set(cands.patterns.tolist()) == set(mapping.values())
+        assert set(cands.patterns) == set(mapping.values())
         g = build_compatibility_graph(cands, taylor, TAYLOR_BASIS)
         assert g.n == 70 and g.edge_count() == 70 * 69 // 2
         verify_nonbasis_cover(taylor, TAYLOR_BASIS, cands, g)
@@ -480,7 +482,7 @@ class TestTaylorSaturation:
         assert report.clique_optimal is True
         assert report.saturated is True
         cands = enumerate_candidates(taylor, basis)
-        where = {m: v for v, m in enumerate(cands.patterns.tolist())}
+        where = {m: v for v, m in enumerate(cands.patterns)}
         cover = sorted(where[m] for m in line_pattern_indices(taylor, basis).values())
         assert report.clique_witness == tuple(cover)
 
@@ -498,7 +500,7 @@ class TestTaylorSaturation:
         finally:
             tracemalloc.stop()
         assert peak < 13.65e6 / 2, peak
-        e = _intops._pattern_block(cands.patterns, 20)
+        e = _pattern_block(cands.patterns, 20)
         dense = np.triu(np.abs(e @ np.array(cands.w) @ e.T) == cands.scale, 1)
         assert g == SimpleGraph.from_matrix(dense | dense.T)
         assert (g.n, g.edge_count()) == (1806, 517457)

@@ -1,11 +1,12 @@
 """Pinned PRNG stream, span closures, and randomized subset search."""
 
 import concurrent.futures
+import signal
 from fractions import Fraction
 
 import pytest
 
-from eqlines import _intops, linalg, lineset
+from eqlines import linalg, lineset, spansearch
 from eqlines.cli import main
 from eqlines._tables import E1_MINUS_E2, E1_MINUS_E3, VEC_C, VEC_C1, VEC_C2
 from eqlines.errors import OutOfRange, RankDeficient
@@ -74,6 +75,28 @@ class TestSplitMix64:
     def test_below_one(self):
         r = SplitMix64(5)
         assert r.below(1) == 0
+
+    def test_below_past_64_bits_raises(self):
+        """A bound past 2^64 has rejection limit 0, so no draw could be
+        accepted: it raises before drawing.  A real-time timer turns a
+        draw loop into a failure after 2 s (no thread or process)."""
+
+        def hang(signum, frame):
+            raise AssertionError("below() did not return")
+
+        r = SplitMix64(5)
+        old = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            assert 0 <= r.below(1 << 64) <= MASK64
+            state = r.state
+            for bound in ((1 << 64) + 1, 1 << 65, 0, -1):
+                with pytest.raises(ValueError, match=r"1\.\.2\^64"):
+                    r.below(bound)
+            assert r.state == state
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
 
     def test_run_seed_formula(self):
         for master in (0, 123456789, MASK64):
@@ -259,7 +282,7 @@ class TestRandomSearch:
         m_rows, _ = linalg.integer_scaled(taylor.gram)
         # taylor90 at rank 18 is decided in blocks of 80 draws, so 97
         # runs cross a block seam
-        assert _intops.SpanEngine(m_rows).block(18) == 80
+        assert spansearch.SpanEngine(m_rows).block(18) == 80
         oracle = PerDrawSpanEngine(m_rows)
         summary = random_search(taylor, target_rank=18, runs=runs, seed=5)
         assert len(summary.run_log) == runs
@@ -327,7 +350,7 @@ class TestTierCounts:
     )
     def test_seed0_split(self, name, rank, runs, split, request):
         ls = request.getfixturevalue(name)
-        engine = _intops.SpanEngine(linalg.integer_scaled(ls.gram)[0])
+        engine = spansearch.SpanEngine(linalg.integer_scaled(ls.gram)[0])
         assert engine.tier_counts == dict.fromkeys(
             ("float", "kernel", "singular", "modular", "exact"), 0
         )
@@ -345,12 +368,12 @@ class TestTierCounts:
         # the 133 seed-0 draws that tiers 1 and 2 leave open wait for a
         # whole block's worth (101 draws), so the residues take two
         # stacks of two primes per draw, not one stack per block of 101
-        engine = _intops.SpanEngine(linalg.integer_scaled(asche.gram)[0])
+        engine = spansearch.SpanEngine(linalg.integer_scaled(asche.gram)[0])
         _, subsets = _draw_block(0, 0, 5000, asche.n, 18)
         stacks = []
-        kernel = _intops._det_zero_mod
+        kernel = spansearch._det_zero_mod
         monkeypatch.setattr(
-            _intops, "_det_zero_mod",
+            spansearch, "_det_zero_mod",
             lambda a, p: stacks.append(len(a)) or kernel(a, p),
         )
         engine.members_many(subsets.tolist())
