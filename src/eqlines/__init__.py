@@ -20,6 +20,7 @@ from .errors import (
     NotPSD,
     NotSymmetric,
     OutOfRange,
+    OverLimit,
     RankDeficient,
     SingularMatrix,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "NotSymmetric",
     "OctadDesign",
     "OutOfRange",
+    "OverLimit",
     "RankDeficient",
     "RatMatrix",
     "Rational",

@@ -11,7 +11,9 @@ Each handler imports the modules it runs, so a call loads only what its
 subcommand needs: `construct` loads the constructions (and, for
 `from-graph6` only, the graph6 codec), `saturate` the saturation and
 clique modules, `search` numpy with the search module, and `validate`,
-`bound` and `info` neither.  Only `search` loads numpy.
+`bound` and `info` neither.  Only `search` loads numpy.  The package's
+records are plain `__slots__` classes (`_record.Record`), which generate
+no code on import and load no module that would.
 
 Every BLAS call in eqlines is a small stacked product of the span
 search (d <= 43), where a second BLAS thread never pays and its pool
@@ -39,6 +41,7 @@ from .errors import (
     NotABasis,
     NotPSD,
     OutOfRange,
+    OverLimit,
     RankDeficient,
 )
 from .linalg import format_rational, parse_rational
@@ -226,12 +229,17 @@ def _cmd_saturate(args: argparse.Namespace) -> int:
                 fh.write(maxclique.to_dimacs(graph))
 
     progress = None if args.json else _progress_printer("patterns")
-    report = saturation.check_saturated(
-        ls,
-        basis_override=basis,
-        progress=progress,
-        graph_sink=sink,
-    )
+    try:
+        report = saturation.check_saturated(
+            ls,
+            basis_override=basis,
+            progress=progress,
+            graph_sink=sink,
+            force=args.force,
+        )
+    except OverLimit as exc:
+        print(f"refusing: {exc}; pass --force to override", file=sys.stderr)
+        return EXIT_USAGE
     if args.json:
         _emit_json(report.to_dict())
     else:
@@ -395,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--work-ceiling", type=_ceiling, default=DEFAULT_WORK_CEILING,
                    help="refuse when 2^(rank-1) exceeds this (default 2^24)")
     p.add_argument("--force", action="store_true",
-                   help="run even above the work ceiling")
+                   help="run even above the work ceiling or the graph "
+                        "memory limit")
     add_threads(p, "accepted and ignored: saturation runs in one process")
     add_json(p)
     p.set_defaults(func=_cmd_saturate)

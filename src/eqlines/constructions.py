@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Generator, Iterable, Iterator, Optional, Sequence
 
+from ._record import Record
 from ._tables import (
     E1_MINUS_E2,
     E1_MINUS_E3,
@@ -43,11 +43,13 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OctadDesign:
+class OctadDesign(Record):
     """759 eight-point blocks over {1,...,24}; bit k-1 of a mask = point k."""
 
-    masks: tuple[int, ...]
+    __slots__ = _fields = ("masks",)
+
+    def __init__(self, masks: tuple[int, ...]):
+        object.__setattr__(self, "masks", masks)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -187,26 +189,27 @@ def generate_octads() -> OctadDesign:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TremainColumn:
+class TremainColumn(Record):
     """One unit column: three entries of squared weight 1/5 among rows 1-7
     (circle = +1, bullet = -1) plus one entry of squared weight 2/5 in star
     block row star_row (1-7).  Inner products stay rational:
     <w_i, w_j> = (circle_i . circle_j + 2*[star_row_i == star_row_j]) / 5.
     """
 
-    circle: tuple[int, ...]
-    star_row: int
+    __slots__ = _fields = ("circle", "star_row")
 
-    def __post_init__(self):
-        if len(self.circle) != 7:
+    def __init__(self, circle: tuple[int, ...], star_row: int):
+        if len(circle) != 7:
             raise ValueError("circle part must have 7 entries")
-        if any(x not in (-1, 0, 1) for x in self.circle):
+        if any(x not in (-1, 0, 1) for x in circle):
             raise ValueError("circle entries must be -1, 0, or +1")
-        if sum(abs(x) for x in self.circle) != 3:
+        if sum(abs(x) for x in circle) != 3:
             raise ValueError("exactly 3 circle entries must be nonzero")
-        if not 1 <= self.star_row <= 7:
+        if not 1 <= star_row <= 7:
             raise ValueError("star row must lie in 1..7")
+        put = object.__setattr__
+        put(self, "circle", circle)
+        put(self, "star_row", star_row)
 
     def inner(self, other: "TremainColumn") -> Fraction:
         d = _dot(self.circle, other.circle)

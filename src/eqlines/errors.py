@@ -47,3 +47,7 @@ class NotABasis(EqlinesError):
 
 class RankDeficient(EqlinesError):
     """A subset required to be linearly independent is not."""
+
+
+class OverLimit(EqlinesError):
+    """A computation would exceed a size limit that the caller did not lift."""

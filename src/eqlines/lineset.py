@@ -13,34 +13,34 @@ files it reads and writes use 1-based indices for human readability.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg
+from ._record import Record
 from .errors import HypothesisViolated, InvalidLineSet, NotSymmetric, OutOfRange
 from .linalg import RatMatrix, format_rational, parse_rational
 
 
-@dataclass(frozen=True)
-class SignMatrix:
+class SignMatrix(Record):
     """Symmetric n x n sign pattern: 0 on the diagonal, +-1 elsewhere."""
 
-    n: int
-    signs: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("n", "signs")
 
-    def __post_init__(self):
-        if len(self.signs) != self.n or any(len(r) != self.n for r in self.signs):
+    def __init__(self, n: int, signs: tuple[tuple[int, ...], ...]):
+        if len(signs) != n or any(len(r) != n for r in signs):
             raise ValueError("sign matrix has wrong shape")
-        for i in range(self.n):
-            if self.signs[i][i] != 0:
+        for i in range(n):
+            if signs[i][i] != 0:
                 raise ValueError(f"diagonal entry ({i},{i}) must be 0")
-            for j in range(i + 1, self.n):
-                if self.signs[i][j] not in (-1, 1):
+            for j in range(i + 1, n):
+                if signs[i][j] not in (-1, 1):
                     raise ValueError(f"off-diagonal entry ({i},{j}) must be +-1")
-                if self.signs[i][j] != self.signs[j][i]:
+                if signs[i][j] != signs[j][i]:
                     raise ValueError(f"sign matrix not symmetric at ({i},{j})")
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "signs", signs)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "SignMatrix":
@@ -70,16 +70,34 @@ def _rank_and_basis(gram: RatMatrix) -> tuple[int, Optional[tuple[int, ...]], bo
     return len(basis), basis, True
 
 
-@dataclass(frozen=True)
-class LineSet:
+# `LineSet._basis` before the basis is known
+_UNSET = object()
+
+
+class LineSet(Record):
     """n equiangular lines with angle alpha, as an exact Gram matrix."""
 
-    n: int
-    angle: Fraction
-    gram: RatMatrix
-    rank: int
-    coords: Optional[tuple[tuple[int, ...], ...]] = None
-    coords_norm_sq: Optional[int] = None
+    _fields = ("n", "angle", "gram", "rank", "coords", "coords_norm_sq")
+    # _basis caches `basis`; it takes no part in ==, hash or repr
+    __slots__ = _fields + ("_basis",)
+
+    def __init__(
+        self,
+        n: int,
+        angle: Fraction,
+        gram: RatMatrix,
+        rank: int,
+        coords: Optional[tuple[tuple[int, ...], ...]] = None,
+        coords_norm_sq: Optional[int] = None,
+    ):
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "angle", angle)
+        put(self, "gram", gram)
+        put(self, "rank", rank)
+        put(self, "coords", coords)
+        put(self, "coords_norm_sq", coords_norm_sq)
+        put(self, "_basis", _UNSET)
 
     @classmethod
     def from_gram(
@@ -121,14 +139,17 @@ class LineSet:
         )
         if symmetric:
             # the elimination that gave the rank found the basis: cache it
-            object.__setattr__(ls, "basis", basis)
+            object.__setattr__(ls, "_basis", basis)
         return ls
 
-    @cached_property
+    @property
     def basis(self) -> Optional[tuple[int, ...]]:
         """Each line, in order, outside the span of the lines kept before
-        it (`linalg.psd_basis`); None when the Gram matrix is not PSD."""
-        return linalg.psd_basis(self.gram)
+        it (`linalg.psd_basis`); None when the Gram matrix is not PSD.
+        Computed once."""
+        if self._basis is _UNSET:
+            object.__setattr__(self, "_basis", linalg.psd_basis(self.gram))
+        return self._basis
 
     @property
     def is_psd(self) -> bool:
@@ -181,19 +202,28 @@ def from_sign_matrix(s: SignMatrix, angle: Fraction) -> LineSet:
     return LineSet.from_gram(_sign_gram(s, angle), angle)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "passed", passed)
+        put(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    n: int
-    angle: Fraction
-    rank: int
-    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
+class ValidationReport(Record):
+    __slots__ = _fields = ("n", "angle", "rank", "checks")
+
+    def __init__(
+        self, n: int, angle: Fraction, rank: int,
+        checks: tuple[CheckResult, ...] = (),
+    ):
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "angle", angle)
+        put(self, "rank", rank)
+        put(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -290,10 +320,15 @@ def require_valid(ls: LineSet) -> None:
 
 
 def relative_bound(r: int, angle: Fraction) -> Fraction:
-    """Exact bound r(1 - a^2)/(1 - r a^2) on line counts at rank r."""
+    """Exact bound r(1 - a^2)/(1 - r a^2) on line counts at rank r, for
+    an angle a in (0, 1), the range `LineSet.from_gram` accepts."""
     angle = Fraction(angle)
     if r < 1:
         raise HypothesisViolated("rank must be at least 1")
+    if not 0 < angle < 1:
+        raise HypothesisViolated(
+            f"alpha must lie in (0, 1), got {format_rational(angle)}"
+        )
     a2 = angle * angle
     if Fraction(r) >= 1 / a2:
         raise HypothesisViolated(
@@ -308,11 +343,14 @@ def relative_bound_floor(r: int, angle: Fraction) -> int:
     return value.numerator // value.denominator
 
 
-@dataclass(frozen=True)
-class BoundsEntry:
-    d: int
-    lower: int
-    upper: int
+class BoundsEntry(Record):
+    __slots__ = _fields = ("d", "lower", "upper")
+
+    def __init__(self, d: int, lower: int, upper: int):
+        put = object.__setattr__
+        put(self, "d", d)
+        put(self, "lower", lower)
+        put(self, "upper", upper)
 
 
 def known_bounds(d: int) -> BoundsEntry:

@@ -24,8 +24,9 @@ exists, so identical inputs return identical witnesses and node counts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+from ._record import Record
 
 # binary digits in one block of `_transpose`
 _BLOCK_DIGITS = 1 << 20
@@ -46,27 +47,28 @@ def _transpose(adj: Sequence[int], n: int) -> list[int]:
     return cols
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(Record):
     """Undirected simple graph; adj[i] has bit j set iff ij is an edge."""
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = _fields = ("n", "adj")
 
-    def __post_init__(self):
-        if len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        if len(adj) != n:
             raise ValueError("adjacency must have one row per vertex")
-        full = (1 << self.n) - 1
-        for i, row in enumerate(self.adj):
+        full = (1 << n) - 1
+        for i, row in enumerate(adj):
             if row & ~full:
-                raise ValueError(f"row {i} has bits beyond vertex {self.n - 1}")
+                raise ValueError(f"row {i} has bits beyond vertex {n - 1}")
             if row >> i & 1:
                 raise ValueError(f"self-loop at vertex {i}")
-        for i, (row, col) in enumerate(zip(self.adj, _transpose(self.adj, self.n))):
+        for i, (row, col) in enumerate(zip(adj, _transpose(adj, n))):
             diff = (row ^ col) >> i + 1
             if diff:
                 j = i + (diff & -diff).bit_length()
                 raise ValueError(f"adjacency not symmetric at ({i},{j})")
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "adj", adj)
 
     @classmethod
     def from_matrix(cls, a: Sequence[Sequence]) -> "SimpleGraph":
@@ -106,16 +108,21 @@ class SimpleGraph:
         )
 
 
-@dataclass(frozen=True)
-class CliqueResult:
+class CliqueResult(Record):
     """nodes counts the candidate pools the search entered, the whole
     vertex set included: deterministic for a given graph and starting
     clique unless a time budget cut the search short."""
 
-    size: int
-    witness: tuple[int, ...]
-    optimal: bool
-    nodes: int = 0
+    __slots__ = _fields = ("size", "witness", "optimal", "nodes")
+
+    def __init__(
+        self, size: int, witness: tuple[int, ...], optimal: bool, nodes: int = 0
+    ):
+        put = object.__setattr__
+        put(self, "size", size)
+        put(self, "witness", witness)
+        put(self, "optimal", optimal)
+        put(self, "nodes", nodes)
 
 
 def _color_classes(nadj: Sequence[int], single: Sequence[int], pool: int) -> list[int]:

@@ -18,19 +18,22 @@ lexicographic order with + before -.  Indices into line sets are
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import _intops, linalg
-from .errors import HypothesisViolated, NotABasis, NotPSD
+from ._record import Record
+from .errors import HypothesisViolated, NotABasis, NotPSD, OverLimit
 from .lineset import LineSet, relative_bound_floor, require_valid
 from .maxclique import CliqueResult, SimpleGraph, max_clique
 
 ProgressSink = Callable[[int, int], None]
 
+# bytes of the K x K bit matrix of the compatibility graph, K^2/8, above
+# which check_saturated refuses to build it unless forced
+GRAPH_BYTES_LIMIT = 1 << 30
 
-@dataclass(frozen=True, eq=False)
-class CandidateSet:
+
+class CandidateSet(Record):
     """The K unit vectors meeting every basis line at +-alpha.
 
     patterns: the ascending pattern indices of the candidates, a tuple
@@ -39,33 +42,56 @@ class CandidateSet:
     any size, as the packed-lane kernels of `_intops` are exact at any
     width.  Candidate i is the vector with coordinates c = W eps_i / L
     over the basis lines, where eps_i is the sign pattern of patterns[i].
+    Two candidate sets are equal only when they are the same object.
     """
 
-    patterns: tuple[int, ...]
-    w: list[list[int]]
-    scale: int
-    target: int
+    __slots__ = _fields = ("patterns", "w", "scale", "target")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        ms = tuple(map(int, self.patterns))
+    def __init__(
+        self, patterns: tuple[int, ...], w: list[list[int]], scale: int,
+        target: int,
+    ):
+        ms = tuple(map(int, patterns))
         if any(a >= b for a, b in zip(ms, ms[1:])):
             raise ValueError("candidate patterns must be strictly ascending")
-        object.__setattr__(self, "patterns", ms)
+        put = object.__setattr__
+        put(self, "patterns", ms)
+        put(self, "w", w)
+        put(self, "scale", scale)
+        put(self, "target", target)
 
     def __len__(self) -> int:
         return len(self.patterns)
 
 
-@dataclass(frozen=True)
-class SaturationReport:
-    basis_indices: tuple[int, ...]
-    candidate_count: int
-    clique_number: int
-    n_bound: int
-    saturated: bool
-    clique_witness: tuple[int, ...]
-    clique_optimal: bool
-    total_patterns: int
+class SaturationReport(Record):
+    __slots__ = _fields = (
+        "basis_indices", "candidate_count", "clique_number", "n_bound",
+        "saturated", "clique_witness", "clique_optimal", "total_patterns",
+    )
+
+    def __init__(
+        self,
+        basis_indices: tuple[int, ...],
+        candidate_count: int,
+        clique_number: int,
+        n_bound: int,
+        saturated: bool,
+        clique_witness: tuple[int, ...],
+        clique_optimal: bool,
+        total_patterns: int,
+    ):
+        put = object.__setattr__
+        put(self, "basis_indices", basis_indices)
+        put(self, "candidate_count", candidate_count)
+        put(self, "clique_number", clique_number)
+        put(self, "n_bound", n_bound)
+        put(self, "saturated", saturated)
+        put(self, "clique_witness", clique_witness)
+        put(self, "clique_optimal", clique_optimal)
+        put(self, "total_patterns", total_patterns)
 
     def to_dict(self, one_based: bool = True) -> dict:
         off = 1 if one_based else 0
@@ -216,6 +242,7 @@ def check_saturated(
     progress: Optional[ProgressSink] = None,
     time_budget: Optional[float] = None,
     graph_sink: Optional[Callable[[SimpleGraph], None]] = None,
+    force: bool = False,
 ) -> SaturationReport:
     """Full pipeline; saturated iff len(basis) + omega equals ls.n.
 
@@ -237,10 +264,21 @@ def check_saturated(
     exceed the relative bound floor(R(d, alpha)), since the basis and the
     witness form an equiangular set of N lines at rank d.  Either
     failure raises HypothesisViolated.
+
+    The graph's bit matrix takes K^2/8 bytes for K candidates: above
+    GRAPH_BYTES_LIMIT the call raises OverLimit before building it,
+    unless force is true.
     """
     require_valid(ls)
     basis = select_basis(ls, basis_override)
     cands = enumerate_candidates(ls, basis, progress=progress)
+    k = len(cands)
+    if k * k > 8 * GRAPH_BYTES_LIMIT and not force:
+        raise OverLimit(
+            f"the compatibility graph on K = {k} candidates needs "
+            f"K^2/8 = {k * k // 8} bytes, above the limit of "
+            f"{GRAPH_BYTES_LIMIT}"
+        )
     graph = build_compatibility_graph(cands, ls, basis)
     if graph_sink is not None:
         graph_sink(graph)

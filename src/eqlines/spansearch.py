@@ -35,13 +35,13 @@ decides an answer.  This is the one module that loads numpy.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import prod
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import linalg
+from ._record import Record
 from .errors import OutOfRange, RankDeficient, SingularMatrix
 from .lineset import LineSet, validate
 
@@ -632,17 +632,30 @@ class SpanEngine:
         return members
 
 
-@dataclass(frozen=True)
-class SearchRun:
+class SearchRun(Record):
     """One draw: its subset and closure; rank 0 marks a rank-deficient
     draw, whose closure is not computed and counts as size 0."""
 
-    index: int
-    seed: int
-    subset: tuple[int, ...]
-    closure: tuple[int, ...]
-    closure_size: int
-    rank: int
+    __slots__ = _fields = (
+        "index", "seed", "subset", "closure", "closure_size", "rank",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        seed: int,
+        subset: tuple[int, ...],
+        closure: tuple[int, ...],
+        closure_size: int,
+        rank: int,
+    ):
+        put = object.__setattr__
+        put(self, "index", index)
+        put(self, "seed", seed)
+        put(self, "subset", subset)
+        put(self, "closure", closure)
+        put(self, "closure_size", closure_size)
+        put(self, "rank", rank)
 
     @property
     def rank_ok(self) -> bool:
@@ -661,14 +674,27 @@ class SearchRun:
         }
 
 
-@dataclass(frozen=True)
-class SearchSummary:
-    runs: int
-    target_rank: int
-    master_seed: int
-    best: Optional[SearchRun]
-    histogram: dict[int, int]
-    run_log: tuple[SearchRun, ...]
+class SearchSummary(Record):
+    __slots__ = _fields = (
+        "runs", "target_rank", "master_seed", "best", "histogram", "run_log",
+    )
+
+    def __init__(
+        self,
+        runs: int,
+        target_rank: int,
+        master_seed: int,
+        best: Optional[SearchRun],
+        histogram: dict[int, int],
+        run_log: tuple[SearchRun, ...],
+    ):
+        put = object.__setattr__
+        put(self, "runs", runs)
+        put(self, "target_rank", target_rank)
+        put(self, "master_seed", master_seed)
+        put(self, "best", best)
+        put(self, "histogram", histogram)
+        put(self, "run_log", run_log)
 
     def to_dict(self, one_based: bool = True) -> dict:
         return {
@@ -778,10 +804,13 @@ def orthogonal_complement(
     ls: LineSet, indices: Sequence[int]
 ) -> list[tuple[int, ...]]:
     """Primitive integer basis of the space orthogonal to the coordinate
-    vectors of the indexed lines.  Requires a coordinate-carrying set."""
+    vectors of the indexed lines (the standard basis when there are
+    none).  Requires a coordinate-carrying set."""
     if ls.coords is None:
         raise ValueError("line set carries no coordinate vectors")
-    rows = [[int(x) for x in ls.coords[i]] for i in indices]
-    kernel = linalg.kernel(linalg.RatMatrix.from_rows(rows))
+    idx = list(indices)
+    dim = len(ls.coords[0]) if ls.coords else 0
+    flat = [x for i in idx for x in ls.coords[i]]
+    kernel = linalg.kernel(linalg.RatMatrix.from_integers(len(idx), dim, flat, 1))
     return [tuple(int(x) for x in vec) for vec in kernel]
 

@@ -72,6 +72,16 @@ class TestBound:
         assert main(["bound", "49", "1/7"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [["0"], ["--", "-1/5"], ["1"]])
+    def test_alpha_outside_unit_interval(self, capsys, args):
+        """A refusal with exit 2 and one line on stderr, no traceback."""
+        assert main(["bound", "3", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: alpha must lie in (0, 1), got {args[-1]}\n"
+        )
+
     def test_bad_alpha(self):
         with pytest.raises(SystemExit) as exc:
             main(["bound", "40", "0.14"])
@@ -339,6 +349,32 @@ class TestSaturate:
         err = capsys.readouterr().err
         assert "refusing" in err and "--force" in err
 
+    def test_graph_memory_refusal_and_force(self, tremain_file, capsys,
+                                            monkeypatch):
+        """Above GRAPH_BYTES_LIMIT (K^2/8 bytes) the graph is refused
+        before it is built; --force builds it, with unchanged output."""
+        from eqlines import _intops, saturation
+
+        argv = ["saturate", tremain_file, "--json"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        # tremain14's default basis gives K = 431: 23,220 bytes
+        monkeypatch.setattr(saturation, "GRAPH_BYTES_LIMIT", 20_000)
+        real = _intops.pairwise_rows
+
+        def refused(*args):
+            raise AssertionError("graph built despite the limit")
+
+        monkeypatch.setattr(_intops, "pairwise_rows", refused)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "refusing" in captured.err and "K = 431" in captured.err
+        assert "23220 bytes" in captured.err and "--force" in captured.err
+        monkeypatch.setattr(_intops, "pairwise_rows", real)
+        assert main([*argv, "--force"]) == 0
+        assert capsys.readouterr().out == want
+
     def test_work_ceiling_power_syntax_and_force(self, tremain_file, capsys):
         code = main(
             ["saturate", tremain_file, "--work-ceiling", "2^6", "--force",
@@ -537,8 +573,8 @@ print(json.dumps(report))
 """
 
 # Runs one CLI call in a fresh interpreter and reports the eqlines
-# modules (and csv) it loaded, whether it loaded numpy, and the BLAS
-# thread variables as numpy began to load.
+# modules (and csv) it loaded, whether it loaded numpy, dataclasses and
+# inspect, and the BLAS thread variables as numpy began to load.
 LOAD_PROBE_SCRIPT = """
 import contextlib, io, json, os, sys
 
@@ -557,6 +593,8 @@ from eqlines.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps({"code": code, "blas": seen, "numpy": "numpy" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules,
+                  "inspect": "inspect" in sys.modules,
                   "modules": sorted(m for m in sys.modules
                                     if m.startswith("eqlines") or m == "csv")}))
 """
@@ -571,7 +609,9 @@ def test_import_budget(tmp_path):
     alone), saturate loads no numpy, with --json, with its human output
     and with --export-graph, search's numpy starts loading with one
     BLAS thread unless the caller set a thread count, and construct
-    asche72 does not load the graph6 codec."""
+    asche72 does not load the graph6 codec.  saturate, validate, bound,
+    info and construct load neither dataclasses nor inspect (each costs
+    start-up time), and search loads no dataclasses."""
     src = str(Path(eqlines.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -609,12 +649,13 @@ def test_import_budget(tmp_path):
         got = probe(["saturate", *argv])
         assert not unused & set(got["modules"]), got["modules"]
         assert not got["numpy"] and got["blas"] == {}, got
+        assert not got["dataclasses"] and not got["inspect"], got
     assert (tmp_path / "tremain.clq").read_text().startswith("p edge 431 ")
     argv = ["search", str(tmp_path / "asche.json"), "--rank", "18",
             "--runs", "3", "--seed", "0", "--json"]
     got = probe(argv)
     assert not unused & set(got["modules"]), got["modules"]
-    assert got["numpy"]
+    assert got["numpy"] and not got["dataclasses"], got
     assert got["blas"] == dict.fromkeys(BLAS_THREAD_VARS, "1")
     # only --csv loads the csv module
     got = probe([*argv, "--csv", str(tmp_path / "runs.csv")])
@@ -629,3 +670,8 @@ def test_import_budget(tmp_path):
     got = probe(["construct", "asche72"])
     assert "eqlines.constructions" in got["modules"]
     assert "eqlines.graph6" not in got["modules"], got["modules"]
+    assert not got["dataclasses"] and not got["inspect"], got
+    for argv in (["validate", str(tmp_path / "asche.json")],
+                 ["bound", "40", "1/7"], ["info", "20"]):
+        got = probe(argv)
+        assert not got["dataclasses"] and not got["inspect"], (argv, got)

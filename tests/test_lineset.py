@@ -167,6 +167,11 @@ class TestBounds:
             relative_bound(49, F(1, 7))
         with pytest.raises(HypothesisViolated):
             relative_bound(0, F(1, 5))
+        # alpha outside (0, 1): 0 divided by alpha^2, and -1/5 gave 36/11
+        with pytest.raises(HypothesisViolated, match=r"\(0, 1\), got 0"):
+            relative_bound(3, F(0))
+        with pytest.raises(HypothesisViolated, match=r"got -1/5"):
+            relative_bound(3, F(-1, 5))
 
     def test_known_bounds(self):
         assert known_bounds(18).lower == 56

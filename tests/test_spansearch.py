@@ -432,6 +432,13 @@ class TestOrthogonalComplement:
             aug = RatMatrix.from_rows(span_rows + [list(known)])
             assert linalg.rank(aug) == 6
 
+    def test_no_lines_give_the_whole_space(self, asche):
+        comp = orthogonal_complement(asche, [])
+        dim = len(asche.coords[0])
+        assert comp == [
+            tuple(int(i == j) for j in range(dim)) for i in range(dim)
+        ]
+
     def test_requires_coords(self):
         ls = hexagon()
         with pytest.raises(ValueError):
