@@ -8,13 +8,15 @@
 #   9d  exact PSD      vs numpy eigenvalues at 1e-9
 #   9e  fraction-free rank, inverse, kernel and candidate system
 #       vs the Fraction Gauss-Jordan oracles
-#   9f  stacked float64 singularity certificate vs the one-prime
-#       elimination oracle and the exact rank
+#   9f  singularity in the residue tiers (zero units of the stacked
+#       modular Gauss-Jordan) vs the one-prime elimination oracle and
+#       the exact rank
 #   9g  RatMatrix (numerators over one denominator) vs the
 #       Fraction-tuple matrix oracle
-#   9h  stacked modular span tier vs the exact tier and the per-draw
-#       span oracle (shipped sets, wide entries, a det divisible by a
-#       pool prime, draws just over the float tier's 2^53 budget)
+#   9h  the residue tiers' one round loop (singular and modular) vs
+#       the exact tier and the per-draw span oracle (shipped sets, wide
+#       entries, a det divisible by a pool prime, draws just over the
+#       float tier's 2^53 budget)
 #   9i  shared rank/PSD elimination (psd_basis, from_gram) vs the old
 #       PSD elimination oracle and the Gauss-Jordan rank (low-rank PSD,
 #       zero-diagonal pairs, indefinite, non-symmetric, zero, 0x0 and

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from . import linalg
@@ -292,12 +293,37 @@ def _invariant_checks(ls: LineSet) -> list[CheckResult]:
     return checks
 
 
+def _coords_check(ls: LineSet) -> CheckResult:
+    """coords_match_gram: x_i . x_j * den == N * nums[i*n + j] for every
+    i <= j, where the Gram matrix is nums / den and N, which must be
+    positive, is `coords_norm_sq`, or x_0 . x_0 when that is missing."""
+    xs, n, g = ls.coords, ls.n, ls.gram
+    norm = ls.coords_norm_sq
+    if norm is None and n:
+        norm = sum(map(mul, xs[0], xs[0]))
+    if n and norm <= 0:
+        return CheckResult("coords_match_gram", False,
+                           f"coordinate norm {norm} is not positive")
+    for i, u in enumerate(xs):
+        row = g.nums[i * n:(i + 1) * n]
+        for j in range(i, n):
+            dot = sum(map(mul, u, xs[j]))
+            if dot * g.den != norm * row[j]:
+                return CheckResult(
+                    "coords_match_gram", False,
+                    f"pair ({i},{j}): dot product {dot}, expected {norm * g[i, j]}",
+                )
+    return CheckResult("coords_match_gram", True)
+
+
 def validate(ls: LineSet) -> ValidationReport:
     """Check every defining invariant; failures are reported, not raised.
 
     The rank is recomputed by one fresh elimination (`_rank_and_basis`);
     the PSD check reads `is_psd`, which `from_gram` settled in the
-    elimination that gave the cached rank.
+    elimination that gave the cached rank.  A set that carries coordinate
+    vectors also gets `coords_match_gram`: their dot products over the
+    shared squared norm must be the Gram matrix.
     """
     checks = _invariant_checks(ls)
     rank_now, _, _ = _rank_and_basis(ls.gram)
@@ -306,6 +332,8 @@ def validate(ls: LineSet) -> ValidationReport:
         CheckResult("rank", rank_ok,
                     "" if rank_ok else f"cached {ls.rank}, recomputed {rank_now}")
     )
+    if ls.coords is not None:
+        checks.append(_coords_check(ls))
     return ValidationReport(ls.n, ls.angle, ls.rank, tuple(checks))
 
 

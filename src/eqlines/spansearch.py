@@ -28,8 +28,8 @@ integer adjugate, or an integer kernel vector of a singular block, that
 is then verified exactly (a failed verification falls through), or
 carries integers of at most 2^53, where float64 arithmetic is exact in
 any summation order (the verifications themselves, and the centred
-residues of `_det_zero_mod` and `_inverse_mod`); no tolerance ever
-decides an answer.  This is the one module that loads numpy.
+residues of `_inverse_mod`); no tolerance ever decides an answer.  This
+is the one module that loads numpy.
 """
 
 from __future__ import annotations
@@ -186,35 +186,6 @@ def _nonzero_rows(hits: np.ndarray) -> list[list[int]]:
     return [cols[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
-def _det_zero_mod(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Mask of the matrices of a (k, d, d) float64 stack of integers
-    (|entry| < 2^52) whose determinant is 0 modulo their own prime p[k]
-    (one 26-bit prime per matrix).
-
-    Fraction-free elimination over the whole stack at once: the pivot of
-    a column is its first nonzero entry, swapped to the top, and each
-    lower row r becomes pivot*row_r - a_r0*row_0, which scales the
-    determinant by a power of the pivot, a unit mod p.  So det == 0 mod p
-    iff some column has no nonzero pivot.  Every entry is kept centred
-    (`_centre`), so that every product and difference is an integer
-    below 2^52, exact in float64, and an entry is zero iff it is 0 mod p.
-    """
-    p = p.astype(np.float64)[:, None, None]
-    p_inv = 1.0 / p
-    a = _centre(a, p, p_inv)
-    zero = np.zeros(len(a), dtype=bool)
-    for _ in range(a.shape[1]):
-        piv = np.argmax(a[:, :, 0] != 0, axis=1)
-        swap = np.flatnonzero(piv)
-        if len(swap):
-            a[swap, 0], a[swap, piv[swap]] = a[swap, piv[swap]], a[swap, 0]
-        zero |= a[:, 0, 0] == 0
-        t = a[:, :1, :1] * a[:, 1:, 1:]
-        t -= a[:, 1:, :1] * a[:, :1, 1:]
-        a = _centre(t, p, p_inv)
-    return zero
-
-
 def _kernel_zero(a: np.ndarray, max_m: int) -> np.ndarray:
     """Mask of the matrices of a (k, d, d) float64 stack of integers
     (|entry| <= max_m) certified singular by an integer kernel vector.
@@ -315,14 +286,15 @@ class SpanEngine:
     2. kernel: a draw whose float det rounds to 0 is certified singular
        by `_kernel_zero` when one batched float solve proposes an
        integer w != 0 with max|w| * max_m * d <= 2^53 and A @ w == 0;
-    3. singular: for the draws left open, one stacked float64
-       elimination (`_det_zero_mod`) over every (draw, prime) pair
-       certifies a draw singular when det == 0 modulo each of the fewest
+    3. singular and 4. modular: the draws left open go through rounds of
+       one stacked modular Gauss-Jordan (`_inverse_mod`) over every
+       (draw, prime) pair of the round.  A draw first takes the fewest
        26-bit primes whose squared product exceeds its exact Hadamard
-       product (2 primes for asche72 at rank 18);
-    4. modular: the other draws go through one stacked modular
-       Gauss-Jordan (`_inverse_mod`) over every (draw, prime) pair, with
-       as many primes not dividing det as the value bounds ask for;
+       product (2 primes for asche72 at rank 18), and is certified
+       singular (tier 3) when each of them divides det.  Otherwise
+       every prime not dividing det is one membership vote, and the
+       draw takes more primes until it has as many votes as the value
+       bounds ask for (tier 4);
     5. exact: a draw the prime pool cannot cover goes through
        fraction-free integer elimination (`_members_exact`, through
        `linalg.integer_inverse`).
@@ -456,19 +428,6 @@ class SpanEngine:
         self._tiers[0] += len(take)
         return got, np.flatnonzero(open_)
 
-    def _members_residue(
-        self, sub: np.ndarray, left: np.ndarray, got: list[Optional[list[int]]]
-    ) -> None:
-        """Decide the draws sub[left] by tiers 3 to 5, into got."""
-        if not len(left):
-            return
-        singular = self._singular_mod(sub[left])
-        self._tiers[2] += int(singular.sum())
-        rest = left[~singular]
-        if len(rest):
-            for k, members in zip(rest.tolist(), self._members_modular(sub[rest])):
-                got[k] = members
-
     # -- tiers 3 and 4: multi-modular residues -----------------------------
 
     def _hadamard(self, sub: np.ndarray) -> list[int]:
@@ -484,102 +443,88 @@ class SpanEngine:
             ]
         return [prod(row) for row in norm_sq]
 
-    def _singular_mod(self, sub: np.ndarray) -> np.ndarray:
-        """Mask of the draws certified singular by residues.
+    def _members_residue(
+        self, sub: np.ndarray, left: np.ndarray, got: list[Optional[list[int]]]
+    ) -> None:
+        """Decide the draws sub[left] by tiers 3 to 5, into got.
 
-        A draw with Hadamard bound H needs the first t primes, t the least
-        count with (p_1...p_t)^2 > H: a nonzero det divisible by each of
-        them would have det^2 >= (p_1...p_t)^2 > H.  Every (draw, prime)
-        pair goes into one stacked `_det_zero_mod`, and a draw is certified
-        when det == 0 modulo all of its primes.  Every other draw, and any
-        draw whose bound outruns the prime pool, is left False.
-        """
-        need = np.array(
-            [bisect_right(_PRIME_SQ, h) for h in self._hadamard(sub)], dtype=np.intp
-        )
-        live = need < len(_PRIME_SQ)
-        # rows[t]: the live draws that need prime t
-        rows = [
-            np.flatnonzero(live & (need > t))
-            for t in range(max(need[live].tolist(), default=0))
-        ]
-        if not rows:
-            return live & (need == 0)  # a zero row: det == 0 outright
-        pairs = np.concatenate(rows)
-        primes = np.repeat(_PRIMES26[:len(rows)], [len(r) for r in rows])
-        stack = np.concatenate([
-            self._mod(p)[sub[r, :, None], sub[r, None, :]]
-            for p, r in zip(_PRIMES26, rows)
-        ])
-        zero = _det_zero_mod(stack, primes)
-        return live & (np.bincount(pairs[zero], minlength=len(sub)) == need)
-
-    def _members_modular(self, sub: np.ndarray) -> list[Optional[list[int]]]:
-        """Members of each draw from residues modulo the 26-bit primes.
-
+        Round by round, every open draw takes its next untried primes,
+        and one stacked `_inverse_mod` over the round's (draw, prime)
+        pairs gives t and Y = t A^-1 mod p.  A draw with Hadamard bound H
+        first takes the first `need` primes, the least count with
+        (p_1...p_need)^2 > H: when each of them divides det (t == 0), a
+        nonzero det would have det^2 >= (p_1...p_need)^2 > H, so the draw
+        is singular (need == 0 is a zero row, singular outright).
+        Otherwise every prime with t != 0 is a vote: t / det is a unit,
+        and row j survives p iff m_j^T Y m_j == t M_jj (mod p).
         m_j^T adj(A) m_j - M_jj det(A) is an integer of at most value_bits
-        bits (from the Hadamard bound), so it is zero iff it vanishes
-        modulo primes whose product exceeds 2^(value_bits + 2); each pool
-        prime exceeds 2^25.  Round by round, every draw short of primes
-        takes its next untried ones, and one stacked `_inverse_mod` over
-        the round's (draw, prime) pairs gives Y = t A^-1 mod p.  A prime
-        that divides det (t == 0) is skipped.  Otherwise t / det is a
-        unit, and row j survives p iff m_j^T Y m_j == t M_jj (mod p).  A
-        draw the pool cannot cover, or with d > 1024, goes to
-        `_members_exact`.
+        bits, so it is zero iff it vanishes modulo primes whose product
+        exceeds 2^(value_bits + 2); each pool prime exceeds 2^25, which
+        sets the votes a draw wants.  It takes one more prime per vote
+        still wanted until it has them.  A draw the pool cannot cover,
+        or with d > 1024, goes to `_members_exact`.
         """
-        count, d = sub.shape
-        short = np.zeros(count, dtype=np.intp)  # primes still needed
-        if d <= 1024:  # keeps every float64 form of `_forms_mod` in 2^52
-            for k, h in enumerate(self._hadamard(sub)):
-                value_bits = (
-                    (h.bit_length() + 1) // 2 + 2 * max(self.max_m.bit_length(), 1)
-                    + 2 * max(d, 1).bit_length() + 4
-                )
-                if value_bits + 2 <= _PRIME_BITS:
-                    short[k] = -(-(value_bits + 2) // _PRIME_LOG2)
-        modular = short > 0
+        if not len(left):
+            return
+        draws = sub[left]
+        count, d = draws.shape
+        need = np.empty(count, dtype=np.intp)
+        want = np.zeros(count, dtype=np.intp)
+        for k, h in enumerate(self._hadamard(draws)):
+            need[k] = bisect_right(_PRIME_SQ, h)
+            value_bits = (
+                (h.bit_length() + 1) // 2 + 2 * max(self.max_m.bit_length(), 1)
+                + 2 * max(d, 1).bit_length() + 4
+            )
+            # d <= 1024 keeps every float64 form of `_forms_mod` in 2^52
+            if d <= 1024 and value_bits + 2 <= _PRIME_BITS:
+                want[k] = -(-(value_bits + 2) // _PRIME_LOG2)
         tried = np.zeros(count, dtype=np.intp)
+        votes = np.zeros(count, dtype=np.intp)  # primes not dividing det
         alive = np.ones((count, self.n), dtype=bool)
-        todo = np.flatnonzero(modular)
         while True:
-            # a draw short of primes that the rest of the pool cannot
-            # cover is left to the exact tier
-            todo = todo[(short[todo] > 0)
-                        & (tried[todo] + short[todo] <= len(_PRIMES26))]
+            # a need past the pool's 24 primes is never met
+            singular = (votes == 0) & (tried >= need)
+            take = np.where(votes == 0, need - tried, want - votes)
+            # a draw the rest of the pool cannot cover stops here
+            take[singular | (tried + take > len(_PRIMES26))] = 0
+            todo = np.flatnonzero(take > 0)
             if not len(todo):
                 break
             # rows: each prime with the draws that try it in this round
             rows = [
-                (p, todo[(tried[todo] <= t) & (t < tried[todo] + short[todo])])
+                (p, todo[(tried[todo] <= t) & (t < tried[todo] + take[todo])])
                 for t, p in enumerate(_PRIMES26)
             ]
             rows = [(p, r) for p, r in rows if len(r)]
-            tried[todo] += short[todo]
+            tried += take
             y, unit = _inverse_mod(
                 np.concatenate([
-                    self._mod(p)[sub[r, :, None], sub[r, None, :]] for p, r in rows
+                    self._mod(p)[draws[r, :, None], draws[r, None, :]]
+                    for p, r in rows
                 ]),
                 np.repeat([p for p, _ in rows], [len(r) for _, r in rows]),
             )
             lo = 0
             for p, r in rows:
                 y_p, unit_p = y[lo:lo + len(r)], unit[lo:lo + len(r)]
-                good = unit_p != 0  # a prime dividing det is skipped
-                alive[r[good]] &= self._forms_mod(
-                    sub[r[good]], y_p[good], unit_p[good], p
-                )
-                short[r[good]] -= 1
                 lo += len(r)
-        done = np.flatnonzero(modular & (short == 0))
-        got: list[Optional[list[int]]] = [None] * count
-        for k, members in zip(done.tolist(), _nonzero_rows(alive[done])):
+                good = unit_p != 0  # a prime dividing det is skipped
+                votes[r[good]] += 1
+                vote = good & (want[r] > 0)
+                if vote.any():
+                    alive[r[vote]] &= self._forms_mod(
+                        draws[r[vote]], y_p[vote], unit_p[vote], p
+                    )
+        done = (want > 0) & (votes == want)
+        for k, members in zip(left[done].tolist(), _nonzero_rows(alive[done])):
             got[k] = members
-        for k in np.flatnonzero(~modular | (short > 0)).tolist():
+        exact = ~(singular | done)
+        for k in left[exact].tolist():
             got[k] = self._members_exact(sub[k].tolist())
-        self._tiers[3] += len(done)
-        self._tiers[4] += count - len(done)
-        return got
+        self._tiers[2] += int(singular.sum())
+        self._tiers[3] += int(done.sum())
+        self._tiers[4] += int(exact.sum())
 
     def _forms_mod(
         self, sub: np.ndarray, y: np.ndarray, unit: np.ndarray, p: int
@@ -805,10 +750,13 @@ def orthogonal_complement(
 ) -> list[tuple[int, ...]]:
     """Primitive integer basis of the space orthogonal to the coordinate
     vectors of the indexed lines (the standard basis when there are
-    none).  Requires a coordinate-carrying set."""
+    none).  Requires a coordinate-carrying set, and raises IndexError
+    for an index outside 0..n-1."""
     if ls.coords is None:
         raise ValueError("line set carries no coordinate vectors")
     idx = list(indices)
+    if any(not 0 <= i < ls.n for i in idx):
+        raise IndexError("line index out of range")
     dim = len(ls.coords[0]) if ls.coords else 0
     flat = [x for i in idx for x in ls.coords[i]]
     kernel = linalg.kernel(linalg.RatMatrix.from_integers(len(idx), dim, flat, 1))

@@ -12,10 +12,10 @@ products, the vectorized block scan over sign patterns that the
 meet-in-the-middle engine replaced, the per-draw span membership that
 the stacked blocks of `SpanEngine.members_many` replaced (with its
 per-matrix `_det_inverse_mod`, which the stacked `_inverse_mod`
-replaced), the
-one-prime-at-a-time stacked determinant and Hadamard bit count that
-`_det_zero_mod` and the exact Hadamard bound replaced, the scalar
-subset sampler that the vectorised draws of `random_search` replaced,
+replaced, and `residue_members`, which runs the engine's residue tiers
+alone), the one-prime-at-a-time stacked determinant and Hadamard bit
+count that the units of `_inverse_mod` and the exact Hadamard bound
+replaced, the scalar subset sampler that the vectorised draws of `random_search` replaced,
 an inverse of the SplitMix64 finalizer, and the greedy scan over all
 8-subsets that `generate_octads` replaced (it runs a pruned search up
 to the 78th block and takes the weight-8 words of the blocks' span),
@@ -846,6 +846,17 @@ class PerDrawSpanEngine(SpanEngine):
                 return np.nonzero(alive)[0].tolist()
         # prime pool exhausted without certification either way
         return self._members_exact(subset)
+
+
+def residue_members(
+    engine: SpanEngine, subsets: Sequence[Sequence[int]]
+) -> list[Optional[list[int]]]:
+    """The answers of tiers 3 to 5 of `engine` (`_members_residue`) on
+    every draw, with no float tier in front."""
+    sub = np.array(subsets, dtype=np.intp)
+    got: list[Optional[list[int]]] = [None] * len(sub)
+    engine._members_residue(sub, np.arange(len(sub)), got)
+    return got
 
 
 def greedy_octads() -> tuple[int, ...]:

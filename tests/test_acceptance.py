@@ -84,6 +84,7 @@ from oracles import (
     matvec,
     pairwise_hits,
     psd_by_minors,
+    residue_members,
     sample_subset,
     sign_patterns,
 )
@@ -652,21 +653,23 @@ def _near_half_stack(rng: SplitMix64, k: int, d: int):
 
 
 def test_criterion_9f_stacked_singular_vs_exact_rank():
-    """The stacked float64 elimination `_det_zero_mod` agrees with the
-    one-prime `_det_mod_many` oracle on 300 seeded matrices with residues
-    near +-p/2, pivot swaps and rows dependent mod p only; and
-    `SpanEngine._singular_mod` certifies exactly the draws that
-    `linalg.rank` finds singular (nullities 0-3), for Gram entries that
-    are small, about 2^30 (above every prime) and about 2^32 (an engine
-    that is not `small`), and leaves the det = P0 boundary uncertified."""
+    """The stacked modular Gauss-Jordan `_inverse_mod` gives a zero unit
+    exactly where the one-prime `_det_mod_many` oracle finds det == 0
+    mod p, on 300 seeded matrices with residues near +-p/2, pivot swaps
+    and rows dependent mod p only; and the residue tiers
+    (`SpanEngine._members_residue`) certify singular exactly the draws
+    that `linalg.rank` finds singular (nullities 0-3), for Gram entries
+    that are small, about 2^30 (above every prime) and about 2^32 (an
+    engine that is not `small`), and leave the det = P0 boundary
+    uncertified."""
     rng = SplitMix64(9006)
     swaps = zero_mod_p = 0
     for _ in range(50):
         d = 1 + rng.below(7)
         stack, primes = _near_half_stack(rng, 6, d)
         want = [_det_mod_many(a[None], p)[0] == 0 for a, p in zip(stack, primes)]
-        got = spansearch._det_zero_mod(stack.astype(np.float64), np.array(primes))
-        assert got.tolist() == want
+        unit = spansearch._inverse_mod(stack.astype(np.float64), np.array(primes))[1]
+        assert (unit == 0).tolist() == want
         zero_mod_p += sum(want)
         swaps += sum(a[0, 0] % p == 0 for a, p in zip(stack, primes))
     assert min(zero_mod_p, swaps) >= 20
@@ -693,19 +696,22 @@ def test_criterion_9f_stacked_singular_vs_exact_rank():
                     [[m_rows[i][j] for j in draw] for i in draw]))
                 nullities.add(nullity)
                 want.append(nullity > 0)
-            assert engine._singular_mod(sub).tolist() == want
+            got = residue_members(engine, sub.tolist())
+            assert [g is None for g in got] == want
+            assert engine.tier_counts["singular"] == sum(want)
     assert nullities == {0, 1, 2, 3}
 
     p0 = spansearch._PRIMES26[0]
     boundary = spansearch.SpanEngine([[1, 0], [0, p0]])
-    assert boundary._singular_mod(np.array([[0, 1]])).tolist() == [False]
+    assert residue_members(boundary, [[0, 1]]) == [[0, 1]]
+    assert boundary.tier_counts["singular"] == 0
 
 
 def _assert_modular_tier_agrees(m_rows, subsets):
-    """The stacked modular tier, called directly on the draws, against
-    `_members_exact` and the per-draw oracle; returns its answers."""
+    """The residue tiers, called directly on the draws, against
+    `_members_exact` and the per-draw oracle; returns their answers."""
     engine = spansearch.SpanEngine(m_rows)
-    got = engine._members_modular(np.array(subsets, dtype=np.intp))
+    got = residue_members(engine, subsets)
     assert got == [engine._members_exact(s) for s in subsets]
     assert got == PerDrawSpanEngine(m_rows).members_many(subsets)
     return got
@@ -714,8 +720,8 @@ def _assert_modular_tier_agrees(m_rows, subsets):
 def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
     tremain, taylor, asche, monkeypatch
 ):
-    """The stacked modular tier `SpanEngine._members_modular`, called
-    directly, agrees with `_members_exact` and the per-draw
+    """The residue tiers `SpanEngine._members_residue`, called
+    directly, agree with `_members_exact` and the per-draw
     `PerDrawSpanEngine` oracle: on random subsets of the shipped sets,
     singular and rank-deficient ones included; on Gram entries widened
     by 2^22 (residue digits within the float tier's range), 2^29 and
@@ -752,8 +758,10 @@ def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
                         lambda a, p: rounds.append(p.tolist()) or kernel(a, p))
     assert _assert_modular_tier_agrees(m_rows, [[0, 1]]) == [[0, 1, 2]]
     primes = spansearch._PRIMES26
-    need = len(rounds[0])
-    assert rounds == [list(primes[:need]), [primes[need]]]
+    # the Hadamard bound P0^2 takes 2 primes first: P0 divides det and
+    # P1 is the first vote of the 4 the value bound wants, so the draw
+    # takes 3 more primes next
+    assert rounds == [list(primes[:2]), list(primes[2:5])]
     monkeypatch.undo()
 
     # draw [0] of M = [[x, 0, x], [0, 1, 0], [x, 0, x]] has det x and
@@ -886,7 +894,8 @@ def test_criterion_9k_kernel_certificate_vs_exact_rank(
     zero = np.flatnonzero(np.abs(np.linalg.det(a)) < 0.5)
     kernel = zero[spansearch._kernel_zero(a[zero], engine.max_m)]
     assert (len(zero), len(kernel)) == (2274, 2141)
-    assert engine._singular_mod(sub[kernel]).all()
+    assert residue_members(engine, sub[kernel]) == [None] * len(kernel)
+    assert engine.tier_counts["singular"] == len(kernel)
 
 
 def _greedy_rank_basis(m: RatMatrix) -> tuple[int, ...]:

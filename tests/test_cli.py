@@ -221,14 +221,35 @@ class TestValidate:
         assert main(["validate", tremain_file]) == 0
         out = capsys.readouterr().out
         assert "PASS: 28 lines, rank 14, angle 1/5" in out
-        assert out.count(": ok") == 5
+        # five invariants, and coords_match_gram for its coordinates
+        assert out.count(": ok") == 6
+        assert "coords_match_gram: ok" in out
 
     def test_json(self, tremain_file, capsys):
         assert main(["validate", tremain_file, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is True
         assert doc["n"] == 28
-        assert len(doc["checks"]) == 5
+        assert len(doc["checks"]) == 6
+
+    def test_coords_contradicting_signs(self, asche_file, tmp_path, capsys):
+        doc = json.loads(Path(asche_file).read_text())
+        row = doc["coords"][0]
+        doc["coords"][0] = [-x for x in row[:12]] + row[12:]
+        path = tmp_path / "bad_coords.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert ("coords_match_gram: FAIL (pair (0,1): dot product -40, "
+                "expected 16)") in out
+        assert out.count(": ok") == 5 and "FAIL: 72 lines" in out
+        # search's emitted set goes through validate too, so it is refused
+        best = tmp_path / "best.json"
+        argv = ["search", str(path), "--rank", "18", "--runs", "12", "--seed", "0",
+                "--json", "--emit-best", str(best)]
+        assert main(argv) == 2
+        assert "coords_match_gram" in capsys.readouterr().err
+        assert not best.exists()
 
     def test_fail_not_psd(self, tmp_path, capsys):
         # 3 lines at pairwise angle arccos(2/3) cannot exist in any rank:

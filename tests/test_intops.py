@@ -20,6 +20,7 @@ from oracles import (
     direct_unit_patterns,
     enumerate_range_batch,
     pairwise_hits,
+    residue_members,
     sample_subset,
     sign_patterns,
 )
@@ -372,7 +373,8 @@ class TestDetInverseMod:
 
 class TestDetModMany:
     """The stacked eliminations, the one-prime `_det_mod_many` oracle and
-    the float64 `_det_zero_mod`, against the per-matrix `_det_inverse_mod`."""
+    the units of the float64 `_inverse_mod`, against the per-matrix
+    `_det_inverse_mod`."""
 
     @staticmethod
     def assert_matches(stack):
@@ -380,10 +382,10 @@ class TestDetModMany:
             got = _det_mod_many(stack, p)
             want = [_det_inverse_mod(a, p)[0] for a in stack]
             assert got.tolist() == want
-            zero = spansearch._det_zero_mod(
+            _, unit = spansearch._inverse_mod(
                 stack.astype(np.float64), np.full(len(stack), p)
             )
-            assert zero.tolist() == [w == 0 for w in want]
+            assert (unit == 0).tolist() == [w == 0 for w in want]
 
     def test_random_stacks_with_row_swaps(self):
         rng = SplitMix64(31)
@@ -547,7 +549,7 @@ class TestSpanEngine:
             want = self._oracle(m_rows, subset)
             assert engine.members(subset) == want
             assert engine._members_exact(subset) == want
-            assert engine._members_modular(np.array([subset])) == [want]
+            assert residue_members(engine, [subset]) == [want]
 
     def test_modular_tier_on_huge_entries(self):
         rng = SplitMix64(29)
@@ -642,10 +644,11 @@ class TestStackedSpan:
             lambda a: inv(a) + 0.75 / np.linalg.det(a)[..., None, None],
         )
         asked = []
-        modular = engine._members_modular
+        residue = engine._members_residue
         monkeypatch.setattr(
-            engine, "_members_modular",
-            lambda sub: asked.extend(sub.tolist()) or modular(sub),
+            engine, "_members_residue",
+            lambda sub, left, got: asked.extend(sub[left].tolist())
+            or residue(sub, left, got),
         )
         assert engine.members_many(subsets) == want
         assert asked == nonsingular
@@ -662,15 +665,49 @@ class TestStackedSpan:
         assert engine._hadamard(sub) == [42**18] * 60
         assert spansearch._PRIME_SQ[1] < 42**18 < spansearch._PRIME_SQ[2]
         moduli = []
-        kernel = spansearch._det_zero_mod
+        kernel = spansearch._inverse_mod
         monkeypatch.setattr(
-            spansearch, "_det_zero_mod",
+            spansearch, "_inverse_mod",
             lambda a, p: moduli.append(p.tolist()) or kernel(a, p),
         )
-        singular = engine._singular_mod(sub)
-        assert 0 < singular.sum() < 60
+        got = residue_members(engine, sub)
+        singular = engine.tier_counts["singular"]
+        assert 0 < singular < 60 and got.count(None) == singular
         primes = spansearch._PRIMES26
-        assert moduli == [[primes[0]] * 60 + [primes[1]] * 60]
+        # the first round takes two primes for every draw; each
+        # nonsingular draw has two votes of the three it wants, and
+        # takes the third prime next
+        assert moduli == [
+            [primes[0]] * 60 + [primes[1]] * 60, [primes[2]] * (60 - singular)
+        ]
+
+    def test_first_round_primes_count_as_votes(self, monkeypatch):
+        # lines 0 and 1 have a Gram block of det P0; line 2 is their sum.
+        # The Hadamard bound P0^2 takes primes 0 and 1 in the first
+        # round: P0 divides det and is skipped, P1 is the first vote, and
+        # the value bound wants 4 votes, so the next round takes 3 primes
+        vectors = [
+            (1, 0, 0, 0, 0, 0),
+            (0, *P0_VECTOR, 0),
+            (1, *P0_VECTOR, 0),
+            (0, 0, 0, 0, 0, 1),
+        ]
+        engine = spansearch.SpanEngine(gram_from_vectors(vectors))
+        rounds, votes = [], []
+        kernel, forms = spansearch._inverse_mod, engine._forms_mod
+        monkeypatch.setattr(
+            spansearch, "_inverse_mod",
+            lambda a, p: rounds.append(p.tolist()) or kernel(a, p),
+        )
+        monkeypatch.setattr(
+            engine, "_forms_mod",
+            lambda sub, y, unit, p: votes.append(p) or forms(sub, y, unit, p),
+        )
+        assert residue_members(engine, [[0, 1]]) == [[0, 1, 2]]
+        primes = spansearch._PRIMES26
+        assert rounds == [list(primes[:2]), list(primes[2:5])]
+        assert votes == list(primes[1:5])
+        assert engine.tier_counts["modular"] == 1
 
     def test_det_equal_to_first_prime_is_not_singular(self):
         # lines 0 and 1 have a Gram block of det P0; line 2 is their sum
@@ -682,8 +719,9 @@ class TestStackedSpan:
         ]
         m_rows = gram_from_vectors(vectors)
         engine = spansearch.SpanEngine(m_rows)
-        assert engine._singular_mod(np.array([[0, 1], [0, 2]])).tolist() == [False, False]
-        assert engine._singular_mod(np.array([[1, 2, 0]])).tolist() == [True]
+        assert residue_members(engine, [[0, 1], [0, 2]]) == [[0, 1, 2]] * 2
+        assert residue_members(engine, [[1, 2, 0]]) == [None]
+        assert engine.tier_counts["singular"] == 1
         # scaled past 2^31 the draw skips the float tier (det P0 * 2^62)
         wide = [[x << 31 for x in row] for row in m_rows]
         engine, oracle = self.engines(wide)

@@ -142,6 +142,45 @@ class TestValidate:
         report = validate(LineSet(2, HALF, g, 1))
         assert any(c.name == "rank" and not c.passed for c in report.checks)
 
+    @staticmethod
+    def half_negated(ls: LineSet) -> dict:
+        """The JSON form of ls with the first half of row 0 of its
+        coordinates negated: its signs and Gram matrix are unchanged."""
+        doc = json.loads(lineset.dumps(ls))
+        row = doc["coords"][0]
+        half = len(row) // 2
+        doc["coords"][0] = [-x for x in row[:half]] + row[half:]
+        return doc
+
+    def test_coords_match_gram(self, asche):
+        report = validate(asche)
+        assert report.passed
+        assert [c.name for c in report.checks][-1] == "coords_match_gram"
+        bad = lineset.from_json_dict(self.half_negated(asche))
+        assert bad.gram == asche.gram
+        report = validate(bad)
+        assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
+            ("coords_match_gram", "pair (0,1): dot product -40, expected 16")
+        ]
+
+    def test_coords_norm_defaults_to_first_row(self, asche):
+        # without coords_norm_sq, N is x_0 . x_0 = 80
+        ls = LineSet.from_gram(asche.gram, asche.angle, asche.coords)
+        assert ls.coords_norm_sq is None and validate(ls).passed
+        doubled = [tuple(2 * x for x in v) for v in asche.coords]
+        assert validate(LineSet.from_gram(asche.gram, asche.angle, doubled)).passed
+        # a wrong declared norm, one doubled row, and all-zero coordinates
+        cases = [
+            (asche.coords, 81, "pair (0,0): dot product 80, expected 81"),
+            (doubled[:1] + list(asche.coords[1:]), None,
+             "pair (0,1): dot product 32, expected 64"),
+            ([(0,) * 24] * asche.n, None, "coordinate norm 0 is not positive"),
+        ]
+        for coords, norm, detail in cases:
+            ls = LineSet.from_gram(asche.gram, asche.angle, coords, norm)
+            assert [(c.name, c.detail) for c in validate(ls).checks
+                    if not c.passed] == [("coords_match_gram", detail)]
+
     def test_report_dict(self):
         d = validate(hexagon()).to_dict()
         assert d["passed"] is True

@@ -371,9 +371,9 @@ class TestTierCounts:
         engine = spansearch.SpanEngine(linalg.integer_scaled(asche.gram)[0])
         _, subsets = _draw_block(0, 0, 5000, asche.n, 18)
         stacks = []
-        kernel = spansearch._det_zero_mod
+        kernel = spansearch._inverse_mod
         monkeypatch.setattr(
-            spansearch, "_det_zero_mod",
+            spansearch, "_inverse_mod",
             lambda a, p: stacks.append(len(a)) or kernel(a, p),
         )
         engine.members_many(subsets.tolist())
@@ -443,6 +443,14 @@ class TestOrthogonalComplement:
         ls = hexagon()
         with pytest.raises(ValueError):
             orthogonal_complement(ls, [0])
+
+    @pytest.mark.parametrize("bad", [[-1], [0, 90], [3, -90]])
+    def test_index_out_of_range(self, taylor, bad):
+        # a negative index would otherwise pick a line from the end
+        with pytest.raises(IndexError, match="line index out of range"):
+            orthogonal_complement(taylor, bad)
+        with pytest.raises(IndexError, match="line index out of range"):
+            span_closure(taylor, bad)
 
     def test_is_orthogonal_simple(self, taylor):
         # VEC_C lies in the complement of all 90 lines; a line's own
