@@ -210,7 +210,8 @@ def _cmd_saturate(args: argparse.Namespace) -> int:
     from . import maxclique, saturation
 
     ls = _load_lineset(args.file)
-    patterns = 1 << (ls.rank - 1)
+    # a rank-0 set scans nothing; check_saturated refuses it
+    patterns = 1 << (ls.rank - 1) if ls.rank else 0
     if patterns > args.work_ceiling and not args.force:
         print(
             f"refusing: 2^{ls.rank - 1} = {patterns} sign patterns exceed "

@@ -48,9 +48,6 @@ class OctadDesign(Record):
 
     __slots__ = _fields = ("masks",)
 
-    def __init__(self, masks: tuple[int, ...]):
-        object.__setattr__(self, "masks", masks)
-
     def __len__(self) -> int:
         return len(self.masks)
 
@@ -207,9 +204,7 @@ class TremainColumn(Record):
             raise ValueError("exactly 3 circle entries must be nonzero")
         if not 1 <= star_row <= 7:
             raise ValueError("star row must lie in 1..7")
-        put = object.__setattr__
-        put(self, "circle", circle)
-        put(self, "star_row", star_row)
+        super().__init__(circle, star_row)
 
     def inner(self, other: "TremainColumn") -> Fraction:
         d = _dot(self.circle, other.circle)

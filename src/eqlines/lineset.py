@@ -39,9 +39,7 @@ class SignMatrix(Record):
                     raise ValueError(f"off-diagonal entry ({i},{j}) must be +-1")
                 if signs[i][j] != signs[j][i]:
                     raise ValueError(f"sign matrix not symmetric at ({i},{j})")
-        put = object.__setattr__
-        put(self, "n", n)
-        put(self, "signs", signs)
+        super().__init__(n, signs)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "SignMatrix":
@@ -71,34 +69,14 @@ def _rank_and_basis(gram: RatMatrix) -> tuple[int, Optional[tuple[int, ...]], bo
     return len(basis), basis, True
 
 
-# `LineSet._basis` before the basis is known
-_UNSET = object()
-
-
 class LineSet(Record):
     """n equiangular lines with angle alpha, as an exact Gram matrix."""
 
     _fields = ("n", "angle", "gram", "rank", "coords", "coords_norm_sq")
-    # _basis caches `basis`; it takes no part in ==, hash or repr
+    _defaults = (None, None)
+    # _basis caches `basis`, unset until it is known; it takes no part
+    # in ==, hash or repr
     __slots__ = _fields + ("_basis",)
-
-    def __init__(
-        self,
-        n: int,
-        angle: Fraction,
-        gram: RatMatrix,
-        rank: int,
-        coords: Optional[tuple[tuple[int, ...], ...]] = None,
-        coords_norm_sq: Optional[int] = None,
-    ):
-        put = object.__setattr__
-        put(self, "n", n)
-        put(self, "angle", angle)
-        put(self, "gram", gram)
-        put(self, "rank", rank)
-        put(self, "coords", coords)
-        put(self, "coords_norm_sq", coords_norm_sq)
-        put(self, "_basis", _UNSET)
 
     @classmethod
     def from_gram(
@@ -148,9 +126,12 @@ class LineSet(Record):
         """Each line, in order, outside the span of the lines kept before
         it (`linalg.psd_basis`); None when the Gram matrix is not PSD.
         Computed once."""
-        if self._basis is _UNSET:
-            object.__setattr__(self, "_basis", linalg.psd_basis(self.gram))
-        return self._basis
+        try:
+            return self._basis
+        except AttributeError:
+            basis = linalg.psd_basis(self.gram)
+            object.__setattr__(self, "_basis", basis)
+            return basis
 
     @property
     def is_psd(self) -> bool:
@@ -205,26 +186,12 @@ def from_sign_matrix(s: SignMatrix, angle: Fraction) -> LineSet:
 
 class CheckResult(Record):
     __slots__ = _fields = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str = ""):
-        put = object.__setattr__
-        put(self, "name", name)
-        put(self, "passed", passed)
-        put(self, "detail", detail)
+    _defaults = ("",)
 
 
 class ValidationReport(Record):
     __slots__ = _fields = ("n", "angle", "rank", "checks")
-
-    def __init__(
-        self, n: int, angle: Fraction, rank: int,
-        checks: tuple[CheckResult, ...] = (),
-    ):
-        put = object.__setattr__
-        put(self, "n", n)
-        put(self, "angle", angle)
-        put(self, "rank", rank)
-        put(self, "checks", checks)
+    _defaults = ((),)
 
     @property
     def passed(self) -> bool:
@@ -373,12 +340,6 @@ def relative_bound_floor(r: int, angle: Fraction) -> int:
 
 class BoundsEntry(Record):
     __slots__ = _fields = ("d", "lower", "upper")
-
-    def __init__(self, d: int, lower: int, upper: int):
-        put = object.__setattr__
-        put(self, "d", d)
-        put(self, "lower", lower)
-        put(self, "upper", upper)
 
 
 def known_bounds(d: int) -> BoundsEntry:

@@ -66,9 +66,7 @@ class SimpleGraph(Record):
             if diff:
                 j = i + (diff & -diff).bit_length()
                 raise ValueError(f"adjacency not symmetric at ({i},{j})")
-        put = object.__setattr__
-        put(self, "n", n)
-        put(self, "adj", adj)
+        super().__init__(n, adj)
 
     @classmethod
     def from_matrix(cls, a: Sequence[Sequence]) -> "SimpleGraph":
@@ -114,15 +112,7 @@ class CliqueResult(Record):
     clique unless a time budget cut the search short."""
 
     __slots__ = _fields = ("size", "witness", "optimal", "nodes")
-
-    def __init__(
-        self, size: int, witness: tuple[int, ...], optimal: bool, nodes: int = 0
-    ):
-        put = object.__setattr__
-        put(self, "size", size)
-        put(self, "witness", witness)
-        put(self, "optimal", optimal)
-        put(self, "nodes", nodes)
+    _defaults = (0,)
 
 
 def _color_classes(nadj: Sequence[int], single: Sequence[int], pool: int) -> list[int]:

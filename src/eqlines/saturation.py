@@ -56,11 +56,7 @@ class CandidateSet(Record):
         ms = tuple(map(int, patterns))
         if any(a >= b for a, b in zip(ms, ms[1:])):
             raise ValueError("candidate patterns must be strictly ascending")
-        put = object.__setattr__
-        put(self, "patterns", ms)
-        put(self, "w", w)
-        put(self, "scale", scale)
-        put(self, "target", target)
+        super().__init__(ms, w, scale, target)
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -71,27 +67,6 @@ class SaturationReport(Record):
         "basis_indices", "candidate_count", "clique_number", "n_bound",
         "saturated", "clique_witness", "clique_optimal", "total_patterns",
     )
-
-    def __init__(
-        self,
-        basis_indices: tuple[int, ...],
-        candidate_count: int,
-        clique_number: int,
-        n_bound: int,
-        saturated: bool,
-        clique_witness: tuple[int, ...],
-        clique_optimal: bool,
-        total_patterns: int,
-    ):
-        put = object.__setattr__
-        put(self, "basis_indices", basis_indices)
-        put(self, "candidate_count", candidate_count)
-        put(self, "clique_number", clique_number)
-        put(self, "n_bound", n_bound)
-        put(self, "saturated", saturated)
-        put(self, "clique_witness", clique_witness)
-        put(self, "clique_optimal", clique_optimal)
-        put(self, "total_patterns", total_patterns)
 
     def to_dict(self, one_based: bool = True) -> dict:
         off = 1 if one_based else 0
@@ -249,7 +224,8 @@ def check_saturated(
     A line set that fails a check of `validate` (symmetry, unit
     diagonal, off-diagonal entries +-alpha, positive semidefiniteness)
     is refused with InvalidLineSet before any work; the rank computed on
-    load is trusted.
+    load is trusted, and a set of rank 0 (no lines) is refused with
+    HypothesisViolated.
 
     The input's own non-basis lines must appear among the candidates and
     be pairwise compatible (hence the bound can never fall below ls.n);
@@ -270,6 +246,8 @@ def check_saturated(
     unless force is true.
     """
     require_valid(ls)
+    if ls.rank < 1:
+        raise HypothesisViolated("saturation needs a line set of rank at least 1")
     basis = select_basis(ls, basis_override)
     cands = enumerate_candidates(ls, basis, progress=progress)
     k = len(cands)

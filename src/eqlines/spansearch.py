@@ -43,7 +43,7 @@ import numpy as np
 from . import linalg
 from ._record import Record
 from .errors import OutOfRange, RankDeficient, SingularMatrix
-from .lineset import LineSet, validate
+from .lineset import LineSet, _coords_check, require_valid, validate
 
 # entries of the (runs, n) permutation that one `_draw_block` call
 # shuffles: random_search draws chunks of whole blocks about this size
@@ -585,23 +585,6 @@ class SearchRun(Record):
         "index", "seed", "subset", "closure", "closure_size", "rank",
     )
 
-    def __init__(
-        self,
-        index: int,
-        seed: int,
-        subset: tuple[int, ...],
-        closure: tuple[int, ...],
-        closure_size: int,
-        rank: int,
-    ):
-        put = object.__setattr__
-        put(self, "index", index)
-        put(self, "seed", seed)
-        put(self, "subset", subset)
-        put(self, "closure", closure)
-        put(self, "closure_size", closure_size)
-        put(self, "rank", rank)
-
     @property
     def rank_ok(self) -> bool:
         return self.rank > 0
@@ -623,23 +606,6 @@ class SearchSummary(Record):
     __slots__ = _fields = (
         "runs", "target_rank", "master_seed", "best", "histogram", "run_log",
     )
-
-    def __init__(
-        self,
-        runs: int,
-        target_rank: int,
-        master_seed: int,
-        best: Optional[SearchRun],
-        histogram: dict[int, int],
-        run_log: tuple[SearchRun, ...],
-    ):
-        put = object.__setattr__
-        put(self, "runs", runs)
-        put(self, "target_rank", target_rank)
-        put(self, "master_seed", master_seed)
-        put(self, "best", best)
-        put(self, "histogram", histogram)
-        put(self, "run_log", run_log)
 
     def to_dict(self, one_based: bool = True) -> dict:
         return {
@@ -687,8 +653,10 @@ def random_search(
     with singular Gram blocks are recorded at histogram size 0.
     progress (if given) receives (done, runs) once for each block of
     draws, as each chunk of blocks is logged, ending at (runs, runs);
-    runs = 0 reports nothing.
+    runs = 0 reports nothing.  A line set that fails a check of
+    `lineset.require_valid` is refused with InvalidLineSet first.
     """
+    require_valid(ls)
     if not 1 <= target_rank <= ls.rank:
         raise OutOfRange(
             f"target rank must lie in 1..{ls.rank}, got {target_rank}"
@@ -750,13 +718,18 @@ def orthogonal_complement(
 ) -> list[tuple[int, ...]]:
     """Primitive integer basis of the space orthogonal to the coordinate
     vectors of the indexed lines (the standard basis when there are
-    none).  Requires a coordinate-carrying set, and raises IndexError
-    for an index outside 0..n-1."""
+    none).  Requires a coordinate-carrying set whose coordinates match
+    its Gram matrix (`lineset._coords_check`; ValueError naming the
+    first failing pair otherwise), and raises IndexError for an index
+    outside 0..n-1."""
     if ls.coords is None:
         raise ValueError("line set carries no coordinate vectors")
     idx = list(indices)
     if any(not 0 <= i < ls.n for i in idx):
         raise IndexError("line index out of range")
+    check = _coords_check(ls)
+    if not check.passed:
+        raise ValueError(f"line set fails {check.name} ({check.detail})")
     dim = len(ls.coords[0]) if ls.coords else 0
     flat = [x for i in idx for x in ls.coords[i]]
     kernel = linalg.kernel(linalg.RatMatrix.from_integers(len(idx), dim, flat, 1))

@@ -430,6 +430,17 @@ class TestSaturate:
             main(["saturate", tremain_file, "--basis", "0,1,2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("extra", [[], ["--work-ceiling", "0"]])
+    def test_rank_zero_refused(self, tmp_path, capsys, extra):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"n": 0, "angle": "1/3", "signs": []}))
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["saturate", str(path), "--json", *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: saturation needs a line set of rank at least 1\n"
+
     @pytest.mark.parametrize(
         "doc,failed",
         [
@@ -477,6 +488,35 @@ class TestSearch:
         assert min(best["closure"]) >= 1
         assert len(doc["complement"]) == 6
         assert all(len(v) == 24 for v in doc["complement"])
+
+    def test_invalid_input_refused_like_saturate(self, tmp_path, capsys):
+        # four lines pairwise at -1/2 exist in no rank
+        signs = [[0 if i == j else -1 for j in range(4)] for i in range(4)]
+        path = tmp_path / "not_psd.json"
+        path.write_text(json.dumps({"n": 4, "angle": "1/2", "signs": signs}))
+        assert main(["validate", str(path)]) == 1
+        capsys.readouterr()
+        argv = ["search", str(path), "--rank", "2", "--runs", "5", "--seed", "0",
+                "--json"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(
+            "validation failure: line set fails positive_semidefinite"
+        )
+
+    def test_coords_contradicting_gram_refused(self, asche_file, tmp_path,
+                                               capsys):
+        doc = json.loads(Path(asche_file).read_text())
+        row = doc["coords"][0]
+        doc["coords"][0] = [-x for x in row[:12]] + row[12:]
+        path = tmp_path / "bad_coords.json"
+        path.write_text(json.dumps(doc))
+        assert main(["search", str(path), *self.ARGS, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: line set fails coords_match_gram (pair (0,1): "
+                       "dot product -40, expected 16)\n")
 
     def test_negative_runs_rejected(self, asche_file, capsys):
         argv = ["search", asche_file, "--rank", "18", "--runs", "-3",

@@ -1,10 +1,15 @@
 """The package's thirteen immutable records: construction, immutability,
 equality and the checks their constructors make."""
 
+import importlib
+import pkgutil
+import re
 from fractions import Fraction as F
 
 import pytest
 
+import eqlines
+from eqlines._record import Record
 from eqlines.constructions import OctadDesign, TremainColumn
 from eqlines.linalg import RatMatrix
 from eqlines.lineset import (
@@ -75,6 +80,46 @@ def test_construction_with_defaults(cls, required, defaults, hashable, changed):
         assert fields_of(obj, want) == want
         assert not hasattr(obj, "__dict__")
     assert repr(positional).startswith(f"{cls.__name__}(")
+
+
+@params
+def test_argument_binding_errors(cls, required, defaults, hashable, changed):
+    # the cases Python's own argument binding rejects, each naming the
+    # offending argument where it has one
+    want = {**required, **defaults}
+    first, last = list(required)[0], list(required)[-1]
+    with pytest.raises(TypeError):
+        cls(*want.values(), 0)
+    with pytest.raises(TypeError, match="'bogus'"):
+        cls(**required, bogus=1)
+    with pytest.raises(TypeError, match=re.escape(repr(first))):
+        cls(required[first], **required)
+    with pytest.raises(TypeError, match=re.escape(repr(last))):
+        cls(*list(required.values())[:-1])
+    with pytest.raises(TypeError, match=re.escape(repr(first))):
+        cls(**{k: v for k, v in want.items() if k != first})
+
+
+def test_keyword_default_after_positional_fields():
+    check = CheckResult("x", True, detail="d")
+    assert (check.name, check.passed, check.detail) == ("x", True, "d")
+    # a later default given by keyword leaves the earlier one at its default
+    ls = LineSet(2, HALF, GRAM, 2, coords_norm_sq=3)
+    assert ls.coords is None and ls.coords_norm_sq == 3
+    assert CliqueResult(2, (0, 1), True, nodes=4).nodes == 4
+
+
+def test_every_record_is_in_the_table():
+    for info in pkgutil.iter_modules(eqlines.__path__):
+        importlib.import_module(f"eqlines.{info.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    package = {c for c in found if c.__module__.startswith("eqlines.")}
+    assert package == {r[0] for r in RECORDS}
 
 
 @params

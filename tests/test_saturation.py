@@ -551,6 +551,13 @@ class TestInputGate:
         with pytest.raises(InvalidLineSet, match=failed):
             check_saturated(ls)
 
+    def test_rank_zero_refused(self):
+        # the empty set passes validate, but has no pattern to scan
+        ls = lineset.from_json_dict({"n": 0, "angle": "1/3", "signs": []})
+        assert lineset.validate(ls).passed and ls.rank == 0
+        with pytest.raises(HypothesisViolated, match="rank at least 1"):
+            check_saturated(ls)
+
     def test_valid_input_skips_the_rank_recompute(self, monkeypatch):
         def no_rank(m):
             raise AssertionError("rank is recomputed")

@@ -1,6 +1,7 @@
 """Pinned PRNG stream, span closures, and randomized subset search."""
 
 import concurrent.futures
+import re
 import signal
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from eqlines import linalg, lineset, spansearch
 from eqlines.cli import main
 from eqlines._tables import E1_MINUS_E2, E1_MINUS_E3, VEC_C, VEC_C1, VEC_C2
-from eqlines.errors import OutOfRange, RankDeficient
+from eqlines.errors import InvalidLineSet, OutOfRange, RankDeficient
 from eqlines.lineset import LineSet
 from eqlines.linalg import RatMatrix
 from eqlines.spansearch import (
@@ -299,6 +300,14 @@ class TestRandomSearch:
         with pytest.raises(OutOfRange):
             random_search(taylor, target_rank=21, runs=1, seed=0)
 
+    def test_invalid_input_refused(self):
+        # four lines pairwise at -1/2: the Gram matrix has eigenvalue -1/2
+        signs = [[0 if i == j else -1 for j in range(4)] for i in range(4)]
+        ls = lineset.from_json_dict({"n": 4, "angle": "1/2", "signs": signs})
+        assert not lineset.validate(ls).passed
+        with pytest.raises(InvalidLineSet, match="positive_semidefinite"):
+            random_search(ls, target_rank=2, runs=5, seed=0)
+
     def test_negative_runs_rejected(self, taylor):
         with pytest.raises(OutOfRange, match="runs"):
             random_search(taylor, target_rank=18, runs=-3, seed=0)
@@ -443,6 +452,17 @@ class TestOrthogonalComplement:
         ls = hexagon()
         with pytest.raises(ValueError):
             orthogonal_complement(ls, [0])
+
+    def test_coords_contradicting_gram(self, asche):
+        coords = [list(row) for row in asche.coords]
+        coords[0] = [-x for x in coords[0][:12]] + coords[0][12:]
+        bad = LineSet.from_gram(asche.gram, asche.angle, coords,
+                                asche.coords_norm_sq)
+        # the whole set is checked, not only the indexed lines
+        want = ("line set fails coords_match_gram (pair (0,1): dot product "
+                "-40, expected 16)")
+        with pytest.raises(ValueError, match=re.escape(want)):
+            orthogonal_complement(bad, [1, 2])
 
     @pytest.mark.parametrize("bad", [[-1], [0, 90], [3, -90]])
     def test_index_out_of_range(self, taylor, bad):
