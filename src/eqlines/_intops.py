@@ -40,6 +40,15 @@ _GUARD_DIGIT = bytes.maketrans(b"\x00\x80", b"01")
 _DIGIT_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def pattern_index(signs: Sequence[int]) -> int:
+    """Pattern index m of the +-1 vector signs, up to global sign: that
+    of its multiple whose first sign is +1, by this module's bit rule."""
+    m = 0
+    for s in signs[1:]:
+        m = m << 1 | (s != signs[0])
+    return m
+
+
 # --------------------------------------------------------------------------
 # scaled candidate system
 

@@ -116,8 +116,7 @@ def _progress_printer(label: str):
 
 
 def _load_lineset(path: str) -> lineset.LineSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return lineset.loads(fh.read())
+    return lineset.load(path)
 
 
 # --------------------------------------------------------------------------
@@ -240,6 +239,10 @@ def _cmd_saturate(args: argparse.Namespace) -> int:
         )
     except OverLimit as exc:
         print(f"refusing: {exc}; pass --force to override", file=sys.stderr)
+        return EXIT_USAGE
+    except IndexError as exc:
+        # a --basis index past the last line
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.json:
         _emit_json(report.to_dict())

@@ -139,24 +139,13 @@ class LineSet(Record):
 
     def sign_matrix(self) -> SignMatrix:
         """Sign pattern of the off-diagonal entries (gram = I + alpha*S)."""
-        g = self.gram
-        a = g.numerator_of(self.angle)
-        rows = []
-        for i in range(self.n):
-            row = []
-            for j, x in enumerate(g.nums[i * self.n : (i + 1) * self.n]):
-                if i == j:
-                    row.append(0)
-                elif x == a:
-                    row.append(1)
-                elif a is not None and x == -a:
-                    row.append(-1)
-                else:
-                    raise ValueError(
-                        f"entry ({i},{j}) = {g[i, j]} is not +-{self.angle}"
-                    )
-            rows.append(tuple(row))
-        return SignMatrix(self.n, tuple(rows))
+        n, signs = self.n, _alpha_signs(self)
+        if None in signs:
+            i, j = divmod(signs.index(None), n)
+            raise ValueError(
+                f"entry ({i},{j}) = {self.gram[i, j]} is not +-{self.angle}"
+            )
+        return SignMatrix(n, tuple(tuple(signs[i:i + n]) for i in range(0, n * n, n)))
 
     def restrict(self, indices: Sequence[int]) -> "LineSet":
         """Principal submatrix on the given line indices, rank recomputed."""
@@ -168,6 +157,18 @@ class LineSet(Record):
         if self.coords is not None:
             coords = [self.coords[i] for i in idx]
         return LineSet.from_gram(sub, self.angle, coords, self.coords_norm_sq)
+
+
+def _alpha_signs(ls: LineSet) -> list[Optional[int]]:
+    """The Gram matrix read as +-alpha, row-major: 0 on the diagonal,
+    +1 or -1 where an off-diagonal entry is +alpha or -alpha, and None
+    where it is neither."""
+    n, g = ls.n, ls.gram
+    a = g.numerator_of(ls.angle)
+    sign = {} if a is None else {-a: -1, a: 1}
+    signs = [sign.get(x) for x in g.nums]
+    signs[::n + 1] = [0] * n
+    return signs
 
 
 def _sign_gram(s: SignMatrix, angle: Fraction) -> RatMatrix:
@@ -235,16 +236,14 @@ def _invariant_checks(ls: LineSet) -> list[CheckResult]:
             break
     checks.append(CheckResult("unit_diagonal", diag_ok, diag_detail))
 
-    a = g.numerator_of(ls.angle)
+    signs = _alpha_signs(ls)
     off_ok, off_detail = True, ""
     for i in range(n):
-        for j in range(i + 1, n):
-            x = nums[i * n + j]
-            if a is None or (x != a and x != -a):
-                off_ok = False
-                off_detail = f"entry ({i},{j}) = {g[i, j]}, expected +-{ls.angle}"
-                break
-        if not off_ok:
+        row = signs[i * n + i + 1:(i + 1) * n]
+        if None in row:
+            j = i + 1 + row.index(None)
+            off_ok = False
+            off_detail = f"entry ({i},{j}) = {g[i, j]}, expected +-{ls.angle}"
             break
     checks.append(CheckResult("off_diagonal_pm_alpha", off_ok, off_detail))
 
@@ -286,14 +285,16 @@ def _coords_check(ls: LineSet) -> CheckResult:
 def validate(ls: LineSet) -> ValidationReport:
     """Check every defining invariant; failures are reported, not raised.
 
-    The rank is recomputed by one fresh elimination (`_rank_and_basis`);
-    the PSD check reads `is_psd`, which `from_gram` settled in the
-    elimination that gave the cached rank.  A set that carries coordinate
+    The PSD check reads `is_psd`, and a symmetric PSD set's rank is the
+    count of pivot rows in `basis`, both from the elimination `from_gram`
+    cached (a set built without it is eliminated once); any other set's
+    rank is recomputed by `linalg.rank`.  A set that carries coordinate
     vectors also gets `coords_match_gram`: their dot products over the
     shared squared norm must be the Gram matrix.
     """
     checks = _invariant_checks(ls)
-    rank_now, _, _ = _rank_and_basis(ls.gram)
+    # the last invariant check is positive_semidefinite
+    rank_now = len(ls.basis) if checks[-1].passed else linalg.rank(ls.gram)
     rank_ok = rank_now == ls.rank
     checks.append(
         CheckResult("rank", rank_ok,
@@ -306,7 +307,7 @@ def validate(ls: LineSet) -> ValidationReport:
 
 def require_valid(ls: LineSet) -> None:
     """Raise InvalidLineSet naming every failed check of `validate`,
-    apart from its rank recompute (the rank was computed on load)."""
+    apart from its rank check (the rank was computed on load)."""
     failed = [c for c in _invariant_checks(ls) if not c.passed]
     if failed:
         raise InvalidLineSet("line set fails " + "; ".join(

@@ -9,10 +9,9 @@ own size.
 
 All decisions are exact, on Python ints: the scan and the graph run on
 the packed lanes of `_intops`, and no module of the pipeline imports
-numpy.  Patterns are indexed by m in [0, 2^(d-1)): the first sign is +1
-and sign t (t >= 1) is +1 iff bit (d-1-t) of m is 0, so ascending m is
-lexicographic order with + before -.  Indices into line sets are
-0-based throughout the API.
+numpy.  Patterns are indexed by m in [0, 2^(d-1)), first sign +1, by
+the bit rule of `_intops` (`_intops.pattern_index`).  Indices into line
+sets are 0-based throughout the API.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Callable, Optional, Sequence
 from . import _intops, linalg
 from ._record import Record
 from .errors import HypothesisViolated, NotABasis, NotPSD, OverLimit
-from .lineset import LineSet, relative_bound_floor, require_valid
+from .lineset import LineSet, _alpha_signs, relative_bound_floor, require_valid
 from .maxclique import CliqueResult, SimpleGraph, max_clique
 
 ProgressSink = Callable[[int, int], None]
@@ -68,15 +67,14 @@ class SaturationReport(Record):
         "saturated", "clique_witness", "clique_optimal", "total_patterns",
     )
 
-    def to_dict(self, one_based: bool = True) -> dict:
-        off = 1 if one_based else 0
+    def to_dict(self) -> dict:
         return {
-            "basis": [i + off for i in self.basis_indices],
+            "basis": [i + 1 for i in self.basis_indices],
             "candidate_count": self.candidate_count,
             "clique_number": self.clique_number,
             "N": self.n_bound,
             "saturated": self.saturated,
-            "clique_witness": [i + off for i in self.clique_witness],
+            "clique_witness": [i + 1 for i in self.clique_witness],
             "clique_optimal": self.clique_optimal,
             "total_patterns": self.total_patterns,
         }
@@ -150,36 +148,22 @@ def build_compatibility_graph(
 
 
 def line_pattern_indices(ls: LineSet, basis: Sequence[int]) -> dict[int, int]:
-    """Pattern index of each non-basis line's sign vector over the basis,
-    normalized to first sign +1."""
-    alpha = ls.angle
-    d = len(basis)
-    n, nums = ls.n, ls.gram.nums
-    a = ls.gram.numerator_of(alpha)
+    """Pattern index (`_intops.pattern_index`) of each non-basis line's
+    sign vector over the basis."""
+    n, signs = ls.n, _alpha_signs(ls)
     out: dict[int, int] = {}
     basis_set = set(basis)
-    for j in range(ls.n):
+    for j in range(n):
         if j in basis_set:
             continue
-        signs = []
-        for k in basis:
-            x = nums[j * n + k]
-            if x == a:
-                signs.append(1)
-            elif a is not None and x == -a:
-                signs.append(-1)
-            else:
-                raise HypothesisViolated(
-                    f"line {j} meets basis line {k} at {ls.gram[j, k]}, "
-                    f"not +-{alpha}"
-                )
-        if signs[0] == -1:
-            signs = [-s for s in signs]
-        m = 0
-        for t in range(1, d):
-            if signs[t] == -1:
-                m |= 1 << (d - 1 - t)
-        out[j] = m
+        row = [signs[j * n + k] for k in basis]
+        if None in row:
+            k = basis[row.index(None)]
+            raise HypothesisViolated(
+                f"line {j} meets basis line {k} at {ls.gram[j, k]}, "
+                f"not +-{ls.angle}"
+            )
+        out[j] = _intops.pattern_index(row)
     return out
 
 

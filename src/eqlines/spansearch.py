@@ -589,13 +589,12 @@ class SearchRun(Record):
     def rank_ok(self) -> bool:
         return self.rank > 0
 
-    def to_dict(self, one_based: bool = True) -> dict:
-        off = 1 if one_based else 0
+    def to_dict(self) -> dict:
         return {
             "run": self.index,
             "seed": self.seed,
-            "subset": [i + off for i in self.subset],
-            "closure": [i + off for i in self.closure],
+            "subset": [i + 1 for i in self.subset],
+            "closure": [i + 1 for i in self.closure],
             "closure_size": self.closure_size,
             "rank": self.rank,
             "rank_ok": self.rank_ok,
@@ -607,12 +606,12 @@ class SearchSummary(Record):
         "runs", "target_rank", "master_seed", "best", "histogram", "run_log",
     )
 
-    def to_dict(self, one_based: bool = True) -> dict:
+    def to_dict(self) -> dict:
         return {
             "runs": self.runs,
             "target_rank": self.target_rank,
             "seed": self.master_seed,
-            "best": None if self.best is None else self.best.to_dict(one_based),
+            "best": None if self.best is None else self.best.to_dict(),
             "histogram": {
                 str(k): self.histogram[k] for k in sorted(self.histogram)
             },

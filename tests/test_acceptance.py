@@ -918,7 +918,9 @@ def test_criterion_9i_shared_rank_psd_elimination():
     zero rows (a zero diagonal left after the positive pivots, not PSD),
     indefinite symmetric, non-symmetric (which `psd_basis` refuses), and
     zero, 0x0 and 1x1 matrices.  On PSD input its pivot rows are the
-    greedy leftmost basis by principal-block rank."""
+    greedy leftmost basis by principal-block rank.  On every kind the
+    `rank` check of `validate` passes, on the set `from_gram` built and
+    on one built by hand with the Gauss-Jordan rank."""
     rng = SplitMix64(9009)
     seen = dict.fromkeys(["low_rank_psd", "zero_diagonal_pair", "indefinite",
                           "non_symmetric", "zero", "1x1"], 0)
@@ -954,6 +956,9 @@ def test_criterion_9i_shared_rank_psd_elimination():
         rank = linalg.rank(m)
         ls = LineSet.from_gram(m, F(1, 3))
         assert ls.rank == rank
+        for built in (ls, LineSet(n, F(1, 3), m, rank)):
+            checks = validate(built).checks
+            assert [(c.name, c.passed) for c in checks][-1] == ("rank", True)
         if kind == "non_symmetric":
             with pytest.raises(NotSymmetric):
                 linalg.psd_basis(m)

@@ -430,6 +430,14 @@ class TestSaturate:
             main(["saturate", tremain_file, "--basis", "0,1,2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", [[], ["--json"]])
+    def test_index_past_last_line_rejected(self, tremain_file, capsys, flag):
+        basis = self.BASIS.replace("28", "99")
+        assert main(["saturate", tremain_file, "--basis", basis, *flag]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: basis index out of range\n"
+
     @pytest.mark.parametrize("extra", [[], ["--work-ceiling", "0"]])
     def test_rank_zero_refused(self, tmp_path, capsys, extra):
         path = tmp_path / "empty.json"

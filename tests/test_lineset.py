@@ -142,6 +142,21 @@ class TestValidate:
         report = validate(LineSet(2, HALF, g, 1))
         assert any(c.name == "rank" and not c.passed for c in report.checks)
 
+    def test_loaded_set_not_eliminated_again(self, monkeypatch, asche,
+                                             best56):
+        """validate takes a loaded PSD set's rank from the pivot rows
+        that loading cached: no psd_basis or Gauss-Jordan rank runs."""
+        loaded = [lineset.loads(lineset.dumps(ls)) for ls in (asche, best56)]
+
+        def refuse(*args):
+            raise AssertionError("a second elimination ran")
+
+        monkeypatch.setattr(linalg, "psd_basis", refuse)
+        monkeypatch.setattr(linalg, "rank", refuse)
+        for ls, rank in zip(loaded, (19, 18)):
+            report = validate(ls)
+            assert report.passed and report.rank == rank
+
     @staticmethod
     def half_negated(ls: LineSet) -> dict:
         """The JSON form of ls with the first half of row 0 of its

@@ -111,6 +111,14 @@ class TestPatternSigns:
         assert pattern_signs(0b100, 4) == (1, -1, 1, 1)
         assert pattern_signs(0b001, 4) == (1, 1, 1, -1)
 
+    def test_pattern_index_inverts_signs(self):
+        # every first-plus pattern, and its negation, maps back to its index
+        for d in range(1, 11):
+            pats = _pattern_block(np.arange(1 << (d - 1), dtype=np.int64), d)
+            for m, eps in enumerate(pats.tolist()):
+                assert _intops.pattern_index(eps) == m
+                assert _intops.pattern_index([-x for x in eps]) == m
+
 
 class TestSelectBasis:
     def test_hexagon_default(self):

@@ -326,8 +326,8 @@ class TestRandomSearch:
         assert best["run"] == summary.best.index  # run numbers stay 0-based
         assert min(best["subset"]) >= 1  # line indices shift to 1-based
         assert best["closure_size"] == summary.best.closure_size
-        zero = summary.best.to_dict(one_based=False)
-        assert zero["subset"] == list(summary.best.subset)
+        assert best["subset"] == [i + 1 for i in summary.best.subset]
+        assert best["closure"] == [i + 1 for i in summary.best.closure]
 
     def test_progress_called(self, taylor):
         def calls(runs):
@@ -398,6 +398,21 @@ class TestExtract:
         assert sub.n == 56
         assert sub.rank == 18
         assert sub.angle == F(1, 5)
+
+    def test_extract_eliminates_once(self, monkeypatch, asche):
+        closure = random_search(asche, 18, 12, 0).best.closure
+        calls = []
+        real = linalg.psd_basis
+
+        def rank(*args):
+            raise AssertionError("Gauss-Jordan rank ran")
+
+        monkeypatch.setattr(
+            linalg, "psd_basis", lambda g: calls.append(g.rows) or real(g)
+        )
+        monkeypatch.setattr(linalg, "rank", rank)
+        sub = extract_sublineset(asche, closure)
+        assert calls == [56] and (sub.n, sub.rank) == (56, 18)
 
     def test_extract_rejects_invalid_source(self):
         bad = LineSet.from_gram(
