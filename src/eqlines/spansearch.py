@@ -20,8 +20,8 @@ subsets of a chunk are drawn together, one numpy uint64 SplitMix64 lane
 per run (`_draw_block`), bit-identical to drawing each run on its own;
 `SplitMix64`, `mix64` and `run_seed` remain the definition of the
 stream.  `SpanEngine.members_many` then decides the chunk in stacked
-numpy, block by block, with the draws the float tiers leave open
-gathered across the chunk's blocks.
+numpy, block by block in arrays it reuses, with the draws the float
+tiers leave open gathered across the chunk's blocks.
 
 Every span decision is exact.  Floating point either *proposes* an
 integer adjugate, or an integer kernel vector of a singular block, that
@@ -63,9 +63,6 @@ _DRAW_GATHER = 1 << 17
 
 # every integer of magnitude at most 2^53 is exact in float64
 _FLOAT_EXACT = 1 << 53
-# the fractional part of the golden ratio: the probe of `_kernel_zero`
-# has entries 1 + frac(k * _PHI), distinct for every k
-_PHI = 0.6180339887498949
 # digit base of the residues split by `SpanEngine._forms_mod`
 _DIGIT = 1 << 13
 
@@ -191,16 +188,19 @@ def _kernel_zero(a: np.ndarray, max_m: int) -> np.ndarray:
     (|entry| <= max_m) certified singular by an integer kernel vector.
 
     One batched float solve of (A + eps*I) x = probe, with eps =
-    1e-12 * max_m and the fixed probe 1 + frac(k * phi), proposes x; for
-    a singular A the kernel part of x, of order 1/eps, swamps the rest.
-    Dividing x by its smallest entry above 2^-20 of its largest, and
-    rounding, gives an integer w.  A matrix is certified only when
-    w != 0, max|w| * max_m * d <= 2^53, so that every partial sum of
-    A @ w is an integer of at most 2^53, exact in float64 in whatever
-    order BLAS sums, and A @ w == 0.  A failed solve certifies nothing.
+    1e-12 * max_m, proposes x; for a singular A the kernel part of x,
+    of order (v . probe) / eps for a kernel vector v, swamps the rest.
+    The probe 1 + (mix64(j) >> 12) / 2^52, j = 1..d, is pseudo-random and
+    the same float64 on every platform (an affine one, 1 + frac(j * phi),
+    is orthogonal to every v with sum v_j = sum j*v_j = 0).  Dividing x
+    by its smallest entry above 2^-20 of its largest, and rounding, gives
+    an integer w.  A matrix is certified only when w != 0,
+    max|w| * max_m * d <= 2^53, so that every partial sum of A @ w is an
+    integer of at most 2^53, exact in float64 in whatever order BLAS
+    sums, and A @ w == 0.  A failed solve certifies nothing.
     """
     k, d = a.shape[:2]
-    probe = 1.0 + np.arange(1, d + 1) * _PHI % 1.0
+    probe = 1.0 + np.array([mix64(j) >> 12 for j in range(1, d + 1)]) * 2.0**-52
     try:
         x = np.linalg.solve(a + 1e-12 * max_m * np.eye(d), probe[:, None])[..., 0]
     except np.linalg.LinAlgError:
@@ -271,11 +271,15 @@ class SpanEngine:
     `members_many` decides a list of subsets of one size.  Tiers 1 and
     2 take stacked blocks of `block(d)` draws, sized so that the
     (draws, d, n) float64 gather of the columns M_:S holds about
-    _DRAW_GATHER entries.  The draws they leave open gather across
-    blocks and go to tiers 3 and 4 a whole block's worth at a time (and
-    once more at the end), so every stack stays within one block.  Each
-    draw is decided by exactly one of five tiers, counted in
-    `tier_counts`:
+    _DRAW_GATHER entries.  They fill arrays made once per d, `block(d)`
+    draws deep (so an engine serves one thread at a time): the Gram
+    blocks, their index and a gathered copy, the column gather and the
+    forms.  No other stack of matrices is allocated but what det, inv
+    and solve return and the A + eps*I of `_kernel_zero`.  The draws
+    they leave open gather across blocks and go to tiers 3 and 4 a whole
+    block's worth at a time (and once more at the end), so every stack
+    stays within one block.  Each draw is decided by exactly one of five
+    tiers, counted in `tier_counts`:
 
     1. float: batched det and inverse of the float64 Gram blocks propose
        the adjugate B = det * A^-1.  It is accepted only when
@@ -313,6 +317,7 @@ class SpanEngine:
             m_f = np.array(m_rows, dtype=np.float64).reshape(self.n, self.n)
             self.cols = m_f.T.copy()
         self._mod_cache: dict[int, np.ndarray] = {}
+        self._work: dict[int, list[np.ndarray]] = {}  # d -> block arrays
         self._tiers = [0, 0, 0, 0, 0]
 
     @property
@@ -336,10 +341,13 @@ class SpanEngine:
             self._mod_cache[p] = got
         return got
 
-    def _blocks(self, sub: np.ndarray) -> np.ndarray:
+    def _blocks(self, sub: np.ndarray, index=None, out=None) -> np.ndarray:
         """The float64 Gram blocks A[k] = M[S_k, S_k] of a (draws, d)
-        index array (cols[b, a] = M[a, b]), by one flat `np.take`."""
-        return np.take(self.cols, sub[:, None, :] * self.n + sub[:, :, None])
+        index array (cols[b, a] = M[a, b]), by one flat `np.take`, with
+        the flat index in index and the blocks in out when given."""
+        index = np.add(sub[:, None, :] * self.n, sub[:, :, None], out=index)
+        # mode="raise" would copy out first; `members_many` checks sub
+        return np.take(self.cols, index, out=out, mode="clip")
 
     def block(self, d: int) -> int:
         """Draws of d lines that one stacked block decides."""
@@ -356,13 +364,15 @@ class SpanEngine:
 
         Tiers 1 and 2 take the draws `block(d)` at a time.  The draws
         they leave open wait, across blocks, until a whole block's worth
-        has gathered; they then go to the residue tiers together, and
-        the rest once more at the end, so that no residue stack holds
-        more than one block of draws.
+        has gathered; they then go to the residue tiers together, and the
+        rest once more at the end, so that no residue stack holds more
+        than one block of draws.  An index outside 0..n-1 is IndexError.
         """
         if len(subsets) == 0:
             return []
         sub = np.array(subsets, dtype=np.intp)
+        if sub.size and not 0 <= sub.min() <= sub.max() < self.n:
+            raise IndexError("line index out of range")
         sub.sort(axis=1)
         count, d = sub.shape
         step = self.block(d)
@@ -393,35 +403,45 @@ class SpanEngine:
         count, d = sub.shape
         got: list[Optional[list[int]]] = [None] * count
         open_ = np.ones(count, dtype=bool)
-        a = self._blocks(sub)
+        if d not in self._work:
+            shapes = [(d, np.intp)] + [(d, float)] * 2 + [(self.n, float)] * 2
+            self._work[d] = [np.empty((self.block(d), d, w), t) for w, t in shapes]
+        index, a, at, xs, forms = (w[:count] for w in self._work[d])
+        self._blocks(sub, index, a)
         detf = np.linalg.det(a)
         size = np.abs(detf)
         zero = np.flatnonzero(size < 0.5)
         if len(zero):
-            kernel = zero[_kernel_zero(a[zero], self.max_m)]
+            az = np.take(a, zero, axis=0, out=at[:len(zero)], mode="clip")
+            kernel = zero[_kernel_zero(az, self.max_m)]
             open_[kernel] = False
             self._tiers[1] += len(kernel)
         cap_det = _FLOAT_EXACT // max(self.max_m, 1)
         take = np.flatnonzero((size >= 0.5) & (size < cap_det + 1))
+        t = len(take)
+        at = np.take(a, take, axis=0, out=at[:t], mode="clip")
         try:
-            inv = np.linalg.inv(a[take])
+            b = np.linalg.inv(at)
         except np.linalg.LinAlgError:
             return got, np.flatnonzero(open_)
         dr = np.rint(detf[take])
-        b = np.rint(inv * dr[:, None, None])
-        # a NaN or infinite proposal fails the budget comparison
-        max_b = np.abs(b).max(axis=(1, 2), initial=0.0)
+        b *= dr[:, None, None]
+        np.rint(b, out=b)
+        # NaN or inf fails the budget; a, free now, takes |B|, A @ B - det*I
+        max_b = np.abs(b, out=a[:t]).max(axis=(1, 2), initial=0.0)
         fits = (max_b <= _FLOAT_EXACT // max((d * self.max_m) ** 2, 1)) & (
             np.abs(dr) <= cap_det
         )
-        b, take, dr = b[fits], take[fits], dr[fits]
-        exact = (a[take] @ b == dr[:, None, None] * np.eye(d)).all(axis=(1, 2))
-        b, take, dr = b[exact], take[exact], dr[exact]
-        xs = self.cols[sub[take]]  # xs[k, a, j] = M[j, S_a]
-        forms = b @ xs
+        b[~fits] = 0
+        check = np.matmul(at, b, out=a[:t])
+        check.reshape(t, d * d)[:, ::d + 1] -= dr[:, None]
+        exact = fits & ~check.any(axis=(1, 2))
+        # xs[k, a, j] = M[j, S_a]
+        xs = np.take(self.cols, sub[take], axis=0, out=xs[:t], mode="clip")
+        forms = np.matmul(b, xs, out=forms[:t])
         forms *= xs
-        forms = forms.sum(axis=1)
-        hits = forms == dr[:, None] * np.diagonal(self.cols)
+        hits = forms.sum(axis=1)[exact] == dr[exact, None] * np.diagonal(self.cols)
+        take = take[exact]
         for k, members in zip(take.tolist(), _nonzero_rows(hits)):
             got[k] = members
         open_[take] = False

@@ -5,6 +5,7 @@ import re
 import signal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eqlines import linalg, lineset, spansearch
@@ -352,9 +353,9 @@ class TestTierCounts:
     @pytest.mark.parametrize(
         "name,rank,runs,split",
         [
-            ("asche", 18, 5000, (2726, 2141, 133, 0, 0)),
-            ("taylor", 19, 2000, (1102, 861, 37, 0, 0)),
-            ("tremain", 12, 2000, (1447, 515, 38, 0, 0)),
+            ("asche", 18, 5000, (2726, 2253, 21, 0, 0)),
+            ("taylor", 19, 2000, (1102, 883, 15, 0, 0)),
+            ("tremain", 12, 2000, (1447, 553, 0, 0, 0)),
         ],
     )
     def test_seed0_split(self, name, rank, runs, split, request):
@@ -374,9 +375,11 @@ class TestTierCounts:
     def test_leftovers_reach_residues_a_block_at_a_time(
         self, asche, monkeypatch
     ):
-        # the 133 seed-0 draws that tiers 1 and 2 leave open wait for a
-        # whole block's worth (101 draws), so the residues take two
-        # stacks of two primes per draw, not one stack per block of 101
+        # with the kernel tier certifying nothing, the 2274 seed-0 draws
+        # whose float det rounds to 0 are left open; they wait for a
+        # whole block's worth (101 draws), so the residues take one
+        # stack of two primes per draw for each 101 of them and one for
+        # the rest, not one stack per block of 101 draws
         engine = spansearch.SpanEngine(linalg.integer_scaled(asche.gram)[0])
         _, subsets = _draw_block(0, 0, 5000, asche.n, 18)
         stacks = []
@@ -385,10 +388,80 @@ class TestTierCounts:
             spansearch, "_inverse_mod",
             lambda a, p: stacks.append(len(a)) or kernel(a, p),
         )
+        monkeypatch.setattr(
+            spansearch, "_kernel_zero", lambda a, max_m: np.zeros(len(a), bool)
+        )
         engine.members_many(subsets.tolist())
         step, left = engine.block(18), engine.tier_counts["singular"]
-        assert (step, left) == (101, 133)
-        assert stacks == [2 * step, 2 * (left - step)]
+        assert (step, left) == (101, 2274)
+        assert stacks == [2 * step] * (left // step) + [2 * (left % step)]
+
+
+class TestKernelCertificate:
+    def test_balanced_kernel_vector_certified(self):
+        # u4 = -u1 + u2 + u3, so v = (1, -1, -1, 1) spans the kernel of
+        # the Gram; sum v_j = sum j*v_j = 0 makes v orthogonal to every
+        # affine probe, such as 1 + frac(j * phi)
+        us = [(2, 0, 1), (0, 3, 1), (1, 1, 4)]
+        us.append(tuple(-a + b + c for a, b, c in zip(*us)))
+        gram = [[sum(x * y for x, y in zip(u, w)) for w in us] for u in us]
+        assert linalg.rank(RatMatrix.from_rows(gram)) == 3
+        max_m = max(abs(x) for row in gram for x in row)
+        a = np.array([gram], dtype=np.float64)
+        assert spansearch._kernel_zero(a, max_m).tolist() == [True]
+        engine = spansearch.SpanEngine(gram)
+        assert engine.members([0, 1, 2, 3]) is None
+        assert engine.tier_counts["kernel"] == 1
+
+
+class TestBlockArrays:
+    """`SpanEngine` reuses its float-tier arrays across blocks, sizes
+    and calls; no answer may depend on what they held before."""
+
+    def test_reused_engine_matches_fresh_and_per_draw(self, asche):
+        m_rows = linalg.integer_scaled(asche.gram)[0]
+        engine = spansearch.SpanEngine(m_rows)
+        # 5000 draws at rank 18 end in a short block
+        assert 5000 == 49 * engine.block(18) + 51
+        for rank, seed in ((18, 0), (12, 1), (18, 7)):
+            _, subsets = _draw_block(seed, 0, 5000, asche.n, rank)
+            subsets = subsets.tolist()
+            got = engine.members_many(subsets)
+            assert got == spansearch.SpanEngine(m_rows).members_many(subsets)
+            # a sample of the full blocks and the whole short block
+            for k in [*range(0, 4949, 97), *range(4949, 5000)]:
+                assert engine.members(subsets[k]) == got[k]
+
+    def test_residue_gather_leaves_block_arrays_alone(self, asche, monkeypatch):
+        # with no kernel certificates, the residue tiers run between
+        # float blocks; their Hadamard gather must not write the arrays
+        # of the float tier
+        engine = spansearch.SpanEngine(linalg.integer_scaled(asche.gram)[0])
+        _, subsets = _draw_block(0, 0, 1000, asche.n, 18)
+        monkeypatch.setattr(
+            spansearch, "_kernel_zero", lambda a, max_m: np.zeros(len(a), bool)
+        )
+        hadamard, calls = engine._hadamard, []
+
+        def spy(sub):
+            before = [w.tobytes() for w in engine._work[18]]
+            got = hadamard(sub)
+            calls.append(len(sub))
+            assert [w.tobytes() for w in engine._work[18]] == before
+            return got
+
+        monkeypatch.setattr(engine, "_hadamard", spy)
+        got = engine.members_many(subsets.tolist())
+        assert len(calls) >= 2
+        monkeypatch.undo()
+        fresh = spansearch.SpanEngine(linalg.integer_scaled(asche.gram)[0])
+        assert got == fresh.members_many(subsets.tolist())
+
+    @pytest.mark.parametrize("bad", [[0, 72], [-1, 5]])
+    def test_index_out_of_range(self, asche, bad):
+        engine = spansearch.SpanEngine(linalg.integer_scaled(asche.gram)[0])
+        with pytest.raises(IndexError, match="line index out of range"):
+            engine.members_many([[0, 1], bad])
 
 
 class TestExtract:
