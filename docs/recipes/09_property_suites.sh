@@ -10,13 +10,15 @@
 #       vs the Fraction Gauss-Jordan oracles
 #   9f  singularity in the residue tiers (zero units of the stacked
 #       modular Gauss-Jordan) vs the one-prime elimination oracle and
-#       the exact rank
+#       the exact rank, up to the width rule's edge d * max|M| = 2^27,
+#       and the exact tier's answers past it
 #   9g  RatMatrix (numerators over one denominator) vs the
 #       Fraction-tuple matrix oracle
 #   9h  the residue tiers' one round loop (singular and modular) vs
 #       the exact tier and the per-draw span oracle (shipped sets, wide
 #       entries, a det divisible by a pool prime, draws just over the
-#       float tier's 2^53 budget)
+#       float tier's 2^53 budget); draws past d * max|M| = 2^27 must
+#       reach the exact tier
 #   9i  shared rank/PSD elimination (psd_basis, from_gram) vs the old
 #       PSD elimination oracle and the Gauss-Jordan rank (low-rank PSD,
 #       zero-diagonal pairs, indefinite, non-symmetric, zero, 0x0 and

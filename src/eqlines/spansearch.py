@@ -28,13 +28,18 @@ integer adjugate, or an integer kernel vector of a singular block, that
 is then verified exactly (a failed verification falls through), or
 carries integers of at most 2^53, where float64 arithmetic is exact in
 any summation order (the verifications themselves, and the centred
-residues of `_inverse_mod`); no tolerance ever decides an answer.  This
-is the one module that loads numpy.
+residues of `_inverse_mod`); no tolerance ever decides an answer.  One
+width rule keeps every integer in range: a draw of d lines reaches
+numpy only when d * max|M| <= 2^27, and any wider draw goes to exact
+integer elimination.  A valid set has max|M| = q, the angle's
+denominator (q <= 7 and d <= 43 on every shipped set).  This is the one
+module that loads numpy.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cached_property
 from math import prod
 from typing import Callable, Optional, Sequence
 
@@ -63,8 +68,6 @@ _DRAW_GATHER = 1 << 17
 
 # every integer of magnitude at most 2^53 is exact in float64
 _FLOAT_EXACT = 1 << 53
-# digit base of the residues split by `SpanEngine._forms_mod`
-_DIGIT = 1 << 13
 
 # 26-bit primes: a centred residue is below 2^25, so the product of two
 # is below 2^50, exact in float64
@@ -278,8 +281,9 @@ class SpanEngine:
     and solve return and the A + eps*I of `_kernel_zero`.  The draws
     they leave open gather across blocks and go to tiers 3 and 4 a whole
     block's worth at a time (and once more at the end), so every stack
-    stays within one block.  Each draw is decided by exactly one of five
-    tiers, counted in `tier_counts`:
+    stays within one block.  Tiers 1 to 4 take a draw of d lines only
+    when d * max_m <= 2^27 (the width rule).  Each draw is decided by
+    exactly one of five tiers, counted in `tier_counts`:
 
     1. float: batched det and inverse of the float64 Gram blocks propose
        the adjugate B = det * A^-1.  It is accepted only when
@@ -299,9 +303,9 @@ class SpanEngine:
        every prime not dividing det is one membership vote, and the
        draw takes more primes until it has as many votes as the value
        bounds ask for (tier 4);
-    5. exact: a draw the prime pool cannot cover goes through
-       fraction-free integer elimination (`_members_exact`, through
-       `linalg.integer_inverse`).
+    5. exact: a draw the prime pool cannot cover, or any draw with
+       d * max_m > 2^27, goes through fraction-free integer elimination
+       (`_members_exact`, through `linalg.integer_inverse`).
 
     `members(subset)` is `members_many([subset])[0]`.
     """
@@ -311,12 +315,6 @@ class SpanEngine:
         self.n = len(m_rows)
         self.diag = [m_rows[i][i] for i in range(self.n)]
         self.max_m = max((abs(x) for row in m_rows for x in row), default=0)
-        self.small = self.max_m < 2**31
-        if self.small:
-            # cols[j] is column j of M; every entry is exact in float64
-            m_f = np.array(m_rows, dtype=np.float64).reshape(self.n, self.n)
-            self.cols = m_f.T.copy()
-        self._mod_cache: dict[int, np.ndarray] = {}
         self._work: dict[int, list[np.ndarray]] = {}  # d -> block arrays
         self._tiers = [0, 0, 0, 0, 0]
 
@@ -328,18 +326,13 @@ class SpanEngine:
             ("float", "kernel", "singular", "modular", "exact"), self._tiers
         ))
 
-    def _mod(self, p: int) -> np.ndarray:
-        """The residues M mod p in [0, p), as float64."""
-        got = self._mod_cache.get(p)
-        if got is None:
-            if self.small:
-                got = self.cols.T % p
-            else:
-                got = np.array(
-                    [[x % p for x in row] for row in self.m_rows], dtype=np.float64
-                )
-            self._mod_cache[p] = got
-        return got
+    @cached_property
+    def cols(self) -> np.ndarray:
+        """cols[j] is column j of M, as float64.  Only the numpy tiers
+        read it, on draws with d * max_m <= 2^27, so every entry they
+        read is exact."""
+        m_f = np.array(self.m_rows, dtype=np.float64).reshape(self.n, self.n)
+        return m_f.T.copy()
 
     def _blocks(self, sub: np.ndarray, index=None, out=None) -> np.ndarray:
         """The float64 Gram blocks A[k] = M[S_k, S_k] of a (draws, d)
@@ -362,11 +355,13 @@ class SpanEngine:
     ) -> list[Optional[list[int]]]:
         """`members` of each subset, in order; the subsets share one size.
 
-        Tiers 1 and 2 take the draws `block(d)` at a time.  The draws
-        they leave open wait, across blocks, until a whole block's worth
-        has gathered; they then go to the residue tiers together, and the
-        rest once more at the end, so that no residue stack holds more
-        than one block of draws.  An index outside 0..n-1 is IndexError.
+        Subsets of d lines with d * max_m > 2^27 all go to the exact
+        tier.  Otherwise tiers 1 and 2 take the draws `block(d)` at a
+        time.  The draws they leave open wait, across blocks, until a
+        whole block's worth has gathered; they then go to the residue
+        tiers together, and the rest once more at the end, so that no
+        residue stack holds more than one block of draws.  An index
+        outside 0..n-1 is IndexError.
         """
         if len(subsets) == 0:
             return []
@@ -375,14 +370,15 @@ class SpanEngine:
             raise IndexError("line index out of range")
         sub.sort(axis=1)
         count, d = sub.shape
+        # an empty draw counts as one line: numpy never reads max_m > 2^27
+        if max(d, 1) * self.max_m > 1 << 27:
+            self._tiers[4] += count
+            return [self._members_exact(s) for s in sub.tolist()]
         step = self.block(d)
         got: list[Optional[list[int]]] = [None] * count
         left = np.empty(0, dtype=np.intp)
         for k in range(0, count, step):
-            if self.small:
-                got[k:k + step], open_ = self._members_float(sub[k:k + step])
-            else:
-                open_ = np.arange(min(step, count - k))
+            got[k:k + step], open_ = self._members_float(sub[k:k + step])
             left = np.concatenate([left, k + open_])
             if len(left) >= step:
                 self._members_residue(sub, left[:step], got)
@@ -452,21 +448,16 @@ class SpanEngine:
 
     def _hadamard(self, sub: np.ndarray) -> list[int]:
         """Hadamard's bound prod_i ||a_i||^2 >= det(A)^2 on the Gram block
-        A of each draw, as an exact integer."""
-        if self.small and sub.shape[1] * self.max_m**2 <= _FLOAT_EXACT:
-            a = self._blocks(sub)
-            norm_sq = (a * a).sum(axis=2).astype(np.int64).tolist()
-        else:
-            norm_sq = [
-                [sum(self.m_rows[i][j] ** 2 for j in s) for i in s]
-                for s in sub.tolist()
-            ]
-        return [prod(row) for row in norm_sq]
+        A of each draw, as an exact integer.  A squared row norm is at
+        most d * max_m^2 <= 2^54 / d, so int64 holds it exactly."""
+        a = self._blocks(sub).astype(np.int64)
+        return [prod(row) for row in (a * a).sum(axis=2).tolist()]
 
     def _members_residue(
         self, sub: np.ndarray, left: np.ndarray, got: list[Optional[list[int]]]
     ) -> None:
-        """Decide the draws sub[left] by tiers 3 to 5, into got.
+        """Decide the draws sub[left] by tiers 3 to 5, into got; the
+        draws keep the width rule, d * max_m <= 2^27.
 
         Round by round, every open draw takes its next untried primes,
         and one stacked `_inverse_mod` over the round's (draw, prime)
@@ -481,8 +472,8 @@ class SpanEngine:
         bits, so it is zero iff it vanishes modulo primes whose product
         exceeds 2^(value_bits + 2); each pool prime exceeds 2^25, which
         sets the votes a draw wants.  It takes one more prime per vote
-        still wanted until it has them.  A draw the pool cannot cover,
-        or with d > 1024, goes to `_members_exact`.
+        still wanted until it has them.  A draw the pool cannot cover
+        goes to `_members_exact`.
         """
         if not len(left):
             return
@@ -496,8 +487,7 @@ class SpanEngine:
                 (h.bit_length() + 1) // 2 + 2 * max(self.max_m.bit_length(), 1)
                 + 2 * max(d, 1).bit_length() + 4
             )
-            # d <= 1024 keeps every float64 form of `_forms_mod` in 2^52
-            if d <= 1024 and value_bits + 2 <= _PRIME_BITS:
+            if value_bits + 2 <= _PRIME_BITS:
                 want[k] = -(-(value_bits + 2) // _PRIME_LOG2)
         tried = np.zeros(count, dtype=np.intp)
         votes = np.zeros(count, dtype=np.intp)  # primes not dividing det
@@ -519,10 +509,7 @@ class SpanEngine:
             rows = [(p, r) for p, r in rows if len(r)]
             tried += take
             y, unit = _inverse_mod(
-                np.concatenate([
-                    self._mod(p)[draws[r, :, None], draws[r, None, :]]
-                    for p, r in rows
-                ]),
+                self._blocks(draws[np.concatenate([r for _, r in rows])]),
                 np.repeat([p for p, _ in rows], [len(r) for _, r in rows]),
             )
             lo = 0
@@ -552,28 +539,15 @@ class SpanEngine:
         """Mask of the rows j with m_j^T Y m_j == unit * M_jj (mod p), for
         each draw of sub with its Y and unit from `_inverse_mod`.
 
-        |Y| < 2^25, so a product Y @ x, or a row sum of f * x with
-        |f| < 2^25, stays within 2^52 when d * max|x| <= 2^27.  The
-        columns M_:S are such an x when d * max_m <= 2^27; otherwise
-        their centred residues (below 2^25) go in as two 13-bit digits,
-        each such an x for d <= 1024.
+        |Y| < 2^25, and the width rule keeps d * max_m <= 2^27, so every
+        partial sum of Y @ M_S: and of the row sums of f * M_S: with
+        |f| < 2^25 is an integer of at most 2^52, exact in float64.
         """
         p_inv = 1.0 / p
-        if self.small and sub.shape[1] * self.max_m <= 1 << 27:
-            src = self.cols
-            digits = [src[sub]]
-        else:
-            src = _centre(self._mod(p).T, p, p_inv)
-            xs = src[sub]
-            high = np.rint(xs / _DIGIT)
-            digits = [high, xs - _DIGIT * high]
-        f = 0.0
-        for x in digits:
-            f = _centre(f * _DIGIT + y @ x, p, p_inv)
-        forms = 0.0
-        for x in digits:
-            forms = _centre(forms * _DIGIT + (f * x).sum(axis=1), p, p_inv)
-        target = _centre(unit[:, None] * np.diagonal(src), p, p_inv)
+        x = self.cols[sub]
+        f = _centre(y @ x, p, p_inv)
+        forms = _centre((f * x).sum(axis=1), p, p_inv)
+        target = _centre(unit[:, None] * np.diagonal(self.cols), p, p_inv)
         return _centre(forms - target, p, p_inv) == 0
 
     # -- tier 5: exact fraction-free elimination ---------------------------

@@ -738,10 +738,13 @@ class PerDrawSpanEngine(SpanEngine):
     per-matrix `_det_inverse_mod` (which the stacked `_inverse_mod`
     replaced), then exact rational elimination.  `members_many` loops
     over the draws one at a time.  It keeps its own int64 copies of the
-    Gram matrix and of its residues."""
+    Gram matrix and of its residues, and its own width rule: `small`
+    (max_m < 2^31) sends every draw through the float and int64 residue
+    paths, and only wider entries to Python-int residues."""
 
     def __init__(self, m_rows: list[list[int]]):
         super().__init__(m_rows)
+        self.small = self.max_m < 2**31
         if self.small:
             self.m_np = np.array(m_rows, dtype=np.int64)
             self.diag_np = np.array(self.diag, dtype=np.int64)

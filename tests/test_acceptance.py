@@ -659,9 +659,10 @@ def test_criterion_9f_stacked_singular_vs_exact_rank():
     and rows dependent mod p only; and the residue tiers
     (`SpanEngine._members_residue`) certify singular exactly the draws
     that `linalg.rank` finds singular (nullities 0-3), for Gram entries
-    that are small, about 2^30 (above every prime) and about 2^32 (an
-    engine that is not `small`), and leave the det = P0 boundary
-    uncertified."""
+    that are small and at the width rule's edge (d * max|M| near 2^27),
+    and leave the det = P0 boundary uncertified; with entries of about
+    2^30 and 2^32, past the rule, `members_many` answers every draw by
+    the exact tier, singular exactly where `linalg.rank` says."""
     rng = SplitMix64(9006)
     swaps = zero_mod_p = 0
     for _ in range(50):
@@ -676,19 +677,22 @@ def test_criterion_9f_stacked_singular_vs_exact_rank():
 
     nullities = set()
     # the largest entry scaled up to about 2^30 and 2^32 by an odd
-    # factor, so that every bit of the entries stays significant
-    for top in (0, 2**30, 2**32):
+    # factor, so that every bit of the entries stays significant; 2^27
+    # stands for the width rule's edge, the largest odd factor that
+    # keeps d * max|M| <= 2^27
+    for top in (0, 2**30, 2**32, 2**27):
         for _ in range(4):
             d = 2 + rng.below(5)
             groups = [_dependent_group(rng, d, g % 4 if g % 4 < d else 0, 6, 3)
                       for g in range(8)]
             vecs = [v for grp in groups for v in grp]
             gram = [[sum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
-            scale = top // max(map(max, gram)) | 1
+            width = top // d if top == 2**27 else top
+            scale = width // max(map(max, gram))
+            scale = scale - 1 | 1 if top == 2**27 else scale | 1
             m_rows = [[scale * x for x in row] for row in gram]
             engine = spansearch.SpanEngine(m_rows)
-            assert engine.small == (top < 2**31)
-            assert engine.max_m > top // 2
+            assert engine.max_m > width // 2
             sub = np.arange(len(vecs)).reshape(8, d)
             want = []
             for draw in sub.tolist():
@@ -696,9 +700,14 @@ def test_criterion_9f_stacked_singular_vs_exact_rank():
                     [[m_rows[i][j] for j in draw] for i in draw]))
                 nullities.add(nullity)
                 want.append(nullity > 0)
-            got = residue_members(engine, sub.tolist())
+            if top <= 2**27:
+                assert d * engine.max_m <= 2**27
+                got = residue_members(engine, sub.tolist())
+                assert engine.tier_counts["singular"] == sum(want)
+            else:
+                got = engine.members_many(sub.tolist())
+                assert engine.tier_counts["exact"] == 8
             assert [g is None for g in got] == want
-            assert engine.tier_counts["singular"] == sum(want)
     assert nullities == {0, 1, 2, 3}
 
     p0 = spansearch._PRIMES26[0]
@@ -708,10 +717,16 @@ def test_criterion_9f_stacked_singular_vs_exact_rank():
 
 
 def _assert_modular_tier_agrees(m_rows, subsets):
-    """The residue tiers, called directly on the draws, against
-    `_members_exact` and the per-draw oracle; returns their answers."""
+    """The residue tiers, called directly on draws of d lines within the
+    width rule (d * max|M| <= 2^27), against `_members_exact` and the
+    per-draw oracle; `members_many` must answer wider draws by the exact
+    tier.  Returns the answers."""
     engine = spansearch.SpanEngine(m_rows)
-    got = residue_members(engine, subsets)
+    if len(subsets[0]) * engine.max_m <= 2**27:
+        got = residue_members(engine, subsets)
+    else:
+        got = engine.members_many(subsets)
+        assert engine.tier_counts["exact"] == len(subsets)
     assert got == [engine._members_exact(s) for s in subsets]
     assert got == PerDrawSpanEngine(m_rows).members_many(subsets)
     return got
@@ -721,13 +736,15 @@ def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
     tremain, taylor, asche, monkeypatch
 ):
     """The residue tiers `SpanEngine._members_residue`, called
-    directly, agree with `_members_exact` and the per-draw
-    `PerDrawSpanEngine` oracle: on random subsets of the shipped sets,
-    singular and rank-deficient ones included; on Gram entries widened
-    by 2^22 (residue digits within the float tier's range), 2^29 and
-    2^31; on a draw whose determinant is a pool prime, which skips that
-    prime and takes the next; and on draws just over either 2^53 budget
-    of the float tier, which the engine sends to this tier."""
+    directly on draws within the width rule, and the exact tier that
+    `members_many` sends every wider draw to, agree with
+    `_members_exact` and the per-draw `PerDrawSpanEngine` oracle: on
+    random subsets of the shipped sets, singular and rank-deficient ones
+    included; on Gram entries widened by 2^22 (within the rule up to
+    d = 6), 2^29 and 2^31; on a draw whose determinant is a pool prime,
+    which skips that prime and takes the next; and on draws just over
+    either 2^53 budget of the float tier, which the engine sends to the
+    residue tiers."""
     rng = SplitMix64(9008)
     kinds = set()
     for ls in (tremain, taylor, asche):
@@ -740,9 +757,8 @@ def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
     assert kinds == {(False, False), (False, True), (True, True)}
 
     base = linalg.integer_scaled(asche.gram)[0]
-    for shift, small in ((22, True), (29, False), (31, False)):
+    for shift in (22, 29, 31):
         m_rows = [[x << shift for x in row] for row in base]
-        assert spansearch.SpanEngine(m_rows).small == small
         for d in (2, 6, 18, 20):
             subsets = [sample_subset(rng, asche.n, d) for _ in range(3)]
             _assert_modular_tier_agrees(m_rows, subsets)

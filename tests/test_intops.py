@@ -468,38 +468,56 @@ class TestInverseMod:
             self.assert_matches(stack, [spansearch._PRIMES26[rng.below(24)]])
 
 
+def near_half_rows(wrap: int = 0) -> tuple[list[list[int]], list[list[int]]]:
+    """(M, Y) at the edge of the span engine's width rule.  The first
+    d = 4 columns of M hold residues near (P0-1)/2 and max|M| = 2^25, so
+    d * max|M| = 2^27; Y holds values near (P0-1)/2.  Rows 4 and 6 satisfy
+    m_j^T Y m_j == M_jj (mod P0), rows 5 and 7 miss by one.  wrap lifts
+    every entry by wrap * P0, which keeps every residue."""
+    d, n = 4, 8
+    h = (P0 - 1) // 2
+    m_rows = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for a in range(d):
+            m_rows[j][a] = m_rows[a][j] = h - (j * a) % 5
+    y = [[h - (a + 2 * b) % 3 for b in range(d)] for a in range(d)]
+    for j in range(d, n):
+        m = m_rows[j][:d]
+        form = sum(m[a] * y[a][b] * m[b] for a in range(d) for b in range(d))
+        m_rows[j][j] = (form + h) % P0 - h + j % 2  # centred, odd rows miss
+    m_rows[d][d + 1] = m_rows[d + 1][d] = 2**25
+    return [[x + wrap * P0 for x in row] for row in m_rows], y
+
+
 class TestFormsMod:
-    """`_forms_mod` on near-worst-case residues: the columns M_:S and Y
-    hold values near (p-1)/2, so the unsplit sums would reach d * 2^50,
-    past float64's exact range."""
+    """`_forms_mod` on near-worst-case residues: at d * max|M| = 2^27 and
+    with Y near (p-1)/2, every sum of the direct forms reaches 2^52, the
+    edge of `_centre`'s exact range.  The same residues lifted past the
+    width rule reach no numpy tier: `members_many` answers them by the
+    exact tier."""
 
     @pytest.mark.parametrize("wrap", [0, 256], ids=["small", "wide"])
     def test_digit_split_is_exact(self, wrap):
-        d, extra = 15, 4
-        h = (P0 - 1) // 2
-        n = d + extra
-        m_rows = [[0] * n for _ in range(n)]
-        for j in range(n):
-            for a in range(d):
-                m_rows[j][a] = m_rows[a][j] = h - (j * a) % 5 + wrap * P0
-        y = [[h - (a + 2 * b) % 3 for b in range(d)] for a in range(d)]
-        for j in range(d, n):
-            m = m_rows[j][:d]
-            form = sum(m[a] * y[a][b] * m[b] for a in range(d) for b in range(d))
-            m_rows[j][j] = form % P0 + wrap * P0 + j % 2  # odd rows miss by one
-        engine = spansearch.SpanEngine(m_rows)
-        # small: d * max_m > 2^27 takes the digits as well
-        assert engine.small == (wrap == 0)
-        got = engine._forms_mod(
-            np.arange(d)[None], np.array([y], dtype=np.float64), np.ones(1), P0
-        )
+        m_rows, y = near_half_rows(wrap)
+        d, n = len(y), len(m_rows)
         want = [
             (sum(m_rows[j][a] * y[a][b] * m_rows[j][b]
                  for a in range(d) for b in range(d)) - m_rows[j][j]) % P0 == 0
             for j in range(n)
         ]
-        assert got[0].tolist() == want
         assert want[d:] == [j % 2 == 0 for j in range(d, n)]
+        engine = spansearch.SpanEngine(m_rows)
+        subsets = [list(range(k, k + d)) for k in range(n - d + 1)]
+        got = engine.members_many(subsets)
+        assert got == PerDrawSpanEngine(m_rows).members_many(subsets)
+        assert got == [engine._members_exact(s) for s in subsets]
+        assert (d * engine.max_m == 2**27) == (wrap == 0)
+        assert engine.tier_counts["exact"] == (len(subsets) if wrap else 0)
+        if not wrap:
+            got = engine._forms_mod(
+                np.arange(d)[None], np.array([y], dtype=np.float64), np.ones(1), P0
+            )
+            assert got[0].tolist() == want
 
 
 def gram_from_vectors(vectors) -> list[list[int]]:
@@ -552,16 +570,57 @@ class TestSpanEngine:
             assert residue_members(engine, [subset]) == [want]
 
     def test_modular_tier_on_huge_entries(self):
+        # scaled by 2^41 the draws are past the width rule and the exact
+        # tier answers them; scaled to its edge (2 * max_m <= 2^27) the
+        # residue tiers, called directly, answer them as well
         rng = SplitMix64(29)
         shift = 1 << 41
         for _ in range(6):
             vectors, m_rows = self._random_instance(rng, 3, 7)
             big = [[x * shift for x in row] for row in m_rows]
             engine = spansearch.SpanEngine(big)
-            assert not engine.small
             subset = [0, 1]
             want = self._oracle(m_rows, subset)  # scaling preserves membership
             assert engine.members(subset) == want
+            assert engine.tier_counts["exact"] == 1
+            scale = (1 << 26) // max(abs(x) for row in m_rows for x in row)
+            edge = spansearch.SpanEngine([[x * scale for x in row] for row in m_rows])
+            assert 2 * edge.max_m > 1 << 26
+            assert residue_members(edge, [subset]) == [want]
+            assert edge.tier_counts["exact"] == 0
+
+    def test_width_rule_boundary(self):
+        # d * max_m = 2^27 is decided by the numpy tiers: the float
+        # budget (d * max_m)^2 <= 2^53 fails, so by the residues, whose
+        # forms on a near-(p-1)/2 block equal the Python-int forms
+        m_rows, _ = near_half_rows()
+        d, n = 4, len(m_rows)
+        engine = spansearch.SpanEngine(m_rows)
+        oracle = PerDrawSpanEngine(m_rows)
+        assert d * engine.max_m == 2**27
+        assert engine.members(list(range(d))) == oracle.members(list(range(d)))
+        assert engine.tier_counts["modular"] == 1
+        a = np.array([[[m_rows[i][j] for j in range(d)] for i in range(d)]], float)
+        for p in (P0, spansearch._PRIMES26[-1]):
+            y, unit = spansearch._inverse_mod(a, np.array([p]))
+            yi, u = y[0].astype(np.int64).tolist(), int(unit[0])
+            want = [
+                (sum(m_rows[j][r] * yi[r][c] * m_rows[j][c]
+                     for r in range(d) for c in range(d))
+                 - u * m_rows[j][j]) % p == 0
+                for j in range(n)
+            ]
+            got = engine._forms_mod(np.arange(d)[None], y, unit, p)
+            assert got[0].tolist() == want
+        # draw [0] has det top and adjugate [1]: at top = 2^27 the
+        # residues answer it; one past, the exact tier does
+        for top, tier in ((2**27, "modular"), (2**27 + 1, "exact")):
+            m_rows = [[top, 0, top], [0, 1, 0], [top, 0, top]]
+            engine = spansearch.SpanEngine(m_rows)
+            assert engine.members([0]) == [0, 2]
+            assert engine.members([0]) == PerDrawSpanEngine(m_rows).members([0])
+            assert engine.tier_counts[tier] == 2
+            assert sum(engine.tier_counts.values()) == 2
 
     def test_singular_subset_returns_none(self):
         vectors = [[1, 0], [2, 0], [0, 1]]
@@ -612,13 +671,14 @@ class TestStackedSpan:
         assert engine.members_many([]) == []
 
     def test_wide_entries_match_per_draw(self, asche):
-        # entries of 5 * 2^29 >= 2^31 leave the float tier out
+        # entries of 5 * 2^29 put every draw past the width rule
         m_rows = [[x << 29 for x in row] for row in linalg.integer_scaled(asche.gram)[0]]
         engine, oracle = self.engines(m_rows)
-        assert not engine.small
         for d, count in ((6, 12), (18, 3)):
             subsets = draws(asche, d, count, seed=35)
             assert engine.members_many(subsets) == oracle.members_many(subsets)
+        # every draw is past the width rule, so the exact tier answers it
+        assert engine.tier_counts["exact"] == 15
         rng = SplitMix64(36)
         for _ in range(8):
             vectors = [[rng.below(11) - 5 for _ in range(4)] for _ in range(10)]
@@ -630,6 +690,7 @@ class TestStackedSpan:
                 want = oracle.members_many(subsets)
                 assert engine.members_many(subsets) == want
                 assert k == 3 or want == [None] * 4
+            assert engine.tier_counts["exact"] == 8
 
     def test_failed_float_proposal_answered_by_modular_tier(self, asche, monkeypatch):
         engine, oracle = self.engines(linalg.integer_scaled(asche.gram)[0])
@@ -720,13 +781,15 @@ class TestStackedSpan:
         m_rows = gram_from_vectors(vectors)
         engine = spansearch.SpanEngine(m_rows)
         assert residue_members(engine, [[0, 1], [0, 2]]) == [[0, 1, 2]] * 2
-        assert residue_members(engine, [[1, 2, 0]]) == [None]
-        assert engine.tier_counts["singular"] == 1
-        # scaled past 2^31 the draw skips the float tier (det P0 * 2^62)
+        assert engine.tier_counts["singular"] == 0
+        # 3 * (P0 + 1) > 2^27: a draw of three is past the width rule
+        assert engine.members([1, 2, 0]) is None
+        assert engine.tier_counts["exact"] == 1
+        # scaled by 2^31 every draw is past the width rule (det P0 * 2^62)
         wide = [[x << 31 for x in row] for row in m_rows]
         engine, oracle = self.engines(wide)
-        assert not engine.small
         for subset in ([0, 1], [1, 2], [0, 1, 2], [3]):
             assert engine.members(subset) == oracle.members(subset)
         assert engine.members([0, 1]) == [0, 1, 2]
         assert engine.members([0, 1, 2]) is None
+        assert engine.tier_counts["exact"] == 6
