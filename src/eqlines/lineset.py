@@ -74,9 +74,9 @@ class LineSet(Record):
 
     _fields = ("n", "angle", "gram", "rank", "coords", "coords_norm_sq")
     _defaults = (None, None)
-    # _basis caches `basis`, unset until it is known; it takes no part
-    # in ==, hash or repr
-    __slots__ = _fields + ("_basis",)
+    # _basis caches `basis` and _coords_ok a passing `_coords_check`,
+    # each unset until it is known; they take no part in ==, hash or repr
+    __slots__ = _fields + ("_basis", "_coords_ok")
 
     @classmethod
     def from_gram(
@@ -156,7 +156,11 @@ class LineSet(Record):
         coords = None
         if self.coords is not None:
             coords = [self.coords[i] for i in idx]
-        return LineSet.from_gram(sub, self.angle, coords, self.coords_norm_sq)
+        ls = LineSet.from_gram(sub, self.angle, coords, self.coords_norm_sq)
+        # a subset whose first diagonal entry is 1 keeps the norm, and the pass
+        if hasattr(self, "_coords_ok") and sub.nums[:1] == (sub.den,):
+            object.__setattr__(ls, "_coords_ok", self._coords_ok)
+        return ls
 
 
 def _alpha_signs(ls: LineSet) -> list[Optional[int]]:
@@ -282,6 +286,14 @@ def _coords_check(ls: LineSet) -> CheckResult:
     return CheckResult("coords_match_gram", True)
 
 
+def _coords_check_once(ls: LineSet) -> CheckResult:
+    """`_coords_check`, kept on the set once it passes."""
+    check = getattr(ls, "_coords_ok", None) or _coords_check(ls)
+    if check.passed:
+        object.__setattr__(ls, "_coords_ok", check)
+    return check
+
+
 def validate(ls: LineSet) -> ValidationReport:
     """Check every defining invariant; failures are reported, not raised.
 
@@ -290,7 +302,7 @@ def validate(ls: LineSet) -> ValidationReport:
     cached (a set built without it is eliminated once); any other set's
     rank is recomputed by `linalg.rank`.  A set that carries coordinate
     vectors also gets `coords_match_gram`: their dot products over the
-    shared squared norm must be the Gram matrix.
+    shared squared norm must be the Gram matrix (checked until it passes).
     """
     checks = _invariant_checks(ls)
     # the last invariant check is positive_semidefinite
@@ -301,7 +313,7 @@ def validate(ls: LineSet) -> ValidationReport:
                     "" if rank_ok else f"cached {ls.rank}, recomputed {rank_now}")
     )
     if ls.coords is not None:
-        checks.append(_coords_check(ls))
+        checks.append(_coords_check_once(ls))
     return ValidationReport(ls.n, ls.angle, ls.rank, tuple(checks))
 
 

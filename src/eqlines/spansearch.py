@@ -19,9 +19,9 @@ permutation near _DRAW_CHUNK = 2^16 entries (9 blocks there).  The
 subsets of a chunk are drawn together, one numpy uint64 SplitMix64 lane
 per run (`_draw_block`), bit-identical to drawing each run on its own;
 `SplitMix64`, `mix64` and `run_seed` remain the definition of the
-stream.  `SpanEngine.members_many` then decides the chunk in stacked
-numpy, block by block in arrays it reuses, with the draws the float
-tiers leave open gathered across the chunk's blocks.
+stream.  `SpanEngine.member_masks` then decides the chunk into closure
+masks in stacked numpy, block by block in arrays it reuses, with the
+draws the float tiers leave open gathered across the chunk's blocks.
 
 Every span decision is exact.  Floating point either *proposes* an
 integer adjugate, or an integer kernel vector of a singular block, that
@@ -48,7 +48,7 @@ import numpy as np
 from . import linalg
 from ._record import Record
 from .errors import OutOfRange, RankDeficient, SingularMatrix
-from .lineset import LineSet, _coords_check, require_valid, validate
+from .lineset import LineSet, _coords_check_once, require_valid, validate
 
 # entries of the (runs, n) permutation that one `_draw_block` call
 # shuffles: random_search draws chunks of whole blocks about this size
@@ -178,14 +178,6 @@ def _centre(t: np.ndarray, p, p_inv) -> np.ndarray:
     return np.subtract(t, q, out=q)
 
 
-def _nonzero_rows(hits: np.ndarray) -> list[list[int]]:
-    """The column indices of the True entries of each row of a 2-D mask,
-    from one `np.nonzero`."""
-    cols = np.nonzero(hits)[1].tolist()
-    ends = np.cumsum(hits.sum(axis=1)).tolist()
-    return [cols[lo:hi] for lo, hi in zip([0] + ends, ends)]
-
-
 def _kernel_zero(a: np.ndarray, max_m: int) -> np.ndarray:
     """Mask of the matrices of a (k, d, d) float64 stack of integers
     (|entry| <= max_m) certified singular by an integer kernel vector.
@@ -271,7 +263,7 @@ class SpanEngine:
     """Reusable exact span-membership tester over one integer Gram matrix.
 
     Row j belongs to span(subset) iff M_jS (M_SS)^-1 M_Sj == M_jj.
-    `members_many` decides a list of subsets of one size.  Tiers 1 and
+    `member_masks` decides subsets of one size into masks.  Tiers 1 and
     2 take stacked blocks of `block(d)` draws, sized so that the
     (draws, d, n) float64 gather of the columns M_:S holds about
     _DRAW_GATHER entries.  They fill arrays made once per d, `block(d)`
@@ -307,7 +299,7 @@ class SpanEngine:
        d * max_m > 2^27, goes through fraction-free integer elimination
        (`_members_exact`, through `linalg.integer_inverse`).
 
-    `members(subset)` is `members_many([subset])[0]`.
+    `members_many` and `members` read lists off the masks.
     """
 
     def __init__(self, m_rows: list[list[int]]):
@@ -339,7 +331,7 @@ class SpanEngine:
         index array (cols[b, a] = M[a, b]), by one flat `np.take`, with
         the flat index in index and the blocks in out when given."""
         index = np.add(sub[:, None, :] * self.n, sub[:, :, None], out=index)
-        # mode="raise" would copy out first; `members_many` checks sub
+        # mode="raise" would copy out first; `member_masks` checks sub
         return np.take(self.cols, index, out=out, mode="clip")
 
     def block(self, d: int) -> int:
@@ -353,7 +345,16 @@ class SpanEngine:
     def members_many(
         self, subsets: Sequence[Sequence[int]]
     ) -> list[Optional[list[int]]]:
-        """`members` of each subset, in order; the subsets share one size.
+        """`members` of each subset, in order, read off `member_masks`."""
+        full, mask = self.member_masks(subsets)
+        return [np.flatnonzero(m).tolist() if f else None for m, f in zip(mask, full)]
+
+    def member_masks(
+        self, subsets: Sequence[Sequence[int]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(full, mask) of subsets of one size: full[k] tells whether
+        subset k has a nonsingular Gram block, and row k of the (draws, n)
+        bool mask marks its members.
 
         Subsets of d lines with d * max_m > 2^27 all go to the exact
         tier.  Otherwise tiers 1 and 2 take the draws `block(d)` at a
@@ -363,41 +364,46 @@ class SpanEngine:
         residue stack holds more than one block of draws.  An index
         outside 0..n-1 is IndexError.
         """
-        if len(subsets) == 0:
-            return []
-        sub = np.array(subsets, dtype=np.intp)
+        # ndmin and the slice give no subsets the shape (0, 0)
+        sub = np.array(subsets, dtype=np.intp, ndmin=2)[:len(subsets)]
         if sub.size and not 0 <= sub.min() <= sub.max() < self.n:
             raise IndexError("line index out of range")
         sub.sort(axis=1)
         count, d = sub.shape
+        full = np.zeros(count, dtype=bool)
+        mask = np.zeros((count, self.n), dtype=bool)
+        rest: dict[int, Optional[list[int]]] = {}  # the answers of tiers 3-5
         # an empty draw counts as one line: numpy never reads max_m > 2^27
         if max(d, 1) * self.max_m > 1 << 27:
             self._tiers[4] += count
-            return [self._members_exact(s) for s in sub.tolist()]
-        step = self.block(d)
-        got: list[Optional[list[int]]] = [None] * count
-        left = np.empty(0, dtype=np.intp)
-        for k in range(0, count, step):
-            got[k:k + step], open_ = self._members_float(sub[k:k + step])
-            left = np.concatenate([left, k + open_])
-            if len(left) >= step:
-                self._members_residue(sub, left[:step], got)
-                left = left[step:]
-        self._members_residue(sub, left, got)
-        return got
+            rest = dict(enumerate(map(self._members_exact, sub.tolist())))
+        else:
+            step = self.block(d)
+            left = np.empty(0, dtype=np.intp)
+            for k in range(0, count, step):
+                open_ = self._members_float(
+                    sub[k:k + step], full[k:k + step], mask[k:k + step]
+                )
+                left = np.concatenate([left, k + open_])
+                if len(left) >= step:
+                    self._members_residue(sub, left[:step], rest)
+                    left = left[step:]
+            self._members_residue(sub, left, rest)
+        for k, members in rest.items():
+            full[k] = members is not None
+            mask[k, members or []] = True
+        return full, mask
 
     # -- tiers 1 and 2: float proposals, exact float64 verification --------
 
     def _members_float(
-        self, sub: np.ndarray
-    ) -> tuple[list[Optional[list[int]]], np.ndarray]:
-        """(got, open) for one block: got holds the members of each draw
-        whose float-proposed adjugate verifies exactly within the 2^53
-        budget, and None for every other draw; open lists the draws
-        left undecided, which excludes those and the draws whose float
-        det rounds to 0 and that `_kernel_zero` certifies singular."""
+        self, sub: np.ndarray, full: np.ndarray, mask: np.ndarray
+    ) -> np.ndarray:
+        """Decide one block into its rows of full and mask, and return
+        the draws left open: every draw but those whose float-proposed
+        adjugate verifies exactly within the 2^53 budget and those whose
+        float det rounds to 0 and that `_kernel_zero` certifies singular."""
         count, d = sub.shape
-        got: list[Optional[list[int]]] = [None] * count
         open_ = np.ones(count, dtype=bool)
         if d not in self._work:
             shapes = [(d, np.intp)] + [(d, float)] * 2 + [(self.n, float)] * 2
@@ -419,7 +425,7 @@ class SpanEngine:
         try:
             b = np.linalg.inv(at)
         except np.linalg.LinAlgError:
-            return got, np.flatnonzero(open_)
+            return np.flatnonzero(open_)
         dr = np.rint(detf[take])
         b *= dr[:, None, None]
         np.rint(b, out=b)
@@ -438,11 +444,10 @@ class SpanEngine:
         forms *= xs
         hits = forms.sum(axis=1)[exact] == dr[exact, None] * np.diagonal(self.cols)
         take = take[exact]
-        for k, members in zip(take.tolist(), _nonzero_rows(hits)):
-            got[k] = members
+        mask[take], full[take] = hits, True
         open_[take] = False
         self._tiers[0] += len(take)
-        return got, np.flatnonzero(open_)
+        return np.flatnonzero(open_)
 
     # -- tiers 3 and 4: multi-modular residues -----------------------------
 
@@ -454,10 +459,10 @@ class SpanEngine:
         return [prod(row) for row in (a * a).sum(axis=2).tolist()]
 
     def _members_residue(
-        self, sub: np.ndarray, left: np.ndarray, got: list[Optional[list[int]]]
+        self, sub: np.ndarray, left: np.ndarray, got: dict[int, Optional[list[int]]]
     ) -> None:
-        """Decide the draws sub[left] by tiers 3 to 5, into got; the
-        draws keep the width rule, d * max_m <= 2^27.
+        """Decide the draws sub[left] by tiers 3 to 5, into got[k] (None or
+        unset when singular); the draws keep the width rule, d * max_m <= 2^27.
 
         Round by round, every open draw takes its next untried primes,
         and one stacked `_inverse_mod` over the round's (draw, prime)
@@ -524,8 +529,8 @@ class SpanEngine:
                         draws[r[vote]], y_p[vote], unit_p[vote], p
                     )
         done = (want > 0) & (votes == want)
-        for k, members in zip(left[done].tolist(), _nonzero_rows(alive[done])):
-            got[k] = members
+        for k, row in zip(left[done].tolist(), alive[done]):
+            got[k] = np.flatnonzero(row).tolist()
         exact = ~(singular | done)
         for k in left[exact].tolist():
             got[k] = self._members_exact(sub[k].tolist())
@@ -595,6 +600,29 @@ class SearchRun(Record):
         }
 
 
+class _RunLog(Sequence):
+    """The `SearchRun` of each draw, in run order, built from the search's
+    arrays when read; a singular draw has an empty closure row."""
+
+    def __init__(self, rank, master, drawn, mask):
+        self.arrays = rank, master, drawn, mask
+
+    def __len__(self) -> int:
+        return len(self.arrays[2])
+
+    def __getitem__(self, i):
+        rank, master, drawn, mask = self.arrays
+        i = range(len(drawn))[i]  # IndexError past either end
+        if isinstance(i, range):  # a slice
+            return tuple(map(self.__getitem__, i))
+        closure = tuple(np.flatnonzero(mask[i]).tolist())
+        return SearchRun(i, run_seed(master, i), tuple(drawn[i].tolist()), closure,
+                         len(closure), rank if closure else 0)
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+
 class SearchSummary(Record):
     __slots__ = _fields = (
         "runs", "target_rank", "master_seed", "best", "histogram", "run_log",
@@ -641,11 +669,12 @@ def random_search(
     """runs independent draws of target_rank lines; summary of closures.
 
     Deterministic in (ls, target_rank, runs, seed): each run's subset
-    comes from its own derived seed, results merge in run order, and the
-    best run is the smallest-index run of maximal closure size.  Draws
-    with singular Gram blocks are recorded at histogram size 0.
-    progress (if given) receives (done, runs) once for each block of
-    draws, as each chunk of blocks is logged, ending at (runs, runs);
+    comes from its own derived seed.  The closures stay one (runs, n)
+    bool mask, which gives the histogram (singular draws at size 0) and
+    the best run, the first of maximal closure size; `run_log` builds
+    each `SearchRun` from it when read.  progress (if given) receives
+    (done, runs) once for each block of draws, as each chunk of blocks
+    is decided, ending at (runs, runs);
     runs = 0 reports nothing.  A line set that fails a check of
     `lineset.require_valid` is refused with InvalidLineSet first.
     """
@@ -661,37 +690,24 @@ def random_search(
     engine = SpanEngine(m_rows)
     block = engine.block(target_rank)
     chunk = block * max(1, _DRAW_CHUNK // (block * ls.n))
-    log: list[SearchRun] = []
+    drawn = np.empty((runs, target_rank), dtype=np.intp)
+    mask = np.empty((runs, ls.n), dtype=bool)
     for lo in range(0, runs, chunk):
-        seeds, drawn = _draw_block(
-            seed, lo, min(lo + chunk, runs), ls.n, target_rank
-        )
-        got = engine.members_many(drawn)
-        for b in range(0, len(got), block):
-            for s, subset, members in zip(
-                seeds[b:b + block], drawn[b:b + block].tolist(), got[b:b + block]
-            ):
-                closure = () if members is None else tuple(members)
-                log.append(SearchRun(
-                    len(log), s, tuple(subset), closure, len(closure),
-                    0 if members is None else target_rank,
-                ))
-            if progress is not None:
-                progress(len(log), runs)
-
-    histogram: dict[int, int] = {}
-    best: Optional[SearchRun] = None
-    for run in log:
-        histogram[run.closure_size] = histogram.get(run.closure_size, 0) + 1
-        if best is None or run.closure_size > best.closure_size:
-            best = run
+        hi = min(lo + chunk, runs)
+        drawn[lo:hi] = _draw_block(seed, lo, hi, ls.n, target_rank)[1]
+        mask[lo:hi] = engine.member_masks(drawn[lo:hi])[1]
+        if progress is not None:
+            for b in range(lo, hi, block):
+                progress(min(b + block, hi), runs)
+    sizes = mask.sum(axis=1)
+    log = _RunLog(target_rank, seed, drawn, mask)
     return SearchSummary(
         runs=runs,
         target_rank=target_rank,
         master_seed=seed,
-        best=best,
-        histogram=histogram,
-        run_log=tuple(log),
+        best=log[int(np.argmax(sizes))] if runs else None,
+        histogram={k: c for k, c in enumerate(np.bincount(sizes).tolist()) if c},
+        run_log=log,
     )
 
 
@@ -712,7 +728,7 @@ def orthogonal_complement(
     """Primitive integer basis of the space orthogonal to the coordinate
     vectors of the indexed lines (the standard basis when there are
     none).  Requires a coordinate-carrying set whose coordinates match
-    its Gram matrix (`lineset._coords_check`; ValueError naming the
+    its Gram matrix (`lineset._coords_check_once`; ValueError naming the
     first failing pair otherwise), and raises IndexError for an index
     outside 0..n-1."""
     if ls.coords is None:
@@ -720,7 +736,7 @@ def orthogonal_complement(
     idx = list(indices)
     if any(not 0 <= i < ls.n for i in idx):
         raise IndexError("line index out of range")
-    check = _coords_check(ls)
+    check = _coords_check_once(ls)
     if not check.passed:
         raise ValueError(f"line set fails {check.name} ({check.detail})")
     dim = len(ls.coords[0]) if ls.coords else 0

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -585,6 +586,52 @@ class TestSearch:
              "--seed", "0xDEADBEEF", "--json"]
         ) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 0xDEADBEEF
+
+
+class TestExitFreeze:
+    """A program run freezes the heap just before `main` returns, so the
+    interpreter's collection at exit skips it; a `main(argv)` call
+    leaves the heap as it was."""
+
+    SEARCH = ["--rank", "18", "--runs", "60", "--seed", "0", "--json"]
+
+    @pytest.fixture
+    def unfrozen(self):
+        gc.unfreeze()
+        yield
+        gc.unfreeze()
+
+    def test_call_with_argv_freezes_nothing(self, asche_file, capsys):
+        before = gc.get_freeze_count()
+        assert main(["info", "18"]) == 0
+        assert main(["search", asche_file, *self.SEARCH]) == 0
+        assert main(["validate", "no-such-file.json"]) == 2
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("args,code", [
+        (["info", "18"], 0), (["validate", "no-such-file.json"], 2),
+    ])
+    def test_program_run_freezes(self, unfrozen, monkeypatch, capsys, args, code):
+        monkeypatch.setattr(sys, "argv", ["eqlines", *args])
+        assert gc.get_freeze_count() == 0
+        assert main() == code
+        assert gc.get_freeze_count() > 0
+
+    def test_program_run_prints_as_in_process(self, asche_file, capsys):
+        argv = ["search", asche_file, *self.SEARCH]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        env = dict(os.environ)
+        src = str(Path(eqlines.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from eqlines.cli import main; sys.exit(main())", *argv],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == want
 
 
 class TestParser:

@@ -196,6 +196,33 @@ class TestValidate:
             assert [(c.name, c.detail) for c in validate(ls).checks
                     if not c.passed] == [("coords_match_gram", detail)]
 
+    def test_restrict_hands_on_a_coords_pass_at_the_same_norm(self):
+        # no norm given, so N = x_0 . x_0 = 1; line 1 has Gram diagonal 2,
+        # so a subset that starts at line 1 has N = 2 and fails the check
+        gram, coords = RatMatrix.from_rows([[1, 1], [1, 2]]), [(1, 0), (1, 1)]
+        checked = LineSet.from_gram(gram, HALF, coords)
+        # the set fails unit_diagonal, but its coordinates match
+        assert validate(checked).checks[-1] == lineset.CheckResult(
+            "coords_match_gram", True
+        )
+        for idx in ([], [0], [1], [0, 1], [1, 0]):
+            fresh = LineSet.from_gram(gram, HALF, coords)
+            want = validate(fresh.restrict(idx)).checks
+            assert validate(checked.restrict(idx)).checks == want
+            assert want[-1].passed == (idx[:1] != [1])
+
+    def test_failed_coords_check_is_not_kept(self, asche, monkeypatch):
+        calls = []
+        real = lineset._coords_check
+        monkeypatch.setattr(
+            lineset, "_coords_check", lambda ls: calls.append(ls.n) or real(ls)
+        )
+        bad = [tuple(-x for x in asche.coords[0]), *asche.coords[1:]]
+        ls = LineSet.from_gram(asche.gram, asche.angle, bad, 80)
+        assert not validate(ls).passed and not validate(ls).passed
+        assert not validate(ls.restrict(range(5))).passed
+        assert calls == [72, 72, 5]
+
     def test_report_dict(self):
         d = validate(hexagon()).to_dict()
         assert d["passed"] is True

@@ -346,6 +346,100 @@ class TestRandomSearch:
         assert calls(0) == []
 
 
+def per_draw_summary(ls, rank, runs, seed):
+    """(best, histogram, run_log) by the per-run merge that `random_search`
+    made before its closures became masks: one `SearchRun` per draw from
+    the per-draw oracle, then the histogram and the first run of
+    maximal size, in run order."""
+    oracle = PerDrawSpanEngine(linalg.integer_scaled(ls.gram)[0])
+    log = []
+    for i in range(runs):
+        s = run_seed(seed, i)
+        subset = tuple(sample_subset(SplitMix64(s), ls.n, rank))
+        members = oracle.members(list(subset))
+        closure = () if members is None else tuple(members)
+        log.append(spansearch.SearchRun(
+            i, s, subset, closure, len(closure), 0 if members is None else rank
+        ))
+    histogram, best = {}, None
+    for run in log:
+        histogram[run.closure_size] = histogram.get(run.closure_size, 0) + 1
+        if best is None or run.closure_size > best.closure_size:
+            best = run
+    return best, histogram, tuple(log)
+
+
+class TestMaskPath:
+    """`random_search` decides its draws into closure masks and builds
+    records only for the best run and for a `run_log` that is read."""
+
+    @staticmethod
+    def assert_matches_per_draw(ls, rank, runs, seed):
+        summary = random_search(ls, rank, runs, seed)
+        best, histogram, log = per_draw_summary(ls, rank, runs, seed)
+        assert summary.best == best
+        assert summary.histogram == histogram
+        assert len(summary.run_log) == runs
+        assert tuple(summary.run_log) == log
+        assert summary.run_log == log
+        return summary
+
+    def test_no_runs(self, taylor):
+        summary = self.assert_matches_per_draw(taylor, 18, 0, 0)
+        assert summary.histogram == {} and summary.best is None
+        assert list(summary.run_log) == [] and summary.run_log == ()
+        with pytest.raises(IndexError):
+            summary.run_log[0]
+
+    def test_short_last_block_and_chunk(self, asche):
+        engine = spansearch.SpanEngine(linalg.integer_scaled(asche.gram)[0])
+        # asche72 at rank 18: blocks of 101 draws, chunks of 9 blocks
+        assert engine.block(18) == 101
+        runs = 909 + 101 + 7
+        summary = self.assert_matches_per_draw(asche, 18, runs, 2)
+        assert summary.run_log[-1] == summary.run_log[runs - 1]
+        assert summary.run_log[-1].index == runs - 1
+        assert summary.run_log[-3::2] == tuple(summary.run_log)[-3::2]
+
+    def test_all_singular(self, taylor):
+        # the first five seed-0 draws of 20 lines in taylor90 are singular
+        summary = self.assert_matches_per_draw(taylor, 20, 5, 0)
+        assert summary.histogram == {0: 5}
+        best = summary.best
+        assert (best.index, best.closure_size, best.rank) == (0, 0, 0)
+        assert best.seed == run_seed(0, 0) and best.closure == ()
+
+    def test_progress_crosses_a_chunk(self, asche):
+        got = []
+        random_search(asche, 18, 1017, 0, progress=lambda a, b: got.append((a, b)))
+        # once per block of 101 draws, the last block of each chunk short
+        done = [*range(101, 910, 101), 1010, 1017]
+        assert got == [(k, 1017) for k in done]
+
+    def test_records_built_on_read(self, asche, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "asche72.json"
+        lineset.save(asche, str(path))
+        built = []
+
+        class Counted(spansearch.SearchRun):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(spansearch, "SearchRun", Counted)
+        argv = ["search", str(path), "--rank", "18", "--runs", "300",
+                "--seed", "0", "--json"]
+        assert main(argv) == 0
+        assert built == [11]  # the best run alone
+        built.clear()
+        assert main([*argv, "--csv", str(tmp_path / "runs.csv")]) == 0
+        # --csv reads the log: the best run, then every run in order
+        assert built == [11, *range(300)]
+        capsys.readouterr()
+
+
 class TestTierCounts:
     """Which span tier decides each seeded draw, pinned, so that a
     narrower budget cannot quietly move draws to slower tiers."""
@@ -486,6 +580,28 @@ class TestExtract:
         monkeypatch.setattr(linalg, "rank", rank)
         sub = extract_sublineset(asche, closure)
         assert calls == [56] and (sub.n, sub.rank) == (56, 18)
+
+    def test_coords_checked_once(self, asche, monkeypatch):
+        closure = random_search(asche, 18, 12, 0).best.closure
+        calls = []
+        real = lineset._coords_check
+        monkeypatch.setattr(
+            lineset, "_coords_check", lambda ls: calls.append(ls.n) or real(ls)
+        )
+        # an unchecked parent: extraction checks the 56-line closure
+        unchecked = lineset.loads(lineset.dumps(asche))
+        assert extract_sublineset(unchecked, closure).n == 56
+        assert calls == [56]
+        # as `search --emit-best` runs: the complement checks the parent,
+        # whose pass the closure takes on
+        calls.clear()
+        checked = lineset.loads(lineset.dumps(asche))
+        orthogonal_complement(checked, closure)
+        sub = extract_sublineset(checked, closure)
+        assert calls == [72]
+        assert lineset.validate(sub) == lineset.validate(
+            lineset.loads(lineset.dumps(sub))
+        )
 
     def test_extract_rejects_invalid_source(self):
         bad = LineSet.from_gram(
