@@ -15,17 +15,31 @@ fi
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-eqlines construct from-graph6 "$file" --angle 1/7 -o "$work/lines344.json"
-eqlines validate "$work/lines344.json"
-
-python3 - "$work/lines344.json" <<'PY'
+# The graph's adjacency eigenvalues are 168, 24 (x43) and -4.  Read by
+# `construct from-graph6` (S = J - I - 2A, adjacent pairs at -1/7) the
+# Gram I + S/7 has the eigenvalue -6 and is refused as not PSD; read with
+# S = 2A - J + I (adjacent pairs at +1/7) it has the eigenvalues 8 (x43)
+# and 0, so the lines are built with that sign rule here.
+python3 - "$file" "$work/lines344.json" <<'PY'
 import sys
+from fractions import Fraction
 from eqlines import lineset
-ls = lineset.load(sys.argv[1])
+from eqlines.constructions import srg_check
+from eqlines.graph6 import parse_graph6
+with open(sys.argv[1], "rb") as f:
+    n, adj = parse_graph6(f.read())
+assert srg_check(n, adj) == (344, 168, 92, 72), "not an SRG(344,168,92,72)"
+signs = tuple(
+    tuple(0 if i == j else 1 if adj[i] >> j & 1 else -1 for j in range(n))
+    for i in range(n)
+)
+ls = lineset.from_sign_matrix(lineset.SignMatrix(n, signs), Fraction(1, 7))
 assert ls.n == 344, ls.n
 assert ls.rank == 43, ls.rank
-print("344 lines at rank 43 validated")
+lineset.save(ls, sys.argv[2])
+print("344 lines at rank 43 built")
 PY
+eqlines validate "$work/lines344.json"
 
 eqlines search "$work/lines344.json" --rank 42 --runs 2000 --seed 0 \
     --json > "$work/summary.json"

@@ -4,14 +4,13 @@ Submodules: linalg (exact matrices), lineset (Gram-based line sets,
 validation, bounds), constructions (named families, graph6 ingestion),
 saturation (candidate enumeration and the d + omega bound), spansearch
 (seeded randomized rank reduction), maxclique (exact clique solver),
-graph6 (codec), cli (command-line front end).
+graph6 (decoder), cli (command-line front end).
 """
 
 import importlib
 
 from .errors import (
     ConstructionMismatch,
-    EmptyResult,
     EqlinesError,
     HypothesisViolated,
     InvalidLineSet,
@@ -24,7 +23,7 @@ from .errors import (
     RankDeficient,
     SingularMatrix,
 )
-from .linalg import RatMatrix, Rational, format_rational, parse_rational
+from .linalg import RatMatrix, format_rational, parse_rational
 from .lineset import (
     BoundsEntry,
     CheckResult,
@@ -44,7 +43,6 @@ _LAZY = {
     "OctadDesign": "constructions",
     "TremainColumn": "constructions",
     "asche_72": "constructions",
-    "filter_orthogonal": "constructions",
     "from_graph6": "constructions",
     "g_vector": "constructions",
     "generate_octads": "constructions",
@@ -87,7 +85,6 @@ __all__ = [
     "CheckResult",
     "CliqueResult",
     "ConstructionMismatch",
-    "EmptyResult",
     "EqlinesError",
     "HypothesisViolated",
     "InvalidLineSet",
@@ -101,7 +98,6 @@ __all__ = [
     "OverLimit",
     "RankDeficient",
     "RatMatrix",
-    "Rational",
     "SaturationReport",
     "SearchRun",
     "SearchSummary",
@@ -116,7 +112,6 @@ __all__ = [
     "check_saturated",
     "enumerate_candidates",
     "extract_sublineset",
-    "filter_orthogonal",
     "format_rational",
     "from_graph6",
     "from_sign_matrix",

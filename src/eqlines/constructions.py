@@ -27,7 +27,7 @@ from ._tables import (
     VEC_C2,
     tremain_star_row,
 )
-from .errors import ConstructionMismatch, EmptyResult, NotPSD
+from .errors import ConstructionMismatch, NotPSD
 from .linalg import RatMatrix
 from .lineset import LineSet, SignMatrix, from_sign_matrix
 
@@ -55,15 +55,6 @@ class OctadDesign(Record):
         """Sorted point tuple of block i."""
         m = self.masks[i]
         return tuple(k + 1 for k in range(24) if m >> k & 1)
-
-    def count_containing(self, *points: int) -> int:
-        """Number of blocks containing all the given points."""
-        want = 0
-        for p in points:
-            if not 1 <= p <= 24:
-                raise ValueError("points must lie in 1..24")
-            want |= 1 << (p - 1)
-        return sum(1 for m in self.masks if m & want == want)
 
 
 # Size of the span of the greedy's blocks: the 2^12 words of the
@@ -206,16 +197,10 @@ class TremainColumn(Record):
             raise ValueError("star row must lie in 1..7")
         super().__init__(circle, star_row)
 
-    def inner(self, other: "TremainColumn") -> Fraction:
-        d = _dot(self.circle, other.circle)
-        if self.star_row == other.star_row:
-            d += 2
-        return Fraction(d, 5)
-
     def int_coords(self) -> tuple[int, ...]:
         """Embedding in Z^21 whose standard dot product over squared norm 5
-        reproduces inner(): the star coordinate is duplicated so that equal
-        star rows contribute 2."""
+        reproduces the inner products of the class docstring: the star
+        coordinate is duplicated so that equal star rows contribute 2."""
         star = [0] * 14
         star[2 * (self.star_row - 1)] = 1
         star[2 * (self.star_row - 1) + 1] = 1
@@ -332,29 +317,6 @@ def asche_72() -> LineSet:
     return _lineset_from_vectors([vectors[i] for i in keep], 80)
 
 
-def filter_orthogonal(
-    source: LineSet, constraints: Sequence[Sequence[int]]
-) -> LineSet:
-    """Lines of source whose integer coordinate vectors are orthogonal to
-    every constraint vector.  The source must carry coordinates."""
-    if source.coords is None:
-        raise ValueError("source line set carries no coordinate vectors")
-    cons = [tuple(int(x) for x in v) for v in constraints]
-    for v in cons:
-        if len(v) != len(source.coords[0]):
-            raise ValueError("constraint length must match coordinate length")
-    keep = [
-        i
-        for i, g in enumerate(source.coords)
-        if all(_dot(g, v) == 0 for v in cons)
-    ]
-    if not keep:
-        raise EmptyResult("no line is orthogonal to every constraint")
-    if len(keep) == source.n:
-        return source
-    return source.restrict(keep)
-
-
 # --------------------------------------------------------------------------
 # Seidel ingestion from graph6 adjacency data
 # --------------------------------------------------------------------------
@@ -365,7 +327,9 @@ def from_graph6(data: bytes, angle: Fraction) -> LineSet:
     (adjacent pairs get -1), Gram = I + angle*S.
 
     Raises MalformedGraph6 on bad input and NotPSD when the Gram matrix of
-    the requested angle is not positive semidefinite.
+    the requested angle is not positive semidefinite.  The rule with
+    adjacent pairs at +angle, S = 2A - J + I, is this one applied to the
+    complement graph.
     """
     from .graph6 import parse_graph6
 

@@ -25,10 +25,6 @@ class ConstructionMismatch(EqlinesError):
     """A construction did not reproduce its frozen reference data."""
 
 
-class EmptyResult(EqlinesError):
-    """A filter removed every member of its input family."""
-
-
 class MalformedGraph6(EqlinesError):
     """Input bytes are not a well-formed graph6 encoding."""
 

@@ -1,4 +1,4 @@
-"""graph6 encoding of simple graphs.
+"""graph6 decoding of simple graphs.
 
 Adjacency is represented as one Python int bitset per vertex (bit j of
 row i set iff ij is an edge).  The byte format: optional ">>graph6<<"
@@ -46,18 +46,6 @@ def _decode_n(data: bytes) -> tuple[int, bytes]:
     return n, data[8:]
 
 
-def _encode_n(n: int) -> bytes:
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    if n <= 62:
-        return bytes([n + 63])
-    if n <= 258047:
-        return bytes([126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
-    if n <= 68719476735:
-        return bytes([126, 126] + [((n >> s) & 63) + 63 for s in range(30, -1, -6)])
-    raise ValueError("vertex count too large for graph6")
-
-
 def parse_graph6(data: bytes) -> tuple[int, list[int]]:
     """Decode one graph; returns (n, adjacency bitset rows)."""
     if isinstance(data, str):
@@ -87,29 +75,3 @@ def parse_graph6(data: bytes) -> tuple[int, list[int]]:
                 adj[j] |= 1 << i
             k += 1
     return n, adj
-
-
-def encode_graph6(n: int, adj: list[int], header: bool = False) -> bytes:
-    """Encode adjacency bitsets as graph6 bytes (no trailing newline)."""
-    for i in range(n):
-        if adj[i] >> n:
-            raise ValueError(f"adjacency row {i} has bits beyond vertex {n - 1}")
-        if adj[i] >> i & 1:
-            raise ValueError(f"self-loop at vertex {i}")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bit = adj[i] >> j & 1
-            if bit != (adj[j] >> i & 1):
-                raise ValueError(f"adjacency not symmetric at ({i},{j})")
-            bits.append(bit)
-    while len(bits) % 6:
-        bits.append(0)
-    out = bytearray(HEADER if header else b"")
-    out += _encode_n(n)
-    for k in range(0, len(bits), 6):
-        v = 0
-        for b in bits[k : k + 6]:
-            v = (v << 1) | b
-        out.append(v + 63)
-    return bytes(out)

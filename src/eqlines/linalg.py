@@ -4,7 +4,7 @@ A matrix holds integer numerators over one common denominator, and
 hands out `fractions.Fraction` entries on demand; no operation here
 touches floating point.  Every elimination runs fraction-free on the
 numerators (`integer_scaled`): one Gauss-Jordan routine
-gives `rank`, `integer_inverse`, `inverse` and `kernel`, and `psd_basis`
+gives `rank`, `integer_inverse` and `kernel`, and `psd_basis`
 keeps its own symmetric elimination, as the PSD test needs diagonal
 pivots; on PSD input its pivot rows are also the rank and the greedy
 leftmost basis, so a Gram matrix pays for one pass, not three.
@@ -19,9 +19,6 @@ from numbers import Integral
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotSymmetric, SingularMatrix
-
-Rational = Fraction
-
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
 
@@ -111,12 +108,6 @@ class RatMatrix:
                 raise ValueError("ragged rows")
             flat.extend(row)
         return cls(nr, nc, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls.from_integers(
-            n, n, [int(i == j) for i in range(n) for j in range(n)], 1
-        )
 
     @property
     def entries(self) -> tuple[Fraction, ...]:
@@ -227,16 +218,6 @@ def integer_inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
     return [row[n:] for row in aug], d
-
-
-def inverse(a: RatMatrix) -> RatMatrix:
-    """Exact inverse of a nonsingular square matrix."""
-    if a.rows != a.cols:
-        raise ValueError("inverse requires a square matrix")
-    m, scale = integer_scaled(a)
-    # a = m/scale, so a^-1 = scale * m^-1 = scale * R/D
-    r, d = integer_inverse(m)
-    return RatMatrix.from_integers(a.rows, a.cols, [scale * x for y in r for x in y], d)
 
 
 def psd_basis(m: RatMatrix) -> Optional[tuple[int, ...]]:

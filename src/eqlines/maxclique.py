@@ -24,7 +24,7 @@ exists, so identical inputs return identical witnesses and node counts.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._record import Record
 
@@ -67,28 +67,6 @@ class SimpleGraph(Record):
                 j = i + (diff & -diff).bit_length()
                 raise ValueError(f"adjacency not symmetric at ({i},{j})")
         super().__init__(n, adj)
-
-    @classmethod
-    def from_matrix(cls, a: Sequence[Sequence]) -> "SimpleGraph":
-        """Graph of a square adjacency matrix given as any 2-D sequence
-        of rows, nested lists or an array (nonzero entry = edge); it
-        must be symmetric with a zero diagonal (ValueError otherwise)."""
-        n = len(a)
-        if any(len(row) != n for row in a):
-            raise ValueError("adjacency matrix must be square")
-        return cls(n, tuple(
-            int("".join(["1" if x else "0" for x in row])[::-1], 2) for row in a
-        ))
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        adj = [0] * n
-        for i, j in edges:
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        return cls(n, tuple(adj))
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()

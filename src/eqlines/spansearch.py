@@ -263,7 +263,8 @@ class SpanEngine:
     """Reusable exact span-membership tester over one integer Gram matrix.
 
     Row j belongs to span(subset) iff M_jS (M_SS)^-1 M_Sj == M_jj.
-    `member_masks` decides subsets of one size into masks.  Tiers 1 and
+    Its one query, `member_masks`, decides subsets of one size into
+    masks (`span_closure` reads one row of them).  Tiers 1 and
     2 take stacked blocks of `block(d)` draws, sized so that the
     (draws, d, n) float64 gather of the columns M_:S holds about
     _DRAW_GATHER entries.  They fill arrays made once per d, `block(d)`
@@ -299,7 +300,8 @@ class SpanEngine:
        d * max_m > 2^27, goes through fraction-free integer elimination
        (`_members_exact`, through `linalg.integer_inverse`).
 
-    `members_many` and `members` read lists off the masks.
+    Every tier writes its answers straight into the rows of the two
+    arrays `member_masks` returns; no list of members is built.
     """
 
     def __init__(self, m_rows: list[list[int]]):
@@ -338,17 +340,6 @@ class SpanEngine:
         """Draws of d lines that one stacked block decides."""
         return max(1, _DRAW_GATHER // max(self.n * d, 1))
 
-    def members(self, subset: Sequence[int]) -> Optional[list[int]]:
-        """Sorted member indices, or None when the subset block is singular."""
-        return self.members_many([subset])[0]
-
-    def members_many(
-        self, subsets: Sequence[Sequence[int]]
-    ) -> list[Optional[list[int]]]:
-        """`members` of each subset, in order, read off `member_masks`."""
-        full, mask = self.member_masks(subsets)
-        return [np.flatnonzero(m).tolist() if f else None for m, f in zip(mask, full)]
-
     def member_masks(
         self, subsets: Sequence[Sequence[int]]
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -372,26 +363,23 @@ class SpanEngine:
         count, d = sub.shape
         full = np.zeros(count, dtype=bool)
         mask = np.zeros((count, self.n), dtype=bool)
-        rest: dict[int, Optional[list[int]]] = {}  # the answers of tiers 3-5
         # an empty draw counts as one line: numpy never reads max_m > 2^27
         if max(d, 1) * self.max_m > 1 << 27:
             self._tiers[4] += count
-            rest = dict(enumerate(map(self._members_exact, sub.tolist())))
-        else:
-            step = self.block(d)
-            left = np.empty(0, dtype=np.intp)
-            for k in range(0, count, step):
-                open_ = self._members_float(
-                    sub[k:k + step], full[k:k + step], mask[k:k + step]
-                )
-                left = np.concatenate([left, k + open_])
-                if len(left) >= step:
-                    self._members_residue(sub, left[:step], rest)
-                    left = left[step:]
-            self._members_residue(sub, left, rest)
-        for k, members in rest.items():
-            full[k] = members is not None
-            mask[k, members or []] = True
+            for k, subset in enumerate(sub.tolist()):
+                full[k] = self._members_exact(subset, mask[k])
+            return full, mask
+        step = self.block(d)
+        left = np.empty(0, dtype=np.intp)
+        for k in range(0, count, step):
+            open_ = self._members_float(
+                sub[k:k + step], full[k:k + step], mask[k:k + step]
+            )
+            left = np.concatenate([left, k + open_])
+            if len(left) >= step:
+                self._members_residue(sub, left[:step], full, mask)
+                left = left[step:]
+        self._members_residue(sub, left, full, mask)
         return full, mask
 
     # -- tiers 1 and 2: float proposals, exact float64 verification --------
@@ -459,10 +447,11 @@ class SpanEngine:
         return [prod(row) for row in (a * a).sum(axis=2).tolist()]
 
     def _members_residue(
-        self, sub: np.ndarray, left: np.ndarray, got: dict[int, Optional[list[int]]]
+        self, sub: np.ndarray, left: np.ndarray, full: np.ndarray, mask: np.ndarray
     ) -> None:
-        """Decide the draws sub[left] by tiers 3 to 5, into got[k] (None or
-        unset when singular); the draws keep the width rule, d * max_m <= 2^27.
+        """Decide the draws sub[left] by tiers 3 to 5, into their rows of
+        full and mask (left untouched when singular); the draws keep the
+        width rule, d * max_m <= 2^27.
 
         Round by round, every open draw takes its next untried primes,
         and one stacked `_inverse_mod` over the round's (draw, prime)
@@ -529,11 +518,10 @@ class SpanEngine:
                         draws[r[vote]], y_p[vote], unit_p[vote], p
                     )
         done = (want > 0) & (votes == want)
-        for k, row in zip(left[done].tolist(), alive[done]):
-            got[k] = np.flatnonzero(row).tolist()
+        mask[left[done]], full[left[done]] = alive[done], True
         exact = ~(singular | done)
         for k in left[exact].tolist():
-            got[k] = self._members_exact(sub[k].tolist())
+            full[k] = self._members_exact(sub[k].tolist(), mask[k])
         self._tiers[2] += int(singular.sum())
         self._tiers[3] += int(done.sum())
         self._tiers[4] += int(exact.sum())
@@ -557,23 +545,24 @@ class SpanEngine:
 
     # -- tier 5: exact fraction-free elimination ---------------------------
 
-    def _members_exact(self, subset: list[int]) -> Optional[list[int]]:
+    def _members_exact(self, subset: list[int], out: np.ndarray) -> bool:
+        """Mark the members of span(subset) in the (n,) bool row out;
+        False, with out untouched, when the subset's Gram block is
+        singular."""
         try:
             r, den = linalg.integer_inverse(
                 [[self.m_rows[i][j] for j in subset] for i in subset]
             )
         except SingularMatrix:
-            return None
+            return False
         # with R = den * A^-1 the criterion m A^-1 m == diag reads
         # m R m == den * diag, in integers
-        members = []
         for j in range(self.n):
             vec = [self.m_rows[j][k] for k in subset]
             value = sum(v * sum(x * y for x, y in zip(row, vec))
                         for v, row in zip(vec, r))
-            if value == self.diag[j] * den:
-                members.append(j)
-        return members
+            out[j] = value == self.diag[j] * den
+        return True
 
 
 class SearchRun(Record):
@@ -651,12 +640,12 @@ def span_closure(ls: LineSet, subset: Sequence[int]) -> list[int]:
     if any(not 0 <= i < ls.n for i in idx):
         raise IndexError("line index out of range")
     m_rows, _ = linalg.integer_scaled(ls.gram)
-    got = SpanEngine(m_rows).members(sorted(idx))
-    if got is None:
+    full, mask = SpanEngine(m_rows).member_masks([idx])
+    if not full[0]:
         raise RankDeficient(
             f"Gram block on {len(idx)} lines is singular"
         )
-    return got
+    return np.flatnonzero(mask[0]).tolist()
 
 
 def random_search(

@@ -10,9 +10,11 @@ also returned the rank and the basis, the greedy span scan that chose
 that the one fraction-free routine of `linalg` replaced, dense rational
 products, the vectorized block scan over sign patterns that the
 meet-in-the-middle engine replaced, the per-draw span membership that
-the stacked blocks of `SpanEngine.members_many` replaced (with its
+the stacked blocks of `SpanEngine.member_masks` replaced (with its
 per-matrix `_det_inverse_mod`, which the stacked `_inverse_mod`
-replaced, and `residue_members`, which runs the engine's residue tiers
+replaced; `span_members` and `span_members_many`, the member lists the
+engine once read off its masks; and `residue_members` and
+`exact_members`, which run the engine's residue and exact tiers
 alone), the one-prime-at-a-time stacked determinant and Hadamard bit
 count that the units of `_inverse_mod` and the exact Hadamard bound
 replaced, the scalar subset sampler that the vectorised draws of `random_search` replaced,
@@ -36,6 +38,11 @@ matrix of bitset rows (`_bits`, `_pack`, `_unpack`,
 `_transposed_blocks`, `graph_from_bits`, `numpy_dimacs`), with
 `sign_patterns`, which maps +-1 rows to the pattern indices the lane
 kernels take.
+Last come the helpers the library dropped because no program path
+called them, kept for the tests that build fixtures or references
+with them: `encode_graph6`, `graph_from_edges`, `graph_from_matrix`,
+`count_containing`, `tremain_inner`, `filter_orthogonal` with its
+`EmptyResult`, `identity`, and `inverse` over `integer_inverse`.
 None of them is used by the library.
 """
 
@@ -45,13 +52,16 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from eqlines._intops import enumerate_unit_patterns, scaled_candidate_matrix
-from eqlines.errors import HypothesisViolated, NotSymmetric, SingularMatrix
-from eqlines.linalg import RatMatrix, integer_scaled
+from eqlines.constructions import OctadDesign, TremainColumn
+from eqlines.errors import EqlinesError, HypothesisViolated, NotSymmetric, SingularMatrix
+from eqlines.graph6 import HEADER
+from eqlines.linalg import RatMatrix, integer_inverse, integer_scaled
 from eqlines.lineset import LineSet
 from eqlines.maxclique import CliqueResult, SimpleGraph
 from eqlines.saturation import CandidateSet
@@ -407,7 +417,7 @@ def greedy_span_basis(ls: LineSet) -> list[int]:
         )
         chosen.append(nxt)
         if len(chosen) < r:
-            got = engine.members(chosen)
+            got = span_members(engine, chosen)
             assert got is not None, "greedily chosen lines must stay independent"
             in_span = frozenset(got)
     return chosen
@@ -812,7 +822,7 @@ class PerDrawSpanEngine(SpanEngine):
         d = len(subset)
         if d > 1024:
             # int64 dot-product budget of the residue engine
-            return self._members_exact(subset)
+            return exact_members(self, subset)
         a_rows = [[self.m_rows[i][j] for j in subset] for i in subset]
         det_bits = _hadamard_bits(a_rows)
         value_bits = (
@@ -822,7 +832,7 @@ class PerDrawSpanEngine(SpanEngine):
         need_det = det_bits + 2
         need_val = value_bits + 2
         if need_val > sum(p.bit_length() - 1 for p in _PRIMES26):
-            return self._members_exact(subset)
+            return exact_members(self, subset)
 
         sub = np.array(subset, dtype=np.intp)
         det_zero_bits = 0
@@ -848,7 +858,26 @@ class PerDrawSpanEngine(SpanEngine):
             if used_bits >= need_val:
                 return np.nonzero(alive)[0].tolist()
         # prime pool exhausted without certification either way
-        return self._members_exact(subset)
+        return exact_members(self, subset)
+
+
+def _mask_lists(full: np.ndarray, mask: np.ndarray) -> list[Optional[list[int]]]:
+    """The member indices of each mask row, or None where full is False."""
+    return [np.flatnonzero(m).tolist() if f else None for m, f in zip(mask, full)]
+
+
+def span_members_many(
+    engine: SpanEngine, subsets: Sequence[Sequence[int]]
+) -> list[Optional[list[int]]]:
+    """The library's `SpanEngine.members_many`, before `span_closure`
+    read `member_masks` directly: the sorted members of each subset, or
+    None when its Gram block is singular."""
+    return _mask_lists(*engine.member_masks(subsets))
+
+
+def span_members(engine: SpanEngine, subset: Sequence[int]) -> Optional[list[int]]:
+    """The library's `SpanEngine.members`: `span_members_many` of one subset."""
+    return span_members_many(engine, [subset])[0]
 
 
 def residue_members(
@@ -857,9 +886,17 @@ def residue_members(
     """The answers of tiers 3 to 5 of `engine` (`_members_residue`) on
     every draw, with no float tier in front."""
     sub = np.array(subsets, dtype=np.intp)
-    got: list[Optional[list[int]]] = [None] * len(sub)
-    engine._members_residue(sub, np.arange(len(sub)), got)
-    return got
+    full = np.zeros(len(sub), dtype=bool)
+    mask = np.zeros((len(sub), engine.n), dtype=bool)
+    engine._members_residue(sub, np.arange(len(sub)), full, mask)
+    return _mask_lists(full, mask)
+
+
+def exact_members(engine: SpanEngine, subset: Sequence[int]) -> Optional[list[int]]:
+    """The answer of tier 5 of `engine` (`_members_exact`) on one draw."""
+    row = np.zeros(engine.n, dtype=bool)
+    full = engine._members_exact(list(subset), row)
+    return np.flatnonzero(row).tolist() if full else None
 
 
 def greedy_octads() -> tuple[int, ...]:
@@ -1047,3 +1084,128 @@ def candidate_coeffs(cands: CandidateSet) -> list[tuple[Fraction, ...]]:
             for row in w
         ))
     return out
+
+
+# -- helpers the library dropped because no program path used them --------
+
+
+class EmptyResult(EqlinesError):
+    """A filter removed every member of its input family."""
+
+
+def filter_orthogonal(
+    source: LineSet, constraints: Sequence[Sequence[int]]
+) -> LineSet:
+    """Lines of source whose integer coordinate vectors are orthogonal to
+    every constraint vector.  The source must carry coordinates."""
+    if source.coords is None:
+        raise ValueError("source line set carries no coordinate vectors")
+    cons = [tuple(int(x) for x in v) for v in constraints]
+    for v in cons:
+        if len(v) != len(source.coords[0]):
+            raise ValueError("constraint length must match coordinate length")
+    keep = [
+        i
+        for i, g in enumerate(source.coords)
+        if all(sum(map(mul, g, v)) == 0 for v in cons)
+    ]
+    if not keep:
+        raise EmptyResult("no line is orthogonal to every constraint")
+    if len(keep) == source.n:
+        return source
+    return source.restrict(keep)
+
+
+def count_containing(design: OctadDesign, *points: int) -> int:
+    """Number of blocks of design containing all the given points."""
+    want = 0
+    for p in points:
+        if not 1 <= p <= 24:
+            raise ValueError("points must lie in 1..24")
+        want |= 1 << (p - 1)
+    return sum(1 for m in design.masks if m & want == want)
+
+
+def tremain_inner(a: TremainColumn, b: TremainColumn) -> Fraction:
+    """<w_a, w_b> of two Tremain columns, from their layout alone."""
+    d = sum(map(mul, a.circle, b.circle))
+    if a.star_row == b.star_row:
+        d += 2
+    return Fraction(d, 5)
+
+
+def identity(n: int) -> RatMatrix:
+    return RatMatrix.from_integers(
+        n, n, [int(i == j) for i in range(n) for j in range(n)], 1
+    )
+
+
+def inverse(a: RatMatrix) -> RatMatrix:
+    """Exact inverse of a nonsingular square matrix, through the
+    library's `integer_inverse`."""
+    if a.rows != a.cols:
+        raise ValueError("inverse requires a square matrix")
+    m, scale = integer_scaled(a)
+    # a = m/scale, so a^-1 = scale * m^-1 = scale * R/D
+    r, d = integer_inverse(m)
+    return RatMatrix.from_integers(a.rows, a.cols, [scale * x for y in r for x in y], d)
+
+
+def graph_from_matrix(a: Sequence[Sequence]) -> SimpleGraph:
+    """Graph of a square adjacency matrix given as any 2-D sequence
+    of rows, nested lists or an array (nonzero entry = edge); it
+    must be symmetric with a zero diagonal (ValueError otherwise)."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("adjacency matrix must be square")
+    return SimpleGraph(n, tuple(
+        int("".join(["1" if x else "0" for x in row])[::-1], 2) for row in a
+    ))
+
+
+def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
+    adj = [0] * n
+    for i, j in edges:
+        if i == j:
+            raise ValueError(f"self-loop at vertex {i}")
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return SimpleGraph(n, tuple(adj))
+
+
+def _encode_n(n: int) -> bytes:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if n <= 62:
+        return bytes([n + 63])
+    if n <= 258047:
+        return bytes([126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
+    if n <= 68719476735:
+        return bytes([126, 126] + [((n >> s) & 63) + 63 for s in range(30, -1, -6)])
+    raise ValueError("vertex count too large for graph6")
+
+
+def encode_graph6(n: int, adj: list[int], header: bool = False) -> bytes:
+    """Encode adjacency bitsets as graph6 bytes (no trailing newline)."""
+    for i in range(n):
+        if adj[i] >> n:
+            raise ValueError(f"adjacency row {i} has bits beyond vertex {n - 1}")
+        if adj[i] >> i & 1:
+            raise ValueError(f"self-loop at vertex {i}")
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bit = adj[i] >> j & 1
+            if bit != (adj[j] >> i & 1):
+                raise ValueError(f"adjacency not symmetric at ({i},{j})")
+            bits.append(bit)
+    while len(bits) % 6:
+        bits.append(0)
+    out = bytearray(HEADER if header else b"")
+    out += _encode_n(n)
+    for k in range(0, len(bits), 6):
+        v = 0
+        for b in bits[k : k + 6]:
+            v = (v << 1) | b
+        out.append(v + 63)
+    return bytes(out)

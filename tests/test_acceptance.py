@@ -68,8 +68,11 @@ from oracles import (
     _pattern_block,
     block_unit_patterns,
     candidate_coeffs,
+    count_containing,
     direct_unit_patterns,
+    encode_graph6,
     enumerate_range_batch,
+    exact_members,
     fraction_enumerate_candidates,
     lcm_compatibility_graph,
     is_psd,
@@ -80,13 +83,17 @@ from oracles import (
     fraction_inverse,
     fraction_kernel,
     fraction_scaled_candidate_matrix,
+    graph_from_edges,
     greedy_span_basis,
+    inverse,
     matvec,
     pairwise_hits,
     psd_by_minors,
     residue_members,
     sample_subset,
     sign_patterns,
+    span_members,
+    span_members_many,
 )
 
 F = Fraction
@@ -111,7 +118,7 @@ def test_criterion_1_octad_generator():
     assert len(design) == 759
     assert design.points(0) == (1, 2, 3, 4, 5, 6, 7, 8)
     for p in range(1, 25):
-        assert design.count_containing(p) == 253
+        assert count_containing(design, p) == 253
     masks = design.masks
     sizes = {
         (masks[i] & masks[j]).bit_count()
@@ -265,10 +272,61 @@ def _srg344_path() -> Path | None:
     return bundled if bundled.exists() else None
 
 
+def _adjacent_positive_lines(data: bytes, angle: Fraction) -> LineSet:
+    """Lines of a graph6 graph read with S = 2A - J + I (adjacent pairs
+    get +1), Gram = I + angle*S: the sign rule of `from_graph6` applied
+    to the complement graph."""
+    n, adj = parse_graph6(data)
+    signs = tuple(
+        tuple(0 if i == j else 1 if adj[i] >> j & 1 else -1 for j in range(n))
+        for i in range(n)
+    )
+    return from_sign_matrix(SignMatrix(n, signs), angle)
+
+
+def _w3_points() -> list[tuple[int, ...]]:
+    """The 40 points of PG(3, 3): vectors of GF(3)^4 whose first
+    nonzero entry is 1."""
+    return [
+        v for v in itertools.product(range(3), repeat=4)
+        if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1
+    ]
+
+
+def test_criterion_8_sign_rule_on_w3_complement():
+    """The criterion-8 reading on a small analogue.  Points of W(3) are
+    collinear when the symplectic form x0*y2 - x2*y0 + x1*y3 - x3*y1
+    vanishes mod 3; the complement of the collinearity graph is an
+    SRG(40,27,18,18) with eigenvalues 27, 3 (x15) and -3 (x24).  Under
+    `from_graph6`'s S = J - I - 2A, I + S/5 has the eigenvalue -2, so
+    loading refuses it; under S = 2A - J + I it has the eigenvalues 4,
+    12/5 (x15) and 0 (x24): 40 lines at rank 16."""
+    points = _w3_points()
+    form = [
+        [(x[0] * y[2] - x[2] * y[0] + x[1] * y[3] - x[3] * y[1]) % 3 for y in points]
+        for x in points
+    ]
+    adj = [sum(1 << j for j, f in enumerate(row) if f) for row in form]
+    data = encode_graph6(40, adj)
+    assert srg_check(*parse_graph6(data)) == (40, 27, 18, 18)
+    with pytest.raises(NotPSD):
+        from_graph6(data, F(1, 5))
+    ls = _adjacent_positive_lines(data, F(1, 5))
+    assert (ls.n, ls.rank) == (40, 16)
+    assert validate(ls).passed
+    collinear = [((1 << 40) - 1) ^ row ^ (1 << i) for i, row in enumerate(adj)]
+    assert ls.gram == from_graph6(encode_graph6(40, collinear), F(1, 5)).gram
+
+
 def test_criterion_8_srg_344_lines():
     """With a user-supplied SRG(344,168,92,72) graph: 344 lines at
     alpha 1/7 validate at rank 43, and a 2000-run rank-42 search
-    reaches a closure of at least 200 lines."""
+    reaches a closure of at least 200 lines.
+
+    The graph has eigenvalues 168, 24 (x43) and -4 (x300).  Under
+    `from_graph6`'s S = J - I - 2A, I + S/7 has the eigenvalue -6, so
+    the lines are read with S = 2A - J + I, whose I + S/7 has the
+    eigenvalues 8 (x43) and 0: a PSD Gram of rank 43."""
     path = _srg344_path()
     if path is None or not path.exists():
         pytest.skip(
@@ -280,7 +338,7 @@ def test_criterion_8_srg_344_lines():
     assert srg_check(n, adj) == (344, 168, 92, 72), (
         "supplied graph is not an SRG(344,168,92,72)"
     )
-    ls = from_graph6(data, F(1, 7))
+    ls = _adjacent_positive_lines(data, F(1, 7))
     assert ls.n == 344
     assert ls.rank == 43
     assert validate(ls).passed
@@ -324,7 +382,7 @@ def _random_graph(rng: SplitMix64, n: int, density_pct: int) -> SimpleGraph:
         for j in range(i + 1, n):
             if rng.below(100) < density_pct:
                 edges.append((i, j))
-    return SimpleGraph.from_edges(n, edges)
+    return graph_from_edges(n, edges)
 
 
 def test_criterion_9a_max_clique_vs_brute_force():
@@ -506,11 +564,11 @@ def test_criterion_9e_fraction_free_vs_fraction_oracle():
             except SingularMatrix:
                 singular += 1
                 with pytest.raises(SingularMatrix):
-                    linalg.inverse(m)
+                    inverse(m)
             else:
                 inverted += 1
-                assert linalg.inverse(m) == inv
-    assert linalg.inverse(RatMatrix(0, 0, [])) == RatMatrix(0, 0, [])
+                assert inverse(m) == inv
+    assert inverse(RatMatrix(0, 0, [])) == RatMatrix(0, 0, [])
     assert min(negative_pivot_kernels, singular, inverted) >= 20
 
     tremain, taylor, asche = tremain_28(), taylor_90(), asche_72()
@@ -602,10 +660,10 @@ def test_criterion_9g_numerators_vs_fraction_matrix_oracle():
                 except SingularMatrix:
                     seen["singular"] += 1
                     with pytest.raises(SingularMatrix):
-                        linalg.inverse(new)
+                        inverse(new)
                 else:
                     seen["inverted"] += 1
-                    assert linalg.inverse(new).entries == inv.entries
+                    assert inverse(new).entries == inv.entries
             seen["0x0"] += r == c == 0
             seen["1x1"] += r == c == 1
             seen["non_square"] += r != c
@@ -705,7 +763,7 @@ def test_criterion_9f_stacked_singular_vs_exact_rank():
                 got = residue_members(engine, sub.tolist())
                 assert engine.tier_counts["singular"] == sum(want)
             else:
-                got = engine.members_many(sub.tolist())
+                got = span_members_many(engine, sub.tolist())
                 assert engine.tier_counts["exact"] == 8
             assert [g is None for g in got] == want
     assert nullities == {0, 1, 2, 3}
@@ -725,9 +783,9 @@ def _assert_modular_tier_agrees(m_rows, subsets):
     if len(subsets[0]) * engine.max_m <= 2**27:
         got = residue_members(engine, subsets)
     else:
-        got = engine.members_many(subsets)
+        got = span_members_many(engine, subsets)
         assert engine.tier_counts["exact"] == len(subsets)
-    assert got == [engine._members_exact(s) for s in subsets]
+    assert got == [exact_members(engine, s) for s in subsets]
     assert got == PerDrawSpanEngine(m_rows).members_many(subsets)
     return got
 
@@ -787,7 +845,7 @@ def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
     for top, tier in ((x, "float"), (x + 1, "modular")):
         m_rows = [[top, 0, top], [0, 1, 0], [top, 0, top]]
         engine = spansearch.SpanEngine(m_rows)
-        assert engine.members([0]) == [0, 2]
+        assert span_members(engine, [0]) == [0, 2]
         assert engine.tier_counts[tier] == 1 and sum(engine.tier_counts.values()) == 1
         assert _assert_modular_tier_agrees(m_rows, [[0], [1], [2]]) == [
             [0, 2], [1], [0, 2]
@@ -803,7 +861,7 @@ def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
     for top, tier in ((2**17, "float"), (2**17 + 1, "modular")):
         m_rows = [[top, top - 1, 1], [top - 1, top - 2, 0], [1, 0, 2 - top]]
         engine = spansearch.SpanEngine(m_rows)
-        assert engine.members([0, 1]) == [0, 1, 2]
+        assert span_members(engine, [0, 1]) == [0, 1, 2]
         assert engine.tier_counts[tier] == 1 and sum(engine.tier_counts.values()) == 1
         assert _assert_modular_tier_agrees(m_rows, [[0, 1], [1, 2]]) == [
             [0, 1, 2], [0, 1, 2]

@@ -15,7 +15,7 @@ import pytest
 import eqlines
 from eqlines import lineset
 from eqlines.cli import BLAS_THREAD_VARS, WORK_CEILING_CAP_BITS, _ceiling, main
-from eqlines.graph6 import encode_graph6
+from oracles import encode_graph6
 
 
 def petersen_bytes() -> bytes:

@@ -1,10 +1,12 @@
-"""graph6 codec: known encodings, round trips, malformed input."""
+"""graph6 decoder: known encodings, round trips through the test
+encoder, malformed input."""
 
 import pytest
 
 from eqlines import graph6
 from eqlines.errors import MalformedGraph6
 from eqlines.spansearch import SplitMix64
+from oracles import _encode_n, encode_graph6
 
 
 def petersen_adj() -> list[int]:
@@ -34,22 +36,22 @@ class TestKnownEncodings:
         n, adj = graph6.parse_graph6(b"C~")
         assert n == 4
         assert all(row == (0b1111 ^ (1 << i)) for i, row in enumerate(adj))
-        assert graph6.encode_graph6(4, adj) == b"C~"
+        assert encode_graph6(4, adj) == b"C~"
 
     def test_header_accepted(self):
         assert graph6.parse_graph6(b">>graph6<<A_\n") == (2, [2, 1])
 
     def test_encode_sizes(self):
-        assert graph6.encode_graph6(0, []) == b"?"
-        assert graph6.encode_graph6(62, [0] * 62)[:1] == bytes([63 + 62])
-        big = graph6.encode_graph6(63, [0] * 63)
+        assert encode_graph6(0, []) == b"?"
+        assert encode_graph6(62, [0] * 62)[:1] == bytes([63 + 62])
+        big = encode_graph6(63, [0] * 63)
         assert big[0] == 126 and len(big) == 4 + (63 * 62 // 2 + 5) // 6
 
 
 class TestRoundTrip:
     def test_petersen(self):
         adj = petersen_adj()
-        data = graph6.parse_graph6(graph6.encode_graph6(10, adj))
+        data = graph6.parse_graph6(encode_graph6(10, adj))
         assert data == (10, adj)
 
     def test_random_graphs(self):
@@ -62,16 +64,16 @@ class TestRoundTrip:
                     if rng.below(2):
                         adj[i] |= 1 << j
                         adj[j] |= 1 << i
-            enc = graph6.encode_graph6(n, adj, header=bool(rng.below(2)))
+            enc = encode_graph6(n, adj, header=bool(rng.below(2)))
             assert graph6.parse_graph6(enc) == (n, adj)
 
     def test_large_n_prefix(self):
         # 3-byte form for 63 <= n <= 258047, 6-byte form above
-        n, rest = graph6._decode_n(graph6._encode_n(100))
+        n, rest = graph6._decode_n(_encode_n(100))
         assert (n, rest) == (100, b"")
-        n, rest = graph6._decode_n(graph6._encode_n(258047))
+        n, rest = graph6._decode_n(_encode_n(258047))
         assert (n, rest) == (258047, b"")
-        n, rest = graph6._decode_n(graph6._encode_n(258048))
+        n, rest = graph6._decode_n(_encode_n(258048))
         assert (n, rest) == (258048, b"")
 
 
@@ -100,8 +102,8 @@ class TestMalformed:
 
     def test_encode_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            graph6.encode_graph6(2, [2, 0])
+            encode_graph6(2, [2, 0])
 
     def test_encode_rejects_self_loop(self):
         with pytest.raises(ValueError):
-            graph6.encode_graph6(1, [1])
+            encode_graph6(1, [1])

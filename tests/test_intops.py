@@ -19,10 +19,14 @@ from oracles import (
     det,
     direct_unit_patterns,
     enumerate_range_batch,
+    exact_members,
+    inverse,
     pairwise_hits,
     residue_members,
     sample_subset,
     sign_patterns,
+    span_members,
+    span_members_many,
 )
 
 F = Fraction
@@ -62,7 +66,7 @@ class TestScaledCandidateMatrix:
         )
         assert t_target * taylor.angle == scale
         # W must be L * alpha * inverse(G_B): check one column exactly
-        inv = linalg.inverse(sub)
+        inv = inverse(sub)
         for i in range(20):
             assert F(w[i][0], scale) == taylor.angle * inv[i, 0]
 
@@ -508,9 +512,9 @@ class TestFormsMod:
         assert want[d:] == [j % 2 == 0 for j in range(d, n)]
         engine = spansearch.SpanEngine(m_rows)
         subsets = [list(range(k, k + d)) for k in range(n - d + 1)]
-        got = engine.members_many(subsets)
+        got = span_members_many(engine, subsets)
         assert got == PerDrawSpanEngine(m_rows).members_many(subsets)
-        assert got == [engine._members_exact(s) for s in subsets]
+        assert got == [exact_members(engine, s) for s in subsets]
         assert (d * engine.max_m == 2**27) == (wrap == 0)
         assert engine.tier_counts["exact"] == (len(subsets) if wrap else 0)
         if not wrap:
@@ -565,8 +569,8 @@ class TestSpanEngine:
                 set(rng.below(n) for _ in range(k))
             )
             want = self._oracle(m_rows, subset)
-            assert engine.members(subset) == want
-            assert engine._members_exact(subset) == want
+            assert span_members(engine, subset) == want
+            assert exact_members(engine, subset) == want
             assert residue_members(engine, [subset]) == [want]
 
     def test_modular_tier_on_huge_entries(self):
@@ -581,7 +585,7 @@ class TestSpanEngine:
             engine = spansearch.SpanEngine(big)
             subset = [0, 1]
             want = self._oracle(m_rows, subset)  # scaling preserves membership
-            assert engine.members(subset) == want
+            assert span_members(engine, subset) == want
             assert engine.tier_counts["exact"] == 1
             scale = (1 << 26) // max(abs(x) for row in m_rows for x in row)
             edge = spansearch.SpanEngine([[x * scale for x in row] for row in m_rows])
@@ -598,7 +602,7 @@ class TestSpanEngine:
         engine = spansearch.SpanEngine(m_rows)
         oracle = PerDrawSpanEngine(m_rows)
         assert d * engine.max_m == 2**27
-        assert engine.members(list(range(d))) == oracle.members(list(range(d)))
+        assert span_members(engine, list(range(d))) == oracle.members(list(range(d)))
         assert engine.tier_counts["modular"] == 1
         a = np.array([[[m_rows[i][j] for j in range(d)] for i in range(d)]], float)
         for p in (P0, spansearch._PRIMES26[-1]):
@@ -617,8 +621,8 @@ class TestSpanEngine:
         for top, tier in ((2**27, "modular"), (2**27 + 1, "exact")):
             m_rows = [[top, 0, top], [0, 1, 0], [top, 0, top]]
             engine = spansearch.SpanEngine(m_rows)
-            assert engine.members([0]) == [0, 2]
-            assert engine.members([0]) == PerDrawSpanEngine(m_rows).members([0])
+            assert span_members(engine, [0]) == [0, 2]
+            assert span_members(engine, [0]) == PerDrawSpanEngine(m_rows).members([0])
             assert engine.tier_counts[tier] == 2
             assert sum(engine.tier_counts.values()) == 2
 
@@ -626,14 +630,14 @@ class TestSpanEngine:
         vectors = [[1, 0], [2, 0], [0, 1]]
         m_rows = gram_from_vectors(vectors)
         engine = spansearch.SpanEngine(m_rows)
-        assert engine.members([0, 1]) is None  # parallel vectors
-        assert engine.members([0, 2]) == [0, 1, 2]
+        assert span_members(engine, [0, 1]) is None  # parallel vectors
+        assert span_members(engine, [0, 2]) == [0, 1, 2]
 
     def test_members_includes_subset(self):
         rng = SplitMix64(30)
         vectors, m_rows = self._random_instance(rng, 4, 8)
         engine = spansearch.SpanEngine(m_rows)
-        got = engine.members([1, 3])
+        got = span_members(engine, [1, 3])
         if got is not None:
             assert {1, 3} <= set(got)
 
@@ -659,7 +663,7 @@ class TestStackedSpan:
             # more draws than one block, so a block seam is crossed
             subsets = draws(ls, d, engine.block(d) + 7, seed=33 + d)
             want = oracle.members_many(subsets)
-            assert engine.members_many(subsets) == want
+            assert span_members_many(engine, subsets) == want
             kinds |= {w is None for w in want}
         # tremain has rank 14, so all of its draws are singular
         assert kinds == ({True} if ls.rank < 17 else {True, False})
@@ -667,8 +671,8 @@ class TestStackedSpan:
     def test_members_is_one_draw_block(self, asche):
         engine, oracle = self.engines(linalg.integer_scaled(asche.gram)[0])
         for subset in draws(asche, 18, 12, seed=34):
-            assert engine.members(subset) == oracle.members(subset)
-        assert engine.members_many([]) == []
+            assert span_members(engine, subset) == oracle.members(subset)
+        assert span_members_many(engine, []) == []
 
     def test_wide_entries_match_per_draw(self, asche):
         # entries of 5 * 2^29 put every draw past the width rule
@@ -676,7 +680,7 @@ class TestStackedSpan:
         engine, oracle = self.engines(m_rows)
         for d, count in ((6, 12), (18, 3)):
             subsets = draws(asche, d, count, seed=35)
-            assert engine.members_many(subsets) == oracle.members_many(subsets)
+            assert span_members_many(engine, subsets) == oracle.members_many(subsets)
         # every draw is past the width rule, so the exact tier answers it
         assert engine.tier_counts["exact"] == 15
         rng = SplitMix64(36)
@@ -688,7 +692,7 @@ class TestStackedSpan:
             for k in (3, 5):
                 subsets = [sample_subset(rng, 10, k) for _ in range(4)]
                 want = oracle.members_many(subsets)
-                assert engine.members_many(subsets) == want
+                assert span_members_many(engine, subsets) == want
                 assert k == 3 or want == [None] * 4
             assert engine.tier_counts["exact"] == 8
 
@@ -708,10 +712,10 @@ class TestStackedSpan:
         residue = engine._members_residue
         monkeypatch.setattr(
             engine, "_members_residue",
-            lambda sub, left, got: asked.extend(sub[left].tolist())
-            or residue(sub, left, got),
+            lambda sub, left, full, mask: asked.extend(sub[left].tolist())
+            or residue(sub, left, full, mask),
         )
-        assert engine.members_many(subsets) == want
+        assert span_members_many(engine, subsets) == want
         assert asked == nonsingular
         assert engine.tier_counts == {
             "float": 0, "kernel": len(subsets) - len(nonsingular),
@@ -783,13 +787,13 @@ class TestStackedSpan:
         assert residue_members(engine, [[0, 1], [0, 2]]) == [[0, 1, 2]] * 2
         assert engine.tier_counts["singular"] == 0
         # 3 * (P0 + 1) > 2^27: a draw of three is past the width rule
-        assert engine.members([1, 2, 0]) is None
+        assert span_members(engine, [1, 2, 0]) is None
         assert engine.tier_counts["exact"] == 1
         # scaled by 2^31 every draw is past the width rule (det P0 * 2^62)
         wide = [[x << 31 for x in row] for row in m_rows]
         engine, oracle = self.engines(wide)
         for subset in ([0, 1], [1, 2], [0, 1, 2], [3]):
-            assert engine.members(subset) == oracle.members(subset)
-        assert engine.members([0, 1]) == [0, 1, 2]
-        assert engine.members([0, 1, 2]) is None
+            assert span_members(engine, subset) == oracle.members(subset)
+        assert span_members(engine, [0, 1]) == [0, 1, 2]
+        assert span_members(engine, [0, 1, 2]) is None
         assert engine.tier_counts["exact"] == 6

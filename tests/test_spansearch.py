@@ -26,7 +26,13 @@ from eqlines.spansearch import (
     run_seed,
     span_closure,
 )
-from oracles import PerDrawSpanEngine, mix64_inverse, sample_subset
+from oracles import (
+    PerDrawSpanEngine,
+    mix64_inverse,
+    sample_subset,
+    span_members,
+    span_members_many,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -459,7 +465,7 @@ class TestTierCounts:
             ("float", "kernel", "singular", "modular", "exact"), 0
         )
         _, subsets = _draw_block(0, 0, runs, ls.n, rank)
-        got = engine.members_many(subsets.tolist())
+        got = span_members_many(engine, subsets.tolist())
         assert tuple(engine.tier_counts.values()) == split
         summary = random_search(ls, rank, runs, 0)
         assert [run.closure for run in summary.run_log] == [
@@ -485,7 +491,7 @@ class TestTierCounts:
         monkeypatch.setattr(
             spansearch, "_kernel_zero", lambda a, max_m: np.zeros(len(a), bool)
         )
-        engine.members_many(subsets.tolist())
+        span_members_many(engine, subsets.tolist())
         step, left = engine.block(18), engine.tier_counts["singular"]
         assert (step, left) == (101, 2274)
         assert stacks == [2 * step] * (left // step) + [2 * (left % step)]
@@ -504,7 +510,7 @@ class TestKernelCertificate:
         a = np.array([gram], dtype=np.float64)
         assert spansearch._kernel_zero(a, max_m).tolist() == [True]
         engine = spansearch.SpanEngine(gram)
-        assert engine.members([0, 1, 2, 3]) is None
+        assert span_members(engine, [0, 1, 2, 3]) is None
         assert engine.tier_counts["kernel"] == 1
 
 
@@ -520,11 +526,11 @@ class TestBlockArrays:
         for rank, seed in ((18, 0), (12, 1), (18, 7)):
             _, subsets = _draw_block(seed, 0, 5000, asche.n, rank)
             subsets = subsets.tolist()
-            got = engine.members_many(subsets)
-            assert got == spansearch.SpanEngine(m_rows).members_many(subsets)
+            got = span_members_many(engine, subsets)
+            assert got == span_members_many(spansearch.SpanEngine(m_rows), subsets)
             # a sample of the full blocks and the whole short block
             for k in [*range(0, 4949, 97), *range(4949, 5000)]:
-                assert engine.members(subsets[k]) == got[k]
+                assert span_members(engine, subsets[k]) == got[k]
 
     def test_residue_gather_leaves_block_arrays_alone(self, asche, monkeypatch):
         # with no kernel certificates, the residue tiers run between
@@ -545,17 +551,17 @@ class TestBlockArrays:
             return got
 
         monkeypatch.setattr(engine, "_hadamard", spy)
-        got = engine.members_many(subsets.tolist())
+        got = span_members_many(engine, subsets.tolist())
         assert len(calls) >= 2
         monkeypatch.undo()
         fresh = spansearch.SpanEngine(linalg.integer_scaled(asche.gram)[0])
-        assert got == fresh.members_many(subsets.tolist())
+        assert got == span_members_many(fresh, subsets.tolist())
 
     @pytest.mark.parametrize("bad", [[0, 72], [-1, 5]])
     def test_index_out_of_range(self, asche, bad):
         engine = spansearch.SpanEngine(linalg.integer_scaled(asche.gram)[0])
         with pytest.raises(IndexError, match="line index out of range"):
-            engine.members_many([[0, 1], bad])
+            span_members_many(engine, [[0, 1], bad])
 
 
 class TestExtract:

@@ -1,0 +1,113 @@
+"""The library keeps only what a program path runs.
+
+Every public top-level function or class of `src/eqlines`, and every
+public method of a public class, must be referenced by the library
+itself (outside `__init__.py` and its own definition), by the benchmark
+harness (`perfbench/*.py`) or by the Python snippets of the recipes
+(`docs/recipes/*.sh`).  A name is referenced when it appears as an
+attribute, an imported name or an identifier string (as `getattr`
+takes it), or, for a top-level name, as a variable of its own module;
+a local variable of the same name elsewhere is not a reference.
+Helpers that only tests use belong in `tests/oracles.py`.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIB = ROOT / "src" / "eqlines"
+
+# qualified name -> why it stays though no program path references it
+ALLOWED = {
+    "spansearch.SpanEngine.tier_counts": "observability: the draws each "
+    "span tier decided, to be reported on the trace side channel",
+    "spansearch.SplitMix64": "the reference definition of the seed stream "
+    "that `_draw_block` reproduces lane by lane, as the README documents",
+    "linalg.RatMatrix.entries": "with `row` and `[i, j]`, the documented "
+    "way to read a matrix's entries as Fractions",
+    "linalg.RatMatrix.row": "with `entries` and `[i, j]`, the documented "
+    "way to read a matrix's entries as Fractions",
+}
+
+# the body of each `<<'PY'` ... `PY` heredoc of a recipe
+_HEREDOC = re.compile(r"<<\s*'?PY'?\n(.*?)\nPY\n", re.S)
+
+
+def _public_definitions() -> list[tuple[str, str, str]]:
+    """(module, class or "", name) of every public top-level function
+    or class and every public method of a public class."""
+    found = []
+    for path in sorted(LIB.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            found.append((path.stem, "", node.name))
+            if isinstance(node, ast.ClassDef):
+                found.extend(
+                    (path.stem, node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                )
+    return found
+
+
+def _references(source: str) -> tuple[set[str], set[str]]:
+    """(names used as variables, names used any other way) in source."""
+    variables, other = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            variables.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            other.add(node.attr)
+        elif isinstance(node, ast.alias):
+            other.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                other.add(node.value)
+    return variables, other
+
+
+def _program_sources() -> dict[str, str]:
+    """Label -> source of every program file: a library module's label
+    is its module name."""
+    sources = {
+        p.stem: p.read_text() for p in sorted(LIB.glob("*.py")) if p.name != "__init__.py"
+    }
+    sources.update(
+        (f"perfbench/{p.name}", p.read_text())
+        for p in sorted((ROOT / "perfbench").glob("*.py"))
+    )
+    for script in sorted((ROOT / "docs" / "recipes").glob("*.sh")):
+        for k, snippet in enumerate(_HEREDOC.findall(script.read_text())):
+            sources[f"docs/recipes/{script.name}#{k}"] = snippet
+    return sources
+
+
+def _unreferenced() -> list[str]:
+    refs = {label: _references(src) for label, src in _program_sources().items()}
+    used = set().union(*(other for _, other in refs.values()))
+    unused = []
+    for module, cls, name in _public_definitions():
+        own = module in refs and not cls and name in refs[module][0]
+        if name not in used and not own:
+            unused.append(".".join(filter(None, (module, cls, name))))
+    return unused
+
+
+def test_every_public_name_has_a_program_caller():
+    unused = [name for name in _unreferenced() if name not in ALLOWED]
+    assert not unused, f"public names no program path references: {unused}"
+
+
+def test_allowlist_holds_only_unreferenced_names():
+    # an entry whose name gained a caller, or went, must leave the list
+    assert sorted(ALLOWED) == sorted(set(ALLOWED) & set(_unreferenced()))
+
+
+def test_recipe_snippets_are_found():
+    # the heredoc pattern must keep matching the recipes' layout
+    snippets = [s for label, s in _program_sources().items() if "#" in label]
+    assert len(snippets) >= 5 and any("from eqlines" in s for s in snippets)
