@@ -269,6 +269,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
     from . import spansearch
 
     ls = _load_lineset(args.file)
+    if ls.coords is not None:  # refuse before the first draw
+        lineset.require_valid(ls)
+        lineset.require_coords(ls)
     progress = None if args.json else _progress_printer("runs")
     summary = spansearch.random_search(
         ls,
@@ -278,28 +281,23 @@ def _cmd_search(args: argparse.Namespace) -> int:
         progress=progress,
     )
     best = summary.best
-    complement: Optional[list] = None
-    if best is not None and best.rank_ok and ls.coords is not None:
-        complement = [
-            list(vec)
-            for vec in spansearch.orthogonal_complement(ls, best.closure)
-        ]
+    found = best is not None and best.rank_ok
+    complement = None
+    if found and ls.coords is not None:
+        # the best draw spans the closure, in fewer rows
+        complement = spansearch.orthogonal_complement(ls, best.subset)
     if args.csv:
         import csv
 
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["run", "seed", "closure_size", "rank_ok"])
-            for run in summary.run_log:
-                writer.writerow(
-                    [
-                        run.index,
-                        run.seed,
-                        run.closure_size,
-                        "true" if run.rank_ok else "false",
-                    ]
-                )
-    if args.emit_best and best is not None and best.rank_ok:
+            writer.writerows(
+                [run.index, run.seed, run.closure_size,
+                 "true" if run.rank_ok else "false"]
+                for run in summary.run_log
+            )
+    if args.emit_best and found:
         sub = spansearch.extract_sublineset(ls, best.closure)
         lineset.save(sub, args.emit_best)
     if args.json:
@@ -308,7 +306,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             doc["complement"] = complement
         _emit_json(doc)
     else:
-        if best is None or not best.rank_ok:
+        if not found:
             print("no run produced a full-rank subset")
         else:
             print(
@@ -325,7 +323,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             print(f"  {size}: {summary.histogram[size]}")
         if args.csv:
             print(f"run log written to {args.csv}")
-        if args.emit_best and best is not None and best.rank_ok:
+        if args.emit_best and found:
             print(f"best sub-lineset written to {args.emit_best}")
     return EXIT_OK
 

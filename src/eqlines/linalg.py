@@ -268,13 +268,11 @@ def psd_basis(m: RatMatrix) -> Optional[tuple[int, ...]]:
     return None if any(any(row) for row in u) else tuple(pivots)
 
 
-def kernel(m: RatMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right null space, one vector per free column.
-
-    Each basis vector is scaled to primitive integer form (integer
-    entries with gcd 1, positive on its free column) for readability;
-    entries are still Fractions.
-    """
+def kernel(m: RatMatrix) -> list[tuple[int, ...]]:
+    """Basis of the right null space, one vector per free column, each
+    in primitive integer form: integer entries with gcd 1, positive on
+    its free column.  The RREF of the row space fixes it, so matrices
+    with one row space have one kernel basis."""
     a, _ = integer_scaled(m)
     pivots, d = _fraction_free_rref(a)
     basis = []
@@ -285,5 +283,5 @@ def kernel(m: RatMatrix) -> list[tuple[Fraction, ...]]:
         for row, pc in zip(a, pivots):
             vec[pc] = -row[fc]
         g = gcd(*vec) if d > 0 else -gcd(*vec)
-        basis.append(tuple(Fraction(x // g) for x in vec))
+        basis.append(tuple(x // g for x in vec))
     return basis

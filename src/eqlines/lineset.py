@@ -327,6 +327,16 @@ def require_valid(ls: LineSet) -> None:
         ))
 
 
+def require_coords(ls: LineSet) -> None:
+    """Raise ValueError when the set carries no coordinate vectors, or
+    when they fail `coords_match_gram`; a pass is kept on the set."""
+    if ls.coords is None:
+        raise ValueError("line set carries no coordinate vectors")
+    check = _coords_check_once(ls)
+    if not check.passed:
+        raise ValueError(f"line set fails {check.name} ({check.detail})")
+
+
 def relative_bound(r: int, angle: Fraction) -> Fraction:
     """Exact bound r(1 - a^2)/(1 - r a^2) on line counts at rank r, for
     an angle a in (0, 1), the range `LineSet.from_gram` accepts."""

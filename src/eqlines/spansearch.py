@@ -48,7 +48,7 @@ import numpy as np
 from . import linalg
 from ._record import Record
 from .errors import OutOfRange, RankDeficient, SingularMatrix
-from .lineset import LineSet, _coords_check_once, require_valid, validate
+from .lineset import LineSet, require_coords, require_valid, validate
 
 # entries of the (runs, n) permutation that one `_draw_block` call
 # shuffles: random_search draws chunks of whole blocks about this size
@@ -634,17 +634,14 @@ def span_closure(ls: LineSet, subset: Sequence[int]) -> list[int]:
 
     Exact projection criterion: j is in the span iff
     G_jS (G_SS)^(-1) G_Sj == G_jj.  The subset itself is always included.
-    Raises RankDeficient when the subset's Gram block is singular.
+    Raises RankDeficient when the subset's Gram block is singular, and
+    IndexError (`member_masks`) for an index outside 0..n-1.
     """
-    idx = [int(i) for i in subset]
-    if any(not 0 <= i < ls.n for i in idx):
-        raise IndexError("line index out of range")
+    idx = list(subset)
     m_rows, _ = linalg.integer_scaled(ls.gram)
     full, mask = SpanEngine(m_rows).member_masks([idx])
     if not full[0]:
-        raise RankDeficient(
-            f"Gram block on {len(idx)} lines is singular"
-        )
+        raise RankDeficient(f"Gram block on {len(idx)} lines is singular")
     return np.flatnonzero(mask[0]).tolist()
 
 
@@ -659,11 +656,12 @@ def random_search(
 
     Deterministic in (ls, target_rank, runs, seed): each run's subset
     comes from its own derived seed.  The closures stay one (runs, n)
-    bool mask, which gives the histogram (singular draws at size 0) and
-    the best run, the first of maximal closure size; `run_log` builds
-    each `SearchRun` from it when read.  progress (if given) receives
-    (done, runs) once for each block of draws, as each chunk of blocks
-    is decided, ending at (runs, runs);
+    bool mask beside the (runs, target_rank) intp draws, n + 8r bytes
+    per run with no ceiling on runs; the mask gives the histogram
+    (singular draws at size 0) and the best run, the first of maximal
+    closure size; `run_log` builds each `SearchRun` from them when read.
+    progress (if given) receives (done, runs) once for each block of
+    draws, as each chunk of blocks is decided, ending at (runs, runs);
     runs = 0 reports nothing.  A line set that fails a check of
     `lineset.require_valid` is refused with InvalidLineSet first.
     """
@@ -714,22 +712,17 @@ def extract_sublineset(ls: LineSet, indices: Sequence[int]) -> LineSet:
 def orthogonal_complement(
     ls: LineSet, indices: Sequence[int]
 ) -> list[tuple[int, ...]]:
-    """Primitive integer basis of the space orthogonal to the coordinate
-    vectors of the indexed lines (the standard basis when there are
-    none).  Requires a coordinate-carrying set whose coordinates match
-    its Gram matrix (`lineset._coords_check_once`; ValueError naming the
-    first failing pair otherwise), and raises IndexError for an index
-    outside 0..n-1."""
-    if ls.coords is None:
-        raise ValueError("line set carries no coordinate vectors")
+    """Primitive integer basis (`linalg.kernel`) of the space orthogonal
+    to the coordinate vectors of the indexed lines (the standard basis
+    when there are none).  It depends only on their span, so any lines
+    with one span give one basis: `search` passes its best draw, not the
+    closure.  Requires coordinates that match the Gram matrix
+    (`lineset.require_coords`, ValueError otherwise), and raises
+    IndexError for an index outside 0..n-1."""
+    require_coords(ls)
     idx = list(indices)
     if any(not 0 <= i < ls.n for i in idx):
         raise IndexError("line index out of range")
-    check = _coords_check_once(ls)
-    if not check.passed:
-        raise ValueError(f"line set fails {check.name} ({check.detail})")
     dim = len(ls.coords[0]) if ls.coords else 0
     flat = [x for i in idx for x in ls.coords[i]]
-    kernel = linalg.kernel(linalg.RatMatrix.from_integers(len(idx), dim, flat, 1))
-    return [tuple(int(x) for x in vec) for vec in kernel]
-
+    return linalg.kernel(linalg.RatMatrix.from_integers(len(idx), dim, flat, 1))

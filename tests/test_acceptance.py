@@ -318,6 +318,39 @@ def test_criterion_8_sign_rule_on_w3_complement():
     assert ls.gram == from_graph6(encode_graph6(40, collinear), F(1, 5)).gram
 
 
+def test_table_d16_w3_lines_are_maximal():
+    """The d = 16 cell of the paper's table: the collinearity graph of
+    W(3), SRG(40,12,2,4), with points collinear when x0*y1 - x1*y0 +
+    x2*y3 - x3*y2 vanishes mod 3, read under S = J - I - 2A at 1/5, is
+    40 lines at rank 16.  Over the default basis there are K = 940
+    candidates and 107,263 compatible pairs (both depend on the form and
+    the point order, which fix the basis).  The 24 non-basis lines are a
+    clique of candidates, and no candidate is adjacent to all of them,
+    so no line extends the set: it is maximal.  The clique stage, which
+    proves omega = 24 (saturation), is left out for its time."""
+    def sign(x, y):
+        if x == y:
+            return 0
+        form = x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]
+        return -1 if form % 3 == 0 else 1
+
+    points = _w3_points()
+    signs = tuple(tuple(sign(x, y) for y in points) for x in points)
+    ls = from_sign_matrix(SignMatrix(40, signs), F(1, 5))
+    assert ls.rank == 16
+    assert validate(ls).passed
+    basis = select_basis(ls)
+    cands = enumerate_candidates(ls, basis)
+    graph = build_compatibility_graph(cands, ls, basis)
+    assert (len(cands), graph.edge_count()) == (940, 107263)
+    cover = verify_nonbasis_cover(ls, basis, cands, graph)
+    assert len(cover) == 24
+    common = (1 << len(cands)) - 1
+    for v in cover:
+        common &= graph.adj[v]
+    assert common == 0
+
+
 def test_criterion_8_srg_344_lines():
     """With a user-supplied SRG(344,168,92,72) graph: 344 lines at
     alpha 1/7 validate at rank 43, and a 2000-run rank-42 search

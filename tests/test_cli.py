@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,13 @@ import pytest
 
 import eqlines
 from eqlines import lineset
-from eqlines.cli import BLAS_THREAD_VARS, WORK_CEILING_CAP_BITS, _ceiling, main
+from eqlines.cli import (
+    BLAS_THREAD_VARS,
+    WORK_CEILING_CAP_BITS,
+    _ceiling,
+    build_parser,
+    main,
+)
 from oracles import encode_graph6
 
 
@@ -527,6 +534,29 @@ class TestSearch:
         assert err == ("error: line set fails coords_match_gram (pair (0,1): "
                        "dot product -40, expected 16)\n")
 
+    def test_contradicting_coords_refused_before_any_draw(
+        self, asche_file, tmp_path, capsys, monkeypatch
+    ):
+        from eqlines import spansearch
+
+        doc = json.loads(Path(asche_file).read_text())
+        row = doc["coords"][0]
+        row[row.index(-1)] = 0  # one coordinate changed: norm 79, not 80
+        path = tmp_path / "one_coord.json"
+        path.write_text(json.dumps(doc))
+        calls = []
+        monkeypatch.setattr(spansearch, "random_search",
+                            lambda *a, **k: calls.append(a))
+        for runs in ("0", "50"):
+            argv = ["search", str(path), "--rank", "18", "--runs", runs,
+                    "--seed", "0"]
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == ("error: line set fails coords_match_gram (pair (0,0): "
+                           "dot product 79, expected 80)\n")
+        assert calls == []
+
     def test_negative_runs_rejected(self, asche_file, capsys):
         argv = ["search", asche_file, "--rank", "18", "--runs", "-3",
                 "--seed", "0", "--json"]
@@ -791,3 +821,47 @@ def test_import_budget(tmp_path):
                  ["bound", "40", "1/7"], ["info", "20"]):
         got = probe(argv)
         assert not got["dataclasses"] and not got["inspect"], (argv, got)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# an `eqlines <subcommand>` call up to the end of its line, a comment,
+# a redirection, a closing backquote or parenthesis, or a semicolon
+_CALL = re.compile(r"\beqlines\s+([a-z][\w-]*)([^\n`#>);]*)")
+
+
+def _documented_calls() -> list[tuple[str, str, list[str]]]:
+    """(file, subcommand, --options) of every `eqlines <subcommand>` call
+    in README.md and docs/recipes/*.sh.  A shell line continuation, and
+    an indented line that opens with "[" (a wrapped usage synopsis),
+    continue the call of the line before."""
+    calls = []
+    for path in [ROOT / "README.md", *sorted((ROOT / "docs" / "recipes").glob("*.sh"))]:
+        text = re.sub(r"\\\n", " ", path.read_text())
+        text = re.sub(r"\n(?=[ \t]+\[)", " ", text)
+        for m in _CALL.finditer(text):
+            options = re.findall(r"(?<![\w-])--[a-z][\w-]*", m.group(2))
+            calls.append((path.name, m.group(1), options))
+    return calls
+
+
+def test_documented_options_exist_on_their_subcommand():
+    parser = build_parser()
+    (subparsers,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    commands = subparsers.choices
+    calls = [c for c in _documented_calls() if c[1] in commands]
+    # the pattern must keep finding the usage block and the recipes' calls
+    assert len(calls) >= 25
+    assert {name for name, _, _ in calls} >= {"README.md", "07_search_rank18.sh"}
+    assert {"--emit-best", "--basis", "--angle"} <= {
+        o for _, _, options in calls for o in options
+    }
+    missing = [
+        (name, command, option)
+        for name, command, options in calls
+        for option in options
+        if option not in commands[command]._option_string_actions
+    ]
+    assert not missing, f"documented options the parser lacks: {missing}"

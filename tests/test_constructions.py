@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from eqlines import linalg
-from eqlines.lineset import validate
+from eqlines.lineset import LineSet, require_coords, validate
 from eqlines._tables import (
     E1_MINUS_E3,
     TAYLOR_OCTADS,
@@ -27,6 +27,7 @@ from eqlines.constructions import (
     tremain_columns,
 )
 from eqlines.errors import ConstructionMismatch, MalformedGraph6, NotPSD
+from eqlines.spansearch import orthogonal_complement
 
 from oracles import (
     EmptyResult,
@@ -118,6 +119,9 @@ class TestOctads:
 
     @pytest.mark.parametrize("bad", [0, 25, -1])
     def test_count_containing_rejects_points_outside_range(self, octads, bad):
+        # the design's masks have 24 bits, so no block holds such a point
+        assert all(m >> 24 == 0 for m in octads.masks)
+        assert not any(bad in octads.points(i) for i in range(len(octads)))
         with pytest.raises(ValueError, match=r"points must lie in 1\.\.24"):
             count_containing(octads, bad)
         with pytest.raises(ValueError, match=r"points must lie in 1\.\.24"):
@@ -311,10 +315,14 @@ class TestAsche72:
 
 
 class TestFilterOrthogonal:
+    """A filter by orthogonality keeps lines through `LineSet.restrict`,
+    which carries their coordinates; the tests check that library path."""
+
     def test_identity_returns_same_object(self, taylor):
-        assert filter_orthogonal(taylor, []) is taylor
-        zero = (0,) * 24
-        assert filter_orthogonal(taylor, [zero]) is taylor
+        # restricting to every line gives the same set back
+        out = taylor.restrict(range(90))
+        assert (out.gram, out.angle, out.rank) == (taylor.gram, taylor.angle, 20)
+        assert (out.coords, out.coords_norm_sq) == (taylor.coords, 80)
 
     def test_empty_result(self, taylor):
         ones = (1,) * 24
@@ -322,29 +330,32 @@ class TestFilterOrthogonal:
             filter_orthogonal(taylor, [ones])
 
     def test_requires_coords(self, taylor):
-        from eqlines.lineset import LineSet
-
         bare = LineSet.from_gram(taylor.gram, taylor.angle)
-        with pytest.raises(ValueError):
-            filter_orthogonal(bare, [E1_MINUS_E3])
+        with pytest.raises(ValueError, match="carries no coordinate vectors"):
+            require_coords(bare)
+        with pytest.raises(ValueError, match="carries no coordinate vectors"):
+            orthogonal_complement(bare, [0])
 
     def test_constraint_length_checked(self, taylor):
-        with pytest.raises(ValueError):
-            filter_orthogonal(taylor, [(1, 0)])
+        coords = [list(row) for row in taylor.coords]
+        coords[5] = coords[5][:-1]
+        with pytest.raises(ValueError, match="rows differ in length"):
+            LineSet.from_gram(taylor.gram, taylor.angle, coords, 80)
 
     def test_filtered_set_still_validates(self, taylor):
         # e4 - e5 keeps the lines whose defining point set contains
         # both of the points 4 and 5 or neither
-        e4_minus_e5 = (0, 0, 0, 1, -1) + (0,) * 19
-        out = filter_orthogonal(taylor, [e4_minus_e5])
+        keep = [i for i, g in enumerate(taylor.coords) if g[3] == g[4]]
+        out = taylor.restrict(keep)
         assert 0 < out.n < 90
-        assert validate(out).passed
-        keep = {
+        report = validate(out)
+        assert report.passed
+        assert report.checks[-1].name == "coords_match_gram"
+        assert keep == [
             i
             for i, row in enumerate(TAYLOR_OCTADS)
             if (4 in row) == (5 in row)
-        }
-        assert out.n == len(keep)
+        ]
 
 
 class TestFromGraph6:

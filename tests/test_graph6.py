@@ -5,6 +5,7 @@ import pytest
 
 from eqlines import graph6
 from eqlines.errors import MalformedGraph6
+from eqlines.maxclique import SimpleGraph
 from eqlines.spansearch import SplitMix64
 from oracles import _encode_n, encode_graph6
 
@@ -42,10 +43,22 @@ class TestKnownEncodings:
         assert graph6.parse_graph6(b">>graph6<<A_\n") == (2, [2, 1])
 
     def test_encode_sizes(self):
+        # the decoder reads each size form: 1 byte up to n = 62, 4 bytes
+        # from 63, and 8 bytes (written by encoders only from n = 258048,
+        # but read for any n)
         assert encode_graph6(0, []) == b"?"
-        assert encode_graph6(62, [0] * 62)[:1] == bytes([63 + 62])
-        big = encode_graph6(63, [0] * 63)
+        assert graph6.parse_graph6(b"?") == (0, [])
+        path = [0] * 62
+        for i in range(61):
+            path[i] |= 1 << i + 1
+            path[i + 1] |= 1 << i
+        small = encode_graph6(62, path)
+        assert small[:1] == bytes([63 + 62])
+        assert graph6.parse_graph6(small) == (62, path)
+        big = encode_graph6(63, path + [0])
         assert big[0] == 126 and len(big) == 4 + (63 * 62 // 2 + 5) // 6
+        assert graph6.parse_graph6(big) == (63, path + [0])
+        assert graph6.parse_graph6(b"~~?????A_") == (2, [2, 1])
 
 
 class TestRoundTrip:
@@ -103,7 +116,21 @@ class TestMalformed:
     def test_encode_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             encode_graph6(2, [2, 0])
+        # graph6 holds one bit per pair, so every decoded graph is
+        # symmetric: all 64 graphs on 4 vertices pass `SimpleGraph`
+        for byte in range(63, 127):
+            n, adj = graph6.parse_graph6(bytes([63 + 4, byte]))
+            assert SimpleGraph(n, tuple(adj)).n == 4
+            assert all(
+                (adj[i] >> j & 1) == (adj[j] >> i & 1)
+                for i in range(4) for j in range(4)
+            )
 
     def test_encode_rejects_self_loop(self):
         with pytest.raises(ValueError):
             encode_graph6(1, [1])
+        # graph6 holds no diagonal bit, so no decoded graph has a loop
+        assert graph6.parse_graph6(b"@") == (1, [0])
+        for byte in range(63, 127):
+            _, adj = graph6.parse_graph6(bytes([63 + 4, byte]))
+            assert not any(row >> i & 1 for i, row in enumerate(adj))

@@ -95,8 +95,10 @@ class TestSimpleGraph:
         assert g.edge_count() == 2
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
-            graph_from_edges(2, [(0, 0)])
+        with pytest.raises(ValueError, match="self-loop at vertex 0"):
+            SimpleGraph(2, (1, 0))
+        with pytest.raises(ValueError, match="self-loop at vertex 2"):
+            SimpleGraph(3, (0, 0, 4))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

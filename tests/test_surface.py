@@ -9,6 +9,11 @@ attribute, an imported name or an identifier string (as `getattr`
 takes it), or, for a top-level name, as a variable of its own module;
 a local variable of the same name elsewhere is not a reference.
 Helpers that only tests use belong in `tests/oracles.py`.
+
+Every keyword parameter (one with a default) of such a function or
+method must likewise be passed by some program call of that name, by
+keyword or by position; a call with `*args` or `**kwargs` counts as
+passing every parameter it could reach.
 """
 
 import ast
@@ -30,12 +35,22 @@ ALLOWED = {
     "way to read a matrix's entries as Fractions",
 }
 
+# "qualified name(parameter)" -> why the parameter stays though no
+# program call passes it
+ALLOWED_PARAMS = {
+    "saturation.check_saturated(time_budget)": "the d = 17 row of the "
+    "saturation table needs a bounded clique search until a node budget "
+    "replaces the time budget",
+    "maxclique.to_dimacs(comment)": "DIMACS comment lines are part of the "
+    "export format",
+}
+
 # the body of each `<<'PY'` ... `PY` heredoc of a recipe
 _HEREDOC = re.compile(r"<<\s*'?PY'?\n(.*?)\nPY\n", re.S)
 
 
-def _public_definitions() -> list[tuple[str, str, str]]:
-    """(module, class or "", name) of every public top-level function
+def _public_nodes() -> list[tuple[str, str, ast.AST]]:
+    """(module, class or "", node) of every public top-level function
     or class and every public method of a public class."""
     found = []
     for path in sorted(LIB.glob("*.py")):
@@ -44,10 +59,10 @@ def _public_definitions() -> list[tuple[str, str, str]]:
                 continue
             if node.name.startswith("_"):
                 continue
-            found.append((path.stem, "", node.name))
+            found.append((path.stem, "", node))
             if isinstance(node, ast.ClassDef):
                 found.extend(
-                    (path.stem, node.name, item.name)
+                    (path.stem, node.name, item)
                     for item in node.body
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
                 )
@@ -90,11 +105,62 @@ def _unreferenced() -> list[str]:
     refs = {label: _references(src) for label, src in _program_sources().items()}
     used = set().union(*(other for _, other in refs.values()))
     unused = []
-    for module, cls, name in _public_definitions():
+    for module, cls, node in _public_nodes():
+        name = node.name
         own = module in refs and not cls and name in refs[module][0]
         if name not in used and not own:
             unused.append(".".join(filter(None, (module, cls, name))))
     return unused
+
+
+def _keyword_parameters(fn: ast.FunctionDef, method: bool):
+    """(name, position or None) of each parameter of fn with a default;
+    position counts from a call's first argument, and is None for a
+    keyword-only parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    decorators = [getattr(d, "id", None) for d in fn.decorator_list]
+    if method and "staticmethod" not in decorators:
+        positional = positional[1:]  # self or cls
+    first = len(positional) - len(args.defaults)
+    found = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    found.extend(
+        (a.arg, None)
+        for a, d in zip(args.kwonlyargs, args.kw_defaults)
+        if d is not None
+    )
+    return found
+
+
+def _passes(call: ast.Call, param: str, position) -> bool:
+    """Whether call passes param by keyword or through **kwargs, or by
+    position, which *args reaches at any position."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return position is not None and (starred or len(call.args) > position)
+
+
+def _unpassed_parameters() -> list[str]:
+    """"module.[class.]function(parameter)" of every keyword parameter
+    that no program call of the function's name passes."""
+    calls: dict[str, list[ast.Call]] = {}
+    for src in _program_sources().values():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for module, cls, node in _public_nodes():
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        named = calls.get(node.name, [])
+        for param, position in _keyword_parameters(node, bool(cls)):
+            if not any(_passes(c, param, position) for c in named):
+                qual = ".".join(filter(None, (module, cls, node.name)))
+                unpassed.append(f"{qual}({param})")
+    return unpassed
 
 
 def test_every_public_name_has_a_program_caller():
@@ -111,3 +177,14 @@ def test_recipe_snippets_are_found():
     # the heredoc pattern must keep matching the recipes' layout
     snippets = [s for label, s in _program_sources().items() if "#" in label]
     assert len(snippets) >= 5 and any("from eqlines" in s for s in snippets)
+
+
+def test_every_keyword_parameter_is_passed():
+    unpassed = [p for p in _unpassed_parameters() if p not in ALLOWED_PARAMS]
+    assert not unpassed, f"keyword parameters no program call passes: {unpassed}"
+
+
+def test_parameter_allowlist_holds_only_unpassed_parameters():
+    # an entry whose parameter gained a caller, or went, must leave the list
+    unpassed = set(_unpassed_parameters())
+    assert sorted(ALLOWED_PARAMS) == sorted(set(ALLOWED_PARAMS) & unpassed)
