@@ -256,7 +256,8 @@ def _cmd_saturate(args: argparse.Namespace) -> int:
         print(f"candidates: {report.candidate_count}")
         print(f"clique number: {report.clique_number}")
         if not report.clique_optimal:
-            print("(clique search hit its time budget; size is a lower bound)")
+            print("(clique search hit its node budget; N is a lower bound, "
+                  "and N = n leaves saturation undecided)")
         print(f"N = {len(report.basis_indices)} + {report.clique_number} "
               f"= {report.n_bound}")
         print(f"saturated: {'yes' if report.saturated else 'no'}")

@@ -318,8 +318,8 @@ def validate(ls: LineSet) -> ValidationReport:
 
 
 def require_valid(ls: LineSet) -> None:
-    """Raise InvalidLineSet naming every failed check of `validate`,
-    apart from its rank check (the rank was computed on load)."""
+    """Raise InvalidLineSet naming every failed check of `validate` but
+    the rank (computed on load) and `coords_match_gram` (`require_coords`)."""
     failed = [c for c in _invariant_checks(ls) if not c.passed]
     if failed:
         raise InvalidLineSet("line set fails " + "; ".join(

@@ -15,15 +15,14 @@ by ANDs with precomputed non-neighbour masks (BBMC, San Segundo,
 Rodriguez-Losada & Jimenez 2011), and the search branches only on the
 classes that can beat the best clique.  Pools are kept on an explicit
 stack, so a clique of any size is found without recursion, and
-`CliqueResult.nodes` counts the pools entered.  Deterministic by
-construction: degree ties break toward the lower index, and a
-caller-supplied starting clique is kept unless a strictly larger one
-exists, so identical inputs return identical witnesses and node counts.
+`CliqueResult.nodes` counts the pools entered, up to an optional node
+budget.  Deterministic without exception: no clock is read, degree ties
+break toward the lower index, and a starting clique is kept unless a
+strictly larger one exists, so equal inputs give equal results.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence
 
 from ._record import Record
@@ -86,8 +85,8 @@ class SimpleGraph(Record):
 
 class CliqueResult(Record):
     """nodes counts the candidate pools the search entered, the whole
-    vertex set included: deterministic for a given graph and starting
-    clique unless a time budget cut the search short."""
+    vertex set included: a function of the graph, the node budget and
+    the starting clique alone, like the rest of the result."""
 
     __slots__ = _fields = ("size", "witness", "optimal", "nodes")
     _defaults = (0,)
@@ -114,7 +113,7 @@ def _color_classes(nadj: Sequence[int], single: Sequence[int], pool: int) -> lis
 
 def max_clique(
     g: SimpleGraph,
-    time_budget: Optional[float] = None,
+    node_budget: Optional[int] = None,
     initial: Sequence[int] = (),
 ) -> CliqueResult:
     """Maximum clique size and one witness.
@@ -133,14 +132,16 @@ def max_clique(
     otherwise) and is the starting best: it stays the witness unless a
     strictly larger clique exists.  Otherwise the witness is the first
     maximum clique the search meets, in the order the ranking fixes.
-    The witness is returned sorted, in g's own labels.  With a time
-    budget (seconds), the best clique found so far is returned with
-    optimal=False once time is up.
+    The witness is returned sorted, in g's own labels.  At most
+    node_budget pools are entered, the whole vertex set first; a pool past
+    it ends the search with optimal=False and the longest clique in hand.
     """
     if not g.is_clique(initial):
         raise ValueError(f"initial vertices {list(initial)} are not a clique")
-    if g.n == 0:
-        return CliqueResult(0, (), True)
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget {node_budget} is negative")
+    if not g.n or node_budget == 0:
+        return CliqueResult(len(initial), tuple(sorted(initial)), not g.n)
     # labels 1..n run against the ranking, so that the coloring's next
     # vertex, the first-ranked of a set, is the set's bit_length()
     order = sorted(range(g.n), key=lambda v: (g.degree(v), -v))
@@ -154,7 +155,7 @@ def max_clique(
     # complements within the vertex range: nonnegative, so every AND
     # stays on CPython's fast path for positive ints
     nadj = [0] + [full ^ adj[v] ^ single[v] for v in range(1, g.n + 1)]
-    deadline = None if time_budget is None else time.monotonic() + time_budget
+    limit = -1 if node_budget is None else node_budget
     best = [label[v] for v in initial]
     stack: list[int] = []
     # (pool, classes, color, cls) of every ancestor of the current pool:
@@ -184,11 +185,10 @@ def max_clique(
         stack.append(v)
         child = pool & adj[v]
         if child:
-            nodes += 1
-            if deadline is not None and not nodes & 2047 \
-                    and time.monotonic() > deadline:
-                optimal = False
+            if nodes == limit:
+                best, optimal = max(best, stack, key=len), False
                 break
+            nodes += 1
             frames.append((pool, classes, color, cls))
             pool = child
             classes = _color_classes(nadj, single, pool)
@@ -204,10 +204,7 @@ def max_clique(
 
 def to_dimacs(g: SimpleGraph, comment: str = "") -> str:
     """DIMACS .clq text (1-based vertices) for third-party solvers."""
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"c {part}")
+    lines = [f"c {part}" for part in comment.splitlines()]
     lines.append(f"p edge {g.n} {g.edge_count()}")
     for i, row in enumerate(g.adj):
         above = format(row >> i + 1, "b")[::-1]

@@ -62,6 +62,8 @@ class CandidateSet(Record):
 
 
 class SaturationReport(Record):
+    """saturated needs clique_optimal: N = n from a cut search is undecided."""
+
     __slots__ = _fields = (
         "basis_indices", "candidate_count", "clique_number", "n_bound",
         "saturated", "clique_witness", "clique_optimal", "total_patterns",
@@ -199,7 +201,7 @@ def check_saturated(
     ls: LineSet,
     basis_override: Optional[Sequence[int]] = None,
     progress: Optional[ProgressSink] = None,
-    time_budget: Optional[float] = None,
+    node_budget: Optional[int] = None,
     graph_sink: Optional[Callable[[SimpleGraph], None]] = None,
     force: bool = False,
 ) -> SaturationReport:
@@ -215,9 +217,9 @@ def check_saturated(
     be pairwise compatible (hence the bound can never fall below ls.n);
     that clique is the clique search's starting best, and the witness
     whenever omega = n - d.  graph_sink
-    (if given) receives the compatibility graph, e.g. for export.  If a
-    time budget cut the clique search short, clique_optimal is False
-    and the bound is only a lower bound.
+    (if given) receives the compatibility graph, e.g. for export.  A
+    clique search cut short by node_budget (see `max_clique`) makes N a
+    lower bound and clique_optimal and saturated False: N = n is undecided.
 
     The certificate checks itself: the witness must be a clique of
     exactly omega vertices, and when d < 1/alpha^2 the bound N must not
@@ -245,7 +247,7 @@ def check_saturated(
     if graph_sink is not None:
         graph_sink(graph)
     cover = verify_nonbasis_cover(ls, basis, cands, graph)
-    clique: CliqueResult = max_clique(graph, time_budget, initial=cover)
+    clique: CliqueResult = max_clique(graph, node_budget, initial=cover)
     d = len(basis)
     n_bound = d + clique.size
     if len(clique.witness) != clique.size or not graph.is_clique(clique.witness):
@@ -261,7 +263,7 @@ def check_saturated(
         candidate_count=len(cands),
         clique_number=clique.size,
         n_bound=n_bound,
-        saturated=n_bound == ls.n,
+        saturated=n_bound == ls.n and clique.optimal,
         clique_witness=clique.witness,
         clique_optimal=clique.optimal,
         total_patterns=1 << (d - 1),

@@ -941,7 +941,7 @@ def mcq_max_clique(g: SimpleGraph, initial: Sequence[int] = ()) -> CliqueResult:
     """The library's `max_clique` before it colored one class at a time
     over non-neighbour masks and kept its own stack: MCQ over the
     degree-descending labels, one recursive call per candidate pool,
-    which it counts as nodes.  No time budget; initial is trusted to be
+    which it counts as nodes.  No node budget; initial is trusted to be
     a clique."""
     if g.n == 0:
         return CliqueResult(0, (), True, 0)

@@ -284,29 +284,36 @@ def _adjacent_positive_lines(data: bytes, angle: Fraction) -> LineSet:
     return from_sign_matrix(SignMatrix(n, signs), angle)
 
 
-def _w3_points() -> list[tuple[int, ...]]:
-    """The 40 points of PG(3, 3): vectors of GF(3)^4 whose first
-    nonzero entry is 1."""
-    return [
+def _w3_collinear() -> list[int]:
+    """Adjacency rows of the collinearity graph of W(3), SRG(40,12,2,4),
+    as bitsets.  Its points are the 40 points of PG(3, 3), the vectors
+    of GF(3)^4 whose first nonzero entry is 1, in `itertools.product`
+    order; two distinct points are collinear when the symplectic form
+    x0*y1 - x1*y0 + x2*y3 - x3*y2 vanishes mod 3 (ROADMAP item 2's
+    form, which fixes the default basis and so K)."""
+    points = [
         v for v in itertools.product(range(3), repeat=4)
         if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1
     ]
 
+    def form(x, y):
+        return (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % 3
 
-def test_criterion_8_sign_rule_on_w3_complement():
-    """The criterion-8 reading on a small analogue.  Points of W(3) are
-    collinear when the symplectic form x0*y2 - x2*y0 + x1*y3 - x3*y1
-    vanishes mod 3; the complement of the collinearity graph is an
-    SRG(40,27,18,18) with eigenvalues 27, 3 (x15) and -3 (x24).  Under
-    `from_graph6`'s S = J - I - 2A, I + S/5 has the eigenvalue -2, so
-    loading refuses it; under S = 2A - J + I it has the eigenvalues 4,
-    12/5 (x15) and 0 (x24): 40 lines at rank 16."""
-    points = _w3_points()
-    form = [
-        [(x[0] * y[2] - x[2] * y[0] + x[1] * y[3] - x[3] * y[1]) % 3 for y in points]
+    return [
+        sum(1 << j for j, y in enumerate(points) if x != y and not form(x, y))
         for x in points
     ]
-    adj = [sum(1 << j for j, f in enumerate(row) if f) for row in form]
+
+
+def test_criterion_8_sign_rule_on_w3_complement():
+    """The criterion-8 reading on a small analogue.  The complement of
+    W(3)'s collinearity graph is an SRG(40,27,18,18) with eigenvalues
+    27, 3 (x15) and -3 (x24).  Under `from_graph6`'s S = J - I - 2A,
+    I + S/5 has the eigenvalue -2, so loading refuses it; under
+    S = 2A - J + I it has the eigenvalues 4, 12/5 (x15) and 0 (x24): 40
+    lines at rank 16."""
+    collinear = _w3_collinear()
+    adj = [((1 << 40) - 1) ^ row ^ (1 << i) for i, row in enumerate(collinear)]
     data = encode_graph6(40, adj)
     assert srg_check(*parse_graph6(data)) == (40, 27, 18, 18)
     with pytest.raises(NotPSD):
@@ -314,28 +321,23 @@ def test_criterion_8_sign_rule_on_w3_complement():
     ls = _adjacent_positive_lines(data, F(1, 5))
     assert (ls.n, ls.rank) == (40, 16)
     assert validate(ls).passed
-    collinear = [((1 << 40) - 1) ^ row ^ (1 << i) for i, row in enumerate(adj)]
     assert ls.gram == from_graph6(encode_graph6(40, collinear), F(1, 5)).gram
 
 
 def test_table_d16_w3_lines_are_maximal():
     """The d = 16 cell of the paper's table: the collinearity graph of
-    W(3), SRG(40,12,2,4), with points collinear when x0*y1 - x1*y0 +
-    x2*y3 - x3*y2 vanishes mod 3, read under S = J - I - 2A at 1/5, is
-    40 lines at rank 16.  Over the default basis there are K = 940
+    W(3) (`_w3_collinear`), read under S = J - I - 2A at 1/5, is 40
+    lines at rank 16.  Over the default basis there are K = 940
     candidates and 107,263 compatible pairs (both depend on the form and
     the point order, which fix the basis).  The 24 non-basis lines are a
     clique of candidates, and no candidate is adjacent to all of them,
     so no line extends the set: it is maximal.  The clique stage, which
     proves omega = 24 (saturation), is left out for its time."""
-    def sign(x, y):
-        if x == y:
-            return 0
-        form = x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]
-        return -1 if form % 3 == 0 else 1
-
-    points = _w3_points()
-    signs = tuple(tuple(sign(x, y) for y in points) for x in points)
+    collinear = _w3_collinear()
+    signs = tuple(
+        tuple(0 if i == j else -1 if row >> j & 1 else 1 for j in range(40))
+        for i, row in enumerate(collinear)
+    )
     ls = from_sign_matrix(SignMatrix(40, signs), F(1, 5))
     assert ls.rank == 16
     assert validate(ls).passed

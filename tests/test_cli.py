@@ -258,6 +258,13 @@ class TestValidate:
         assert main(argv) == 2
         assert "coords_match_gram" in capsys.readouterr().err
         assert not best.exists()
+        # saturate reads the Gram alone, which the coordinates do not
+        # change: the same output as on asche72 itself
+        assert main(["saturate", asche_file, "--json"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["saturate", str(path), "--json"]) == 0
+        assert capsys.readouterr().out == expected
+        assert main(["validate", str(path)]) == 1
 
     def test_fail_not_psd(self, tmp_path, capsys):
         # 3 lines at pairwise angle arccos(2/3) cannot exist in any rank:

@@ -1,6 +1,7 @@
 """Exact clique solver: examples, witness soundness, oracle agreement."""
 
 import hashlib
+import time
 from typing import Optional
 
 import numpy as np
@@ -210,25 +211,59 @@ class TestSolver:
             assert max_clique(g) == max_clique(g)
 
     def test_time_budget_flag(self):
-        # a zero budget must still return a valid (possibly partial) result
+        # a budget of 0 or 1 pools still returns a valid partial result
         rng = SplitMix64(14)
         g = random_graph(rng, 18, 80)
-        result = max_clique(g, time_budget=0.0)
-        assert_witness_ok(g, result)
         full = max_clique(g)
-        assert full.optimal
-        assert result.size <= full.size
+        assert full.optimal and full.nodes > 1
+        for budget in (0, 1):
+            result = max_clique(g, node_budget=budget)
+            assert_witness_ok(g, result)
+            assert not result.optimal and result.nodes == budget
+            assert result.size <= full.size
 
     def test_zero_budget_stops_at_first_clock_read(self):
-        # the clock is read every 2048 pools, so a zero budget ends the
-        # search at its 2048th pool with the best clique found so far
+        # a budget of 0 stops before the first pool, the whole vertex
+        # set, with no clique found
+        g = random_graph(SplitMix64(18), 120, 75)
+        assert max_clique(g, node_budget=0) == CliqueResult(0, (), False, 0)
+
+    def test_node_budget_caps_pools_entered(self):
         g = random_graph(SplitMix64(18), 120, 75)
         full = max_clique(g)
         assert full.optimal and full.nodes > 2048
-        cut = max_clique(g, time_budget=0.0)
+        cut = max_clique(g, node_budget=2048)
         assert not cut.optimal and cut.nodes == 2048
         assert_witness_ok(g, cut)
         assert cut.size <= full.size
+        # a budget of exactly the pools the search needs is enough
+        assert max_clique(g, node_budget=full.nodes) == full
+        short = max_clique(g, node_budget=full.nodes - 1)
+        assert not short.optimal and short.nodes == full.nodes - 1
+
+    def test_clock_jumps_change_no_result(self, monkeypatch):
+        g = random_graph(SplitMix64(18), 120, 75)
+        expected = [max_clique(g), max_clique(g, node_budget=2048)]
+        hours = iter(range(0, 10**9, 3600))
+        for name in ("monotonic", "perf_counter", "time"):
+            monkeypatch.setattr(time, name, lambda: float(next(hours)))
+        assert [max_clique(g), max_clique(g, node_budget=2048)] == expected
+
+    def test_budgeted_calls_repeat(self):
+        rng = SplitMix64(19)
+        for _ in range(10):
+            g = random_graph(rng, 40, 60)
+            seed = random_clique(rng, g)
+            budget = 1 + rng.below(max_clique(g, initial=seed).nodes)
+            first = max_clique(g, node_budget=budget, initial=seed)
+            assert all(
+                max_clique(g, node_budget=budget, initial=seed) == first
+                for _ in range(3)
+            )
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            max_clique(petersen(), node_budget=-1)
 
     def test_seeded_search_matches_brute_force(self):
         rng = SplitMix64(15)
@@ -243,11 +278,15 @@ class TestSolver:
                 assert result.witness == tuple(sorted(seed))
 
     def test_zero_budget_keeps_seed(self):
+        # a budget of 0 returns the seed itself; any budget keeps a
+        # clique at least as large
         rng = SplitMix64(16)
         for _ in range(20):
             g = random_graph(rng, 24, 70)
             seed = random_clique(rng, g)
-            result = max_clique(g, time_budget=0.0, initial=seed)
+            result = max_clique(g, node_budget=0, initial=seed)
+            assert result == CliqueResult(len(seed), tuple(sorted(seed)), False, 0)
+            result = max_clique(g, node_budget=1 + rng.below(8), initial=seed)
             assert result.size >= len(seed)
             assert_witness_ok(g, result)
 
@@ -283,6 +322,17 @@ class TestLargeCliques:
         assert result.size == 1200 and result.optimal
         assert result.witness == tuple(range(1200))
         assert result.nodes == 1200
+
+    def test_budget_keeps_the_clique_being_extended(self):
+        # each pool of the first branch adds a vertex to the clique being
+        # extended, and no leaf is reached before the budget runs out:
+        # the result is that clique, not the empty starting best
+        g = graph_from_matrix(self.complete(600))
+        for budget in (1, 5, 599):
+            result = max_clique(g, node_budget=budget)
+            assert (result.size, result.nodes) == (budget, budget)
+            assert not result.optimal
+            assert_witness_ok(g, result)
 
     def test_complete_graph_minus_perfect_matching(self):
         a = self.complete(1200)
@@ -320,6 +370,26 @@ class TestNodeCount:
             "clique_optimal": True,
             "total_patterns": 131072,
         }
+
+    def test_best56_budget_at_and_below_its_count(self, best56):
+        """A budget of the 2,287 pools the search needs changes nothing;
+        one fewer stops it with the cover as the best clique so far, the
+        same on every call, and leaves saturation undecided."""
+        basis = select_basis(best56)
+        cands = enumerate_candidates(best56, basis)
+        g = build_compatibility_graph(cands, best56, basis)
+        cover = verify_nonbasis_cover(best56, basis, cands, g)
+        full = max_clique(g, initial=cover)
+        assert max_clique(g, node_budget=2287, initial=cover) == full
+        cut = max_clique(g, node_budget=2286, initial=cover)
+        assert (cut.size, cut.optimal, cut.nodes) == (38, False, 2286)
+        assert cut.witness == tuple(sorted(cover)) == full.witness
+        assert max_clique(g, node_budget=2286, initial=cover) == cut
+        report = check_saturated(best56, node_budget=2286)
+        assert (report.n_bound, report.clique_optimal, report.saturated) == (
+            56, False, False
+        )
+        assert check_saturated(best56, node_budget=2287) == check_saturated(best56)
 
 
 class TestDimacs:

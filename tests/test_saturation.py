@@ -430,11 +430,13 @@ class TestGraphSinkAndBudget:
         assert seen[0].n == 1
 
     def test_time_budget_keeps_report_consistent(self, tremain):
+        # a search cut short never claims saturation, even where N = n
         odd = list(range(1, 28, 2))
-        report = check_saturated(tremain, basis_override=odd, time_budget=0.0)
-        assert report.n_bound == 14 + report.clique_number
-        assert report.saturated == (report.n_bound == 28)
-        assert report.clique_number <= 14
+        report = check_saturated(tremain, basis_override=odd, node_budget=0)
+        assert report.n_bound == 14 + report.clique_number == 28
+        assert report.clique_optimal is False
+        assert report.saturated is False
+        assert check_saturated(tremain, basis_override=odd).saturated is True
 
 
 class TestProgressAndThreads:
@@ -517,7 +519,7 @@ class TestTaylorSaturation:
 
 class TestCertificateSelfCheck:
     def test_witness_must_be_a_clique(self, monkeypatch):
-        def bogus(graph, time_budget=None, initial=()):
+        def bogus(graph, node_budget=None, initial=()):
             return CliqueResult(2, (0,), True)
 
         monkeypatch.setattr(saturation, "max_clique", bogus)

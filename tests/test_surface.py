@@ -14,6 +14,9 @@ Every keyword parameter (one with a default) of such a function or
 method must likewise be passed by some program call of that name, by
 keyword or by position; a call with `*args` or `**kwargs` counts as
 passing every parameter it could reach.
+
+No library module imports `time` or `random`, so that every library
+result is a function of its inputs alone.
 """
 
 import ast
@@ -38,9 +41,9 @@ ALLOWED = {
 # "qualified name(parameter)" -> why the parameter stays though no
 # program call passes it
 ALLOWED_PARAMS = {
-    "saturation.check_saturated(time_budget)": "the d = 17 row of the "
-    "saturation table needs a bounded clique search until a node budget "
-    "replaces the time budget",
+    "saturation.check_saturated(node_budget)": "the d = 17 row of the "
+    "saturation table, whose clique search does not finish, needs a "
+    "bounded search that every machine stops at the same pool",
     "maxclique.to_dimacs(comment)": "DIMACS comment lines are part of the "
     "export format",
 }
@@ -188,3 +191,24 @@ def test_parameter_allowlist_holds_only_unpassed_parameters():
     # an entry whose parameter gained a caller, or went, must leave the list
     unpassed = set(_unpassed_parameters())
     assert sorted(ALLOWED_PARAMS) == sorted(set(ALLOWED_PARAMS) & unpassed)
+
+
+def _imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules source imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_library_reads_no_clock_or_random_state():
+    nondeterministic = {"time", "random"}
+    offenders = {
+        path.stem: sorted(_imported_modules(path.read_text()) & nondeterministic)
+        for path in sorted(LIB.glob("*.py"))
+    }
+    offenders = {m: names for m, names in offenders.items() if names}
+    assert not offenders, f"library modules importing time or random: {offenders}"
