@@ -19,21 +19,20 @@ trap 'rm -rf "$work"' EXIT
 # `construct from-graph6` (S = J - I - 2A, adjacent pairs at -1/7) the
 # Gram I + S/7 has the eigenvalue -6 and is refused as not PSD; read with
 # S = 2A - J + I (adjacent pairs at +1/7) it has the eigenvalues 8 (x43)
-# and 0, so the lines are built with that sign rule here.
+# and 0, so the lines are built here by `from_adjacency` of the
+# complement rows, which gives that sign rule.
 python3 - "$file" "$work/lines344.json" <<'PY'
 import sys
 from fractions import Fraction
 from eqlines import lineset
-from eqlines.constructions import srg_check
+from eqlines.constructions import from_adjacency, srg_check
 from eqlines.graph6 import parse_graph6
 with open(sys.argv[1], "rb") as f:
     n, adj = parse_graph6(f.read())
 assert srg_check(n, adj) == (344, 168, 92, 72), "not an SRG(344,168,92,72)"
-signs = tuple(
-    tuple(0 if i == j else 1 if adj[i] >> j & 1 else -1 for j in range(n))
-    for i in range(n)
-)
-ls = lineset.from_sign_matrix(lineset.SignMatrix(n, signs), Fraction(1, 7))
+full = (1 << n) - 1
+complement = [full ^ row ^ (1 << i) for i, row in enumerate(adj)]
+ls = from_adjacency(n, complement, Fraction(1, 7))
 assert ls.n == 344, ls.n
 assert ls.rank == 43, ls.rank
 lineset.save(ls, sys.argv[2])

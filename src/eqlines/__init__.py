@@ -1,7 +1,7 @@
 """Equiangular line sets over exact rational Gram arithmetic.
 
 Submodules: linalg (exact matrices), lineset (Gram-based line sets,
-validation, bounds), constructions (named families, graph6 ingestion),
+validation, bounds), constructions (named families, graph ingestion),
 saturation (candidate enumeration and the d + omega bound), spansearch
 (seeded randomized rank reduction), maxclique (exact clique solver),
 graph6 (decoder), cli (command-line front end).
@@ -43,7 +43,7 @@ _LAZY = {
     "OctadDesign": "constructions",
     "TremainColumn": "constructions",
     "asche_72": "constructions",
-    "from_graph6": "constructions",
+    "from_adjacency": "constructions",
     "g_vector": "constructions",
     "generate_octads": "constructions",
     "srg_check": "constructions",
@@ -113,7 +113,7 @@ __all__ = [
     "enumerate_candidates",
     "extract_sublineset",
     "format_rational",
-    "from_graph6",
+    "from_adjacency",
     "from_sign_matrix",
     "g_vector",
     "generate_octads",

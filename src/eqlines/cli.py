@@ -166,8 +166,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             data = fh.read()
         from .graph6 import parse_graph6
 
-        ls = constructions.from_graph6(data, args.angle)
         n, adj = parse_graph6(data)
+        ls = constructions.from_adjacency(n, adj, args.angle)
         params = constructions.srg_check(n, adj)
         if params is None:
             print("warning: graph is not strongly regular", file=sys.stderr)
@@ -485,6 +485,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVALID
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
         if argv is None:

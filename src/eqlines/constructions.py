@@ -318,30 +318,27 @@ def asche_72() -> LineSet:
 
 
 # --------------------------------------------------------------------------
-# Seidel ingestion from graph6 adjacency data
+# Seidel ingestion from graph adjacency
 # --------------------------------------------------------------------------
 
 
-def from_graph6(data: bytes, angle: Fraction) -> LineSet:
-    """Lines from a graph6-encoded graph: sign matrix S = J - I - 2A
-    (adjacent pairs get -1), Gram = I + angle*S.
+def from_adjacency(n: int, adj: Sequence[int], angle: Fraction) -> LineSet:
+    """Lines from a graph's adjacency bitset rows: sign matrix
+    S = J - I - 2A (adjacent pairs get -1), Gram = I + angle*S.
 
-    Raises MalformedGraph6 on bad input and NotPSD when the Gram matrix of
-    the requested angle is not positive semidefinite.  The rule with
-    adjacent pairs at +angle, S = 2A - J + I, is this one applied to the
-    complement graph.
+    Raises ValueError when there are not n rows or they are not
+    symmetric, and NotPSD when the Gram matrix of the requested angle is
+    not positive semidefinite.  The rule with adjacent pairs at +angle,
+    S = 2A - J + I, is this one applied to the complement rows
+    ``full ^ row ^ (1 << i)``.
     """
-    from .graph6 import parse_graph6
-
-    n, adj = parse_graph6(data)
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        for j in range(n):
-            if i != j:
-                row[j] = -1 if adj[i] >> j & 1 else 1
-        rows.append(tuple(row))
-    ls = from_sign_matrix(SignMatrix(n, tuple(rows)), Fraction(angle))
+    if len(adj) != n:
+        raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
+    signs = tuple(
+        tuple(0 if i == j else -1 if row >> j & 1 else 1 for j in range(n))
+        for i, row in enumerate(adj)
+    )
+    ls = from_sign_matrix(SignMatrix(n, signs), Fraction(angle))
     if not ls.is_psd:
         raise NotPSD(
             f"I + ({angle})*S is not positive semidefinite; "

@@ -23,33 +23,24 @@ def _decode_n(data: bytes) -> tuple[int, bytes]:
     if not data:
         raise MalformedGraph6("empty input")
     if data[0] != 126:  # '~'
-        n = data[0] - 63
-        if n < 0:
+        if not 63 <= data[0] <= 125:
             raise MalformedGraph6(f"bad size byte {data[0]}")
-        return n, data[1:]
-    if len(data) >= 2 and data[1] != 126:
-        if len(data) < 4:
-            raise MalformedGraph6("truncated 3-byte vertex count")
-        n = 0
-        for b in data[1:4]:
-            if not 63 <= b <= 126:
-                raise MalformedGraph6(f"bad size byte {b}")
-            n = (n << 6) | (b - 63)
-        return n, data[4:]
-    if len(data) < 8:
-        raise MalformedGraph6("truncated 6-byte vertex count")
+        return data[0] - 63, data[1:]
+    # '~' then 3 size bytes, or '~~' then 6
+    start, width = (1, 3) if len(data) >= 2 and data[1] != 126 else (2, 6)
+    end = start + width
+    if len(data) < end:
+        raise MalformedGraph6(f"truncated {width}-byte vertex count")
     n = 0
-    for b in data[2:8]:
+    for b in data[start:end]:
         if not 63 <= b <= 126:
             raise MalformedGraph6(f"bad size byte {b}")
         n = (n << 6) | (b - 63)
-    return n, data[8:]
+    return n, data[end:]
 
 
 def parse_graph6(data: bytes) -> tuple[int, list[int]]:
     """Decode one graph; returns (n, adjacency bitset rows)."""
-    if isinstance(data, str):
-        data = data.encode("ascii")
     body = _split_header(data)
     n, rest = _decode_n(body)
     nbits = n * (n - 1) // 2

@@ -42,7 +42,10 @@ Last come the helpers the library dropped because no program path
 called them, kept for the tests that build fixtures or references
 with them: `encode_graph6`, `graph_from_edges`, `graph_from_matrix`,
 `count_containing`, `tremain_inner`, `filter_orthogonal` with its
-`EmptyResult`, `identity`, and `inverse` over `integer_inverse`.
+`EmptyResult`, `identity`, and `inverse` over `integer_inverse`; and
+`from_graph6`, which composes `parse_graph6` and `from_adjacency` as
+the library did before `construct from-graph6` decoded its file once,
+with the graph fixtures `w3_collinear` and `complement_rows`.
 None of them is used by the library.
 """
 
@@ -58,9 +61,9 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from eqlines._intops import enumerate_unit_patterns, scaled_candidate_matrix
-from eqlines.constructions import OctadDesign, TremainColumn
+from eqlines.constructions import OctadDesign, TremainColumn, from_adjacency
 from eqlines.errors import EqlinesError, HypothesisViolated, NotSymmetric, SingularMatrix
-from eqlines.graph6 import HEADER
+from eqlines.graph6 import HEADER, parse_graph6
 from eqlines.linalg import RatMatrix, integer_inverse, integer_scaled
 from eqlines.lineset import LineSet
 from eqlines.maxclique import CliqueResult, SimpleGraph
@@ -1209,3 +1212,37 @@ def encode_graph6(n: int, adj: list[int], header: bool = False) -> bytes:
             v = (v << 1) | b
         out.append(v + 63)
     return bytes(out)
+
+
+def from_graph6(data: bytes, angle: Fraction) -> LineSet:
+    """Lines of a graph6-encoded graph under `from_adjacency`'s rule
+    S = J - I - 2A (adjacent pairs get -1), Gram = I + angle*S."""
+    return from_adjacency(*parse_graph6(data), angle)
+
+
+def complement_rows(n: int, adj: Sequence[int]) -> list[int]:
+    """Adjacency rows of the complement graph.  `from_adjacency` of them
+    is the rule S = 2A - J + I (adjacent pairs of the graph at +angle)."""
+    full = (1 << n) - 1
+    return [full ^ row ^ (1 << i) for i, row in enumerate(adj)]
+
+
+def w3_collinear() -> list[int]:
+    """Adjacency rows of the collinearity graph of W(3), SRG(40,12,2,4),
+    as bitsets.  Its points are the 40 points of PG(3, 3), the vectors
+    of GF(3)^4 whose first nonzero entry is 1, in `itertools.product`
+    order; two distinct points are collinear when the symplectic form
+    x0*y1 - x1*y0 + x2*y3 - x3*y2 vanishes mod 3.  The form and the
+    point order fix the default basis of the 40 lines, and so K."""
+    points = [
+        v for v in itertools.product(range(3), repeat=4)
+        if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1
+    ]
+
+    def form(x, y):
+        return (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % 3
+
+    return [
+        sum(1 << j for j, y in enumerate(points) if x != y and not form(x, y))
+        for x in points
+    ]

@@ -27,7 +27,7 @@ from eqlines._tables import TAYLOR_OCTADS
 from eqlines.cli import main
 from eqlines.constructions import (
     asche_72,
-    from_graph6,
+    from_adjacency,
     g_vector,
     generate_octads,
     srg_check,
@@ -68,9 +68,9 @@ from oracles import (
     _pattern_block,
     block_unit_patterns,
     candidate_coeffs,
+    complement_rows,
     count_containing,
     direct_unit_patterns,
-    encode_graph6,
     enumerate_range_batch,
     exact_members,
     fraction_enumerate_candidates,
@@ -94,6 +94,7 @@ from oracles import (
     sign_patterns,
     span_members,
     span_members_many,
+    w3_collinear,
 )
 
 F = Fraction
@@ -272,73 +273,37 @@ def _srg344_path() -> Path | None:
     return bundled if bundled.exists() else None
 
 
-def _adjacent_positive_lines(data: bytes, angle: Fraction) -> LineSet:
-    """Lines of a graph6 graph read with S = 2A - J + I (adjacent pairs
-    get +1), Gram = I + angle*S: the sign rule of `from_graph6` applied
-    to the complement graph."""
-    n, adj = parse_graph6(data)
-    signs = tuple(
-        tuple(0 if i == j else 1 if adj[i] >> j & 1 else -1 for j in range(n))
-        for i in range(n)
-    )
-    return from_sign_matrix(SignMatrix(n, signs), angle)
-
-
-def _w3_collinear() -> list[int]:
-    """Adjacency rows of the collinearity graph of W(3), SRG(40,12,2,4),
-    as bitsets.  Its points are the 40 points of PG(3, 3), the vectors
-    of GF(3)^4 whose first nonzero entry is 1, in `itertools.product`
-    order; two distinct points are collinear when the symplectic form
-    x0*y1 - x1*y0 + x2*y3 - x3*y2 vanishes mod 3 (ROADMAP item 2's
-    form, which fixes the default basis and so K)."""
-    points = [
-        v for v in itertools.product(range(3), repeat=4)
-        if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1
-    ]
-
-    def form(x, y):
-        return (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % 3
-
-    return [
-        sum(1 << j for j, y in enumerate(points) if x != y and not form(x, y))
-        for x in points
-    ]
-
-
 def test_criterion_8_sign_rule_on_w3_complement():
     """The criterion-8 reading on a small analogue.  The complement of
     W(3)'s collinearity graph is an SRG(40,27,18,18) with eigenvalues
-    27, 3 (x15) and -3 (x24).  Under `from_graph6`'s S = J - I - 2A,
+    27, 3 (x15) and -3 (x24).  Under `from_adjacency`'s S = J - I - 2A,
     I + S/5 has the eigenvalue -2, so loading refuses it; under
-    S = 2A - J + I it has the eigenvalues 4, 12/5 (x15) and 0 (x24): 40
-    lines at rank 16."""
-    collinear = _w3_collinear()
-    adj = [((1 << 40) - 1) ^ row ^ (1 << i) for i, row in enumerate(collinear)]
-    data = encode_graph6(40, adj)
-    assert srg_check(*parse_graph6(data)) == (40, 27, 18, 18)
+    S = 2A - J + I, which is `from_adjacency` of the complement rows
+    (the collinearity rows), it has the eigenvalues 4, 12/5 (x15) and
+    0 (x24): 40 lines at rank 16."""
+    adj = complement_rows(40, w3_collinear())
+    assert srg_check(40, adj) == (40, 27, 18, 18)
     with pytest.raises(NotPSD):
-        from_graph6(data, F(1, 5))
-    ls = _adjacent_positive_lines(data, F(1, 5))
+        from_adjacency(40, adj, F(1, 5))
+    ls = from_adjacency(40, complement_rows(40, adj), F(1, 5))
     assert (ls.n, ls.rank) == (40, 16)
     assert validate(ls).passed
-    assert ls.gram == from_graph6(encode_graph6(40, collinear), F(1, 5)).gram
+    assert all(
+        ls.gram[i, j] == (F(1, 5) if adj[i] >> j & 1 else F(-1, 5))
+        for i in range(40) for j in range(40) if i != j
+    )
 
 
 def test_table_d16_w3_lines_are_maximal():
     """The d = 16 cell of the paper's table: the collinearity graph of
-    W(3) (`_w3_collinear`), read under S = J - I - 2A at 1/5, is 40
+    W(3) (`w3_collinear`), read by `from_adjacency` at 1/5, is 40
     lines at rank 16.  Over the default basis there are K = 940
     candidates and 107,263 compatible pairs (both depend on the form and
     the point order, which fix the basis).  The 24 non-basis lines are a
     clique of candidates, and no candidate is adjacent to all of them,
     so no line extends the set: it is maximal.  The clique stage, which
     proves omega = 24 (saturation), is left out for its time."""
-    collinear = _w3_collinear()
-    signs = tuple(
-        tuple(0 if i == j else -1 if row >> j & 1 else 1 for j in range(40))
-        for i, row in enumerate(collinear)
-    )
-    ls = from_sign_matrix(SignMatrix(40, signs), F(1, 5))
+    ls = from_adjacency(40, w3_collinear(), F(1, 5))
     assert ls.rank == 16
     assert validate(ls).passed
     basis = select_basis(ls)
@@ -359,21 +324,21 @@ def test_criterion_8_srg_344_lines():
     reaches a closure of at least 200 lines.
 
     The graph has eigenvalues 168, 24 (x43) and -4 (x300).  Under
-    `from_graph6`'s S = J - I - 2A, I + S/7 has the eigenvalue -6, so
-    the lines are read with S = 2A - J + I, whose I + S/7 has the
-    eigenvalues 8 (x43) and 0: a PSD Gram of rank 43."""
+    `from_adjacency`'s S = J - I - 2A, I + S/7 has the eigenvalue -6, so
+    the lines are read with S = 2A - J + I, `from_adjacency` of the
+    complement rows, whose I + S/7 has the eigenvalues 8 (x43) and 0: a
+    PSD Gram of rank 43."""
     path = _srg344_path()
     if path is None or not path.exists():
         pytest.skip(
             "no SRG(344,168,92,72) graph6 file supplied "
             "(set EQLINES_SRG344 or add tests/data/srg_344_168_92_72.g6)"
         )
-    data = path.read_bytes()
-    n, adj = parse_graph6(data)
+    n, adj = parse_graph6(path.read_bytes())
     assert srg_check(n, adj) == (344, 168, 92, 72), (
         "supplied graph is not an SRG(344,168,92,72)"
     )
-    ls = _adjacent_positive_lines(data, F(1, 7))
+    ls = from_adjacency(n, complement_rows(n, adj), F(1, 7))
     assert ls.n == 344
     assert ls.rank == 43
     assert validate(ls).passed

@@ -22,7 +22,7 @@ from eqlines.cli import (
     build_parser,
     main,
 )
-from oracles import encode_graph6
+from oracles import encode_graph6, w3_collinear
 
 
 def petersen_bytes() -> bytes:
@@ -222,6 +222,32 @@ class TestFromGraph6:
         g6.write_bytes(b"B")  # n=3 but no edge bytes
         assert main(["construct", "from-graph6", str(g6), "--angle", "1/3"]) == 2
         assert "malformed" in capsys.readouterr().err
+
+    def test_file_decoded_once(self, tmp_path, capsys, monkeypatch):
+        # the handler imports parse_graph6 when it runs, so the spy on
+        # the module attribute sees every decode of the file
+        from eqlines import graph6
+
+        calls = []
+        real = graph6.parse_graph6
+
+        def spy(data):
+            calls.append(data)
+            return real(data)
+
+        monkeypatch.setattr(graph6, "parse_graph6", spy)
+        g6 = tmp_path / "petersen.g6"
+        g6.write_bytes(petersen_bytes())
+        assert main(["construct", "from-graph6", str(g6), "--angle", "1/3"]) == 0
+        assert calls == [petersen_bytes()]
+
+    def test_w3_collinearity_fifth(self, tmp_path, capsys):
+        g6 = tmp_path / "w3.g6"
+        g6.write_bytes(encode_graph6(40, w3_collinear()))
+        assert main(["construct", "from-graph6", str(g6), "--angle", "1/5"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "from-graph6: 40 lines, rank 16, angle 1/5\n"
+        assert err == "strongly regular: SRG(40, 12, 2, 4)\n"
 
 
 class TestValidate:
@@ -563,6 +589,17 @@ class TestSearch:
             assert err == ("error: line set fails coords_match_gram (pair (0,0): "
                            "dot product 79, expected 80)\n")
         assert calls == []
+
+    def test_unallocatable_run_count_is_usage_error(self, asche_file, capsys):
+        # the draw array alone needs 10^15 * 18 * 8 bytes, beyond any
+        # address space, so numpy refuses it before touching a page
+        argv = ["search", asche_file, "--rank", "18", "--runs",
+                "1000000000000000", "--seed", "0", "--json"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: not enough memory: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_negative_runs_rejected(self, asche_file, capsys):
         argv = ["search", asche_file, "--rank", "18", "--runs", "-3",

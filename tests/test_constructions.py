@@ -20,7 +20,7 @@ from eqlines.constructions import (
     TremainColumn,
     _greedy_blocks,
     _octads_in_span,
-    from_graph6,
+    from_adjacency,
     g_vector,
     generate_octads,
     srg_check,
@@ -31,11 +31,14 @@ from eqlines.spansearch import orthogonal_complement
 
 from oracles import (
     EmptyResult,
+    complement_rows,
     count_containing,
     encode_graph6,
     filter_orthogonal,
+    from_graph6,
     greedy_octads,
     tremain_inner,
+    w3_collinear,
 )
 
 F = Fraction
@@ -386,6 +389,49 @@ class TestFromGraph6:
     def test_single_vertex(self):
         ls = from_graph6(b"@", F(1, 3))
         assert ls.n == 1 and ls.rank == 1
+
+
+class TestFromAdjacency:
+    def test_petersen_third_puts_minus_third_on_adjacent_pairs(self):
+        adj = petersen_adj()
+        ls = from_adjacency(10, adj, F(1, 3))
+        assert (ls.n, ls.rank) == (10, 5)
+        for i in range(10):
+            assert ls.gram[i, i] == 1
+            for j in range(10):
+                if i != j:
+                    want = F(-1, 3) if adj[i] >> j & 1 else F(1, 3)
+                    assert ls.gram[i, j] == want
+
+    @pytest.mark.parametrize(
+        "n, adj, angle",
+        [
+            (10, petersen_adj(), F(1, 3)),
+            (40, complement_rows(40, w3_collinear()), F(1, 5)),
+        ],
+        ids=["petersen", "w3_complement"],
+    )
+    def test_complement_rows_give_adjacent_positive_gram(self, n, adj, angle):
+        # the Gram of S = 2A - J + I, written entry by entry: adjacent
+        # pairs at +angle, the others at -angle
+        ls = from_adjacency(n, complement_rows(n, adj), angle)
+        for i in range(n):
+            assert ls.gram[i, i] == 1
+            for j in range(n):
+                if i != j:
+                    want = angle if adj[i] >> j & 1 else -angle
+                    assert ls.gram[i, j] == want
+
+    @pytest.mark.parametrize("rows", [9, 11])
+    def test_row_count_must_match_n(self, rows):
+        adj = (petersen_adj() + [0])[:rows]
+        with pytest.raises(ValueError, match=f"expected 10 adjacency rows, got {rows}"):
+            from_adjacency(10, adj, F(1, 3))
+
+    def test_asymmetric_rows_rejected(self):
+        # edge 0 -> 1 without 1 -> 0
+        with pytest.raises(ValueError, match="not symmetric at \\(0,1\\)"):
+            from_adjacency(3, [0b010, 0b000, 0b000], F(1, 3))
 
 
 class TestSrgCheck:

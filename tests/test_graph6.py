@@ -107,6 +107,13 @@ class TestMalformed:
         with pytest.raises(MalformedGraph6):
             graph6.parse_graph6(data)
 
+    @pytest.mark.parametrize("first", [0, 127, 200, 255])
+    def test_rejects_bad_first_size_byte(self, first):
+        # the 1-byte form holds 63..125 (n = 0..62); 126 is the '~'
+        # marker, and a byte outside 63..126 is no size at all
+        with pytest.raises(MalformedGraph6, match=f"^bad size byte {first}$"):
+            graph6.parse_graph6(bytes([first]) + b"?" * 336)
+
     def test_rejects_nonzero_padding(self):
         # n = 3 has 3 adjacency bits; set a padding bit below them
         bad = bytes([63 + 3, 63 + 0b000001])

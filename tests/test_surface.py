@@ -20,8 +20,10 @@ result is a function of its inputs alone.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
+from types import ModuleType
 
 ROOT = Path(__file__).resolve().parents[1]
 LIB = ROOT / "src" / "eqlines"
@@ -180,6 +182,71 @@ def test_recipe_snippets_are_found():
     # the heredoc pattern must keep matching the recipes' layout
     snippets = [s for label, s in _program_sources().items() if "#" in label]
     assert len(snippets) >= 5 and any("from eqlines" in s for s in snippets)
+
+
+def _unresolved_names(source: str) -> list[str]:
+    """Names source takes from `eqlines` that do not exist: each name of
+    a `from eqlines... import`, and each attribute read off an `eqlines`
+    module that source imports."""
+    modules: dict[str, ModuleType] = {}
+    missing = []
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "eqlines":
+                    local = alias.asname or "eqlines"
+                    target = alias.name if alias.asname else "eqlines"
+                    modules[local] = importlib.import_module(target)
+        elif (
+            isinstance(node, ast.ImportFrom)
+            and not node.level
+            and node.module.split(".")[0] == "eqlines"
+        ):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                try:
+                    value = getattr(module, alias.name)
+                except AttributeError:
+                    try:
+                        value = importlib.import_module(f"{node.module}.{alias.name}")
+                    except ImportError:
+                        missing.append(f"{node.module}.{alias.name}")
+                        continue
+                if isinstance(value, ModuleType):
+                    modules[alias.asname or alias.name] = value
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            base = modules.get(node.value.id)
+            if base is not None and not hasattr(base, node.attr):
+                missing.append(f"{base.__name__}.{node.attr}")
+    return missing
+
+
+def test_recipe_names_resolve():
+    # recipe 08 needs a graph file that tier-1 does not have, so this is
+    # what keeps its snippet in step with renames in the library
+    snippets = {l: s for l, s in _program_sources().items() if "#" in l}
+    unresolved = {
+        label: names
+        for label, source in snippets.items()
+        if (names := _unresolved_names(source))
+    }
+    assert not unresolved, f"recipe names that do not resolve: {unresolved}"
+
+
+def test_unresolved_recipe_names_are_caught():
+    # the check itself must see a gone name in either position
+    bad = (
+        "import eqlines.lineset as ls\n"
+        "from eqlines import lineset\n"
+        "from eqlines.constructions import from_graph6, srg_check\n"
+        "lineset.save(ls.nope)\n"
+    )
+    assert _unresolved_names(bad) == [
+        "eqlines.constructions.from_graph6",
+        "eqlines.lineset.nope",
+    ]
 
 
 def test_every_keyword_parameter_is_passed():
