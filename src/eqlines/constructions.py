@@ -326,14 +326,18 @@ def from_adjacency(n: int, adj: Sequence[int], angle: Fraction) -> LineSet:
     """Lines from a graph's adjacency bitset rows: sign matrix
     S = J - I - 2A (adjacent pairs get -1), Gram = I + angle*S.
 
-    Raises ValueError when there are not n rows or they are not
-    symmetric, and NotPSD when the Gram matrix of the requested angle is
-    not positive semidefinite.  The rule with adjacent pairs at +angle,
-    S = 2A - J + I, is this one applied to the complement rows
-    ``full ^ row ^ (1 << i)``.
+    Raises ValueError when there are not n rows, or when they are not
+    the rows of a simple graph (`maxclique.SimpleGraph`: no self-loop,
+    no bit at or beyond n, symmetric), and NotPSD when the Gram matrix
+    of the requested angle is not positive semidefinite.  The rule with
+    adjacent pairs at +angle, S = 2A - J + I, is this one applied to the
+    complement rows ``full ^ row ^ (1 << i)``.
     """
+    from .maxclique import SimpleGraph
+
     if len(adj) != n:
         raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
+    SimpleGraph(n, tuple(adj))
     signs = tuple(
         tuple(0 if i == j else -1 if row >> j & 1 else 1 for j in range(n))
         for i, row in enumerate(adj)

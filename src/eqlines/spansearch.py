@@ -23,31 +23,30 @@ stream.  `SpanEngine.member_masks` then decides the chunk into closure
 masks in stacked numpy, block by block in arrays it reuses, with the
 draws the float tiers leave open gathered across the chunk's blocks.
 
-Every span decision is exact.  Floating point either *proposes* an
+Every span decision is exact.  Floating point only *proposes* an
 integer adjugate, or an integer kernel vector of a singular block, that
-is then verified exactly (a failed verification falls through), or
-carries integers of at most 2^53, where float64 arithmetic is exact in
-any summation order (the verifications themselves, and the centred
-residues of `_inverse_mod`); no tolerance ever decides an answer.  One
-width rule keeps every integer in range: a draw of d lines reaches
-numpy only when d * max|M| <= 2^27, and any wider draw goes to exact
-integer elimination.  A valid set has max|M| = q, the angle's
-denominator (q <= 7 and d <= 43 on every shipped set).  This is the one
-module that loads numpy.
+is then verified exactly in float64 on integers of at most 2^53, where
+any summation order is exact; the modular tier lifts kernel vectors mod
+one prime and checks them in int64.  A failed verification falls
+through, and no tolerance ever decides an answer.  One width rule keeps
+every integer in range: a draw of d lines reaches numpy only when
+d * max|M| <= 2^27, and any wider draw goes to exact integer
+elimination.  A valid set has max|M| = q, the angle's denominator
+(q <= 7 and d <= 43 on every shipped set).  This is the one module that
+loads numpy.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import cached_property
-from math import prod
+from math import isqrt
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import linalg
 from ._record import Record
-from .errors import OutOfRange, RankDeficient, SingularMatrix
+from .errors import NotPSD, OutOfRange, RankDeficient, SingularMatrix
 from .lineset import LineSet, require_coords, require_valid, validate
 
 # entries of the (runs, n) permutation that one `_draw_block` call
@@ -69,19 +68,9 @@ _DRAW_GATHER = 1 << 17
 # every integer of magnitude at most 2^53 is exact in float64
 _FLOAT_EXACT = 1 << 53
 
-# 26-bit primes: a centred residue is below 2^25, so the product of two
-# is below 2^50, exact in float64
-_PRIMES26 = (
-    67108859, 67108837, 67108819, 67108777, 67108763, 67108757,
-    67108753, 67108747, 67108739, 67108729, 67108721, 67108709,
-    67108693, 67108669, 67108667, 67108661, 67108649, 67108633,
-    67108597, 67108579, 67108529, 67108511, 67108507, 67108493,
-)
-# each prime exceeds 2^_PRIME_LOG2, so t of them cover t * _PRIME_LOG2 bits
-_PRIME_LOG2 = 25
-_PRIME_BITS = _PRIME_LOG2 * len(_PRIMES26)
-# _PRIME_SQ[t] = (p_1 * ... * p_t)^2, the square of the first t primes' product
-_PRIME_SQ = [prod(_PRIMES26[:t]) ** 2 for t in range(len(_PRIMES26) + 1)]
+# the one prime of the modular tier: residues lie below 2^31, so a
+# product of two is below 2^62, exact in int64
+_PRIME = 2147483647
 
 
 def mix64(z: int) -> int:
@@ -167,17 +156,6 @@ def _draw_block(
 # span membership (exact, five tiers)
 
 
-def _centre(t: np.ndarray, p, p_inv) -> np.ndarray:
-    """t - p*rint(t/p) for float64 integers |t| <= 2^52 and 26-bit primes
-    p: the residue of t mod p, within p/2 + 2 of zero.  The quotient is
-    estimated through 1/p, off by far less than 1/2 at this size, and
-    every product and difference is an integer below 2^53, exact."""
-    q = t * p_inv
-    np.rint(q, out=q)
-    q *= p
-    return np.subtract(t, q, out=q)
-
-
 def _kernel_zero(a: np.ndarray, max_m: int) -> np.ndarray:
     """Mask of the matrices of a (k, d, d) float64 stack of integers
     (|entry| <= max_m) certified singular by an integer kernel vector.
@@ -213,70 +191,129 @@ def _kernel_zero(a: np.ndarray, max_m: int) -> np.ndarray:
     return zero
 
 
-def _inverse_mod(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Y, t) for a (k, d, d) float64 stack of integers (|entry| < 2^52)
-    and one 26-bit prime p[k] per matrix: t == 0 when A is singular mod
-    p, and otherwise t is a unit and Y == t * A^-1 (mod p), both centred.
+def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, pivots, rank) of a (k, m, c) int64 stack and a prime p < 2^31:
+    w[k] is the reduced row echelon form of a[k] mod p, entries in
+    [0, p), rank[k] its rank mod p, and pivots[k, i] the pivot column of
+    row i for i < rank[k] (c for the zero rows below them).
 
-    Fraction-free Gauss-Jordan over the whole stack at once, on the
-    compact form of [A | I]: the pivot of column c is the first row
-    pi(c) not yet a pivot row whose entry is nonzero, with value v, and
-    every other row r becomes v*row_r - a_rc*row_pi(c).  Column c is then
-    free and takes column pi(c) of the accumulated row operations L; the
-    columns of L not yet stored are s_c times identity columns, s_c the
-    product of the pivots before column c.  At the end L A holds t / s_c
-    at (pi(c), c) and zeros elsewhere in column c, t the product of all
-    pivots, so row c of t * A^-1 is s_c times row pi(c) of the stored L,
-    with its column j moved to column pi(j).
+    Gauss-Jordan over the whole stack at once, a column at a time: the
+    pivot is the first nonzero entry at or below row rank, swapped up to
+    row rank, and every other row r becomes v*row_r - w_rc*row_rank, v
+    the pivot.  Each pivot row is scaled to 1 at the end by one Fermat
+    power v^(p-2) mod p.  Every entry lies in [0, p) before a product,
+    so every product and difference is below 2^62, exact in int64.
     """
-    k, d = a.shape[:2]
-    p = p.astype(np.float64)
-    p_inv = 1.0 / p
-    p3, p3_inv = p[:, None, None], p_inv[:, None, None]
-    lanes = np.arange(k)
-    w = _centre(a, p3, p3_inv)
-    free = np.ones((k, d), dtype=bool)
-    piv = np.zeros((k, d), dtype=np.intp)
-    scale = np.ones((k, d + 1))  # scale[:, c] = s_c
-    for c in range(d):
-        col = w[:, :, c].copy()
-        cand = (col != 0) & free
-        r = np.argmax(cand, axis=1)
-        v = np.where(cand[lanes, r], col[lanes, r], 0.0)
-        free[lanes, r] = False
-        piv[:, c] = r
+    w = a % p
+    k, m, c = w.shape
+    lanes, rows = np.arange(k), np.arange(m)
+    rank = np.zeros(k, dtype=np.intp)
+    pivots = np.full((k, m), c, dtype=np.intp)
+    for col in range(c):
+        cand = (w[:, :, col] != 0) & (rows >= rank[:, None])
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        top = np.minimum(rank, m - 1)
+        r = np.where(has, np.argmax(cand, axis=1), top)
         row = w[lanes, r]
-        w *= v[:, None, None]
-        w -= col[:, :, None] * row[:, None, :]
-        w[lanes, r] = row
-        w[:, :, c] = -col * scale[:, c, None]
-        w[lanes, r, c] = scale[:, c]
-        w = _centre(w, p3, p3_inv)
-        scale[:, c + 1] = _centre(scale[:, c] * v, p, p_inv)
-    rows = np.take_along_axis(w, piv[:, :, None], axis=1) * scale[:, :d, None]
-    y = np.empty_like(w)
-    np.put_along_axis(y, np.broadcast_to(piv[:, None, :], w.shape), rows, axis=2)
-    return _centre(y, p3, p3_inv), scale[:, d]
+        w[lanes, r] = w[lanes, top]
+        # a lane with no pivot here takes v = 1 and eliminates nothing
+        f = np.where(has[:, None], w[:, :, col], 0)
+        f[lanes, top] = 0
+        w *= np.where(has, row[:, col], 1)[:, None, None]
+        w -= f[:, :, None] * row[:, None, :]
+        w %= p
+        w[lanes, top] = row
+        pivots[lanes[has], top[has]] = col
+        rank += has
+    # v^(p-2) = v^-1 mod p for each pivot v; a zero row takes 1
+    unit = np.take_along_axis(w, np.minimum(pivots, c - 1)[:, :, None], axis=2)[..., 0]
+    base = np.where(pivots < c, unit, 1)
+    inv, e = np.ones_like(base), p - 2
+    while e:
+        if e & 1:
+            inv = inv * base % p
+        base = base * base % p
+        e >>= 1
+    w *= inv[:, :, None]
+    w %= p
+    return w, pivots, rank
+
+
+def _kernel_lift(
+    w: np.ndarray, pivots: np.ndarray, count: int, p: int, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(u, ok): u[k, i] is the primitive integer lift of the kernel
+    vector mod p of the RREF w[k] (pivots from `_rref_mod`) at its i-th
+    free column f_i, i < count: 1 at f_i, 0 at the other free columns,
+    and -w[k, r, f_i] at the pivot column of each pivot row r.
+
+    Each residue lifts by rational reconstruction (Wang 1981): the half
+    extended Euclidean algorithm on (p, z) stops at the first remainder
+    num <= sqrt(p/2), and then num/den == z (mod p) with den its
+    cofactor.  ok[k] is False when a residue of draw k has
+    den > sqrt(p/2), or a common denominator would let width * |u| reach
+    2^63; where ok holds, a dot product of u with a row whose absolute
+    values sum to at most width is exact in int64, each partial sum too.
+    """
+    k, m, c = w.shape
+    is_pivot = np.zeros((k, c + 1), dtype=bool)
+    np.put_along_axis(is_pivot, pivots, True, axis=1)
+    # the stable sort puts each lane's free columns first, in order
+    free = np.argsort(is_pivot[:, :c], axis=1, kind="stable")[:, :count]
+    z = np.zeros((k, count, c + 1), dtype=np.int64)
+    # zero rows write their zeros into the spare column c
+    np.put_along_axis(
+        z, np.broadcast_to(pivots[:, None, :], (k, count, m)),
+        (p - np.take_along_axis(w, free[:, None, :], axis=2)).transpose(0, 2, 1) % p,
+        axis=2,
+    )
+    np.put_along_axis(z, free[:, :, None], 1, axis=2)
+    z = z[:, :, :c]
+    bound = isqrt(p // 2)
+    r0, r1 = np.full(z.size, p, dtype=np.int64), z.ravel()
+    t0, t1 = np.zeros_like(r1), np.ones_like(r1)
+    go = np.flatnonzero(r1 > bound)
+    while len(go):
+        q = r0[go] // r1[go]
+        r0[go], r1[go] = r1[go], r0[go] - q * r1[go]
+        t0[go], t1[go] = t1[go], t0[go] - q * t1[go]
+        go = go[r1[go] > bound]
+    num, den = (np.sign(t1) * r1).reshape(z.shape), np.abs(t1).reshape(z.shape)
+    ok = (den <= bound).all(axis=(1, 2))
+    cap = ((1 << 63) - 1) // (width * bound)
+    lcm = np.ones((k, count), dtype=np.int64)
+    for i in range(c):
+        step = den[:, :, i] // np.gcd(lcm, den[:, :, i])
+        fits = lcm <= cap // step
+        ok &= fits.all(axis=1)
+        lcm = np.where(fits, lcm * step, lcm)
+    u = num * (lcm[:, :, None] // den)
+    u //= np.maximum(np.gcd.reduce(u, axis=2), 1)[:, :, None]
+    return u, ok
 
 
 class SpanEngine:
     """Reusable exact span-membership tester over one integer Gram matrix.
 
-    Row j belongs to span(subset) iff M_jS (M_SS)^-1 M_Sj == M_jj.
-    Its one query, `member_masks`, decides subsets of one size into
-    masks (`span_closure` reads one row of them).  Tiers 1 and
-    2 take stacked blocks of `block(d)` draws, sized so that the
-    (draws, d, n) float64 gather of the columns M_:S holds about
-    _DRAW_GATHER entries.  They fill arrays made once per d, `block(d)`
-    draws deep (so an engine serves one thread at a time): the Gram
-    blocks, their index and a gathered copy, the column gather and the
-    forms.  No other stack of matrices is allocated but what det, inv
-    and solve return and the A + eps*I of `_kernel_zero`.  The draws
-    they leave open gather across blocks and go to tiers 3 and 4 a whole
-    block's worth at a time (and once more at the end), so every stack
-    stays within one block.  Tiers 1 to 4 take a draw of d lines only
-    when d * max_m <= 2^27 (the width rule).  Each draw is decided by
-    exactly one of five tiers, counted in `tier_counts`:
+    m_rows is a positive semidefinite integer Gram matrix M of rank R,
+    and basis the indices of R lines whose Gram block is nonsingular
+    (`LineSet.basis`).  Row j belongs to span(subset) iff
+    M_jS (M_SS)^-1 M_Sj == M_jj.  Its one query, `member_masks`, decides
+    subsets of one size into masks (`span_closure` reads one row of
+    them).  Tiers 1 and 2 take stacked blocks of `block(d)` draws, sized
+    so that the (draws, d, n) float64 gather of the columns M_:S holds
+    about _DRAW_GATHER entries.  They fill arrays made once per d,
+    `block(d)` draws deep (so an engine serves one thread at a time):
+    the Gram blocks, their index and a gathered copy, the column gather
+    and the forms.  No other stack of matrices is allocated but what
+    det, inv and solve return and the A + eps*I of `_kernel_zero`.  The
+    draws they leave open gather across blocks and go to tiers 3 and 4
+    a whole block's worth at a time (and once more at the end), so
+    every stack stays within one block.  Tiers 1 to 4 take a draw of d
+    lines only when d * max_m <= 2^27 (the width rule).  Each draw is
+    decided by exactly one of five tiers, counted in `tier_counts`:
 
     1. float: batched det and inverse of the float64 Gram blocks propose
        the adjugate B = det * A^-1.  It is accepted only when
@@ -287,25 +324,25 @@ class SpanEngine:
     2. kernel: a draw whose float det rounds to 0 is certified singular
        by `_kernel_zero` when one batched float solve proposes an
        integer w != 0 with max|w| * max_m * d <= 2^53 and A @ w == 0;
-    3. singular and 4. modular: the draws left open go through rounds of
-       one stacked modular Gauss-Jordan (`_inverse_mod`) over every
-       (draw, prime) pair of the round.  A draw first takes the fewest
-       26-bit primes whose squared product exceeds its exact Hadamard
-       product (2 primes for asche72 at rank 18), and is certified
-       singular (tier 3) when each of them divides det.  Otherwise
-       every prime not dividing det is one membership vote, and the
-       draw takes more primes until it has as many votes as the value
-       bounds ask for (tier 4);
-    5. exact: a draw the prime pool cannot cover, or any draw with
-       d * max_m > 2^27, goes through fraction-free integer elimination
-       (`_members_exact`, through `linalg.integer_inverse`).
+    3. singular and 4. modular: `_members_mod` eliminates the Gram
+       blocks A modulo one prime p < 2^31 in int64, then the load rows
+       T = M[S, basis] of each draw of rank d mod p, and lifts their
+       kernel vectors to integers that it checks exactly: a lifted
+       z != 0 with A z == 0 certifies a singular draw (tier 3), and the
+       lifted u with T u == 0 give the members, the j with
+       u . M[basis, j] == 0 for every u (tier 4);
+    5. exact: a lift or a check that fails, T of rank below d mod p, a
+       product past its int64 budget, or any draw with d * max_m > 2^27,
+       goes through fraction-free integer elimination (`_members_exact`,
+       through `linalg.integer_inverse`).
 
     Every tier writes its answers straight into the rows of the two
     arrays `member_masks` returns; no list of members is built.
     """
 
-    def __init__(self, m_rows: list[list[int]]):
+    def __init__(self, m_rows: list[list[int]], basis: Sequence[int]):
         self.m_rows = m_rows
+        self.basis = tuple(basis)
         self.n = len(m_rows)
         self.diag = [m_rows[i][i] for i in range(self.n)]
         self.max_m = max((abs(x) for row in m_rows for x in row), default=0)
@@ -350,9 +387,9 @@ class SpanEngine:
         Subsets of d lines with d * max_m > 2^27 all go to the exact
         tier.  Otherwise tiers 1 and 2 take the draws `block(d)` at a
         time.  The draws they leave open wait, across blocks, until a
-        whole block's worth has gathered; they then go to the residue
-        tiers together, and the rest once more at the end, so that no
-        residue stack holds more than one block of draws.  An index
+        whole block's worth has gathered; they then go to the modular
+        tier together, and the rest once more at the end, so that no
+        modular stack holds more than one block of draws.  An index
         outside 0..n-1 is IndexError.
         """
         # ndmin and the slice give no subsets the shape (0, 0)
@@ -377,9 +414,9 @@ class SpanEngine:
             )
             left = np.concatenate([left, k + open_])
             if len(left) >= step:
-                self._members_residue(sub, left[:step], full, mask)
+                self._members_mod(sub, left[:step], full, mask)
                 left = left[step:]
-        self._members_residue(sub, left, full, mask)
+        self._members_mod(sub, left, full, mask)
         return full, mask
 
     # -- tiers 1 and 2: float proposals, exact float64 verification --------
@@ -437,111 +474,61 @@ class SpanEngine:
         self._tiers[0] += len(take)
         return np.flatnonzero(open_)
 
-    # -- tiers 3 and 4: multi-modular residues -----------------------------
+    # -- tiers 3 and 4: one prime, lifted and checked exactly -------------
 
-    def _hadamard(self, sub: np.ndarray) -> list[int]:
-        """Hadamard's bound prod_i ||a_i||^2 >= det(A)^2 on the Gram block
-        A of each draw, as an exact integer.  A squared row norm is at
-        most d * max_m^2 <= 2^54 / d, so int64 holds it exactly."""
-        a = self._blocks(sub).astype(np.int64)
-        return [prod(row) for row in (a * a).sum(axis=2).tolist()]
-
-    def _members_residue(
+    def _members_mod(
         self, sub: np.ndarray, left: np.ndarray, full: np.ndarray, mask: np.ndarray
     ) -> None:
         """Decide the draws sub[left] by tiers 3 to 5, into their rows of
         full and mask (left untouched when singular); the draws keep the
         width rule, d * max_m <= 2^27.
 
-        Round by round, every open draw takes its next untried primes,
-        and one stacked `_inverse_mod` over the round's (draw, prime)
-        pairs gives t and Y = t A^-1 mod p.  A draw with Hadamard bound H
-        first takes the first `need` primes, the least count with
-        (p_1...p_need)^2 > H: when each of them divides det (t == 0), a
-        nonzero det would have det^2 >= (p_1...p_need)^2 > H, so the draw
-        is singular (need == 0 is a zero row, singular outright).
-        Otherwise every prime with t != 0 is a vote: t / det is a unit,
-        and row j survives p iff m_j^T Y m_j == t M_jj (mod p).
-        m_j^T adj(A) m_j - M_jj det(A) is an integer of at most value_bits
-        bits, so it is zero iff it vanishes modulo primes whose product
-        exceeds 2^(value_bits + 2); each pool prime exceeds 2^25, which
-        sets the votes a draw wants.  It takes one more prime per vote
-        still wanted until it has them.  A draw the pool cannot cover
-        goes to `_members_exact`.
+        A = M_SS is eliminated mod p = `_PRIME` first.  Below rank d mod
+        p, the kernel vector at the first free column of its RREF lifts
+        to an integer z != 0, and A z == 0, checked exactly, proves the
+        draw singular.  At rank d mod p, det A != 0, and T = C_S^T, with
+        C = M[basis, :], is eliminated next: rank_p(T) <= rank(T) <= d,
+        so rank d mod p proves rank d.  Each of its R - d lifted kernel
+        vectors u is 0 at the other free columns and not at its own, so
+        once T u == 0 is checked exactly, they span ker T.  basis is a
+        basis of the PSD M, so C maps the lines injectively and linearly,
+        and j lies in span(S) iff u . C_j == 0 for every u (every j when
+        d == R).  `_kernel_lift` keeps the checks and the u . C_j exact in
+        int64.  Any other draw goes to `_members_exact`.
         """
         if not len(left):
             return
         draws = sub[left]
         count, d = draws.shape
-        need = np.empty(count, dtype=np.intp)
-        want = np.zeros(count, dtype=np.intp)
-        for k, h in enumerate(self._hadamard(draws)):
-            need[k] = bisect_right(_PRIME_SQ, h)
-            value_bits = (
-                (h.bit_length() + 1) // 2 + 2 * max(self.max_m.bit_length(), 1)
-                + 2 * max(d, 1).bit_length() + 4
-            )
-            if value_bits + 2 <= _PRIME_BITS:
-                want[k] = -(-(value_bits + 2) // _PRIME_LOG2)
-        tried = np.zeros(count, dtype=np.intp)
-        votes = np.zeros(count, dtype=np.intp)  # primes not dividing det
-        alive = np.ones((count, self.n), dtype=bool)
-        while True:
-            # a need past the pool's 24 primes is never met
-            singular = (votes == 0) & (tried >= need)
-            take = np.where(votes == 0, need - tried, want - votes)
-            # a draw the rest of the pool cannot cover stops here
-            take[singular | (tried + take > len(_PRIMES26))] = 0
-            todo = np.flatnonzero(take > 0)
-            if not len(todo):
-                break
-            # rows: each prime with the draws that try it in this round
-            rows = [
-                (p, todo[(tried[todo] <= t) & (t < tried[todo] + take[todo])])
-                for t, p in enumerate(_PRIMES26)
-            ]
-            rows = [(p, r) for p, r in rows if len(r)]
-            tried += take
-            y, unit = _inverse_mod(
-                self._blocks(draws[np.concatenate([r for _, r in rows])]),
-                np.repeat([p for p, _ in rows], [len(r) for _, r in rows]),
-            )
-            lo = 0
-            for p, r in rows:
-                y_p, unit_p = y[lo:lo + len(r)], unit[lo:lo + len(r)]
-                lo += len(r)
-                good = unit_p != 0  # a prime dividing det is skipped
-                votes[r[good]] += 1
-                vote = good & (want[r] > 0)
-                if vote.any():
-                    alive[r[vote]] &= self._forms_mod(
-                        draws[r[vote]], y_p[vote], unit_p[vote], p
-                    )
-        done = (want > 0) & (votes == want)
-        mask[left[done]], full[left[done]] = alive[done], True
-        exact = ~(singular | done)
+        rank_b = len(self.basis)
+        # the rows of A, T and C sum to at most width in absolute value
+        width = max(d, rank_b, 1) * max(self.max_m, 1)
+        a = self._blocks(draws).astype(np.int64)
+        w, pivots, rank = _rref_mod(a, _PRIME)
+        short = np.flatnonzero(rank < d)
+        z, ok = _kernel_lift(w[short], pivots[short], 1, _PRIME, width)
+        ok &= ~np.matmul(a[short], z.transpose(0, 2, 1)).any(axis=(1, 2))
+        singular = short[ok]
+        done = np.flatnonzero(rank == d)
+        if len(done):
+            # the load rows C = M[basis, :], exact under the width rule
+            c = self.cols[list(self.basis)].astype(np.int64)
+            t = c[:, draws[done]].transpose(1, 2, 0)
+            w, pivots, rank = _rref_mod(t, _PRIME)
+            keep = rank == d
+            done, t = done[keep], t[keep]
+            u, ok = _kernel_lift(w[keep], pivots[keep], rank_b - d, _PRIME, width)
+            ok &= ~np.matmul(t, u.transpose(0, 2, 1)).any(axis=(1, 2))
+            done = done[ok]
+            hits = ~np.matmul(u[ok], c).any(axis=1)
+            mask[left[done]], full[left[done]] = hits, True
+        exact = np.ones(count, dtype=bool)
+        exact[singular] = exact[done] = False
         for k in left[exact].tolist():
             full[k] = self._members_exact(sub[k].tolist(), mask[k])
-        self._tiers[2] += int(singular.sum())
-        self._tiers[3] += int(done.sum())
+        self._tiers[2] += len(singular)
+        self._tiers[3] += len(done)
         self._tiers[4] += int(exact.sum())
-
-    def _forms_mod(
-        self, sub: np.ndarray, y: np.ndarray, unit: np.ndarray, p: int
-    ) -> np.ndarray:
-        """Mask of the rows j with m_j^T Y m_j == unit * M_jj (mod p), for
-        each draw of sub with its Y and unit from `_inverse_mod`.
-
-        |Y| < 2^25, and the width rule keeps d * max_m <= 2^27, so every
-        partial sum of Y @ M_S: and of the row sums of f * M_S: with
-        |f| < 2^25 is an integer of at most 2^52, exact in float64.
-        """
-        p_inv = 1.0 / p
-        x = self.cols[sub]
-        f = _centre(y @ x, p, p_inv)
-        forms = _centre((f * x).sum(axis=1), p, p_inv)
-        target = _centre(unit[:, None] * np.diagonal(self.cols), p, p_inv)
-        return _centre(forms - target, p, p_inv) == 0
 
     # -- tier 5: exact fraction-free elimination ---------------------------
 
@@ -634,12 +621,16 @@ def span_closure(ls: LineSet, subset: Sequence[int]) -> list[int]:
 
     Exact projection criterion: j is in the span iff
     G_jS (G_SS)^(-1) G_Sj == G_jj.  The subset itself is always included.
-    Raises RankDeficient when the subset's Gram block is singular, and
-    IndexError (`member_masks`) for an index outside 0..n-1.
+    Raises NotPSD when the Gram matrix is not positive semidefinite (it
+    has no `LineSet.basis`), RankDeficient when the subset's Gram block
+    is singular, and IndexError (`member_masks`) for an index outside
+    0..n-1.
     """
     idx = list(subset)
+    if ls.basis is None:
+        raise NotPSD("span closure requires a positive semidefinite Gram matrix")
     m_rows, _ = linalg.integer_scaled(ls.gram)
-    full, mask = SpanEngine(m_rows).member_masks([idx])
+    full, mask = SpanEngine(m_rows, ls.basis).member_masks([idx])
     if not full[0]:
         raise RankDeficient(f"Gram block on {len(idx)} lines is singular")
     return np.flatnonzero(mask[0]).tolist()
@@ -674,7 +665,7 @@ def random_search(
         raise OutOfRange(f"runs must be at least 0, got {runs}")
     seed &= MASK64
     m_rows, _ = linalg.integer_scaled(ls.gram)
-    engine = SpanEngine(m_rows)
+    engine = SpanEngine(m_rows, ls.basis)
     block = engine.block(target_rank)
     chunk = block * max(1, _DRAW_CHUNK // (block * ls.n))
     drawn = np.empty((runs, target_rank), dtype=np.intp)

@@ -10,18 +10,20 @@ also returned the rank and the basis, the greedy span scan that chose
 that the one fraction-free routine of `linalg` replaced, dense rational
 products, the vectorized block scan over sign patterns that the
 meet-in-the-middle engine replaced, the per-draw span membership that
-the stacked blocks of `SpanEngine.member_masks` replaced (with its
-per-matrix `_det_inverse_mod`, which the stacked `_inverse_mod`
-replaced; `span_members` and `span_members_many`, the member lists the
-engine once read off its masks; and `residue_members` and
-`exact_members`, which run the engine's residue and exact tiers
+the stacked blocks of `SpanEngine.member_masks` replaced, with the
+residue rules over the 26-bit primes `_PRIMES26` that the engine's
+multi-prime rounds kept until one prime, lifted and checked exactly
+(`SpanEngine._members_mod`), replaced them (with its per-matrix
+`_det_inverse_mod`; `span_members` and `span_members_many`, the member
+lists the engine once read off its masks; `modular_members` and
+`exact_members`, which run the engine's modular and exact tiers
 alone), the one-prime-at-a-time stacked determinant and Hadamard bit
-count that the units of `_inverse_mod` and the exact Hadamard bound
-replaced, the scalar subset sampler that the vectorised draws of `random_search` replaced,
-an inverse of the SplitMix64 finalizer, and the greedy scan over all
-8-subsets that `generate_octads` replaced (it runs a pruned search up
-to the 78th block and takes the weight-8 words of the blocks' span),
-and the recursive MCQ clique search with its list of (vertex, color)
+count that the engine's rounds replaced, the scalar subset sampler that
+the vectorised draws of `random_search` replaced, an inverse of the
+SplitMix64 finalizer, and the greedy scan over all 8-subsets that
+`generate_octads` replaced (it runs a pruned search up to the 78th
+block and takes the weight-8 words of the blocks' span), and the
+recursive MCQ clique search with its list of (vertex, color)
 pairs that the class-at-a-time coloring and explicit stack of
 `max_clique` replaced, and the `Candidate` list of `Fraction`
 coordinates with its lcm re-integerization and linear pairwise forms
@@ -45,7 +47,9 @@ with them: `encode_graph6`, `graph_from_edges`, `graph_from_matrix`,
 `EmptyResult`, `identity`, and `inverse` over `integer_inverse`; and
 `from_graph6`, which composes `parse_graph6` and `from_adjacency` as
 the library did before `construct from-graph6` decoded its file once,
-with the graph fixtures `w3_collinear` and `complement_rows`.
+with the graph fixtures `w3_collinear` and `complement_rows`; and
+`span_engine`, a `SpanEngine` over any PSD integer matrix with the
+basis that `psd_basis` finds, for tests whose matrices are no line set.
 None of them is used by the library.
 """
 
@@ -64,12 +68,20 @@ from eqlines._intops import enumerate_unit_patterns, scaled_candidate_matrix
 from eqlines.constructions import OctadDesign, TremainColumn, from_adjacency
 from eqlines.errors import EqlinesError, HypothesisViolated, NotSymmetric, SingularMatrix
 from eqlines.graph6 import HEADER, parse_graph6
-from eqlines.linalg import RatMatrix, integer_inverse, integer_scaled
+from eqlines.linalg import RatMatrix, integer_inverse, integer_scaled, psd_basis
 from eqlines.lineset import LineSet
 from eqlines.maxclique import CliqueResult, SimpleGraph
 from eqlines.saturation import CandidateSet
-from eqlines.spansearch import _PRIMES26, MASK64, MIX1, MIX2, SpanEngine, SplitMix64
+from eqlines.spansearch import MASK64, MIX1, MIX2, SpanEngine, SplitMix64
 
+# 26-bit primes: a centred residue is below 2^25, so the product of two
+# is below 2^50, exact in float64
+_PRIMES26 = (
+    67108859, 67108837, 67108819, 67108777, 67108763, 67108757,
+    67108753, 67108747, 67108739, 67108729, 67108721, 67108709,
+    67108693, 67108669, 67108667, 67108661, 67108649, 67108633,
+    67108597, 67108579, 67108529, 67108511, 67108507, 67108493,
+)
 # patterns per block of the numpy scans, and forms per block of the
 # numpy pairwise masks
 _SCAN_BLOCK = 1 << 14
@@ -411,7 +423,7 @@ def greedy_span_basis(ls: LineSet) -> list[int]:
     line that enlarges the span, through `SpanEngine`."""
     r = ls.rank
     m_rows, _ = integer_scaled(ls.gram)
-    engine = SpanEngine(m_rows)
+    engine = SpanEngine(m_rows, ls.basis)
     chosen: list[int] = []
     in_span: frozenset[int] = frozenset()
     while len(chosen) < r:
@@ -748,15 +760,15 @@ class PerDrawSpanEngine(SpanEngine):
     """The per-draw span membership that `SpanEngine.members_many`
     replaced, verbatim: a float-proposed, int64-verified adjugate for
     one draw, then residues modulo the 26-bit primes through the
-    per-matrix `_det_inverse_mod` (which the stacked `_inverse_mod`
-    replaced), then exact rational elimination.  `members_many` loops
-    over the draws one at a time.  It keeps its own int64 copies of the
-    Gram matrix and of its residues, and its own width rule: `small`
-    (max_m < 2^31) sends every draw through the float and int64 residue
-    paths, and only wider entries to Python-int residues."""
+    per-matrix `_det_inverse_mod`, then exact rational elimination.
+    `members_many` loops over the draws one at a time.  It keeps its own
+    int64 copies of the Gram matrix and of its residues, and its own
+    width rule: `small` (max_m < 2^31) sends every draw through the
+    float and int64 residue paths, and only wider entries to Python-int
+    residues.  It reads no basis, so it takes any symmetric matrix."""
 
     def __init__(self, m_rows: list[list[int]]):
-        super().__init__(m_rows)
+        super().__init__(m_rows, ())
         self.small = self.max_m < 2**31
         if self.small:
             self.m_np = np.array(m_rows, dtype=np.int64)
@@ -883,16 +895,24 @@ def span_members(engine: SpanEngine, subset: Sequence[int]) -> Optional[list[int
     return span_members_many(engine, [subset])[0]
 
 
-def residue_members(
+def modular_members(
     engine: SpanEngine, subsets: Sequence[Sequence[int]]
 ) -> list[Optional[list[int]]]:
-    """The answers of tiers 3 to 5 of `engine` (`_members_residue`) on
+    """The answers of tiers 3 to 5 of `engine` (`_members_mod`) on
     every draw, with no float tier in front."""
     sub = np.array(subsets, dtype=np.intp)
     full = np.zeros(len(sub), dtype=bool)
     mask = np.zeros((len(sub), engine.n), dtype=bool)
-    engine._members_residue(sub, np.arange(len(sub)), full, mask)
+    engine._members_mod(sub, np.arange(len(sub)), full, mask)
     return _mask_lists(full, mask)
+
+
+def span_engine(m_rows: list[list[int]]) -> SpanEngine:
+    """A `SpanEngine` over the PSD integer matrix m_rows, with the basis
+    that `linalg.psd_basis` finds for it."""
+    basis = psd_basis(RatMatrix.from_rows(m_rows))
+    assert basis is not None, "span_engine needs a PSD matrix"
+    return SpanEngine(m_rows, basis)
 
 
 def exact_members(engine: SpanEngine, subset: Sequence[int]) -> Optional[list[int]]:

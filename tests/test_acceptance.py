@@ -78,6 +78,7 @@ from oracles import (
     is_psd,
     mcq_max_clique,
     PerDrawSpanEngine,
+    _PRIMES26,
     _det_mod_many,
     fraction_integer_scaled,
     fraction_inverse,
@@ -88,10 +89,11 @@ from oracles import (
     inverse,
     matvec,
     pairwise_hits,
+    modular_members,
     psd_by_minors,
-    residue_members,
     sample_subset,
     sign_patterns,
+    span_engine,
     span_members,
     span_members_many,
     w3_collinear,
@@ -693,8 +695,7 @@ def _near_half_stack(rng: SplitMix64, k: int, d: int):
     +-(p-1)/2 or +-(p+1)/2 plus multiples of p, some leading column
     entries are 0 mod p (pivot swaps), and some rows repeat another row
     mod p (singular mod p only)."""
-    primes = [spansearch._PRIMES26[rng.below(len(spansearch._PRIMES26))]
-              for _ in range(k)]
+    primes = [_PRIMES26[rng.below(len(_PRIMES26))] for _ in range(k)]
     stack = []
     for p in primes:
         a = [[(1 - 2 * rng.below(2)) * ((p - 1) // 2 + rng.below(2))
@@ -711,14 +712,14 @@ def _near_half_stack(rng: SplitMix64, k: int, d: int):
 
 
 def test_criterion_9f_stacked_singular_vs_exact_rank():
-    """The stacked modular Gauss-Jordan `_inverse_mod` gives a zero unit
+    """The stacked int64 elimination `_rref_mod` gives rank below d
     exactly where the one-prime `_det_mod_many` oracle finds det == 0
     mod p, on 300 seeded matrices with residues near +-p/2, pivot swaps
-    and rows dependent mod p only; and the residue tiers
-    (`SpanEngine._members_residue`) certify singular exactly the draws
+    and rows dependent mod p only; and the modular tier
+    (`SpanEngine._members_mod`) certifies singular exactly the draws
     that `linalg.rank` finds singular (nullities 0-3), for Gram entries
     that are small and at the width rule's edge (d * max|M| near 2^27),
-    and leave the det = P0 boundary uncertified; with entries of about
+    and leaves the det = P0 boundary uncertified; with entries of about
     2^30 and 2^32, past the rule, `members_many` answers every draw by
     the exact tier, singular exactly where `linalg.rank` says."""
     rng = SplitMix64(9006)
@@ -727,8 +728,8 @@ def test_criterion_9f_stacked_singular_vs_exact_rank():
         d = 1 + rng.below(7)
         stack, primes = _near_half_stack(rng, 6, d)
         want = [_det_mod_many(a[None], p)[0] == 0 for a, p in zip(stack, primes)]
-        unit = spansearch._inverse_mod(stack.astype(np.float64), np.array(primes))[1]
-        assert (unit == 0).tolist() == want
+        rank = [spansearch._rref_mod(a[None], p)[2][0] for a, p in zip(stack, primes)]
+        assert [r < d for r in rank] == want
         zero_mod_p += sum(want)
         swaps += sum(a[0, 0] % p == 0 for a, p in zip(stack, primes))
     assert min(zero_mod_p, swaps) >= 20
@@ -749,7 +750,7 @@ def test_criterion_9f_stacked_singular_vs_exact_rank():
             scale = width // max(map(max, gram))
             scale = scale - 1 | 1 if top == 2**27 else scale | 1
             m_rows = [[scale * x for x in row] for row in gram]
-            engine = spansearch.SpanEngine(m_rows)
+            engine = span_engine(m_rows)
             assert engine.max_m > width // 2
             sub = np.arange(len(vecs)).reshape(8, d)
             want = []
@@ -760,7 +761,7 @@ def test_criterion_9f_stacked_singular_vs_exact_rank():
                 want.append(nullity > 0)
             if top <= 2**27:
                 assert d * engine.max_m <= 2**27
-                got = residue_members(engine, sub.tolist())
+                got = modular_members(engine, sub.tolist())
                 assert engine.tier_counts["singular"] == sum(want)
             else:
                 got = span_members_many(engine, sub.tolist())
@@ -768,20 +769,20 @@ def test_criterion_9f_stacked_singular_vs_exact_rank():
             assert [g is None for g in got] == want
     assert nullities == {0, 1, 2, 3}
 
-    p0 = spansearch._PRIMES26[0]
-    boundary = spansearch.SpanEngine([[1, 0], [0, p0]])
-    assert residue_members(boundary, [[0, 1]]) == [[0, 1]]
+    p0 = _PRIMES26[0]
+    boundary = span_engine([[1, 0], [0, p0]])
+    assert modular_members(boundary, [[0, 1]]) == [[0, 1]]
     assert boundary.tier_counts["singular"] == 0
 
 
 def _assert_modular_tier_agrees(m_rows, subsets):
-    """The residue tiers, called directly on draws of d lines within the
+    """The modular tier, called directly on draws of d lines within the
     width rule (d * max|M| <= 2^27), against `_members_exact` and the
     per-draw oracle; `members_many` must answer wider draws by the exact
     tier.  Returns the answers."""
-    engine = spansearch.SpanEngine(m_rows)
+    engine = span_engine(m_rows)
     if len(subsets[0]) * engine.max_m <= 2**27:
-        got = residue_members(engine, subsets)
+        got = modular_members(engine, subsets)
     else:
         got = span_members_many(engine, subsets)
         assert engine.tier_counts["exact"] == len(subsets)
@@ -793,16 +794,16 @@ def _assert_modular_tier_agrees(m_rows, subsets):
 def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
     tremain, taylor, asche, monkeypatch
 ):
-    """The residue tiers `SpanEngine._members_residue`, called
-    directly on draws within the width rule, and the exact tier that
-    `members_many` sends every wider draw to, agree with
-    `_members_exact` and the per-draw `PerDrawSpanEngine` oracle: on
-    random subsets of the shipped sets, singular and rank-deficient ones
-    included; on Gram entries widened by 2^22 (within the rule up to
-    d = 6), 2^29 and 2^31; on a draw whose determinant is a pool prime,
-    which skips that prime and takes the next; and on draws just over
-    either 2^53 budget of the float tier, which the engine sends to the
-    residue tiers."""
+    """The modular tier `SpanEngine._members_mod`, called directly on
+    draws within the width rule, and the exact tier that `members_many`
+    sends every wider draw to, agree with `_members_exact` and the
+    per-draw `PerDrawSpanEngine` oracle: on random subsets of the
+    shipped sets, singular and rank-deficient ones included; on Gram
+    entries widened by 2^22 (within the rule up to d = 6), 2^29 and
+    2^31; on a draw whose determinant is a 26-bit prime of the old
+    residue pool, decided by the tier's one prime; and on draws just
+    over either 2^53 budget of the float tier, which the engine sends to
+    the modular tier."""
     rng = SplitMix64(9008)
     kinds = set()
     for ls in (tremain, taylor, asche):
@@ -826,16 +827,14 @@ def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
     vectors = [(1, 0, 0, 0, 0, 0), (0, *p0_vector, 0), (1, *p0_vector, 0),
                (0, 0, 0, 0, 0, 1)]
     m_rows = [[sum(a * b for a, b in zip(u, v)) for v in vectors] for u in vectors]
-    rounds = []
-    kernel = spansearch._inverse_mod
-    monkeypatch.setattr(spansearch, "_inverse_mod",
-                        lambda a, p: rounds.append(p.tolist()) or kernel(a, p))
+    calls = []
+    rref = spansearch._rref_mod
+    monkeypatch.setattr(spansearch, "_rref_mod",
+                        lambda a, p: calls.append(p) or rref(a, p))
     assert _assert_modular_tier_agrees(m_rows, [[0, 1]]) == [[0, 1, 2]]
-    primes = spansearch._PRIMES26
-    # the Hadamard bound P0^2 takes 2 primes first: P0 divides det and
-    # P1 is the first vote of the 4 the value bound wants, so the draw
-    # takes 3 more primes next
-    assert rounds == [list(primes[:2]), list(primes[2:5])]
+    # one elimination of the Gram block and one of the load rows, both
+    # modulo the one prime, which does not divide det = P0
+    assert calls == [spansearch._PRIME] * 2
     monkeypatch.undo()
 
     # draw [0] of M = [[x, 0, x], [0, 1, 0], [x, 0, x]] has det x and
@@ -844,7 +843,7 @@ def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
     x = math.isqrt(2**53)
     for top, tier in ((x, "float"), (x + 1, "modular")):
         m_rows = [[top, 0, top], [0, 1, 0], [top, 0, top]]
-        engine = spansearch.SpanEngine(m_rows)
+        engine = span_engine(m_rows)
         assert span_members(engine, [0]) == [0, 2]
         assert engine.tier_counts[tier] == 1 and sum(engine.tier_counts.values()) == 1
         assert _assert_modular_tier_agrees(m_rows, [[0], [1], [2]]) == [
@@ -854,13 +853,16 @@ def test_criterion_9h_stacked_modular_vs_exact_and_per_draw(
             [0, 1, 2], None
         ]
 
-    # draw [0, 1] of the next M has det -1 and adjugate entries up to
-    # max_m = x, so its budget max|B| * (d * max_m)^2 = 4x^3 <= 2^53 holds
-    # up to x = 2^17 while max_m * |det| = x stays far inside; row 2 lies
-    # in the span, since (A^-1)_00 = 2 - x
+    # the next M is the Gram matrix of v0, v1 and v1 - 362 v0, with
+    # |v0|^2 = 1, v0 . v1 = 362 and |v1|^2 = x, so rank 2 and det
+    # x - 362^2 > 0 on draw [0, 1]; its adjugate has entries up to
+    # max_m = x, so its budget max|B| * (d * max_m)^2 = 4x^3 <= 2^53
+    # holds up to x = 2^17 while max_m * |det| stays far inside, and
+    # likewise on draw [1, 2]
     for top, tier in ((2**17, "float"), (2**17 + 1, "modular")):
-        m_rows = [[top, top - 1, 1], [top - 1, top - 2, 0], [1, 0, 2 - top]]
-        engine = spansearch.SpanEngine(m_rows)
+        det = top - 362**2
+        m_rows = [[1, 362, 0], [362, top, det], [0, det, det]]
+        engine = span_engine(m_rows)
         assert span_members(engine, [0, 1]) == [0, 1, 2]
         assert engine.tier_counts[tier] == 1 and sum(engine.tier_counts.values()) == 1
         assert _assert_modular_tier_agrees(m_rows, [[0, 1], [1, 2]]) == [
@@ -889,7 +891,8 @@ def test_criterion_9k_kernel_certificate_vs_exact_rank(
     returns NaN, zeros or garbage, or raises.  A true kernel vector is
     certified up to the 2^53 budget max|w| * max_m * d and refused one
     past it.  Of the 2274 seed-0 draws on asche72 at rank 18 whose float
-    det rounds to 0, it certifies 2253, all singular by residues too."""
+    det rounds to 0, it certifies 2253, all singular by the modular tier
+    too."""
     rng = SplitMix64(9011)
     by_nullity = {}
     for _ in range(12):
@@ -962,13 +965,13 @@ def test_criterion_9k_kernel_certificate_vs_exact_rank(
         assert fake in garbage or not any(got)
     monkeypatch.undo()
 
-    engine = spansearch.SpanEngine(m_rows)
+    engine = spansearch.SpanEngine(m_rows, asche.basis)
     _, sub = _draw_block(0, 0, 5000, asche.n, 18)
     a = engine._blocks(sub)
     zero = np.flatnonzero(np.abs(np.linalg.det(a)) < 0.5)
     kernel = zero[spansearch._kernel_zero(a[zero], engine.max_m)]
     assert (len(zero), len(kernel)) == (2274, 2253)
-    assert residue_members(engine, sub[kernel]) == [None] * len(kernel)
+    assert modular_members(engine, sub[kernel]) == [None] * len(kernel)
     assert engine.tier_counts["singular"] == len(kernel)
 
 

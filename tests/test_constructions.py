@@ -433,6 +433,24 @@ class TestFromAdjacency:
         with pytest.raises(ValueError, match="not symmetric at \\(0,1\\)"):
             from_adjacency(3, [0b010, 0b000, 0b000], F(1, 3))
 
+    def test_self_loop_rejected(self):
+        # row 0 claims a loop at vertex 0 and vertex 2, but row 2 does
+        # not claim 0
+        with pytest.raises(ValueError, match="self-loop at vertex 0"):
+            from_adjacency(3, [0b101, 0b000, 0b000], F(1, 3))
+
+    def test_bits_beyond_n_rejected(self):
+        # row 0 of a 2-vertex graph claims vertices 1 and 2, and a loop
+        with pytest.raises(ValueError, match="row 0 has bits beyond vertex 1"):
+            from_adjacency(2, [0b111, 0b001], F(1, 3))
+        with pytest.raises(ValueError, match="row 1 has bits beyond vertex 1"):
+            from_adjacency(2, [0b10, 0b101], F(1, 3))
+
+    def test_petersen_and_w3_still_build(self):
+        assert from_adjacency(10, petersen_adj(), F(1, 3)).rank == 5
+        ls = from_adjacency(40, w3_collinear(), F(1, 5))
+        assert (ls.n, ls.rank) == (40, 16)
+
 
 class TestSrgCheck:
     def test_petersen(self):

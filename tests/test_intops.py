@@ -9,6 +9,7 @@ from eqlines import _intops, linalg, spansearch
 from eqlines.linalg import RatMatrix
 from eqlines.spansearch import SplitMix64
 from oracles import (
+    _PRIMES26,
     _SCAN_BLOCK,
     PerDrawSpanEngine,
     _balanced_limbs,
@@ -21,16 +22,17 @@ from oracles import (
     enumerate_range_batch,
     exact_members,
     inverse,
+    modular_members,
     pairwise_hits,
-    residue_members,
     sample_subset,
     sign_patterns,
+    span_engine,
     span_members,
     span_members_many,
 )
 
 F = Fraction
-P0 = spansearch._PRIMES26[0]
+P0 = _PRIMES26[0]
 # 8191^2 + 113^2 + 60^2 + 3^2 == P0: a vector whose squared norm is P0
 P0_VECTOR = (8191, 113, 60, 3)
 
@@ -355,41 +357,43 @@ class TestPairwiseHits:
 class TestDetInverseMod:
     def test_against_fraction_det(self):
         rng = SplitMix64(27)
-        p = spansearch._PRIMES26[0]
         for _ in range(15):
             d = 1 + rng.below(5)
             a = [[rng.below(50) - 25 for _ in range(d)] for _ in range(d)]
             det_a = det(RatMatrix.from_rows(a))
-            det_p, inv_p = _det_inverse_mod(
-                np.array(a, dtype=np.int64), p
-            )
-            assert det_p == int(det_a) % p
-            if inv_p is not None:
-                prod = (np.array(a) % p) @ inv_p % p
-                assert np.array_equal(prod, np.eye(d, dtype=np.int64))
+            for p in (P0, spansearch._PRIME):
+                det_p, inv_p = _det_inverse_mod(
+                    np.array(a, dtype=np.int64), p
+                )
+                assert det_p == int(det_a) % p
+                rank_p = spansearch._rref_mod(np.array([a], dtype=np.int64), p)[2]
+                assert (rank_p[0] < d) == (det_p == 0)
+                if inv_p is not None:
+                    # Python ints: products of two 31-bit residues overflow
+                    prod = np.array(a, dtype=object) @ inv_p.astype(object) % p
+                    assert np.array_equal(prod, np.eye(d, dtype=np.int64))
 
     def test_singular_mod_p(self):
-        p = spansearch._PRIMES26[0]
-        a = np.array([[p, 0], [0, 1]], dtype=np.int64)
-        det_p, inv_p = _det_inverse_mod(a, p)
-        assert det_p == 0 and inv_p is None
+        for p in (P0, spansearch._PRIME):
+            a = np.array([[p, 0], [0, 1]], dtype=np.int64)
+            det_p, inv_p = _det_inverse_mod(a, p)
+            assert det_p == 0 and inv_p is None
+            assert spansearch._rref_mod(a[None], p)[2].tolist() == [1]
 
 
 class TestDetModMany:
     """The stacked eliminations, the one-prime `_det_mod_many` oracle and
-    the units of the float64 `_inverse_mod`, against the per-matrix
+    the ranks of the int64 `_rref_mod`, against the per-matrix
     `_det_inverse_mod`."""
 
     @staticmethod
     def assert_matches(stack):
-        for p in spansearch._PRIMES26:
+        for p in (*_PRIMES26, spansearch._PRIME):
             got = _det_mod_many(stack, p)
             want = [_det_inverse_mod(a, p)[0] for a in stack]
             assert got.tolist() == want
-            _, unit = spansearch._inverse_mod(
-                stack.astype(np.float64), np.full(len(stack), p)
-            )
-            assert (unit == 0).tolist() == [w == 0 for w in want]
+            rank = spansearch._rref_mod(stack, p)[2]
+            assert (rank < stack.shape[1]).tolist() == [w == 0 for w in want]
 
     def test_random_stacks_with_row_swaps(self):
         rng = SplitMix64(31)
@@ -426,7 +430,7 @@ class TestDetModMany:
         assert int(det(RatMatrix.from_rows(block.tolist()))) == P0
         self.assert_matches(block[None])
         assert _det_mod_many(block[None], P0).tolist() == [0]
-        assert _det_mod_many(block[None], spansearch._PRIMES26[1])[0] != 0
+        assert _det_mod_many(block[None], _PRIMES26[1])[0] != 0
 
     def test_empty_stack_and_empty_matrices(self):
         assert _det_mod_many(np.zeros((0, 3, 3), np.int64), P0).size == 0
@@ -434,23 +438,35 @@ class TestDetModMany:
 
 
 class TestInverseMod:
-    """The stacked modular Gauss-Jordan `_inverse_mod` against the
-    per-matrix `_det_inverse_mod`, one prime per matrix."""
+    """The stacked int64 `_rref_mod` against the per-matrix
+    `_det_inverse_mod`, one prime per matrix: A has rank below d mod p
+    exactly when det A == 0 mod p, and otherwise the RREF of [A | I] is
+    [I | A^-1]."""
 
     @staticmethod
     def assert_matches(stack, primes):
-        y, unit = spansearch._inverse_mod(stack.astype(np.float64), np.array(primes))
-        assert np.abs(y).max(initial=0) <= max(primes) // 2 + 2
-        for a, p, y_p, t in zip(stack, primes, y, unit.tolist()):
-            det_p, inv_p = _det_inverse_mod(a, p)
-            assert (t == 0) == (inv_p is None) == (det_p == 0)
-            if inv_p is not None:
-                assert np.array_equal(y_p.astype(np.int64) % p, inv_p * int(t) % p)
+        k, d = stack.shape[:2]
+        eye = np.broadcast_to(np.eye(d, dtype=np.int64), stack.shape)
+        for p in set(primes):
+            take = [i for i, q in enumerate(primes) if q == p]
+            rank = spansearch._rref_mod(stack[take], p)[2]
+            w, pivots, _ = spansearch._rref_mod(
+                np.concatenate([stack[take], eye[take]], axis=2), p
+            )
+            assert w.min(initial=0) >= 0 and w.max(initial=0) < p
+            for a, r, w_a, piv in zip(stack[take], rank, w, pivots):
+                det_p, inv_p = _det_inverse_mod(a, p)
+                assert (r < d) == (inv_p is None) == (det_p == 0)
+                # the identity block keeps every row a pivot row
+                assert (piv.max(initial=0) >= d) == (r < d)
+                if inv_p is not None:
+                    assert np.array_equal(w_a[:, :d], np.eye(d, dtype=np.int64))
+                    assert np.array_equal(w_a[:, d:], inv_p)
 
     def test_random_stacks_with_pivot_search(self):
         rng = SplitMix64(41)
         for d in (1, 2, 3, 5, 8, 18):
-            primes = [spansearch._PRIMES26[rng.below(24)] for _ in range(8)]
+            primes = [_PRIMES26[rng.below(24)] for _ in range(8)]
             stack = np.array(
                 [[[rng.below(2**31) - 2**30 for _ in range(d)]
                   for _ in range(d)] for _ in range(8)],
@@ -469,59 +485,46 @@ class TestInverseMod:
             d = 1 + rng.below(6)
             vectors = [[rng.below(5) - 2 for _ in range(d)] for _ in range(d)]
             stack = np.array([gram_from_vectors(vectors)], dtype=np.int64)
-            self.assert_matches(stack, [spansearch._PRIMES26[rng.below(24)]])
+            self.assert_matches(stack, [_PRIMES26[rng.below(24)]])
 
 
-def near_half_rows(wrap: int = 0) -> tuple[list[list[int]], list[list[int]]]:
-    """(M, Y) at the edge of the span engine's width rule.  The first
-    d = 4 columns of M hold residues near (P0-1)/2 and max|M| = 2^25, so
-    d * max|M| = 2^27; Y holds values near (P0-1)/2.  Rows 4 and 6 satisfy
-    m_j^T Y m_j == M_jj (mod P0), rows 5 and 7 miss by one.  wrap lifts
-    every entry by wrap * P0, which keeps every residue."""
-    d, n = 4, 8
-    h = (P0 - 1) // 2
-    m_rows = [[0] * n for _ in range(n)]
-    for j in range(n):
-        for a in range(d):
-            m_rows[j][a] = m_rows[a][j] = h - (j * a) % 5
-    y = [[h - (a + 2 * b) % 3 for b in range(d)] for a in range(d)]
-    for j in range(d, n):
-        m = m_rows[j][:d]
-        form = sum(m[a] * y[a][b] * m[b] for a in range(d) for b in range(d))
-        m_rows[j][j] = (form + h) % P0 - h + j % 2  # centred, odd rows miss
-    m_rows[d][d + 1] = m_rows[d + 1][d] = 2**25
-    return [[x + wrap * P0 for x in row] for row in m_rows], y
+# v1 - v2 and v3 - v4 + v5 close the list; v0 has squared norm 4, the
+# largest Gram entry
+EDGE_VECTORS = (
+    (2, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0),
+    (0, 0, 1, 1, 0, 0), (0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 1, 1),
+    (1, 0, -1, 0, 0, 0), (0, 0, 1, 0, 0, 1),
+)
+
+
+def edge_rows(shift: int = 23) -> list[list[int]]:
+    """The Gram matrix of EDGE_VECTORS (rank 6) times 2^shift: at the
+    default shift max|M| = 2^25, so a draw of d = 4 lines sits on the
+    span engine's width rule, d * max|M| = 2^27."""
+    return [[x << shift for x in row] for row in gram_from_vectors(EDGE_VECTORS)]
 
 
 class TestFormsMod:
-    """`_forms_mod` on near-worst-case residues: at d * max|M| = 2^27 and
-    with Y near (p-1)/2, every sum of the direct forms reaches 2^52, the
-    edge of `_centre`'s exact range.  The same residues lifted past the
-    width rule reach no numpy tier: `members_many` answers them by the
-    exact tier."""
+    """The modular tier at the width rule's edge: at d * max|M| = 2^27
+    the float tier's budget fails, so the modular tier decides every
+    nonsingular draw, with its int64 residues, checks and u . C_j at
+    their widest.  The same rows scaled past the width rule reach no
+    numpy tier: the exact tier answers them."""
 
     @pytest.mark.parametrize("wrap", [0, 256], ids=["small", "wide"])
     def test_digit_split_is_exact(self, wrap):
-        m_rows, y = near_half_rows(wrap)
-        d, n = len(y), len(m_rows)
-        want = [
-            (sum(m_rows[j][a] * y[a][b] * m_rows[j][b]
-                 for a in range(d) for b in range(d)) - m_rows[j][j]) % P0 == 0
-            for j in range(n)
-        ]
-        assert want[d:] == [j % 2 == 0 for j in range(d, n)]
-        engine = spansearch.SpanEngine(m_rows)
+        m_rows = edge_rows(23 + 8 * (wrap > 0))
+        d, n = 4, len(m_rows)
+        engine = span_engine(m_rows)
         subsets = [list(range(k, k + d)) for k in range(n - d + 1)]
         got = span_members_many(engine, subsets)
         assert got == PerDrawSpanEngine(m_rows).members_many(subsets)
         assert got == [exact_members(engine, s) for s in subsets]
+        assert [6 in g for g in got] == [True, True, False, True, True]
+        assert [7 in g for g in got] == [False, False, True, True, True]
         assert (d * engine.max_m == 2**27) == (wrap == 0)
-        assert engine.tier_counts["exact"] == (len(subsets) if wrap else 0)
-        if not wrap:
-            got = engine._forms_mod(
-                np.arange(d)[None], np.array([y], dtype=np.float64), np.ones(1), P0
-            )
-            assert got[0].tolist() == want
+        tier = "exact" if wrap else "modular"
+        assert engine.tier_counts[tier] == len(subsets)
 
 
 def gram_from_vectors(vectors) -> list[list[int]]:
@@ -563,7 +566,7 @@ class TestSpanEngine:
             ambient = 3 + rng.below(3)
             n = ambient + 2 + rng.below(4)
             vectors, m_rows = self._random_instance(rng, ambient, n)
-            engine = spansearch.SpanEngine(m_rows)
+            engine = span_engine(m_rows)
             k = 1 + rng.below(ambient)
             subset = sorted(
                 set(rng.below(n) for _ in range(k))
@@ -571,56 +574,52 @@ class TestSpanEngine:
             want = self._oracle(m_rows, subset)
             assert span_members(engine, subset) == want
             assert exact_members(engine, subset) == want
-            assert residue_members(engine, [subset]) == [want]
+            assert modular_members(engine, [subset]) == [want]
 
     def test_modular_tier_on_huge_entries(self):
         # scaled by 2^41 the draws are past the width rule and the exact
         # tier answers them; scaled to its edge (2 * max_m <= 2^27) the
-        # residue tiers, called directly, answer them as well
+        # modular tier, called directly, answers them as well
         rng = SplitMix64(29)
         shift = 1 << 41
         for _ in range(6):
             vectors, m_rows = self._random_instance(rng, 3, 7)
             big = [[x * shift for x in row] for row in m_rows]
-            engine = spansearch.SpanEngine(big)
+            engine = span_engine(big)
             subset = [0, 1]
             want = self._oracle(m_rows, subset)  # scaling preserves membership
             assert span_members(engine, subset) == want
             assert engine.tier_counts["exact"] == 1
             scale = (1 << 26) // max(abs(x) for row in m_rows for x in row)
-            edge = spansearch.SpanEngine([[x * scale for x in row] for row in m_rows])
+            edge = span_engine([[x * scale for x in row] for row in m_rows])
             assert 2 * edge.max_m > 1 << 26
-            assert residue_members(edge, [subset]) == [want]
+            assert modular_members(edge, [subset]) == [want]
             assert edge.tier_counts["exact"] == 0
 
     def test_width_rule_boundary(self):
         # d * max_m = 2^27 is decided by the numpy tiers: the float
-        # budget (d * max_m)^2 <= 2^53 fails, so by the residues, whose
-        # forms on a near-(p-1)/2 block equal the Python-int forms
-        m_rows, _ = near_half_rows()
-        d, n = 4, len(m_rows)
-        engine = spansearch.SpanEngine(m_rows)
+        # budget (d * max_m)^2 <= 2^53 fails, so by the modular tier,
+        # which agrees with the per-draw residues
+        m_rows = edge_rows()
+        d = 4
+        engine = span_engine(m_rows)
         oracle = PerDrawSpanEngine(m_rows)
         assert d * engine.max_m == 2**27
         assert span_members(engine, list(range(d))) == oracle.members(list(range(d)))
         assert engine.tier_counts["modular"] == 1
-        a = np.array([[[m_rows[i][j] for j in range(d)] for i in range(d)]], float)
-        for p in (P0, spansearch._PRIMES26[-1]):
-            y, unit = spansearch._inverse_mod(a, np.array([p]))
-            yi, u = y[0].astype(np.int64).tolist(), int(unit[0])
-            want = [
-                (sum(m_rows[j][r] * yi[r][c] * m_rows[j][c]
-                     for r in range(d) for c in range(d))
-                 - u * m_rows[j][j]) % p == 0
-                for j in range(n)
-            ]
-            got = engine._forms_mod(np.arange(d)[None], y, unit, p)
-            assert got[0].tolist() == want
+        # one past the edge, the exact tier decides the same draw
+        wide = [[x + (x == 2**25) for x in row] for row in m_rows]
+        engine = span_engine(wide)
+        assert d * engine.max_m == 2**27 + d
+        assert span_members(engine, list(range(d))) == PerDrawSpanEngine(wide).members(
+            list(range(d))
+        )
+        assert engine.tier_counts["exact"] == 1
         # draw [0] has det top and adjugate [1]: at top = 2^27 the
-        # residues answer it; one past, the exact tier does
+        # modular tier answers it; one past, the exact tier does
         for top, tier in ((2**27, "modular"), (2**27 + 1, "exact")):
             m_rows = [[top, 0, top], [0, 1, 0], [top, 0, top]]
-            engine = spansearch.SpanEngine(m_rows)
+            engine = span_engine(m_rows)
             assert span_members(engine, [0]) == [0, 2]
             assert span_members(engine, [0]) == PerDrawSpanEngine(m_rows).members([0])
             assert engine.tier_counts[tier] == 2
@@ -629,14 +628,14 @@ class TestSpanEngine:
     def test_singular_subset_returns_none(self):
         vectors = [[1, 0], [2, 0], [0, 1]]
         m_rows = gram_from_vectors(vectors)
-        engine = spansearch.SpanEngine(m_rows)
+        engine = span_engine(m_rows)
         assert span_members(engine, [0, 1]) is None  # parallel vectors
         assert span_members(engine, [0, 2]) == [0, 1, 2]
 
     def test_members_includes_subset(self):
         rng = SplitMix64(30)
         vectors, m_rows = self._random_instance(rng, 4, 8)
-        engine = spansearch.SpanEngine(m_rows)
+        engine = span_engine(m_rows)
         got = span_members(engine, [1, 3])
         if got is not None:
             assert {1, 3} <= set(got)
@@ -652,7 +651,7 @@ class TestStackedSpan:
 
     @staticmethod
     def engines(m_rows):
-        return spansearch.SpanEngine(m_rows), PerDrawSpanEngine(m_rows)
+        return span_engine(m_rows), PerDrawSpanEngine(m_rows)
 
     @pytest.mark.parametrize("name", ["tremain", "taylor", "asche"])
     def test_random_draws_match_per_draw(self, name, request):
@@ -709,11 +708,11 @@ class TestStackedSpan:
             lambda a: inv(a) + 0.75 / np.linalg.det(a)[..., None, None],
         )
         asked = []
-        residue = engine._members_residue
+        modular = engine._members_mod
         monkeypatch.setattr(
-            engine, "_members_residue",
+            engine, "_members_mod",
             lambda sub, left, full, mask: asked.extend(sub[left].tolist())
-            or residue(sub, left, full, mask),
+            or modular(sub, left, full, mask),
         )
         assert span_members_many(engine, subsets) == want
         assert asked == nonsingular
@@ -723,55 +722,47 @@ class TestStackedSpan:
         }
 
     def test_asche72_singular_draws_need_two_primes(self, asche, monkeypatch):
-        # every Gram row of an asche72 draw of 18 has squared norm 42, and
-        # (p1 p2)^2 > 42^18 > p1^2
-        engine = spansearch.SpanEngine(linalg.integer_scaled(asche.gram)[0])
+        # one prime decides every asche72 draw of 18: one stack of the
+        # 60 Gram blocks mod p, then one stack of the load rows of the
+        # draws of rank 18 mod p, and no draw takes a second prime
+        engine, oracle = self.engines(linalg.integer_scaled(asche.gram)[0])
         sub = np.array(draws(asche, 18, 60, seed=38))
-        assert engine._hadamard(sub) == [42**18] * 60
-        assert spansearch._PRIME_SQ[1] < 42**18 < spansearch._PRIME_SQ[2]
-        moduli = []
-        kernel = spansearch._inverse_mod
+        calls = []
+        rref = spansearch._rref_mod
         monkeypatch.setattr(
-            spansearch, "_inverse_mod",
-            lambda a, p: moduli.append(p.tolist()) or kernel(a, p),
+            spansearch, "_rref_mod",
+            lambda a, p: calls.append((a.shape, p)) or rref(a, p),
         )
-        got = residue_members(engine, sub)
+        got = modular_members(engine, sub)
         singular = engine.tier_counts["singular"]
         assert 0 < singular < 60 and got.count(None) == singular
-        primes = spansearch._PRIMES26
-        # the first round takes two primes for every draw; each
-        # nonsingular draw has two votes of the three it wants, and
-        # takes the third prime next
-        assert moduli == [
-            [primes[0]] * 60 + [primes[1]] * 60, [primes[2]] * (60 - singular)
-        ]
+        assert engine.tier_counts["modular"] == 60 - singular
+        assert got == oracle.members_many(sub.tolist())
+        p = spansearch._PRIME
+        assert calls == [((60, 18, 18), p), ((60 - singular, 18, asche.rank), p)]
 
     def test_first_round_primes_count_as_votes(self, monkeypatch):
-        # lines 0 and 1 have a Gram block of det P0; line 2 is their sum.
-        # The Hadamard bound P0^2 takes primes 0 and 1 in the first
-        # round: P0 divides det and is skipped, P1 is the first vote, and
-        # the value bound wants 4 votes, so the next round takes 3 primes
+        # lines 0 and 1 have a Gram block of det P0, a prime of the old
+        # residue pool; line 2 is their sum.  The modular tier decides
+        # the draw with its one prime: the Gram block, then the load
+        # rows on the basis (lines 0, 1 and 3) of the rank-3 set
         vectors = [
             (1, 0, 0, 0, 0, 0),
             (0, *P0_VECTOR, 0),
             (1, *P0_VECTOR, 0),
             (0, 0, 0, 0, 0, 1),
         ]
-        engine = spansearch.SpanEngine(gram_from_vectors(vectors))
-        rounds, votes = [], []
-        kernel, forms = spansearch._inverse_mod, engine._forms_mod
+        engine = span_engine(gram_from_vectors(vectors))
+        assert engine.basis == (0, 1, 3)
+        calls = []
+        rref = spansearch._rref_mod
         monkeypatch.setattr(
-            spansearch, "_inverse_mod",
-            lambda a, p: rounds.append(p.tolist()) or kernel(a, p),
+            spansearch, "_rref_mod",
+            lambda a, p: calls.append((a.shape, p)) or rref(a, p),
         )
-        monkeypatch.setattr(
-            engine, "_forms_mod",
-            lambda sub, y, unit, p: votes.append(p) or forms(sub, y, unit, p),
-        )
-        assert residue_members(engine, [[0, 1]]) == [[0, 1, 2]]
-        primes = spansearch._PRIMES26
-        assert rounds == [list(primes[:2]), list(primes[2:5])]
-        assert votes == list(primes[1:5])
+        assert modular_members(engine, [[0, 1]]) == [[0, 1, 2]]
+        p = spansearch._PRIME
+        assert calls == [((1, 2, 2), p), ((1, 2, 3), p)]
         assert engine.tier_counts["modular"] == 1
 
     def test_det_equal_to_first_prime_is_not_singular(self):
@@ -783,8 +774,8 @@ class TestStackedSpan:
             (0, 0, 0, 0, 0, 1),
         ]
         m_rows = gram_from_vectors(vectors)
-        engine = spansearch.SpanEngine(m_rows)
-        assert residue_members(engine, [[0, 1], [0, 2]]) == [[0, 1, 2]] * 2
+        engine = span_engine(m_rows)
+        assert modular_members(engine, [[0, 1], [0, 2]]) == [[0, 1, 2]] * 2
         assert engine.tier_counts["singular"] == 0
         # 3 * (P0 + 1) > 2^27: a draw of three is past the width rule
         assert span_members(engine, [1, 2, 0]) is None

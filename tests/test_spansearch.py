@@ -11,7 +11,7 @@ import pytest
 from eqlines import linalg, lineset, spansearch
 from eqlines.cli import main
 from eqlines._tables import E1_MINUS_E2, E1_MINUS_E3, VEC_C, VEC_C1, VEC_C2
-from eqlines.errors import InvalidLineSet, OutOfRange, RankDeficient
+from eqlines.errors import InvalidLineSet, NotPSD, OutOfRange, RankDeficient
 from eqlines.lineset import LineSet
 from eqlines.linalg import RatMatrix
 from eqlines.spansearch import (
@@ -30,6 +30,7 @@ from oracles import (
     PerDrawSpanEngine,
     mix64_inverse,
     sample_subset,
+    span_engine,
     span_members,
     span_members_many,
 )
@@ -41,6 +42,11 @@ TAYLOR_BASIS = tuple(
     i - 1
     for i in (6, 7, 13, 19, 21, 24, 27, 34, 43, 45, 48, 52, 57, 61, 66, 70, 74, 80, 82, 89)
 )
+
+
+def engine_of(ls: LineSet) -> spansearch.SpanEngine:
+    """A `SpanEngine` over the set's scaled Gram matrix and its basis."""
+    return spansearch.SpanEngine(linalg.integer_scaled(ls.gram)[0], ls.basis)
 
 
 def hexagon() -> LineSet:
@@ -220,6 +226,16 @@ class TestSpanClosure:
         large = set(span_closure(tremain, [1, 3, 5, 7]))
         assert small <= large
 
+    def test_set_without_basis_refused_not_psd(self, monkeypatch):
+        # four lines pairwise at -1/2: the Gram matrix has eigenvalue
+        # -1/2, so it has no basis; no draw is decided
+        signs = [[0 if i == j else -1 for j in range(4)] for i in range(4)]
+        ls = lineset.from_json_dict({"n": 4, "angle": "1/2", "signs": signs})
+        assert ls.basis is None
+        monkeypatch.setattr(spansearch, "SpanEngine", None)
+        with pytest.raises(NotPSD):
+            span_closure(ls, [0, 1])
+
 
 class TestRandomSearch:
     def test_reproducible(self, taylor):
@@ -290,7 +306,7 @@ class TestRandomSearch:
         m_rows, _ = linalg.integer_scaled(taylor.gram)
         # taylor90 at rank 18 is decided in blocks of 80 draws, so 97
         # runs cross a block seam
-        assert spansearch.SpanEngine(m_rows).block(18) == 80
+        assert engine_of(taylor).block(18) == 80
         oracle = PerDrawSpanEngine(m_rows)
         summary = random_search(taylor, target_rank=18, runs=runs, seed=5)
         assert len(summary.run_log) == runs
@@ -398,7 +414,7 @@ class TestMaskPath:
             summary.run_log[0]
 
     def test_short_last_block_and_chunk(self, asche):
-        engine = spansearch.SpanEngine(linalg.integer_scaled(asche.gram)[0])
+        engine = engine_of(asche)
         # asche72 at rank 18: blocks of 101 draws, chunks of 9 blocks
         assert engine.block(18) == 101
         runs = 909 + 101 + 7
@@ -460,7 +476,7 @@ class TestTierCounts:
     )
     def test_seed0_split(self, name, rank, runs, split, request):
         ls = request.getfixturevalue(name)
-        engine = spansearch.SpanEngine(linalg.integer_scaled(ls.gram)[0])
+        engine = engine_of(ls)
         assert engine.tier_counts == dict.fromkeys(
             ("float", "kernel", "singular", "modular", "exact"), 0
         )
@@ -477,16 +493,17 @@ class TestTierCounts:
     ):
         # with the kernel tier certifying nothing, the 2274 seed-0 draws
         # whose float det rounds to 0 are left open; they wait for a
-        # whole block's worth (101 draws), so the residues take one
-        # stack of two primes per draw for each 101 of them and one for
-        # the rest, not one stack per block of 101 draws
-        engine = spansearch.SpanEngine(linalg.integer_scaled(asche.gram)[0])
+        # whole block's worth (101 draws), so the modular tier takes one
+        # stack of Gram blocks for each 101 of them and one for the
+        # rest, not one stack per block of 101 draws; every one is
+        # singular, so no stack of load rows follows
+        engine = engine_of(asche)
         _, subsets = _draw_block(0, 0, 5000, asche.n, 18)
         stacks = []
-        kernel = spansearch._inverse_mod
+        rref = spansearch._rref_mod
         monkeypatch.setattr(
-            spansearch, "_inverse_mod",
-            lambda a, p: stacks.append(len(a)) or kernel(a, p),
+            spansearch, "_rref_mod",
+            lambda a, p: stacks.append(a.shape) or rref(a, p),
         )
         monkeypatch.setattr(
             spansearch, "_kernel_zero", lambda a, max_m: np.zeros(len(a), bool)
@@ -494,7 +511,9 @@ class TestTierCounts:
         span_members_many(engine, subsets.tolist())
         step, left = engine.block(18), engine.tier_counts["singular"]
         assert (step, left) == (101, 2274)
-        assert stacks == [2 * step] * (left // step) + [2 * (left % step)]
+        assert stacks == (
+            [(step, 18, 18)] * (left // step) + [(left % step, 18, 18)]
+        )
 
 
 class TestKernelCertificate:
@@ -509,9 +528,102 @@ class TestKernelCertificate:
         max_m = max(abs(x) for row in gram for x in row)
         a = np.array([gram], dtype=np.float64)
         assert spansearch._kernel_zero(a, max_m).tolist() == [True]
-        engine = spansearch.SpanEngine(gram)
+        engine = span_engine(gram)
         assert span_members(engine, [0, 1, 2, 3]) is None
         assert engine.tier_counts["kernel"] == 1
+
+
+def open_engine(ls: LineSet) -> spansearch.SpanEngine:
+    """`engine_of(ls)` with tiers 1 and 2 leaving every draw open."""
+    engine = engine_of(ls)
+    engine._members_float = lambda sub, full, mask: np.arange(len(sub))
+    return engine
+
+
+def exact_masks(engine, subsets) -> tuple[np.ndarray, np.ndarray]:
+    """(full, mask) of the subsets by the exact tier alone."""
+    full = np.zeros(len(subsets), dtype=bool)
+    mask = np.zeros((len(subsets), engine.n), dtype=bool)
+    for k, subset in enumerate(subsets):
+        full[k] = engine._members_exact(list(subset), mask[k])
+    return full, mask
+
+
+class TestModularTier:
+    """The one-prime tier: `_rref_mod` eliminations mod `_PRIME`,
+    kernel vectors lifted by `_kernel_lift` and checked exactly."""
+
+    @pytest.mark.parametrize(
+        "name,low", [("asche", 12), ("taylor", 15), ("tremain", 10)]
+    )
+    def test_open_draws_match_exact_tier_at_three_ranks(self, name, low, request):
+        ls = request.getfixturevalue(name)
+        engine = open_engine(ls)
+        for rank in (ls.rank, ls.rank - 1, low):
+            _, subsets = _draw_block(rank, 0, 150, ls.n, rank)
+            full, mask = engine.member_masks(subsets)
+            want_full, want_mask = exact_masks(engine, subsets.tolist())
+            assert np.array_equal(full, want_full)
+            assert np.array_equal(mask, want_mask)
+        counts = engine.tier_counts
+        assert counts["float"] == counts["kernel"] == counts["exact"] == 0
+        assert counts["singular"] > 0 and counts["modular"] > 0
+
+    def test_small_prime_sends_failed_lifts_to_exact_tier(self, asche, monkeypatch):
+        # mod 101 a residue lifts only to num/den with |num|, den <= 7
+        monkeypatch.setattr(spansearch, "_PRIME", 101)
+        engine = open_engine(asche)
+        for rank in (18, 10):
+            _, subsets = _draw_block(0, 0, 120, asche.n, rank)
+            full, mask = engine.member_masks(subsets)
+            want_full, want_mask = exact_masks(engine, subsets.tolist())
+            assert np.array_equal(full, want_full)
+            assert np.array_equal(mask, want_mask)
+        assert engine.tier_counts["exact"] > 0
+
+    def test_draw_of_full_rank_gives_every_line(self, asche):
+        engine = open_engine(asche)
+        _, subsets = _draw_block(0, 0, 40, asche.n, asche.rank)
+        full, mask = engine.member_masks(subsets)
+        assert 0 < full.sum() < 40
+        assert mask[full].all() and not mask[~full].any()
+        assert engine.tier_counts["modular"] == full.sum()
+
+    def test_prime_dividing_a_pivot_sends_draw_to_exact_tier(self):
+        # det [[2^14, 1], [1, 2^17]] = 2^31 - 1, the module prime: the
+        # block has rank 1 mod p, and its lifted kernel vector (-1, 2^14)
+        # fails A z == 0, so the exact tier finds it nonsingular.  Line
+        # 0 alone is nonsingular mod p and stays in the modular tier
+        m_rows = [[1 << 14, 1], [1, 1 << 17]]
+        assert (1 << 31) - 1 == spansearch._PRIME
+        engine = spansearch.SpanEngine(m_rows, (0, 1))
+        engine._members_float = lambda sub, full, mask: np.arange(len(sub))
+        assert span_members(engine, [0, 1]) == [0, 1]
+        assert engine.tier_counts["exact"] == 1
+        assert span_members(engine, [0]) == [0]
+        assert engine.tier_counts["modular"] == 1
+
+    def test_seed0_asche72_leftovers_certified_singular(self, asche, monkeypatch):
+        # the 21 seed-0 draws that tiers 1 and 2 leave open have kernels
+        # of dimension 2 or 3, which the float kernel solve misses
+        engine = engine_of(asche)
+        m_rows = engine.m_rows
+        modular, left = engine._members_mod, []
+        monkeypatch.setattr(
+            engine, "_members_mod",
+            lambda sub, rows, full, mask: left.extend(sub[rows].tolist())
+            or modular(sub, rows, full, mask),
+        )
+        _, subsets = _draw_block(0, 0, 5000, asche.n, 18)
+        engine.member_masks(subsets)
+        assert len(left) == engine.tier_counts["singular"] == 21
+        nullity = [
+            18 - linalg.rank(RatMatrix.from_rows([[m_rows[i][j] for j in s]
+                                                  for i in s]))
+            for s in left
+        ]
+        assert sorted(set(nullity)) == [2, 3]
+        assert engine.tier_counts["exact"] == engine.tier_counts["modular"] == 0
 
 
 class TestBlockArrays:
@@ -519,47 +631,44 @@ class TestBlockArrays:
     and calls; no answer may depend on what they held before."""
 
     def test_reused_engine_matches_fresh_and_per_draw(self, asche):
-        m_rows = linalg.integer_scaled(asche.gram)[0]
-        engine = spansearch.SpanEngine(m_rows)
+        engine = engine_of(asche)
         # 5000 draws at rank 18 end in a short block
         assert 5000 == 49 * engine.block(18) + 51
         for rank, seed in ((18, 0), (12, 1), (18, 7)):
             _, subsets = _draw_block(seed, 0, 5000, asche.n, rank)
             subsets = subsets.tolist()
             got = span_members_many(engine, subsets)
-            assert got == span_members_many(spansearch.SpanEngine(m_rows), subsets)
+            assert got == span_members_many(engine_of(asche), subsets)
             # a sample of the full blocks and the whole short block
             for k in [*range(0, 4949, 97), *range(4949, 5000)]:
                 assert span_members(engine, subsets[k]) == got[k]
 
     def test_residue_gather_leaves_block_arrays_alone(self, asche, monkeypatch):
-        # with no kernel certificates, the residue tiers run between
-        # float blocks; their Hadamard gather must not write the arrays
-        # of the float tier
-        engine = spansearch.SpanEngine(linalg.integer_scaled(asche.gram)[0])
+        # with no kernel certificates, the modular tier runs between
+        # float blocks; its gather of Gram blocks and load rows must not
+        # write the arrays of the float tier
+        engine = engine_of(asche)
         _, subsets = _draw_block(0, 0, 1000, asche.n, 18)
         monkeypatch.setattr(
             spansearch, "_kernel_zero", lambda a, max_m: np.zeros(len(a), bool)
         )
-        hadamard, calls = engine._hadamard, []
+        modular, calls = engine._members_mod, []
 
-        def spy(sub):
+        def spy(sub, left, full, mask):
             before = [w.tobytes() for w in engine._work[18]]
-            got = hadamard(sub)
-            calls.append(len(sub))
+            modular(sub, left, full, mask)
+            calls.append(len(left))
             assert [w.tobytes() for w in engine._work[18]] == before
-            return got
 
-        monkeypatch.setattr(engine, "_hadamard", spy)
+        monkeypatch.setattr(engine, "_members_mod", spy)
         got = span_members_many(engine, subsets.tolist())
-        assert len(calls) >= 2
+        assert len(calls) >= 2 and sum(calls) > 0
         monkeypatch.undo()
-        fresh = spansearch.SpanEngine(linalg.integer_scaled(asche.gram)[0])
-        assert got == span_members_many(fresh, subsets.tolist())
+        assert got == span_members_many(engine_of(asche), subsets.tolist())
 
     @pytest.mark.parametrize("bad", [[0, 72], [-1, 5]])
     def test_index_out_of_range(self, asche, bad):
-        engine = spansearch.SpanEngine(linalg.integer_scaled(asche.gram)[0])
+        engine = engine_of(asche)
         with pytest.raises(IndexError, match="line index out of range"):
             span_members_many(engine, [[0, 1], bad])
 

@@ -17,11 +17,18 @@ passing every parameter it could reach.
 
 No library module imports `time` or `random`, so that every library
 result is a function of its inputs alone.
+
+The docs name only live internals: every backticked private name in a
+docstring or comment of `src/eqlines`, or in `README.md`, is defined in
+`src/eqlines`, and README's numbered list of span tiers names the keys
+of `SpanEngine.tier_counts`, in order.
 """
 
 import ast
 import importlib
+import io
 import re
+import tokenize
 from pathlib import Path
 from types import ModuleType
 
@@ -279,3 +286,66 @@ def test_library_reads_no_clock_or_random_state():
     }
     offenders = {m: names for m, names in offenders.items() if names}
     assert not offenders, f"library modules importing time or random: {offenders}"
+
+
+# a backticked name whose last part is private: `_x` or `a._x`
+_PRIVATE_MENTION = re.compile(r"`(?:\w+\.)*(_\w+)`")
+
+
+def _private_mentions(text: str) -> set[str]:
+    return set(_PRIVATE_MENTION.findall(text))
+
+
+def _doc_texts(source: str) -> list[str]:
+    """The docstrings and comments of a module's source."""
+    texts = [
+        ast.get_docstring(node, clean=False) or ""
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+    ]
+    texts.extend(
+        tok.string
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.COMMENT
+    )
+    return texts
+
+
+def _library_names() -> set[str]:
+    """Every name the library defines: its module names, and each
+    function, class, argument, stored variable or attribute, and
+    identifier string (a `__slots__` entry) of its modules."""
+    names = {path.stem for path in LIB.glob("*.py")}
+    for path in LIB.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    names.add(node.value)
+    return names
+
+
+def test_docs_name_only_live_internals():
+    from eqlines.spansearch import SpanEngine
+
+    # the pattern must see a gone name in either form
+    assert _private_mentions("`_gone` and `spansearch._gone2`") == {"_gone", "_gone2"}
+    defined = _library_names()
+    stale = {}
+    for path in sorted(LIB.glob("*.py")):
+        for text in _doc_texts(path.read_text()):
+            for name in _private_mentions(text) - defined:
+                stale.setdefault(name, set()).add(path.name)
+    readme = (ROOT / "README.md").read_text()
+    for name in _private_mentions(readme) - defined:
+        stale.setdefault(name, set()).add("README.md")
+    assert not stale, f"docs name private names the library lacks: {stale}"
+    tiers = re.findall(r"^\d+\. \*\*(\w+)\*\*", readme, re.M)
+    assert tiers == list(SpanEngine([], ()).tier_counts)
